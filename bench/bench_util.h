@@ -123,10 +123,10 @@ inline void report_counters(const char* what, const RunCounters& c) {
       "# %s: %u thread(s), %llu unit(s), %llu events, %llu rate evals, "
       "%llu flags, %llu refreshes, %.3f s wall\n",
       what, c.threads, static_cast<unsigned long long>(c.units),
-      static_cast<unsigned long long>(c.events),
-      static_cast<unsigned long long>(c.rate_evaluations),
-      static_cast<unsigned long long>(c.flags_raised),
-      static_cast<unsigned long long>(c.full_refreshes), c.wall_seconds);
+      static_cast<unsigned long long>(c.stats.events),
+      static_cast<unsigned long long>(c.stats.all_rate_evaluations()),
+      static_cast<unsigned long long>(c.stats.junctions_flagged),
+      static_cast<unsigned long long>(c.stats.full_refreshes), c.wall_seconds);
 }
 
 /// Prints the table to stdout and writes it under out_dir/name.tsv.

@@ -50,10 +50,10 @@ std::vector<std::uint8_t> encode_bench_row(const BenchRow& r) {
   w.vec_f64(r.row);
   w.str(r.log);
   w.u64(r.counters.units);
-  w.u64(r.counters.events);
-  w.u64(r.counters.rate_evaluations);
-  w.u64(r.counters.flags_raised);
-  w.u64(r.counters.full_refreshes);
+  w.u64(r.counters.stats.events);
+  w.u64(r.counters.stats.all_rate_evaluations());
+  w.u64(r.counters.stats.junctions_flagged);
+  w.u64(r.counters.stats.full_refreshes);
   w.f64(r.counters.wall_seconds);
   return w.take();
 }
@@ -63,11 +63,13 @@ BenchRow decode_bench_row(const std::vector<std::uint8_t>& bytes) {
   BenchRow r;
   r.row = rd.vec_f64();
   r.log = rd.str();
+  // The row keeps only the counters the report prints; every rate
+  // evaluation kind comes back as one total.
   r.counters.units = rd.u64();
-  r.counters.events = rd.u64();
-  r.counters.rate_evaluations = rd.u64();
-  r.counters.flags_raised = rd.u64();
-  r.counters.full_refreshes = rd.u64();
+  r.counters.stats.events = rd.u64();
+  r.counters.stats.rate_evaluations = rd.u64();
+  r.counters.stats.junctions_flagged = rd.u64();
+  r.counters.stats.full_refreshes = rd.u64();
   r.counters.wall_seconds = rd.f64();
   rd.require_done();
   return r;
@@ -181,8 +183,9 @@ int main(int argc, char** argv) {
 
         out.counters.threads = exec.threads();
         out.counters.wall_seconds = ra.wall_seconds + rn.wall_seconds;
-        out.counters.absorb(ra.stats);
-        out.counters.absorb(rn.stats);
+        out.counters.stats += ra.stats;
+        out.counters.stats += rn.stats;
+        out.counters.units = 2;
         out.row = {static_cast<double>(j),
                    static_cast<double>(b.paper_junctions),
                    static_cast<double>(islands), setup_s, t_nonadaptive,
@@ -201,10 +204,7 @@ int main(int argc, char** argv) {
     std::fputs(rows[i].log.c_str(), stdout);
     table.add_row(TableWriter::cells(rows[i].row));
     totals.units += rows[i].counters.units;
-    totals.events += rows[i].counters.events;
-    totals.rate_evaluations += rows[i].counters.rate_evaluations;
-    totals.flags_raised += rows[i].counters.flags_raised;
-    totals.full_refreshes += rows[i].counters.full_refreshes;
+    totals.stats += rows[i].counters.stats;
     totals.wall_seconds += rows[i].counters.wall_seconds;
   }
   bench::report_counters("fig6 windows (summed per-window wall)", totals);

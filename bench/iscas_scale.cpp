@@ -49,10 +49,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::uint64_t total_rate_evals(const SolverStats& s) {
-  return s.rate_evaluations + s.cp_rate_evaluations + s.cot_rate_evaluations;
-}
-
 struct IscasFabric {
   RandomLogicBlocks blocks;
   std::unique_ptr<ElaboratedCircuit> elab;
@@ -125,7 +121,7 @@ void measure_best_of_3(GateCase& r, const char* who,
     warmed += n;
   }
   for (int rep = 0; rep < 3; ++rep) {
-    const std::uint64_t evals_before = total_rate_evals(stats());
+    const std::uint64_t evals_before = stats().all_rate_evaluations();
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t events = 0;
     double dt = 0.0;
@@ -138,7 +134,7 @@ void measure_best_of_3(GateCase& r, const char* who,
     const double evps = static_cast<double>(events) / dt;
     if (evps > r.events_per_sec) {
       r.events_per_sec = evps;
-      const std::uint64_t evals = total_rate_evals(stats()) - evals_before;
+      const std::uint64_t evals = stats().all_rate_evaluations() - evals_before;
       r.ns_per_rate_eval =
           evals > 0 ? dt * 1e9 / static_cast<double>(evals) : 0.0;
     }

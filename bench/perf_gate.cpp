@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -34,7 +33,6 @@
 #include "base/error.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "core/ensemble.h"
 #include "gate_case.h"
 #include "io/json.h"
 #include "iscas_scale.h"
@@ -58,10 +56,6 @@ constexpr double kAdaptiveCouplingF = 0.5e-18;
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-std::uint64_t total_rate_evals(const SolverStats& s) {
-  return s.rate_evaluations + s.cp_rate_evaluations + s.cot_rate_evaluations;
 }
 
 /// Steady-state stepping rate of one engine configuration: warm up past the
@@ -110,7 +104,7 @@ GateCase measure_engine_case(int stages, bool adaptive, bool fast_rates,
     if (evps > r.events_per_sec) {
       r.events_per_sec = evps;
       const std::uint64_t evals =
-          total_rate_evals(e.stats()) - total_rate_evals(before);
+          e.stats().all_rate_evaluations() - before.all_rate_evaluations();
       r.ns_per_rate_eval =
           evals > 0 ? dt * 1e9 / static_cast<double>(evals) : 0.0;
     }
@@ -120,116 +114,6 @@ GateCase measure_engine_case(int stages, bool adaptive, bool fast_rates,
     r.flagged_fraction = static_cast<double>(s.junctions_flagged) /
                          static_cast<double>(s.junctions_tested);
   }
-  return r;
-}
-
-/// Ensemble lockstep case (ROADMAP item 3): `replicas` copies of the warm
-/// adaptive chain advance in event rounds through core/ensemble.h — ONE
-/// fused tunnel_rates_batch_replicas pass per round over the replica-major
-/// arena. Pinned to the fast kernel at 4.2 K (like the _warm_fast cases, the
-/// name keys the comparison across gate modes): the thermal fast kernel is
-/// the regime the fused pass amortizes. ns_per_rate_eval is the fused cost
-/// per evaluation across the whole ensemble; the in-run require() demands it
-/// land strictly below the solo engine's cost on the identical
-/// configuration — if batching across replicas ever becomes a tax instead
-/// of an amortization, the gate fails without needing a baseline.
-GateCase measure_ensemble_case(int stages, int replicas) {
-  GateCase r;
-  r.name = "ensemble_chain_adaptive_" + std::to_string(stages) + "_x" +
-           std::to_string(replicas);
-  r.stages = stages;
-  r.adaptive = true;
-
-  const Circuit c = bench::chain_circuit(stages, kAdaptiveCouplingF);
-  EngineOptions o;
-  o.temperature = 4.2;
-  o.adaptive.enabled = true;
-  o.fast_rates = true;
-
-  // Replicas run as gangs of four: wide enough that the arena pack feeds
-  // the rate kernel's 4-wide vector path whole groups, narrow enough that a
-  // gang's lane state survives the round-robin in L1 (8- and 16-lane gangs
-  // measured strictly worse — the extra kernel amortization loses to cache
-  // thrash). The lanes also share ONE electrostatic model (like the driver
-  // when capacitances are unperturbed): the kappa matrix of a 256-stage
-  // chain is ~0.5 MB, and a per-lane copy would turn the gang's row reads
-  // into a cache fight no real ensemble run pays.
-  constexpr int kTile = 4;
-  const auto model = std::make_shared<const ElectrostaticModel>(c);
-  std::deque<Engine> engines;  // stable addresses for the lane pointers
-  std::deque<EnsembleEngine> gangs;
-  for (int base = 0; base < replicas; base += kTile) {
-    std::vector<Engine*> lanes;
-    for (int i = base; i < base + kTile && i < replicas; ++i) {
-      EngineOptions oi = o;
-      oi.seed = static_cast<std::uint64_t>(1 + i);
-      engines.emplace_back(c, oi, model);
-      lanes.push_back(&engines.back());
-    }
-    gangs.emplace_back(std::move(lanes), /*fast_rates=*/true);
-  }
-
-  auto stats_sum = [&engines] {
-    std::uint64_t evals = 0;
-    for (const Engine& e : engines) evals += total_rate_evals(e.stats());
-    return evals;
-  };
-
-  for (EnsembleEngine& g : gangs) {
-    require(g.run_events(2000) > 0, "perf_gate: ensemble stuck in warmup");
-  }
-
-  const auto cal0 = std::chrono::steady_clock::now();
-  for (EnsembleEngine& g : gangs) {
-    require(g.run_events(100) > 0, "perf_gate: ensemble stuck in calibration");
-  }
-  const double per_round =
-      seconds_since(cal0) / (100.0 * static_cast<double>(gangs.size()));
-  std::uint64_t window = static_cast<std::uint64_t>(
-      0.1 / (per_round * static_cast<double>(gangs.size())));
-  if (window < 50) window = 50;
-  if (window > 200000) window = 200000;
-
-  for (int rep = 0; rep < 3; ++rep) {
-    const std::uint64_t evals_before = stats_sum();
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t lane_events = 0;
-    for (EnsembleEngine& g : gangs) lane_events += g.run_events(window);
-    const double dt = seconds_since(t0);
-    require(lane_events > 0, "perf_gate: ensemble stuck in timed window");
-    const double evps = static_cast<double>(lane_events) / dt;
-    if (evps > r.events_per_sec) {
-      r.events_per_sec = evps;
-      const std::uint64_t evals = stats_sum() - evals_before;
-      r.ns_per_rate_eval =
-          evals > 0 ? dt * 1e9 / static_cast<double>(evals) : 0.0;
-    }
-  }
-
-  std::uint64_t tested = 0;
-  std::uint64_t flagged = 0;
-  for (const Engine& e : engines) {
-    tested += e.stats().junctions_tested;
-    flagged += e.stats().junctions_flagged;
-  }
-  if (tested > 0) {
-    r.flagged_fraction =
-        static_cast<double>(flagged) / static_cast<double>(tested);
-  }
-
-  // Acceptance criterion of the ensemble engine: the fused replica-major
-  // pass must be strictly cheaper per rate evaluation than running one
-  // replica solo (same circuit, kernel, and temperature), measured back to
-  // back in this very process.
-  const GateCase solo = measure_engine_case(stages, /*adaptive=*/true,
-                                            /*fast_rates=*/true,
-                                            /*temperature=*/4.2);
-  std::printf("# %-32s %10.1f ns/rate-eval fused vs %8.1f solo\n",
-              r.name.c_str(), r.ns_per_rate_eval, solo.ns_per_rate_eval);
-  require(r.ns_per_rate_eval > 0.0 &&
-              r.ns_per_rate_eval < solo.ns_per_rate_eval,
-          "perf_gate: fused ensemble rate pass is not cheaper per evaluation "
-          "than the solo engine");
   return r;
 }
 
@@ -432,13 +316,6 @@ int main(int argc, char** argv) {
         report(cases.back());
       }
     }
-    // Ensemble lockstep case: 64 replicas of the 256-stage warm chain in one
-    // fused gang; the case itself require()s the fused per-evaluation cost
-    // beat the solo engine's, so a broken amortization fails even a --out
-    // (baseline-recording) run.
-    cases.push_back(measure_ensemble_case(256, 64));
-    report(cases.back());
-
     // ISCAS-scale domain-decomposition cases (iscas_scale.cpp). The 4k
     // pair carries its own in-run require(): partitioned >= 3x solo.
     bench::append_iscas_cases(cases, fast_rates);

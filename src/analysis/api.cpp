@@ -32,14 +32,17 @@ void write_solver_stats(JsonWriter& w, const SolverStats& s) {
   w.end_object();
 }
 
+/// The run-level summary of the tally: every rate evaluation kind in one
+/// total, and the adaptive flags, as the CLI's `# run:` line prints them.
 void write_run_counters(JsonWriter& w, const RunCounters& c, bool canonical) {
+  const SolverStats& s = c.stats;
   w.begin_object();
   if (!canonical) w.field("threads", c.threads);
   w.field("units", c.units);
-  w.field("events", c.events);
-  w.field("rate_evaluations", c.rate_evaluations);
-  w.field("flags_raised", c.flags_raised);
-  w.field("full_refreshes", c.full_refreshes);
+  w.field("events", s.events);
+  w.field("rate_evaluations", s.all_rate_evaluations());
+  w.field("flags_raised", s.junctions_flagged);
+  w.field("full_refreshes", s.full_refreshes);
   if (!canonical) w.field("wall_seconds", c.wall_seconds);
   w.end_object();
 }
@@ -239,7 +242,7 @@ std::string RunResult::to_json(bool canonical) const {
   }
 
   w.key("stats");
-  write_solver_stats(w, driver.stats);
+  write_solver_stats(w, driver.counters.stats);
   w.key("counters");
   write_run_counters(w, driver.counters, canonical);
   w.end_object();

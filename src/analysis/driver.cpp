@@ -6,53 +6,34 @@
 
 #include "analysis/api.h"
 #include "analysis/ensemble_driver.h"
+#include "analysis/units.h"
 #include "base/constants.h"
 #include "base/error.h"
 #include "base/math_util.h"
-#include "base/random.h"
-#include "base/thread_pool.h"
 #include "core/partition.h"
-#include "guard/retry.h"
 
 namespace semsim {
 
 namespace {
 
-void merge_stats(SolverStats& into, const SolverStats& s) {
-  into.events += s.events;
-  into.rate_evaluations += s.rate_evaluations;
-  into.cp_rate_evaluations += s.cp_rate_evaluations;
-  into.cot_rate_evaluations += s.cot_rate_evaluations;
-  into.potential_node_updates += s.potential_node_updates;
-  into.junctions_tested += s.junctions_tested;
-  into.junctions_flagged += s.junctions_flagged;
-  into.full_refreshes += s.full_refreshes;
-  into.source_updates += s.source_updates;
-}
-
-/// Checkpoint request from the driver options; resume_path wins and demands
-/// an existing file.
-CheckpointConfig checkpoint_config(const SimulationInput& input,
-                                   const DriverOptions& options) {
-  CheckpointConfig ckpt;
-  if (!options.resume_path.empty()) {
-    ckpt.path = options.resume_path;
-    ckpt.require_existing = true;
-  } else {
-    ckpt.path = options.checkpoint_path;
+/// Mean current through `probes` over a window of length dt: each probe's
+/// charge transferred since its q0 mark (none for an unmarked probe).
+template <typename Transferred>
+CurrentEstimate window_current(const std::vector<CurrentProbe>& probes,
+                               Transferred&& transferred_e,
+                               const std::vector<double>& q0, double dt,
+                               std::uint64_t events) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const double q_end = transferred_e(probes[i].junction);
+    acc += probes[i].sign * kElementaryCharge *
+           (q_end - (i < q0.size() ? q0[i] : q_end));
   }
-  ckpt.salvage = options.salvage_checkpoint;
-  if (ckpt.enabled()) ckpt.fingerprint = run_fingerprint(input, options);
-  return ckpt;
-}
-
-/// Checked OUTSIDE retry try-blocks so a cancellation is never degraded
-/// into a recorded failure (see analysis/sweep.cpp for the sweep twin).
-void throw_if_cancelled(const CancelToken* cancel, const char* where) {
-  if (cancel != nullptr && cancel->stop_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                std::string("run cancelled before ") + where);
-  }
+  CurrentEstimate est;
+  est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
+  est.sim_time = dt;
+  est.events = events;
+  return est;
 }
 
 /// The domain-decomposed measurement path (core/partition.h): one global
@@ -87,19 +68,15 @@ DriverResult run_partitioned(const SimulationInput& input,
           "partition: convergence stopping is not supported");
 
   const EngineOptions eo = engine_options_for(input, options);
-  std::vector<CurrentProbe> probes;
-  for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
+  const std::vector<CurrentProbe> probes = recorded_probes(input);
   require(!probes.empty(),
           "run_simulation: current measurement requires `record`");
 
-  std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-  const CheckpointConfig ckpt = checkpoint_config(input, options);
+  UnitContext ctx = unit_context(input, options, options.seed);
 
-  const std::uint64_t jumps = input.max_jumps > 0 ? input.max_jumps : 10000;
-  const std::uint64_t warmup = std::max<std::uint64_t>(jumps / 10, 100);
+  const CurrentMeasureConfig budget = measure_config_from_input(input);
+  const std::uint64_t jumps = budget.measure_events;
+  const std::uint64_t warmup = budget.warmup_events;
   // The 1-cluster chunk size: run_events chunks are trajectory-neutral, so
   // this only fixes where the (canonicalizing) milestones can land; any
   // configuration-pure value works.
@@ -111,26 +88,17 @@ DriverResult run_partitioned(const SimulationInput& input,
   };
 
   const auto wall0 = std::chrono::steady_clock::now();
-  throw_if_cancelled(options.cancel, "partitioned run");
+  throw_if_cancelled(ctx.cancel, "partitioned run");
   input.circuit.build_caches();
   // The global model feeds only the planner's kappa scan; each cluster
   // engine factorizes its own (much smaller) sub-circuit model.
   const ElectrostaticModel model(input.circuit);
-  PartitionedEngine part(input.circuit, model, eo, options.partition, &exec);
+  PartitionedEngine part(input.circuit, model, eo, options.partition,
+                         &ctx.exec);
 
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("partition");
-    fp.u64(kSlices);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), kSlices + 1,
-        ckpt.require_existing, ckpt.salvage);
-  }
-  if (options.progress != nullptr) {
-    options.progress->on_run_started(kSlices + 1, 0);
-  }
+  ctx.tag_checkpoint("partition", kSlices);
+  const std::unique_ptr<RunCheckpoint> cp = ctx.open_checkpoint(kSlices + 1);
+  ctx.started(kSlices + 1, 0);
 
   bool warmed = false;
   std::uint64_t warm_events = 0;
@@ -190,19 +158,18 @@ DriverResult run_partitioned(const SimulationInput& input,
       r.require_done();
       part.restore_clusters(snaps, windows);
       next_unit = static_cast<std::uint64_t>(done) + 1;
+      for (std::uint64_t u = 0; u < next_unit; ++u) ctx.unit_done(u);
     }
   }
 
   const auto reach_milestone = [&](std::uint64_t unit) {
     const std::vector<std::uint8_t> state = encode_state();
     if (cp) cp->record(unit, state);
-    if (options.progress != nullptr) {
-      options.progress->on_unit_done(static_cast<std::size_t>(unit));
-    }
+    ctx.unit_done(unit);
   };
 
   while (next_unit <= kSlices) {
-    throw_if_cancelled(options.cancel, "partition window");
+    throw_if_cancelled(ctx.cancel, "partition window");
     part.advance_window(chunk);
     const std::uint64_t total = part.total_events();
     if (!warmed && total >= warmup) {
@@ -231,21 +198,13 @@ DriverResult run_partitioned(const SimulationInput& input,
   }
 
   DriverResult result;
-  CurrentEstimate est;
   if (!warmed) {
     // Exhausted before the warm-up target: measure nothing.
     t0 = part.time();
   }
-  const double dt = part.time() - t0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const double q_end = part.junction_transferred_e(probes[i].junction);
-    acc += probes[i].sign * kElementaryCharge *
-           (q_end - (i < q0.size() ? q0[i] : q_end));
-  }
-  est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
-  est.sim_time = dt;
-  est.events = part.total_events();
+  CurrentEstimate est = window_current(
+      probes, [&](std::size_t j) { return part.junction_transferred_e(j); },
+      q0, part.time() - t0, part.total_events());
   // Blocked standard error: eight contiguous blocks of barrier samples,
   // each contributing its own mean-current slope.
   if (sample_t.size() >= 16) {
@@ -265,10 +224,9 @@ DriverResult run_partitioned(const SimulationInput& input,
   result.current = est;
   result.simulated_time = part.time();
   result.events = part.total_events();
-  result.stats = part.merged_stats();
+  result.counters.stats = part.merged_stats();
   result.integrity.merge(part.merged_integrity());
-  result.counters.threads = exec.threads();
-  result.counters.absorb(result.stats);
+  result.counters.threads = ctx.exec.threads();
   result.counters.units = part.clusters();
   result.counters.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
@@ -345,222 +303,169 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
   return fnv1a64(w.bytes().data(), w.bytes().size());
 }
 
-DriverResult run_simulation(const SimulationInput& input,
-                            const DriverOptions& options) {
-  // Ensemble runs replicate the whole input N times with perturbed element
-  // values; everything below this dispatch is the single-device path the
-  // ensemble driver builds on (and recurses into, with ensemble disabled).
-  if (options.ensemble.enabled) return run_ensemble(input, options);
+namespace {
 
-  // Domain-decomposed single-run path (core/partition.h). Dispatched on
-  // the request flag, not the effective cluster count: a partition the
-  // planner refuses to cut still runs through the partitioned runner (on
-  // its bitwise-solo 1-cluster path), so the fingerprint, checkpoint
-  // layout and result document are consistent for every `--partitions`
-  // value.
-  if (options.partition.enabled) return run_partitioned(input, options);
-
-  const EngineOptions eo = engine_options_for(input, options);
-
-  std::vector<CurrentProbe> probes;
-  for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
-
-  // The service daemon shares one long-lived pool across jobs; everyone
-  // else gets a private executor sized from the options. Either way the
-  // results are identical — thread count never affects them.
-  std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-  const CheckpointConfig ckpt = checkpoint_config(input, options);
-
-  DriverResult result;
-  if (input.sweep) {
-    require(!probes.empty(),
-            "run_simulation: sweep requires a `record` directive");
-    IvSweepConfig cfg = sweep_config_from_input(input);
-    if (options.stop.convergence_enabled()) {
-      cfg.stop = options.stop;
-      // `jumps` keeps meaning an event budget: reuse it as the hard cap
-      // when the stop criterion does not bring its own.
-      if (cfg.stop.max_events == 0) cfg.stop.max_events = input.max_jumps;
-    }
-    cfg.retry = options.retry;
-    cfg.cancel = options.cancel;
-    cfg.progress = options.progress;
-    ParallelSweepConfig par;
-    par.base_seed = options.seed;
-    result.sweep = run_iv_sweep(input.circuit, eo, cfg, exec, par,
-                                &result.counters, ckpt, &result.integrity);
-    for (std::size_t i = 0; i < result.sweep.size(); ++i) {
-      const IvPoint& p = result.sweep[i];
-      if (p.status != PointStatus::kFailed) continue;
-      result.failures.push_back(
-          {i, p.error, p.attempts,
-           "sweep point " + std::to_string(i) + " (V = " +
-               std::to_string(p.bias) + ") " + point_status_label(p)});
-    }
-    result.events = result.counters.events;
-    // The per-unit SolverStats are merged into the counters; mirror the
-    // totals into `stats` for callers that only look there.
-    result.stats.events = result.counters.events;
-    result.stats.rate_evaluations = result.counters.rate_evaluations;
-    result.stats.junctions_flagged = result.counters.flags_raised;
-    result.stats.full_refreshes = result.counters.full_refreshes;
-    return result;
+/// Sweeps: the parallel I-V sweep of analysis/sweep.h, one work unit per
+/// chunk of bias points.
+DriverResult run_sweep(const SimulationInput& input,
+                       const DriverOptions& options) {
+  require(!input.record_junctions.empty(),
+          "run_simulation: sweep requires a `record` directive");
+  IvSweepConfig cfg = sweep_config_from_input(input);
+  if (options.stop.convergence_enabled()) {
+    cfg.stop = options.stop;
+    // `jumps` keeps meaning an event budget: reuse it as the hard cap
+    // when the stop criterion does not bring its own.
+    if (cfg.stop.max_events == 0) cfg.stop.max_events = input.max_jumps;
   }
+  cfg.retry = options.retry;
+  cfg.cancel = options.cancel;
+  cfg.progress = options.progress;
+  ParallelSweepConfig par;
+  par.base_seed = options.seed;
+  const UnitContext ctx = unit_context(input, options, options.seed);
+  DriverResult result;
+  result.sweep = run_iv_sweep(input.circuit, engine_options_for(input, options),
+                              cfg, ctx.exec, par, &result.counters,
+                              ctx.checkpoint, &result.integrity);
+  for (std::size_t i = 0; i < result.sweep.size(); ++i) {
+    const IvPoint& p = result.sweep[i];
+    if (p.status != PointStatus::kFailed) continue;
+    result.failures.push_back(
+        {i, p.error, p.attempts,
+         "sweep point " + std::to_string(i) + " (V = " +
+             std::to_string(p.bias) + ") " + point_status_label(p)});
+  }
+  result.events = result.counters.stats.events;
+  return result;
+}
 
-  if (input.max_time > 0.0) {
-    // Fixed simulated span: a single transient, inherently serial. Measure
-    // over the whole window after a warm-up tenth (paper: "until the
-    // desired simulation time is met").
-    const auto wall0 = std::chrono::steady_clock::now();
-    throw_if_cancelled(options.cancel, "transient");
-    Engine engine(input.circuit, eo);
-    const double warmup_t = 0.1 * input.max_time;
-    double t0 = 0.0;
-    std::vector<double> q0;
-    if (!ckpt.enabled()) {
-      if (options.progress != nullptr) options.progress->on_run_started(1, 0);
+/// Fixed simulated span: a single transient, inherently serial. Measure over
+/// the whole window after a warm-up tenth (paper: "until the desired
+/// simulation time is met").
+DriverResult run_transient(const SimulationInput& input,
+                           const DriverOptions& options) {
+  const EngineOptions eo = engine_options_for(input, options);
+  const std::vector<CurrentProbe> probes = recorded_probes(input);
+  UnitContext ctx = unit_context(input, options, options.seed);
+
+  const auto wall0 = std::chrono::steady_clock::now();
+  throw_if_cancelled(ctx.cancel, "transient");
+  Engine engine(input.circuit, eo);
+  const double warmup_t = 0.1 * input.max_time;
+  double t0 = 0.0;
+  std::vector<double> q0;
+  // Checkpointed transient: the run is cut into fixed time slices and the
+  // engine snapshot after each slice is recorded, so a crash loses at most
+  // one slice. Slicing itself perturbs the trajectory (each slice boundary
+  // clamps one waiting-time draw, and each snapshot performs a
+  // canonicalizing full refresh), so a checkpointed run is compared against
+  // a checkpointed run — interrupted + resumed is then bitwise identical to
+  // uninterrupted, because the slice grid is fixed by the configuration
+  // alone. Unit 0 is the warm-up, units 1..N the measurement slices; unit
+  // k's payload subsumes all earlier ones.
+  constexpr std::uint64_t kSlices = 32;
+  ctx.tag_checkpoint("transient", kSlices);
+  const std::unique_ptr<RunCheckpoint> cp = ctx.open_checkpoint(kSlices + 1);
+  const std::uint64_t slices = cp ? kSlices : 0;
+  ctx.started(slices + 1, 0);
+  std::int64_t done = cp ? cp->last_unit() : -1;
+  if (done >= 0) {
+    const std::vector<std::uint8_t> bytes =
+        cp->payload(static_cast<std::size_t>(done));
+    BinaryReader r(bytes);
+    engine.restore(decode_engine_snapshot(r));
+    t0 = r.f64();
+    q0 = r.vec_f64();
+    r.require_done();
+    for (std::int64_t u = 0; u <= done; ++u) {
+      ctx.unit_done(static_cast<std::size_t>(u));
+    }
+  }
+  for (std::uint64_t k = static_cast<std::uint64_t>(done + 1); k <= slices;
+       ++k) {
+    throw_if_cancelled(ctx.cancel, "transient slice");
+    if (k == 0) {
       engine.run_until(warmup_t);
       t0 = engine.time();
+      q0.clear();
       for (const CurrentProbe& p : probes) {
         q0.push_back(engine.junction_transferred_e(p.junction));
       }
-      engine.run_until(input.max_time);
+      // Unsliced: the measurement window is this unit's tail.
+      if (!cp) engine.run_until(input.max_time);
     } else {
-      // Checkpointed transient: the run is cut into fixed time slices and
-      // the engine snapshot after each slice is recorded, so a crash loses
-      // at most one slice. Slicing itself perturbs the trajectory (each
-      // slice boundary clamps one waiting-time draw, and each snapshot
-      // performs a canonicalizing full refresh), so a checkpointed run is
-      // compared against a checkpointed run — interrupted + resumed is then
-      // bitwise identical to uninterrupted, because the slice grid is fixed
-      // by the configuration alone. Unit 0 is the warm-up, units 1..N the
-      // measurement slices; unit k's payload subsumes all earlier ones.
-      constexpr std::uint64_t kSlices = 32;
-      BinaryWriter fp;
-      fp.u64(ckpt.fingerprint);
-      fp.str("transient");
-      fp.u64(kSlices);
-      RunCheckpoint cp(ckpt.path,
-                       fnv1a64(fp.bytes().data(), fp.bytes().size()),
-                       kSlices + 1, ckpt.require_existing, ckpt.salvage);
-      if (options.progress != nullptr) {
-        options.progress->on_run_started(kSlices + 1, 0);
-      }
-      std::int64_t done = cp.last_unit();
-      if (done >= 0) {
-        const std::vector<std::uint8_t> bytes =
-            cp.payload(static_cast<std::size_t>(done));
-        BinaryReader r(bytes);
-        engine.restore(decode_engine_snapshot(r));
-        t0 = r.f64();
-        q0 = r.vec_f64();
-        r.require_done();
-      }
-      for (std::uint64_t k = static_cast<std::uint64_t>(done + 1);
-           k <= kSlices; ++k) {
-        throw_if_cancelled(options.cancel, "transient slice");
-        if (k == 0) {
-          engine.run_until(warmup_t);
-          t0 = engine.time();
-          q0.clear();
-          for (const CurrentProbe& p : probes) {
-            q0.push_back(engine.junction_transferred_e(p.junction));
-          }
-        } else {
-          const double t_end =
-              k == kSlices
-                  ? input.max_time
-                  : warmup_t + static_cast<double>(k) *
-                                   (input.max_time - warmup_t) / kSlices;
-          engine.run_until(t_end);
-        }
-        BinaryWriter w;
-        encode_engine_snapshot(w, engine.snapshot());
-        w.f64(t0);
-        w.vec_f64(q0);
-        cp.record(k, w.take());
-        if (options.progress != nullptr) {
-          options.progress->on_unit_done(static_cast<std::size_t>(k));
-        }
-      }
+      const double t_end =
+          k == kSlices ? input.max_time
+                       : warmup_t + static_cast<double>(k) *
+                                        (input.max_time - warmup_t) / kSlices;
+      engine.run_until(t_end);
     }
-    if (!probes.empty()) {
-      CurrentEstimate est;
-      const double dt = engine.time() - t0;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        acc += probes[i].sign * kElementaryCharge *
-               (engine.junction_transferred_e(probes[i].junction) - q0[i]);
-      }
-      est.mean = dt > 0.0 ? acc / static_cast<double>(probes.size()) / dt : 0.0;
-      est.sim_time = dt;
-      est.events = engine.event_count();
-      result.current = est;
+    if (cp) {
+      BinaryWriter w;
+      encode_engine_snapshot(w, engine.snapshot());
+      w.f64(t0);
+      w.vec_f64(q0);
+      cp->record(k, w.take());
     }
-    result.simulated_time = engine.time();
-    result.events = engine.event_count();
-    result.stats = engine.stats();
-    result.integrity.merge(engine.integrity_report());
-    result.counters.threads = 1;
-    result.counters.wall_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-            .count();
-    result.counters.absorb(result.stats);
-    return result;
+    ctx.unit_done(k);
   }
 
-  require(!probes.empty(),
+  DriverResult result;
+  if (!probes.empty()) {
+    result.current = window_current(
+        probes, [&](std::size_t j) { return engine.junction_transferred_e(j); },
+        q0, engine.time() - t0, engine.event_count());
+  }
+  result.simulated_time = engine.time();
+  result.events = engine.event_count();
+  result.integrity.merge(engine.integrity_report());
+  result.counters.stats = engine.stats();
+  result.counters.units = 1;
+  result.counters.wall_seconds +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
+          .count();
+  return result;
+}
+
+/// One repeat of the `jumps` measurement. Every field but the audit trail
+/// is checkpointed (see encode below).
+struct RepeatResult : UnitWork {
+  CurrentEstimate estimate;
+  double sim_time = 0.0;
+  /// Convergence mode only: the repeat's sample statistics.
+  ConvergedCurrentResult converged;
+};
+
+/// The paper's `jumps <count> <repeats>`: independent reruns averaged
+/// (Fig. 7 uses nine such repeats per point). Each repeat is a work unit
+/// with its own engine, seeded from (seed, repeat_index) so the averaged
+/// estimate is identical for every thread count.
+DriverResult run_repeats(const SimulationInput& input,
+                         const DriverOptions& options) {
+  require(!input.record_junctions.empty(),
           "run_simulation: current measurement requires `record`");
-  const std::uint64_t jumps = input.max_jumps > 0 ? input.max_jumps : 10000;
-  CurrentMeasureConfig cfg;
-  cfg.measure_events = jumps;
-  cfg.warmup_events = std::max<std::uint64_t>(jumps / 10, 100);
-  // The paper's `jumps <count> <repeats>`: independent reruns averaged
-  // (Fig. 7 uses nine such repeats per point). Each repeat is a work unit
-  // with its own engine, seeded from (seed, repeat_index) so the averaged
-  // estimate is identical for every thread count.
+  const EngineOptions eo = engine_options_for(input, options);
+  const std::vector<CurrentProbe> probes = recorded_probes(input);
+  const CurrentMeasureConfig cfg = measure_config_from_input(input);
   const std::uint32_t repeats = std::max<std::uint32_t>(input.repeats, 1);
+  const bool use_convergence = options.stop.convergence_enabled();
+  StopCriterion stop = options.stop;
+  if (use_convergence && stop.max_events == 0) {
+    stop.max_events = cfg.measure_events;
+  }
 
   input.circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(input.circuit);
 
-  struct RepeatResult {
-    CurrentEstimate estimate;
-    double sim_time = 0.0;
-    SolverStats stats;
-    /// Convergence mode only: the repeat's sample statistics.
-    ConvergedCurrentResult converged;
-    // Fault isolation: attempts spent, and the last error when the repeat
-    // was retried (ok, code != kNone) or excluded entirely (!ok).
-    bool ok = true;
-    ErrorCode code = ErrorCode::kNone;
-    std::uint32_t attempts = 1;
-    /// Audit trail across every attempt's engine (not checkpointed — the
-    /// trail is a diagnostic, not part of the run identity).
-    IntegrityReport integrity;
-  };
-  const bool use_convergence = options.stop.convergence_enabled();
-  StopCriterion stop = options.stop;
-  if (use_convergence && stop.max_events == 0) stop.max_events = jumps;
-
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("repeats");
-    fp.u64(repeats);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), repeats,
-        ckpt.require_existing, ckpt.salvage);
-  }
-  const auto encode_repeat = [&](const RepeatResult& r) {
-    BinaryWriter w;
-    w.u8(r.ok ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(r.code));
-    w.u32(r.attempts);
+  Units<RepeatResult> units;
+  units.count = repeats;
+  units.name = "repeat";
+  units.isolated = true;
+  units.encode = [&](BinaryWriter& w, const RepeatResult& r) {
+    w.u8(r.outcome.ok ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(r.outcome.code));
+    w.u32(r.outcome.attempts);
     w.f64(r.estimate.mean);
     w.f64(r.estimate.stderr_mean);
     w.f64(r.estimate.sim_time);
@@ -574,14 +479,12 @@ DriverResult run_simulation(const SimulationInput& input,
       w.f64(r.converged.rel_error);
       w.u8(r.converged.converged ? 1 : 0);
     }
-    return w.take();
   };
-  const auto decode_repeat = [&](const std::vector<std::uint8_t>& bytes) {
-    BinaryReader rd(bytes);
+  units.decode = [&](BinaryReader& rd, std::size_t) {
     RepeatResult r;
-    r.ok = rd.u8() != 0;
-    r.code = static_cast<ErrorCode>(rd.u32());
-    r.attempts = rd.u32();
+    r.outcome.ok = rd.u8() != 0;
+    r.outcome.code = static_cast<ErrorCode>(rd.u32());
+    r.outcome.attempts = rd.u32();
     r.estimate.mean = rd.f64();
     r.estimate.stderr_mean = rd.f64();
     r.estimate.sim_time = rd.f64();
@@ -598,80 +501,29 @@ DriverResult run_simulation(const SimulationInput& input,
       r.converged.converged = rd.u8() != 0;
       r.converged.estimate = r.estimate;
     }
-    rd.require_done();
     return r;
   };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (options.progress != nullptr) options.progress->on_run_started(repeats, 0);
+  units.body = [&](const UnitAttempt& a, RepeatResult& r) {
+    Engine& engine = a.engine(input.circuit, eo, model);
+    if (use_convergence) {
+      r.converged =
+          measure_current_converged(engine, probes, cfg.warmup_events, stop);
+      r.estimate = r.converged.estimate;
+    } else {
+      r.estimate = measure_mean_current(engine, probes, cfg);
+    }
+    r.sim_time = engine.time();
+  };
+  UnitContext ctx = unit_context(input, options, options.seed);
+  ctx.tag_checkpoint("repeats", repeats);
+  DriverResult result;
   const std::vector<RepeatResult> runs_out =
-      exec.map<RepeatResult>(repeats, [&](std::size_t rpt) {
-        if (cp && cp->has(rpt)) {
-          RepeatResult restored = decode_repeat(cp->payload(rpt));
-          if (options.progress != nullptr) options.progress->on_unit_done(rpt);
-          return restored;
-        }
-        throw_if_cancelled(options.cancel, "repeat");
-        // Fault-isolated repeat: recoverable errors rebuild the engine on
-        // the re-derived retry stream; an exhausted repeat is recorded as
-        // failed and excluded from the merge instead of aborting the run.
-        std::uint32_t tried = 0;
-        ErrorCode last_code = ErrorCode::kNone;
-        RepeatResult r;
-        std::optional<Engine> slot;
-        for (;;) {
-          try {
-            slot.emplace(input.circuit,
-                         unit_engine_options(eo, options.seed, rpt, tried),
-                         model);
-            if (use_convergence) {
-              r.converged = measure_current_converged(*slot, probes,
-                                                      cfg.warmup_events, stop);
-              r.estimate = r.converged.estimate;
-            } else {
-              r.estimate = measure_mean_current(*slot, probes, cfg);
-            }
-            r.sim_time = slot->time();
-            merge_stats(r.stats, slot->stats());
-            r.integrity.merge(slot->integrity_report());
-            r.attempts = tried + 1;
-            if (tried > 0) r.code = last_code;  // retried, then succeeded
-            break;
-          } catch (Error& e) {
-            ++tried;
-            last_code =
-                e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-            if (slot) {
-              merge_stats(r.stats, slot->stats());
-              r.integrity.merge(slot->integrity_report());
-            }
-            if (options.retry.should_retry(last_code, tried)) {
-              retry_sleep(retry_backoff_seconds(options.retry, tried));
-              continue;
-            }
-            if (options.retry.strict) {
-              e.add_context("repeat " + std::to_string(rpt));
-              throw;
-            }
-            r.ok = false;
-            r.code = last_code;
-            r.attempts = tried;
-            break;
-          }
-        }
-        if (cp) cp->record(rpt, encode_repeat(r));
-        if (options.progress != nullptr) options.progress->on_unit_done(rpt);
-        return r;
-      });
-  result.counters.threads = exec.threads();
-  result.counters.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      run_units(units, ctx, &result.counters, &result.integrity);
 
-  // Merge in repeat-index order on this thread: every statistic below is
-  // bitwise independent of the worker count. Failed repeats contribute
-  // their work counters and audit trail but are excluded from the
-  // statistics; the run degrades to the surviving repeats.
+  // Failed repeats contribute their work counters and audit trail (merged
+  // by the runner) but are excluded from the statistics; the run degrades
+  // to the surviving repeats. Index order keeps every statistic bitwise
+  // independent of the worker count.
   RunningStats runs;
   ConvergedCurrentResult merged;
   bool all_converged = true;
@@ -679,14 +531,11 @@ DriverResult run_simulation(const SimulationInput& input,
   for (std::size_t rpt = 0; rpt < runs_out.size(); ++rpt) {
     const RepeatResult& r = runs_out[rpt];
     result.simulated_time += r.sim_time;
-    merge_stats(result.stats, r.stats);
-    result.counters.absorb(r.stats);
-    result.integrity.merge(r.integrity);
-    if (!r.ok) {
+    if (!r.outcome.ok) {
       result.failures.push_back(
-          {rpt, r.code, r.attempts,
+          {rpt, r.outcome.code, r.outcome.attempts,
            "repeat " + std::to_string(rpt) + " failed:" +
-               error_code_name(r.code)});
+               error_code_name(r.outcome.code)});
       continue;
     }
     runs.add(r.estimate.mean);
@@ -719,8 +568,29 @@ DriverResult run_simulation(const SimulationInput& input,
     if (runs.count() > 1) est.stderr_mean = runs.stderr_mean();
   }
   result.current = est;
-  result.events = result.stats.events;
+  result.events = result.counters.stats.events;
   return result;
+}
+
+}  // namespace
+
+DriverResult run_simulation(const SimulationInput& input,
+                            const DriverOptions& options) {
+  // Ensemble runs replicate the whole input N times with perturbed element
+  // values; everything below this dispatch is the single-device path the
+  // ensemble driver builds on (and recurses into, with ensemble disabled).
+  if (options.ensemble.enabled) return run_ensemble(input, options);
+
+  // Domain-decomposed single-run path (core/partition.h). Dispatched on
+  // the request flag, not the effective cluster count: a partition the
+  // planner refuses to cut still runs through the partitioned runner (on
+  // its bitwise-solo 1-cluster path), so the fingerprint, checkpoint
+  // layout and result document are consistent for every `--partitions`
+  // value.
+  if (options.partition.enabled) return run_partitioned(input, options);
+  if (input.sweep) return run_sweep(input, options);
+  if (input.max_time > 0.0) return run_transient(input, options);
+  return run_repeats(input, options);
 }
 
 }  // namespace semsim

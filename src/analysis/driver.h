@@ -123,9 +123,9 @@ struct DriverResult {
   std::optional<CurrentEstimate> current;
   double simulated_time = 0.0;  ///< [s]
   std::uint64_t events = 0;
-  SolverStats stats;
-  /// Work/observability totals over all work units (sweep points, repeat
-  /// runs), independent of the thread count except for wall_seconds.
+  /// Solver work summed over every work unit (sweep chunks, repeats,
+  /// replicas, clusters), independent of the thread count except for
+  /// threads and wall_seconds.
   RunCounters counters;
   /// Filled by the `jumps` path when convergence stopping is enabled:
   /// the merged (index-order, thread-count-independent) sample statistics

@@ -1,20 +1,14 @@
 #include "analysis/ensemble.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "analysis/api.h"
 #include "analysis/ensemble_driver.h"
-#include "base/constants.h"
-#include "base/math_util.h"
-#include "base/thread_pool.h"
-#include "core/ensemble.h"
-#include "guard/retry.h"
+#include "analysis/units.h"
+#include "base/random.h"
 #include "obs/checkpoint.h"
 #include "obs/ensemble_stats.h"
 
@@ -155,70 +149,22 @@ std::string replica_status_label(const ReplicaRow& row) {
 
 namespace {
 
-void merge_stats(SolverStats& into, const SolverStats& s) {
-  into.events += s.events;
-  into.rate_evaluations += s.rate_evaluations;
-  into.cp_rate_evaluations += s.cp_rate_evaluations;
-  into.cot_rate_evaluations += s.cot_rate_evaluations;
-  into.potential_node_updates += s.potential_node_updates;
-  into.junctions_tested += s.junctions_tested;
-  into.junctions_flagged += s.junctions_flagged;
-  into.full_refreshes += s.full_refreshes;
-  into.source_updates += s.source_updates;
-}
-
-void throw_if_cancelled(const CancelToken* cancel, const char* where) {
-  if (cancel != nullptr && cancel->stop_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                std::string("run cancelled before ") + where);
-  }
-}
-
 /// One replica's complete contribution to the merged DriverResult. The
 /// checkpoint payload serializes everything except the audit trail
 /// (diagnostic, not run identity) — resuming reproduces a bitwise-identical
 /// canonical document.
-struct ReplicaOutcome {
+struct ReplicaOutcome : UnitWork {
   ReplicaRow row;
-  SolverStats stats;
-  IntegrityReport integrity;
   /// Degraded work units INSIDE an ok replica (failed sweep points of that
   /// replica's table), already "replica <r>: "-prefixed.
   std::vector<UnitFailure> inner_failures;
 };
 
-void encode_iv_point_bin(BinaryWriter& w, const IvPoint& p) {
-  w.f64(p.bias);
-  w.f64(p.current);
-  w.f64(p.stderr_mean);
-  w.f64(p.rel_error);
-  w.f64(p.tau_int);
-  w.u64(p.events);
-  w.u8(static_cast<std::uint8_t>(p.status));
-  w.u32(static_cast<std::uint32_t>(p.error));
-  w.u32(p.attempts);
-}
-
-IvPoint decode_iv_point_bin(BinaryReader& r) {
-  IvPoint p;
-  p.bias = r.f64();
-  p.current = r.f64();
-  p.stderr_mean = r.f64();
-  p.rel_error = r.f64();
-  p.tau_int = r.f64();
-  p.events = r.u64();
-  p.status = static_cast<PointStatus>(r.u8());
-  p.error = static_cast<ErrorCode>(r.u32());
-  p.attempts = r.u32();
-  return p;
-}
-
-std::vector<std::uint8_t> encode_outcome(const ReplicaOutcome& o) {
-  BinaryWriter w;
+void encode_outcome(BinaryWriter& w, const ReplicaOutcome& o) {
   w.u32(o.row.replica);
-  w.u8(o.row.ok ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(o.row.code));
-  w.u32(o.row.attempts);
+  w.u8(o.outcome.ok ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(o.outcome.code));
+  w.u32(o.outcome.attempts);
   w.f64(o.row.current.mean);
   w.f64(o.row.current.stderr_mean);
   w.f64(o.row.current.sim_time);
@@ -227,7 +173,7 @@ std::vector<std::uint8_t> encode_outcome(const ReplicaOutcome& o) {
   w.f64(o.row.sim_time);
   w.u64(o.row.events);
   w.u64(o.row.sweep.size());
-  for (const IvPoint& p : o.row.sweep) encode_iv_point_bin(w, p);
+  for (const IvPoint& p : o.row.sweep) encode_iv_point(w, p);
   encode_solver_stats(w, o.stats);
   w.u64(o.inner_failures.size());
   for (const UnitFailure& f : o.inner_failures) {
@@ -236,16 +182,14 @@ std::vector<std::uint8_t> encode_outcome(const ReplicaOutcome& o) {
     w.u32(f.attempts);
     w.str(f.message);
   }
-  return w.take();
 }
 
-ReplicaOutcome decode_outcome(const std::vector<std::uint8_t>& bytes) {
-  BinaryReader r(bytes);
+ReplicaOutcome decode_outcome(BinaryReader& r) {
   ReplicaOutcome o;
   o.row.replica = r.u32();
-  o.row.ok = r.u8() != 0;
-  o.row.code = static_cast<ErrorCode>(r.u32());
-  o.row.attempts = r.u32();
+  o.outcome.ok = r.u8() != 0;
+  o.outcome.code = static_cast<ErrorCode>(r.u32());
+  o.outcome.attempts = r.u32();
   o.row.current.mean = r.f64();
   o.row.current.stderr_mean = r.f64();
   o.row.current.sim_time = r.f64();
@@ -256,7 +200,7 @@ ReplicaOutcome decode_outcome(const std::vector<std::uint8_t>& bytes) {
   const std::uint64_t np = r.u64();
   o.row.sweep.reserve(np);
   for (std::uint64_t p = 0; p < np; ++p) {
-    o.row.sweep.push_back(decode_iv_point_bin(r));
+    o.row.sweep.push_back(decode_iv_point(r));
   }
   o.stats = decode_solver_stats(r);
   const std::uint64_t nf = r.u64();
@@ -268,7 +212,6 @@ ReplicaOutcome decode_outcome(const std::vector<std::uint8_t>& bytes) {
     uf.message = r.str();
     o.inner_failures.push_back(std::move(uf));
   }
-  r.require_done();
   return o;
 }
 
@@ -283,374 +226,6 @@ EnsembleBandStats to_band(const EnsembleAccumulator& a) {
   return b;
 }
 
-void report_replica(const DriverOptions& options, RunCheckpoint* cp,
-                    bool restored, std::uint32_t replica,
-                    const ReplicaOutcome& o) {
-  if (cp != nullptr && !restored) cp->record(replica, encode_outcome(o));
-  if (options.progress != nullptr) {
-    options.progress->on_replica_done(replica, o.row.ok);
-    options.progress->on_unit_done(replica);
-  }
-}
-
-// ---- fused gang path ------------------------------------------------------
-
-/// Replicas per lockstep gang. Fixed — the tiling is part of nothing (every
-/// lane's trajectory is bitwise independent of its gang), but a constant
-/// keeps the wall-clock profile reproducible. Four lanes is the perf_gate
-/// optimum on the chain circuits: the arena pack still feeds the rate
-/// kernel's 4-wide vector path whole groups, while the gang's lane state
-/// survives the round-robin in L1 (8- and 16-lane gangs measured strictly
-/// slower per evaluation).
-constexpr std::size_t kTileReplicas = 4;
-
-/// Per-lane replication of measure_mean_current's state machine, advanced
-/// one lockstep round at a time. Every boundary decision (block cuts, the
-/// stuck-lane zero-current rule) uses exactly the solo estimator's
-/// expressions on exactly the same engine state, so the resulting
-/// CurrentEstimate is bitwise identical to the solo call.
-struct LaneMeasure {
-  enum class Phase : std::uint8_t { kWarmup, kBlock };
-  Phase phase = Phase::kWarmup;
-  std::uint64_t remaining = 0;
-  std::uint64_t seg_done = 0;
-  std::uint64_t executed_total = 0;
-  unsigned block = 0;
-  double t_begin = 0.0;
-  double t0 = 0.0;
-  std::vector<double> c0;
-  RunningStats stats;
-  CurrentEstimate est;
-  bool finished = false;
-};
-
-void lockstep_measure(EnsembleEngine& ens,
-                      const std::vector<CurrentProbe>& probes,
-                      const CurrentMeasureConfig& cfg,
-                      std::vector<LaneMeasure>& lanes) {
-  const std::uint64_t per_block =
-      std::max<std::uint64_t>(1, cfg.measure_events / cfg.blocks);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    lanes[i].remaining = cfg.warmup_events;
-    lanes[i].c0.resize(probes.size());
-  }
-
-  const auto begin_block = [&](std::size_t i) {
-    LaneMeasure& m = lanes[i];
-    Engine& e = ens.lane(i);
-    m.t0 = e.time();
-    for (std::size_t k = 0; k < probes.size(); ++k) {
-      m.c0[k] = e.junction_transferred_e(probes[k].junction);
-    }
-    m.remaining = per_block;
-    m.seg_done = 0;
-    m.phase = LaneMeasure::Phase::kBlock;
-  };
-  const auto finish_lane = [&](std::size_t i) {
-    LaneMeasure& m = lanes[i];
-    m.finished = true;
-    ens.set_enabled(i, false);
-    m.est.mean = m.stats.mean();
-    m.est.stderr_mean = m.stats.stderr_mean();
-    m.est.sim_time = ens.lane(i).time() - m.t_begin;
-    m.est.events = m.executed_total;
-  };
-
-  bool any = true;
-  while (any) {
-    const std::size_t stepped = ens.step_round();
-    any = false;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      LaneMeasure& m = lanes[i];
-      if (m.finished) continue;
-      const EnsembleEngine::LaneState& st = ens.state(i);
-      if (!st.alive) {
-        // Failed lane: the caller retries it solo. No estimate.
-        m.finished = true;
-        continue;
-      }
-      if (ens.last_round_executed()[i]) {
-        --m.remaining;
-        ++m.seg_done;
-        if (m.phase == LaneMeasure::Phase::kBlock) ++m.executed_total;
-      }
-      const bool stuck = st.stuck;
-      while (!m.finished && (m.remaining == 0 || stuck)) {
-        Engine& e = ens.lane(i);
-        if (m.phase == LaneMeasure::Phase::kWarmup) {
-          m.t_begin = e.time();
-          begin_block(i);
-          if (!stuck) break;
-          // Stuck during warm-up: fall through and close block 0 with zero
-          // events — solo run_events(per_block) would return 0 here.
-        }
-        const std::uint64_t done = m.seg_done;
-        const double dt = e.time() - m.t0;
-        if (done == 0 || dt <= 0.0) {
-          m.stats.add(0.0);
-          finish_lane(i);
-          break;
-        }
-        double i_sum = 0.0;
-        for (std::size_t k = 0; k < probes.size(); ++k) {
-          const double dq_e =
-              e.junction_transferred_e(probes[k].junction) - m.c0[k];
-          i_sum += probes[k].sign * kElementaryCharge * dq_e / dt;
-        }
-        m.stats.add(i_sum / static_cast<double>(probes.size()));
-        if (m.block + 1 == cfg.blocks) {
-          finish_lane(i);
-          break;
-        }
-        ++m.block;
-        begin_block(i);
-        if (!stuck) break;
-      }
-      if (!m.finished) any = true;
-    }
-    // Every still-unfinished lane is stuck or disabled once a round executes
-    // nothing — the boundary loop above has already resolved them, but never
-    // spin on a round that cannot advance.
-    if (stepped == 0) break;
-  }
-}
-
-std::vector<ReplicaOutcome> run_gang(const SimulationInput& input,
-                                     const DriverOptions& options,
-                                     const EnsembleSpec& spec,
-                                     std::uint64_t eff,
-                                     const ParallelExecutor& exec,
-                                     RunCheckpoint* cp) {
-  const std::uint32_t n = spec.replicas;
-  const std::size_t tiles = (n + kTileReplicas - 1) / kTileReplicas;
-
-  std::vector<CurrentProbe> probes;
-  for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
-  const std::uint64_t jumps = input.max_jumps > 0 ? input.max_jumps : 10000;
-  CurrentMeasureConfig cfg;
-  cfg.measure_events = jumps;
-  cfg.warmup_events = std::max<std::uint64_t>(jumps / 10, 100);
-
-  // One capacitance-matrix inversion for the whole ensemble when no
-  // perturbation touches a capacitance (R, background charge and
-  // temperature never enter the electrostatic model).
-  std::shared_ptr<const ElectrostaticModel> shared_model;
-  if (!spec.capacitance.active()) {
-    shared_model = std::make_shared<const ElectrostaticModel>(input.circuit);
-  }
-
-  const std::vector<std::vector<ReplicaOutcome>> tiled =
-      exec.map<std::vector<ReplicaOutcome>>(tiles, [&](std::size_t t) {
-        const std::uint32_t r0 = static_cast<std::uint32_t>(t * kTileReplicas);
-        const std::uint32_t r1 =
-            std::min<std::uint32_t>(n, r0 + kTileReplicas);
-        std::vector<ReplicaOutcome> out(r1 - r0);
-
-        // Stable element addresses: engines hold references into their
-        // replica's circuit for their whole lifetime.
-        std::deque<SimulationInput> inputs;
-        std::deque<Engine> engines;
-        std::vector<Engine*> ptrs;
-        std::vector<std::uint32_t> lane_replica;
-        std::vector<std::size_t> lane_out;
-        for (std::uint32_t r = r0; r < r1; ++r) {
-          ReplicaOutcome& o = out[r - r0];
-          o.row.replica = r;
-          if (cp != nullptr && cp->has(r)) {
-            o = decode_outcome(cp->payload(r));
-            report_replica(options, cp, /*restored=*/true, r, o);
-            continue;
-          }
-          throw_if_cancelled(options.cancel, "ensemble replica");
-          inputs.push_back(materialize_replica(input, spec, eff, r));
-          inputs.back().circuit.build_caches();
-          const EngineOptions eo = engine_options_for(inputs.back(), options);
-          engines.emplace_back(inputs.back().circuit,
-                               unit_engine_options(eo, eff, r, 0),
-                               shared_model);
-          ptrs.push_back(&engines.back());
-          lane_replica.push_back(r);
-          lane_out.push_back(r - r0);
-        }
-        if (ptrs.empty()) return out;
-
-        std::vector<LaneMeasure> meas(ptrs.size());
-        {
-          EnsembleEngine ens(ptrs, options.fast_rates);
-          lockstep_measure(ens, probes, cfg, meas);
-
-          for (std::size_t li = 0; li < ptrs.size(); ++li) {
-            ReplicaOutcome& o = out[lane_out[li]];
-            Engine& e = ens.lane(li);
-            merge_stats(o.stats, e.stats());
-            o.integrity.merge(e.integrity_report());
-            const EnsembleEngine::LaneState& st = ens.state(li);
-            const std::uint32_t r = lane_replica[li];
-            if (st.alive) {
-              o.row.ok = true;
-              o.row.attempts = 1;
-              o.row.current = meas[li].est;
-              o.row.observable = meas[li].est.mean;
-              o.row.sim_time = e.time();
-              o.row.events = e.event_count();
-              continue;
-            }
-            // Fault isolation: the poisoned lane retries SOLO on its
-            // re-derived stream (guard/retry.h) — the surviving lanes'
-            // trajectories never depended on it — then degrades to a
-            // failed:<code> row.
-            std::uint32_t tried = 1;
-            ErrorCode last_code = st.code == ErrorCode::kNone
-                                      ? ErrorCode::kUnknown
-                                      : st.code;
-            const EngineOptions eo = engine_options_for(inputs[li], options);
-            for (;;) {
-              if (!options.retry.should_retry(last_code, tried)) {
-                if (options.retry.strict) {
-                  Error err(last_code, st.message.empty()
-                                           ? "ensemble lane failed"
-                                           : st.message);
-                  err.add_context("replica " + std::to_string(r));
-                  throw err;
-                }
-                o.row.ok = false;
-                o.row.code = last_code;
-                o.row.attempts = tried;
-                break;
-              }
-              retry_sleep(retry_backoff_seconds(options.retry, tried));
-              std::optional<Engine> slot;
-              try {
-                slot.emplace(inputs[li].circuit,
-                             unit_engine_options(eo, eff, r, tried),
-                             shared_model);
-                const CurrentEstimate est =
-                    measure_mean_current(*slot, probes, cfg);
-                merge_stats(o.stats, slot->stats());
-                o.integrity.merge(slot->integrity_report());
-                o.row.ok = true;
-                o.row.code = last_code;  // retried, then succeeded
-                o.row.attempts = tried + 1;
-                o.row.current = est;
-                o.row.observable = est.mean;
-                o.row.sim_time = slot->time();
-                o.row.events = slot->event_count();
-                break;
-              } catch (const Error& e2) {
-                if (slot) {
-                  merge_stats(o.stats, slot->stats());
-                  o.integrity.merge(slot->integrity_report());
-                }
-                ++tried;
-                last_code = e2.code() == ErrorCode::kNone
-                                ? ErrorCode::kUnknown
-                                : e2.code();
-              }
-            }
-          }
-        }
-        for (std::size_t li = 0; li < ptrs.size(); ++li) {
-          report_replica(options, cp, /*restored=*/false, lane_replica[li],
-                         out[lane_out[li]]);
-        }
-        return out;
-      });
-
-  std::vector<ReplicaOutcome> flat;
-  flat.reserve(n);
-  for (const std::vector<ReplicaOutcome>& tile : tiled) {
-    for (const ReplicaOutcome& o : tile) flat.push_back(o);
-  }
-  return flat;
-}
-
-// ---- general path ---------------------------------------------------------
-
-std::vector<ReplicaOutcome> run_general(const SimulationInput& input,
-                                        const DriverOptions& options,
-                                        const EnsembleSpec& spec,
-                                        std::uint64_t eff,
-                                        const ParallelExecutor& exec,
-                                        RunCheckpoint* cp) {
-  const bool is_sweep = input.sweep.has_value();
-  return exec.map<ReplicaOutcome>(spec.replicas, [&](std::size_t ru) {
-    const std::uint32_t r = static_cast<std::uint32_t>(ru);
-    ReplicaOutcome o;
-    o.row.replica = r;
-    if (cp != nullptr && cp->has(r)) {
-      o = decode_outcome(cp->payload(r));
-      report_replica(options, cp, /*restored=*/true, r, o);
-      return o;
-    }
-    throw_if_cancelled(options.cancel, "ensemble replica");
-
-    std::uint32_t tried = 0;
-    ErrorCode last_code = ErrorCode::kNone;
-    for (;;) {
-      try {
-        const SimulationInput rep = materialize_replica(input, spec, eff, r);
-        // The replica recurses into the single-device driver: its own sweep
-        // chunking, convergence stopping and inner fault isolation, on a
-        // serial executor (the ensemble already shards across replicas),
-        // with all streams derived from the replica seed.
-        DriverOptions sub = options;
-        sub.ensemble = EnsembleSpec{};
-        sub.seed = retry_stream_seed(eff, r, tried);
-        sub.threads = 1;
-        sub.executor = nullptr;
-        sub.checkpoint_path.clear();
-        sub.resume_path.clear();
-        sub.salvage_checkpoint = false;
-        sub.progress = nullptr;
-        DriverResult dr = run_simulation(rep, sub);
-        merge_stats(o.stats, dr.stats);
-        o.integrity.merge(dr.integrity);
-        for (const UnitFailure& f : dr.failures) {
-          o.inner_failures.push_back(
-              {f.unit, f.code, f.attempts,
-               "replica " + std::to_string(r) + ": " + f.message});
-        }
-        o.row.sweep = std::move(dr.sweep);
-        if (dr.current) o.row.current = *dr.current;
-        o.row.sim_time = dr.simulated_time;
-        o.row.events = dr.events;
-        o.row.attempts = tried + 1;
-        if (tried > 0) o.row.code = last_code;
-        if (is_sweep) {
-          double peak = 0.0;
-          for (const IvPoint& p : o.row.sweep) {
-            if (p.status == PointStatus::kFailed) continue;
-            peak = std::max(peak, std::abs(p.current));
-          }
-          o.row.observable = peak;
-        } else {
-          o.row.observable = o.row.current.mean;
-        }
-        break;
-      } catch (Error& e) {
-        if (e.code() == ErrorCode::kCancelled) throw;
-        ++tried;
-        last_code =
-            e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-        if (options.retry.should_retry(last_code, tried)) {
-          retry_sleep(retry_backoff_seconds(options.retry, tried));
-          continue;
-        }
-        if (options.retry.strict) {
-          e.add_context("replica " + std::to_string(r));
-          throw;
-        }
-        o.row.ok = false;
-        o.row.code = last_code;
-        o.row.attempts = tried;
-        break;
-      }
-    }
-    report_replica(options, cp, /*restored=*/false, r, o);
-    return o;
-  });
-}
-
 }  // namespace
 
 DriverResult run_ensemble(const SimulationInput& input,
@@ -661,67 +236,102 @@ DriverResult run_ensemble(const SimulationInput& input,
   const std::uint64_t eff = ensemble_effective_seed(spec, options.seed);
   const std::uint32_t n = spec.replicas;
 
-  std::optional<ParallelExecutor> owned_exec;
-  if (options.executor == nullptr) owned_exec.emplace(options.threads);
-  const ParallelExecutor& exec =
-      options.executor != nullptr ? *options.executor : *owned_exec;
-
-  CheckpointConfig ckpt;
-  if (!options.resume_path.empty()) {
-    ckpt.path = options.resume_path;
-    ckpt.require_existing = true;
-  } else {
-    ckpt.path = options.checkpoint_path;
-  }
-  ckpt.salvage = options.salvage_checkpoint;
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    ckpt.fingerprint = run_fingerprint(input, options);
-    BinaryWriter fp;
-    fp.u64(ckpt.fingerprint);
-    fp.str("ensemble");
-    fp.u64(n);
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path, fnv1a64(fp.bytes().data(), fp.bytes().size()), n,
-        ckpt.require_existing, ckpt.salvage);
-  }
-
-  if (options.progress != nullptr) {
-    options.progress->on_run_started(n, 0);
-    options.progress->on_ensemble_started(n);
-  }
   input.circuit.build_caches();
+  Units<ReplicaOutcome> units;
+  units.count = n;
+  units.name = "replica";
+  units.isolated = true;
+  units.encode = encode_outcome;
+  units.decode = [](BinaryReader& r, std::size_t) { return decode_outcome(r); };
 
-  // The fused gang covers the plain fixed-budget measurement shape; sweeps,
-  // transients, convergence stopping and per-replica repeats go through the
-  // general per-replica recursion.
-  const bool gang = !input.sweep.has_value() && input.max_time <= 0.0 &&
-                    std::max<std::uint32_t>(input.repeats, 1) == 1 &&
-                    !options.stop.convergence_enabled() &&
-                    !input.record_junctions.empty();
+  // Plain fixed-budget measurements run the replica as one solo engine on
+  // its replica circuit; sweeps, transients, convergence stopping and
+  // per-replica repeats recurse into the single-device driver.
+  const bool plain = !input.sweep.has_value() && input.max_time <= 0.0 &&
+                     std::max<std::uint32_t>(input.repeats, 1) == 1 &&
+                     !options.stop.convergence_enabled() &&
+                     !input.record_junctions.empty();
+  const std::vector<CurrentProbe> probes = recorded_probes(input);
+  const CurrentMeasureConfig cfg = measure_config_from_input(input);
+  // One capacitance-matrix inversion for the whole ensemble when no
+  // perturbation touches a capacitance (R, background charge and
+  // temperature never enter the electrostatic model).
+  std::shared_ptr<const ElectrostaticModel> shared_model;
+  if (plain && !spec.capacitance.active()) {
+    shared_model = std::make_shared<const ElectrostaticModel>(input.circuit);
+  }
+  if (plain) {
+    units.body = [&](const UnitAttempt& a, ReplicaOutcome& o) {
+      const std::uint32_t r = static_cast<std::uint32_t>(a.unit);
+      o.row.replica = r;
+      SimulationInput rep = materialize_replica(input, spec, eff, r);
+      const EngineOptions eo = engine_options_for(rep, options);
+      Engine& e = a.engine(std::move(rep.circuit), eo, shared_model);
+      o.row.current = measure_mean_current(e, probes, cfg);
+      o.row.observable = o.row.current.mean;
+      o.row.sim_time = e.time();
+      o.row.events = e.event_count();
+    };
+  } else {
+    units.body = [&](const UnitAttempt& a, ReplicaOutcome& o) {
+      const std::uint32_t r = static_cast<std::uint32_t>(a.unit);
+      o.row.replica = r;
+      const SimulationInput rep = materialize_replica(input, spec, eff, r);
+      // The replica recurses into the single-device driver: its own sweep
+      // chunking, convergence stopping and inner fault isolation, on a
+      // serial executor (the ensemble already shards across replicas),
+      // with all streams derived from the replica seed.
+      DriverOptions sub = options;
+      sub.ensemble = EnsembleSpec{};
+      sub.seed = a.seed();
+      sub.threads = 1;
+      sub.executor = nullptr;
+      sub.checkpoint_path.clear();
+      sub.resume_path.clear();
+      sub.salvage_checkpoint = false;
+      sub.progress = nullptr;
+      DriverResult dr = run_simulation(rep, sub);
+      o.stats += dr.counters.stats;
+      o.integrity.merge(dr.integrity);
+      for (const UnitFailure& f : dr.failures) {
+        o.inner_failures.push_back(
+            {f.unit, f.code, f.attempts,
+             "replica " + std::to_string(r) + ": " + f.message});
+      }
+      o.row.sweep = std::move(dr.sweep);
+      if (dr.current) o.row.current = *dr.current;
+      o.row.sim_time = dr.simulated_time;
+      o.row.events = dr.events;
+      if (input.sweep.has_value()) {
+        double peak = 0.0;
+        for (const IvPoint& p : o.row.sweep) {
+          if (p.status == PointStatus::kFailed) continue;
+          peak = std::max(peak, std::abs(p.current));
+        }
+        o.row.observable = peak;
+      } else {
+        o.row.observable = o.row.current.mean;
+      }
+    };
+  }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<ReplicaOutcome> outs =
-      gang ? run_gang(input, options, spec, eff, exec, cp.get())
-           : run_general(input, options, spec, eff, exec, cp.get());
-
+  UnitContext ctx = unit_context(input, options, eff);
+  ctx.tag_checkpoint("ensemble", n);
   DriverResult result;
-  result.counters.threads = exec.threads();
-  result.counters.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  std::vector<ReplicaOutcome> outs =
+      run_units(units, ctx, &result.counters, &result.integrity);
 
   // Merge in replica-index order on this thread: every statistic below is
-  // bitwise independent of the worker count and the tile decomposition.
+  // bitwise independent of the worker count.
   EnsembleResult ens;
   ens.replicas = n;
   ens.seed = eff;
   EnsembleAccumulator band(spec.yield_min, spec.yield_max);
   for (std::size_t r = 0; r < outs.size(); ++r) {
     ReplicaOutcome& o = outs[r];
-    merge_stats(result.stats, o.stats);
-    result.counters.absorb(o.stats);
-    result.integrity.merge(o.integrity);
+    o.row.ok = o.outcome.ok;
+    o.row.code = o.outcome.code;
+    o.row.attempts = o.outcome.attempts;
     result.simulated_time += o.row.sim_time;
     for (UnitFailure& f : o.inner_failures) {
       result.failures.push_back(std::move(f));
@@ -815,7 +425,7 @@ DriverResult run_ensemble(const SimulationInput& input,
     result.current = est;
   }
 
-  result.events = result.stats.events;
+  result.events = result.counters.stats.events;
   result.ensemble = std::move(ens);
   return result;
 }

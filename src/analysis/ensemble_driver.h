@@ -1,25 +1,21 @@
 // Ensemble run driver: simulates a population of perturbed device replicas.
 //
 // run_ensemble is the execution half of analysis/ensemble.h — run_simulation
-// dispatches here when options.ensemble.enabled. Two execution modes:
+// dispatches here when options.ensemble.enabled. One replica is one work
+// unit of analysis/units.h, so the population inherits the runner's
+// contract: replica r's streams are pure functions of the effective
+// ensemble seed and r (retry_stream_seed(effective, r, attempt)), a poisoned
+// replica retries on its re-derived stream and then degrades to a
+// failed:<code> row while the other N-1 stay bitwise untouched, and the
+// replica-granular RunCheckpoint ("ensemble" sub-fingerprint) makes
+// cancel -> resume bitwise lossless. The replica body has two shapes:
 //
-//   * the FUSED GANG path, for plain fixed-budget current measurements
-//     (no sweep, no transient window, no convergence stopping, repeats = 1):
-//     replicas are grouped into fixed tiles of four and every tile runs as
-//     one core/ensemble.h lockstep gang — N engines advancing in event
-//     rounds, ONE tunnel_rates_batch_replicas pass per round over the whole
-//     replica-major arena. Each lane's trajectory, estimate, and statistics
-//     are bitwise identical to running that replica solo;
-//   * the GENERAL path, for sweeps, transients, convergence-stopped and
-//     multi-repeat runs: one work unit per replica, each recursing into the
-//     single-device run_simulation with the replica's derived seed.
-//
-// Both paths share the determinism contract (replica r's streams are pure
-// functions of the effective ensemble seed and r), the per-replica fault
-// isolation (a poisoned replica retries on a re-derived stream, then
-// degrades to a failed:<code> row; the other N-1 replicas are bitwise
-// untouched), and the replica-granular RunCheckpoint ("ensemble"
-// sub-fingerprint) that makes cancel -> resume bitwise lossless.
+//   * plain fixed-budget current measurements (no sweep, no transient
+//     window, no convergence stopping, repeats = 1) run one solo engine on
+//     the replica's circuit, sharing one ElectrostaticModel when no
+//     capacitance is perturbed;
+//   * sweeps, transients, convergence-stopped and multi-repeat runs recurse
+//     into the single-device run_simulation with the replica's seed.
 #pragma once
 
 #include "analysis/driver.h"

@@ -1,13 +1,14 @@
 #include "analysis/sweep.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 
 #include "analysis/api.h"
+#include "analysis/units.h"
 #include "base/error.h"
 #include "base/random.h"
 
@@ -15,29 +16,12 @@ namespace semsim {
 
 namespace {
 
-void accumulate_stats(SolverStats& into, const SolverStats& s) {
-  into.events += s.events;
-  into.rate_evaluations += s.rate_evaluations;
-  into.cp_rate_evaluations += s.cp_rate_evaluations;
-  into.cot_rate_evaluations += s.cot_rate_evaluations;
-  into.potential_node_updates += s.potential_node_updates;
-  into.junctions_tested += s.junctions_tested;
-  into.junctions_flagged += s.junctions_flagged;
-  into.full_refreshes += s.full_refreshes;
-  into.source_updates += s.source_updates;
-}
-
 /// The bias points a sweep config describes: from, from+step, ..., <= to+eps.
 std::vector<double> sweep_points(const IvSweepConfig& cfg) {
   std::vector<double> points;
   const double eps = 0.5 * cfg.step;
   for (double v = cfg.from; v <= cfg.to + eps; v += cfg.step) points.push_back(v);
   return points;
-}
-
-double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// One bias point: fixed-budget estimator, or the convergence-stopped one
@@ -64,102 +48,76 @@ IvPoint measure_point(Engine& engine, const IvSweepConfig& cfg, double bias) {
   return p;
 }
 
-void encode_iv_point(BinaryWriter& w, const IvPoint& p) {
-  w.f64(p.bias);
-  w.f64(p.current);
-  w.f64(p.stderr_mean);
-  w.f64(p.rel_error);
-  w.f64(p.tau_int);
-  w.u64(p.events);
-  w.u8(static_cast<std::uint8_t>(p.status));
-  w.u32(static_cast<std::uint32_t>(p.error));
-  w.u32(p.attempts);
-}
+/// The engine a run of consecutive points (a sweep chunk, a map row, a
+/// serial sweep) warm-starts along. A failed point retires it: its solver
+/// work and audit trail go to `work` (when non-null), and rebuild(a)
+/// replaces it with a fresh engine on the run's next retry stream a.
+struct PointEngine {
+  Engine* engine = nullptr;
+  std::function<Engine&(std::uint32_t)> rebuild;
+  UnitWork* work = nullptr;
+  std::uint32_t stream_attempt = 0;
 
-IvPoint decode_iv_point(BinaryReader& r) {
-  IvPoint p;
-  p.bias = r.f64();
-  p.current = r.f64();
-  p.stderr_mean = r.f64();
-  p.rel_error = r.f64();
-  p.tau_int = r.f64();
-  p.events = r.u64();
-  p.status = static_cast<PointStatus>(r.u8());
-  p.error = static_cast<ErrorCode>(r.u32());
-  p.attempts = r.u32();
-  return p;
-}
-
-/// Runs one bias point with fault isolation. `eng` is the unit's current
-/// engine; `rebuild(attempt)` must replace it with a fresh one on the retry
-/// stream `attempt` and repoint `eng`. Recoverable errors are retried under
-/// cfg.retry; an exhausted (or non-retryable) point degrades to a
-/// `failed:<code>` row with NaN values on a fresh engine, so the remaining
-/// points of the unit still run. In strict mode the first error is rethrown
-/// with the bias point prepended to its context chain.
-///
-/// `integrity` and `abandoned_stats`, when non-null, collect the audit
-/// trail and solver work of every engine discarded by a retry (the final
-/// engine is the caller's to harvest).
-/// Throws Error(kCancelled) when `cancel` is raised. Checked OUTSIDE the
-/// retry try-blocks so a cancellation is never degraded into a failed row
-/// (which would be checkpointed and survive a resume).
-void throw_if_cancelled(const CancelToken* cancel, const char* where) {
-  if (cancel != nullptr && cancel->stop_requested()) {
-    throw Error(ErrorCode::kCancelled,
-                std::string("run cancelled before ") + where);
+  void harvest() const {
+    if (work != nullptr) work->add(*engine);
   }
+  void retire() {
+    harvest();
+    engine = &rebuild(++stream_attempt);
+  }
+};
+
+/// Retry options of the single-engine overloads: the caller's engine is
+/// never reseeded; a failed point moves to a locally owned engine on a
+/// salted stream of the caller's (unit, attempt).
+EngineOptions serial_retry_options(const EngineOptions& base,
+                                   std::uint32_t attempt) {
+  EngineOptions eo = base;
+  eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
+  eo.fault = base.fault.for_attempt(attempt);
+  return eo;
 }
 
-template <typename Rebuild>
-IvPoint run_point_isolated(Engine*& eng, const IvSweepConfig& cfg,
-                           std::size_t index, double bias,
-                           std::uint32_t& stream_attempt, Rebuild&& rebuild,
-                           IntegrityReport* integrity,
-                           SolverStats* abandoned_stats) {
+/// The strict-mode context of sweep point `index`.
+std::string point_label(std::size_t index, double bias) {
+  return "bias point " + std::to_string(index) + " (V = " +
+         std::to_string(bias) + ")";
+}
+
+/// Runs one bias point with fault isolation (run_with_retry): recoverable
+/// errors retry on a fresh engine, an exhausted point degrades to a
+/// `failed:<code>` row with NaN values while the remaining points of the
+/// run continue, and strict mode rethrows with the bias point in the
+/// context chain. Cancellation is checked before the point, outside the
+/// retry, so it never degrades into a (checkpointed) failed row.
+IvPoint run_point_isolated(PointEngine& pe, const IvSweepConfig& cfg,
+                           double bias,
+                           const std::function<std::string()>& label) {
   throw_if_cancelled(cfg.cancel, "bias point");
-  std::uint32_t tried = 0;
-  ErrorCode last_code = ErrorCode::kNone;
-  for (;;) {
-    try {
-      eng->set_dc_source(cfg.swept, bias);
-      if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -bias);
-      eng->rebase_time();  // blockade points can leave t at ~1e17 s
-      IvPoint p = measure_point(*eng, cfg, bias);
-      p.attempts = tried + 1;
-      if (tried > 0) {
-        p.status = PointStatus::kRetried;
-        p.error = last_code;
-      }
-      return p;
-    } catch (Error& e) {
-      ++tried;
-      last_code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-      if (integrity != nullptr) integrity->merge(eng->integrity_report());
-      if (abandoned_stats != nullptr) accumulate_stats(*abandoned_stats, eng->stats());
-      if (cfg.retry.should_retry(last_code, tried)) {
-        retry_sleep(retry_backoff_seconds(cfg.retry, tried));
-        rebuild(++stream_attempt);
-        continue;
-      }
-      if (cfg.retry.strict) {
-        e.add_context("bias point " + std::to_string(index) + " (V = " +
-                      std::to_string(bias) + ")");
-        throw;
-      }
-      // Degrade: NaN row, fresh engine for the remaining points.
-      rebuild(++stream_attempt);
-      IvPoint p;
-      p.bias = bias;
-      p.current = std::numeric_limits<double>::quiet_NaN();
-      p.stderr_mean = p.current;
-      p.rel_error = p.current;
-      p.status = PointStatus::kFailed;
-      p.error = last_code;
-      p.attempts = tried;
-      return p;
-    }
+  IvPoint p;
+  const AttemptRecord rec = run_with_retry(
+      cfg.retry,
+      [&](std::uint32_t) {
+        Engine& e = *pe.engine;
+        e.set_dc_source(cfg.swept, bias);
+        if (cfg.mirror >= 0) e.set_dc_source(cfg.mirror, -bias);
+        e.rebase_time();  // blockade points can leave t at ~1e17 s
+        p = measure_point(e, cfg, bias);
+      },
+      [&] { pe.retire(); }, label);
+  if (!rec.ok) {
+    p = IvPoint{};
+    p.bias = bias;
+    p.current = std::numeric_limits<double>::quiet_NaN();
+    p.stderr_mean = p.current;
+    p.rel_error = p.current;
   }
+  p.status = !rec.ok            ? PointStatus::kFailed
+             : rec.attempts > 1 ? PointStatus::kRetried
+                                : PointStatus::kOk;
+  p.error = rec.code;
+  p.attempts = rec.attempts;
+  return p;
 }
 
 /// The sweep checkpoint fingerprint covers everything that defines the
@@ -207,31 +165,48 @@ std::string point_status_label(const IvPoint& p) {
   return "ok";
 }
 
+void encode_iv_point(BinaryWriter& w, const IvPoint& p) {
+  w.f64(p.bias);
+  w.f64(p.current);
+  w.f64(p.stderr_mean);
+  w.f64(p.rel_error);
+  w.f64(p.tau_int);
+  w.u64(p.events);
+  w.u8(static_cast<std::uint8_t>(p.status));
+  w.u32(static_cast<std::uint32_t>(p.error));
+  w.u32(p.attempts);
+}
+
+IvPoint decode_iv_point(BinaryReader& r) {
+  IvPoint p;
+  p.bias = r.f64();
+  p.current = r.f64();
+  p.stderr_mean = r.f64();
+  p.rel_error = r.f64();
+  p.tau_int = r.f64();
+  p.events = r.u64();
+  p.status = static_cast<PointStatus>(r.u8());
+  p.error = static_cast<ErrorCode>(r.u32());
+  p.attempts = r.u32();
+  return p;
+}
+
 std::vector<IvPoint> run_iv_sweep(Engine& engine, const IvSweepConfig& cfg) {
   require(cfg.step > 0.0, "run_iv_sweep: step must be positive");
   require(cfg.to >= cfg.from, "run_iv_sweep: to < from");
   require(!cfg.probes.empty(), "run_iv_sweep: no recorded junctions");
 
-  // Retry support for the single-engine overload: a failed point replaces
-  // the caller's (warm-started) engine with a locally owned one on a salted
-  // stream. The caller's engine object itself is never reseeded.
-  const EngineOptions base = engine.options();
   std::optional<Engine> spare;
-  Engine* eng = &engine;
-  std::uint32_t stream_attempt = 0;
-  const auto rebuild = [&](std::uint32_t attempt) {
-    EngineOptions eo = base;
-    eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
-    eo.fault = base.fault.for_attempt(attempt);
-    spare.emplace(engine.circuit(), eo);
-    eng = &*spare;
-  };
-
+  PointEngine pe{&engine, [&](std::uint32_t attempt) -> Engine& {
+                   return spare.emplace(
+                       engine.circuit(),
+                       serial_retry_options(engine.options(), attempt));
+                 }};
   const std::vector<double> biases = sweep_points(cfg);
   std::vector<IvPoint> points;
   for (std::size_t i = 0; i < biases.size(); ++i) {
-    points.push_back(run_point_isolated(eng, cfg, i, biases[i], stream_attempt,
-                                        rebuild, nullptr, nullptr));
+    points.push_back(run_point_isolated(
+        pe, cfg, biases[i], [&] { return point_label(i, biases[i]); }));
   }
   return points;
 }
@@ -251,85 +226,67 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
           "run_iv_sweep: points_per_unit must be >= 1");
 
   const std::vector<double> points = sweep_points(cfg);
-  const std::size_t n_units =
-      (points.size() + par.points_per_unit - 1) / par.points_per_unit;
-
-  std::unique_ptr<RunCheckpoint> cp;
-  if (ckpt.enabled()) {
-    cp = std::make_unique<RunCheckpoint>(
-        ckpt.path,
-        sweep_checkpoint_fingerprint(cfg, par, points.size(), ckpt.fingerprint),
-        n_units, ckpt.require_existing, ckpt.salvage);
-  }
+  const std::size_t per = par.points_per_unit;
+  const auto first = [&](std::size_t u) { return u * per; };
+  const auto size = [&](std::size_t u) {
+    return std::min(points.size() - first(u), per);
+  };
 
   // Shared read-only state: one capacitance inversion for all engines, and
   // warm adjacency caches so concurrent engine construction is race-free.
   circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(circuit);
 
-  std::vector<IvPoint> out(points.size());
-  std::vector<SolverStats> unit_stats(n_units);
-  std::vector<IntegrityReport> unit_reports(integrity != nullptr ? n_units : 0);
-  if (cfg.progress != nullptr) {
-    cfg.progress->on_run_started(n_units, points.size());
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  exec.for_each(n_units, [&](std::size_t u) {
-    const std::size_t begin = u * par.points_per_unit;
-    const std::size_t end = std::min(points.size(), begin + par.points_per_unit);
-    if (cp && cp->has(u)) {
-      // Chunk finished in a previous run: restore its points verbatim.
-      const std::vector<std::uint8_t> bytes = cp->payload(u);
-      BinaryReader r(bytes);
-      const std::uint64_t n = r.u64();
-      require(n == end - begin, "run_iv_sweep: checkpoint chunk size mismatch");
-      for (std::size_t i = begin; i < end; ++i) out[i] = decode_iv_point(r);
-      unit_stats[u] = decode_solver_stats(r);
-      r.require_done();
-      if (cfg.progress != nullptr) {
-        cfg.progress->on_sweep_points(begin, &out[begin], end - begin);
-      }
-      return;
+  struct Chunk : UnitWork {
+    std::vector<IvPoint> points;
+  };
+  Units<Chunk> units;
+  units.count = (points.size() + per - 1) / per;
+  units.points = points.size();
+  units.name = "sweep chunk";
+  units.encode = [](BinaryWriter& w, const Chunk& c) {
+    w.u64(c.points.size());
+    for (const IvPoint& p : c.points) encode_iv_point(w, p);
+    encode_solver_stats(w, c.stats);
+  };
+  units.decode = [&](BinaryReader& r, std::size_t u) {
+    Chunk c;
+    require(r.u64() == size(u), "run_iv_sweep: checkpoint chunk size mismatch");
+    for (std::size_t i = 0; i < size(u); ++i) {
+      c.points.push_back(decode_iv_point(r));
     }
-    throw_if_cancelled(cfg.cancel, "sweep chunk");
-    IntegrityReport* report = integrity != nullptr ? &unit_reports[u] : nullptr;
+    c.stats = decode_solver_stats(r);
+    return c;
+  };
+  units.body = [&](const UnitAttempt& a, Chunk& c) {
     std::optional<Engine> slot;
-    slot.emplace(circuit, unit_engine_options(options, par.base_seed, u, 0),
-                 model);
-    Engine* eng = &*slot;
-    std::uint32_t stream_attempt = 0;
-    SolverStats acc{};
-    const auto rebuild = [&](std::uint32_t attempt) {
-      slot.emplace(circuit,
-                   unit_engine_options(options, par.base_seed, u, attempt),
-                   model);
-      eng = &*slot;
+    const auto build = [&](std::uint32_t attempt) -> Engine& {
+      return slot.emplace(
+          circuit, unit_engine_options(options, par.base_seed, a.unit, attempt),
+          model);
     };
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = run_point_isolated(eng, cfg, i, points[i], stream_attempt,
-                                  rebuild, report, &acc);
+    PointEngine pe{&build(0), build, &c};
+    for (std::size_t i = first(a.unit); i < first(a.unit) + size(a.unit); ++i) {
+      c.points.push_back(run_point_isolated(
+          pe, cfg, points[i], [&] { return point_label(i, points[i]); }));
     }
-    accumulate_stats(acc, eng->stats());
-    if (report != nullptr) report->merge(eng->integrity_report());
-    unit_stats[u] = acc;
-    if (cp) {
-      BinaryWriter w;
-      w.u64(end - begin);
-      for (std::size_t i = begin; i < end; ++i) encode_iv_point(w, out[i]);
-      encode_solver_stats(w, unit_stats[u]);
-      cp->record(u, w.take());
-    }
+    pe.harvest();
+  };
+  units.finished = [&](std::size_t u, const Chunk& c) {
     if (cfg.progress != nullptr) {
-      cfg.progress->on_sweep_points(begin, &out[begin], end - begin);
+      cfg.progress->on_sweep_points(first(u), c.points.data(), c.points.size());
     }
-  });
-  if (counters != nullptr) {
-    counters->threads = exec.threads();
-    counters->wall_seconds += wall_seconds_since(t0);
-    for (const SolverStats& s : unit_stats) counters->absorb(s);
-  }
-  if (integrity != nullptr) {
-    for (const IntegrityReport& r : unit_reports) integrity->merge(r);
+  };
+
+  UnitContext ctx{exec, ckpt, cfg.cancel, cfg.progress, cfg.retry,
+                  par.base_seed};
+  ctx.checkpoint.fingerprint =
+      sweep_checkpoint_fingerprint(cfg, par, points.size(), ckpt.fingerprint);
+  const std::vector<Chunk> chunks = run_units(units, ctx, counters, integrity);
+  std::vector<IvPoint> out;
+  out.reserve(points.size());
+  for (const Chunk& c : chunks) {
+    out.insert(out.end(), c.points.begin(), c.points.end());
   }
   return out;
 }
@@ -345,72 +302,48 @@ IvSweepConfig sweep_config_from_input(const SimulationInput& input) {
   cfg.from = -input.sweep->max;
   cfg.to = input.sweep->max;
   cfg.step = input.sweep->step;
-  for (std::size_t j : input.record_junctions) {
-    cfg.probes.push_back(CurrentProbe{j, 1.0});
-  }
-  if (input.max_jumps > 0) {
-    cfg.measure.measure_events = input.max_jumps;
-    cfg.measure.warmup_events = std::max<std::uint64_t>(input.max_jumps / 10, 100);
-  }
+  cfg.probes = recorded_probes(input);
+  cfg.measure = measure_config_from_input(input);
+  return cfg;
+}
+
+std::vector<CurrentProbe> recorded_probes(const SimulationInput& input) {
+  std::vector<CurrentProbe> probes;
+  for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
+  return probes;
+}
+
+CurrentMeasureConfig measure_config_from_input(const SimulationInput& input) {
+  CurrentMeasureConfig cfg;
+  cfg.measure_events = input.max_jumps > 0 ? input.max_jumps : 10000;
+  cfg.warmup_events = std::max<std::uint64_t>(cfg.measure_events / 10, 100);
   return cfg;
 }
 
 namespace {
 
-/// One gate row of a stability map with per-cell fault isolation; the same
-/// retry semantics as run_point_isolated, plus re-applying the row's gate
-/// voltage after every engine rebuild.
-template <typename Rebuild>
-void run_map_row(Engine*& eng, const StabilityMapConfig& cfg, std::size_t g,
-                 std::uint32_t& stream_attempt, Rebuild&& rebuild,
-                 std::vector<double>& row,
-                 std::vector<MapCellStatus>* degraded,
-                 IntegrityReport* integrity, SolverStats* abandoned_stats) {
-  const double gate = cfg.gate_values[g];
-  eng->set_dc_source(cfg.gate_node, gate);
+/// One gate row of a stability map: a bias sweep at a fixed gate, each
+/// cell isolated like a sweep point; `pe`'s rebuild re-applies the row's
+/// gate voltage to every fresh engine.
+void run_map_row(PointEngine& pe, const StabilityMapConfig& cfg,
+                 std::size_t g, std::vector<double>& row,
+                 std::vector<MapCellStatus>& degraded) {
+  IvSweepConfig cell;
+  cell.swept = cfg.bias_node;
+  cell.mirror = cfg.mirror;
+  cell.probes = cfg.probes;
+  cell.measure = cfg.measure;
+  cell.retry = cfg.retry;
+  pe.engine->set_dc_source(cfg.gate_node, cfg.gate_values[g]);
   for (std::size_t b = 0; b < cfg.bias_values.size(); ++b) {
-    const double v = cfg.bias_values[b];
-    std::uint32_t tried = 0;
-    ErrorCode last_code = ErrorCode::kNone;
-    for (;;) {
-      try {
-        eng->set_dc_source(cfg.bias_node, v);
-        if (cfg.mirror >= 0) eng->set_dc_source(cfg.mirror, -v);
-        eng->rebase_time();
-        const CurrentEstimate est =
-            measure_mean_current(*eng, cfg.probes, cfg.measure);
-        row[b] = std::fabs(est.mean);
-        if (tried > 0 && degraded != nullptr) {
-          degraded->push_back(
-              {g, b, PointStatus::kRetried, last_code, tried + 1});
-        }
-        break;
-      } catch (Error& e) {
-        ++tried;
-        last_code =
-            e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
-        if (integrity != nullptr) integrity->merge(eng->integrity_report());
-        if (abandoned_stats != nullptr)
-          accumulate_stats(*abandoned_stats, eng->stats());
-        if (cfg.retry.should_retry(last_code, tried)) {
-          retry_sleep(retry_backoff_seconds(cfg.retry, tried));
-          rebuild(++stream_attempt);
-          eng->set_dc_source(cfg.gate_node, gate);
-          continue;
-        }
-        if (cfg.retry.strict) {
-          e.add_context("stability map cell (gate row " + std::to_string(g) +
-                        ", bias column " + std::to_string(b) + ")");
-          throw;
-        }
-        rebuild(++stream_attempt);
-        eng->set_dc_source(cfg.gate_node, gate);
-        row[b] = std::numeric_limits<double>::quiet_NaN();
-        if (degraded != nullptr) {
-          degraded->push_back({g, b, PointStatus::kFailed, last_code, tried});
-        }
-        break;
-      }
+    const IvPoint p =
+        run_point_isolated(pe, cell, cfg.bias_values[b], [&] {
+          return "stability map cell (gate row " + std::to_string(g) +
+                 ", bias column " + std::to_string(b) + ")";
+        });
+    row[b] = std::fabs(p.current);
+    if (p.status != PointStatus::kOk) {
+      degraded.push_back({g, b, p.status, p.error, p.attempts});
     }
   }
 }
@@ -421,26 +354,30 @@ std::vector<std::vector<double>> run_stability_map(
     Engine& engine, const StabilityMapConfig& cfg, StabilityMapReport* report) {
   require(!cfg.probes.empty(), "run_stability_map: no recorded junctions");
 
-  const EngineOptions base = engine.options();
   std::optional<Engine> spare;
-  Engine* eng = &engine;
-  std::uint32_t stream_attempt = 0;
-  const auto rebuild = [&](std::uint32_t attempt) {
-    EngineOptions eo = base;
-    eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
-    eo.fault = base.fault.for_attempt(attempt);
-    spare.emplace(engine.circuit(), eo);
-    eng = &*spare;
-  };
-
+  std::size_t g = 0;
+  UnitWork work;
+  PointEngine pe{&engine,
+                 [&](std::uint32_t attempt) -> Engine& {
+                   Engine& e = spare.emplace(
+                       engine.circuit(),
+                       serial_retry_options(engine.options(), attempt));
+                   e.set_dc_source(cfg.gate_node, cfg.gate_values[g]);
+                   return e;
+                 },
+                 &work};
   std::vector<std::vector<double>> map(
       cfg.gate_values.size(), std::vector<double>(cfg.bias_values.size(), 0.0));
-  for (std::size_t g = 0; g < cfg.gate_values.size(); ++g) {
-    run_map_row(eng, cfg, g, stream_attempt, rebuild, map[g],
-                report != nullptr ? &report->degraded : nullptr,
-                report != nullptr ? &report->integrity : nullptr, nullptr);
+  std::vector<MapCellStatus> degraded;
+  for (g = 0; g < cfg.gate_values.size(); ++g) {
+    run_map_row(pe, cfg, g, map[g], degraded);
   }
-  if (report != nullptr) report->integrity.merge(eng->integrity_report());
+  if (report != nullptr) {
+    pe.harvest();
+    report->degraded.insert(report->degraded.end(), degraded.begin(),
+                            degraded.end());
+    report->integrity.merge(work.integrity);
+  }
   return map;
 }
 
@@ -454,45 +391,36 @@ std::vector<std::vector<double>> run_stability_map(
   circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(circuit);
 
-  const std::size_t n_rows = cfg.gate_values.size();
-  std::vector<std::vector<double>> map(
-      n_rows, std::vector<double>(cfg.bias_values.size(), 0.0));
-  std::vector<SolverStats> unit_stats(n_rows);
-  std::vector<std::vector<MapCellStatus>> row_degraded(
-      report != nullptr ? n_rows : 0);
-  std::vector<IntegrityReport> row_reports(report != nullptr ? n_rows : 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  exec.for_each(n_rows, [&](std::size_t g) {
+  struct Row : UnitWork {
+    std::vector<double> values;
+    std::vector<MapCellStatus> degraded;
+  };
+  Units<Row> units;
+  units.count = cfg.gate_values.size();
+  units.name = "stability-map row";
+  units.body = [&](const UnitAttempt& a, Row& row) {
     std::optional<Engine> slot;
-    slot.emplace(circuit, unit_engine_options(options, par.base_seed, g, 0),
-                 model);
-    Engine* eng = &*slot;
-    std::uint32_t stream_attempt = 0;
-    SolverStats acc{};
-    const auto rebuild = [&](std::uint32_t attempt) {
-      slot.emplace(circuit,
-                   unit_engine_options(options, par.base_seed, g, attempt),
-                   model);
-      eng = &*slot;
+    const auto build = [&](std::uint32_t attempt) -> Engine& {
+      Engine& e = slot.emplace(
+          circuit, unit_engine_options(options, par.base_seed, a.unit, attempt),
+          model);
+      if (attempt > 0) e.set_dc_source(cfg.gate_node, cfg.gate_values[a.unit]);
+      return e;
     };
-    run_map_row(eng, cfg, g, stream_attempt, rebuild, map[g],
-                report != nullptr ? &row_degraded[g] : nullptr,
-                report != nullptr ? &row_reports[g] : nullptr, &acc);
-    accumulate_stats(acc, eng->stats());
-    if (report != nullptr) row_reports[g].merge(eng->integrity_report());
-    unit_stats[g] = acc;
-  });
-  if (counters != nullptr) {
-    counters->threads = exec.threads();
-    counters->wall_seconds += wall_seconds_since(t0);
-    for (const SolverStats& s : unit_stats) counters->absorb(s);
-  }
-  if (report != nullptr) {
-    // Merge in row order so the report is thread-count independent.
-    for (std::size_t g = 0; g < n_rows; ++g) {
-      report->degraded.insert(report->degraded.end(), row_degraded[g].begin(),
-                              row_degraded[g].end());
-      report->integrity.merge(row_reports[g]);
+    PointEngine pe{&build(0), build, &row};
+    row.values.assign(cfg.bias_values.size(), 0.0);
+    run_map_row(pe, cfg, a.unit, row.values, row.degraded);
+    pe.harvest();
+  };
+  const UnitContext ctx{exec, {}, nullptr, nullptr, cfg.retry, par.base_seed};
+  const std::vector<Row> rows = run_units(
+      units, ctx, counters, report != nullptr ? &report->integrity : nullptr);
+  std::vector<std::vector<double>> map;
+  for (const Row& row : rows) {
+    map.push_back(row.values);
+    if (report != nullptr) {
+      report->degraded.insert(report->degraded.end(), row.degraded.begin(),
+                              row.degraded.end());
     }
   }
   return map;

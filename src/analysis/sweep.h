@@ -53,6 +53,10 @@ struct IvPoint {
 /// "failed:invariant.non_finite_rate").
 std::string point_status_label(const IvPoint& p);
 
+/// Checkpoint codec of one point (sweep chunks and ensemble replica rows).
+void encode_iv_point(BinaryWriter& w, const IvPoint& p);
+IvPoint decode_iv_point(BinaryReader& r);
+
 /// Streaming progress consumer for long runs (the service daemon's status
 /// verb). Callbacks fire from WORKER THREADS as work units complete, so
 /// implementations must be thread-safe. Observing progress never draws RNG
@@ -62,24 +66,19 @@ class ProgressSink {
  public:
   virtual ~ProgressSink() = default;
   /// The run's decomposition, reported once before execution: total work
-  /// units, and total sweep points (0 for non-sweep runs).
+  /// units (sweep chunks, repeats, transient slices, partition milestones,
+  /// ensemble replicas), and total sweep points (0 for non-sweep runs).
   virtual void on_run_started(std::uint64_t /*units_total*/,
                               std::uint64_t /*points_total*/) {}
   /// A sweep chunk finished (or was restored from a checkpoint): points
   /// [first, first + count) of the table are final, including degraded
-  /// `failed:<code>` rows. Counts as one completed work unit.
+  /// `failed:<code>` rows. Followed by the chunk's on_unit_done.
   virtual void on_sweep_points(std::size_t /*first*/,
                                const IvPoint* /*points*/,
                                std::size_t /*count*/) {}
-  /// A non-sweep work unit (repeat run, transient slice) finished.
+  /// Work unit `unit` finished or was restored from a checkpoint: fires
+  /// exactly once per unit, in completion order.
   virtual void on_unit_done(std::size_t /*unit*/) {}
-  /// Ensemble runs only: reported once before execution with the replica
-  /// population size (alongside on_run_started, whose units_total counts
-  /// the same replicas as generic work units).
-  virtual void on_ensemble_started(std::uint64_t /*replicas_total*/) {}
-  /// Ensemble runs only: replica `replica` finished (ok == false: degraded
-  /// to a failed:<code> row). Fires in completion order from workers.
-  virtual void on_replica_done(std::uint32_t /*replica*/, bool /*ok*/) {}
 };
 
 struct IvSweepConfig {
@@ -149,6 +148,13 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
 /// Builds an IvSweepConfig from a parsed input file's sweep/record/jumps
 /// directives (paper Example Input File 1 end-to-end path).
 IvSweepConfig sweep_config_from_input(const SimulationInput& input);
+
+/// The `record` directive's junctions as probes (a -> b positive).
+std::vector<CurrentProbe> recorded_probes(const SimulationInput& input);
+
+/// The `jumps` directive as a fixed measurement budget: `jumps` events
+/// (10000 when unset) after a warm-up of a tenth of that (at least 100).
+CurrentMeasureConfig measure_config_from_input(const SimulationInput& input);
 
 struct StabilityMapConfig {
   NodeId bias_node = 0;

@@ -6,7 +6,6 @@
 
 #include "base/constants.h"
 #include "base/error.h"
-#include "core/ensemble.h"
 #include "guard/retry.h"
 #include "physics/rates.h"
 
@@ -361,12 +360,8 @@ void Engine::after_charge_move(NodeId from, NodeId to, double q) {
     // Non-adaptive (or secondary channels present): exact potentials.
     apply_charge_move_everywhere(from, to, q);
     if (!adaptive_active_) {
-      if (deferring_) {
-        defer_full_recompute();
-      } else {
-        recompute_all_rates();
-        ++stats_.full_refreshes;
-      }
+      recompute_all_rates();
+      ++stats_.full_refreshes;
       return;
     }
   }
@@ -426,11 +421,7 @@ void Engine::after_charge_move(NodeId from, NodeId to, double q) {
     for (const std::size_t k : touched_nodes_) node_v_[k] += node_dv_[k];
     stats_.potential_node_updates += touched_nodes_.size();
   }
-  if (deferring_) {
-    defer_flagged_commit();
-  } else {
-    commit_flagged_rates();
-  }
+  commit_flagged_rates();
 
   if (calc_.cotunneling_enabled()) recompute_secondary();
 }
@@ -694,25 +685,6 @@ Engine::StepOutcome Engine::step_internal(double t_limit, Event* out) {
 
   after_charge_move(ev.from, ev.to, ev.charge);
 
-  if (deferring_) {
-    // Two-phase mode: the rate kernel for this event is parked in the
-    // arena; the Fenwick commit AND the step tail below wait for
-    // finish_step() so the periodic full refresh / audit observe exactly
-    // the committed state they would solo.
-    pending_event_ = ev;
-    tail_pending_ = true;
-    if (out) *out = ev;
-    return StepOutcome::kExecuted;
-  }
-
-  run_step_tail();
-
-  if (out) *out = ev;
-  if (callback_) callback_(*this, ev);
-  return StepOutcome::kExecuted;
-}
-
-void Engine::run_step_tail() {
   // Countdown equivalents of `events % interval == 0` — same firing events,
   // no 64-bit division in the hot loop (see resync_schedules()).
   if (adaptive_active_ && --until_refresh_ == 0) {
@@ -726,6 +698,10 @@ void Engine::run_step_tail() {
     until_audit_ = audit_interval_;
     run_audit();
   }
+
+  if (out) *out = ev;
+  if (callback_) callback_(*this, ev);
+  return StepOutcome::kExecuted;
 }
 
 void Engine::rebaseline_audit() {
@@ -807,95 +783,6 @@ void Engine::apply_fault(const FaultSpec& f) {
 
 bool Engine::step(Event* out) {
   return step_internal(kInf, out) == StepOutcome::kExecuted;
-}
-
-bool Engine::deferred_rates_supported() const noexcept {
-  // Plain normal-state circuits only: QP/Cooper-pair/cotunneling channels
-  // have bespoke kernels the shared arena pass does not cover.
-  return !has_secondary_ && !calc_.superconducting() &&
-         !calc_.cotunneling_enabled() && !calc_.quasiparticle();
-}
-
-void Engine::defer_flagged_commit() {
-  // Deferred twin of commit_flagged_rates(): refresh the flagged ΔW pairs
-  // NOW (delta_w_flagged — bitwise equal to the fused kernel's dw_store
-  // writes, same expressions and TU), park (ΔW, conductance) in the arena,
-  // and leave the rate kernel + Fenwick commit to the fused round pass.
-  const std::size_t nf = flagged_buf_.size();
-  pending_nf_ = nf;
-  if (nf == 0) {
-    pending_ = PendingCommit::kNone;
-    return;
-  }
-  // Compute the ΔW pairs into the store AND the arena's reserved segment,
-  // and gather the conductances, in one staging pass — no fen_val_/gather
-  // scratch copy; the values are bit-identical either way (same
-  // expressions, same TU).
-  double* adw = nullptr;
-  double* ag = nullptr;
-  commit_arena_ = arena_;
-  arena_offset_ = arena_->append_reserve(2 * nf, calc_.kt(), &adw, &ag);
-  calc_.delta_w_flagged_stage(node_v_.data(), slot_a_.data(), slot_b_.data(),
-                              flagged_buf_.data(), nf, delta_w_.data(), adw,
-                              ag);
-  for (std::size_t i = 0; i < nf; ++i) adaptive_.mark_fresh(flagged_buf_[i]);
-  stats_.rate_evaluations += 2 * nf;
-  pending_ = PendingCommit::kFlagged;
-}
-
-void Engine::defer_full_recompute() {
-  // Deferred twin of the non-adaptive recompute_all_rates() call: the ΔW
-  // store refresh is identical; the kernel + set_all move to the round.
-  const std::size_t j_count = circuit_.junction_count();
-  calc_.delta_w_batch(node_v_.data(), slot_a_.data(), slot_b_.data(), j_count,
-                      delta_w_.data());
-  stats_.rate_evaluations += 2 * j_count;
-  ++stats_.full_refreshes;
-  commit_arena_ = arena_;
-  arena_offset_ = arena_->append(delta_w_.data(), calc_.channel_conductance(),
-                                 2 * j_count, calc_.kt());
-  pending_ = PendingCommit::kAll;
-}
-
-bool Engine::step_begin(Event* out) {
-  if (arena_ == nullptr || !deferred_rates_supported()) {
-    return step(out);  // solo fallback: nothing deferred
-  }
-  deferring_ = true;
-  StepOutcome o;
-  try {
-    o = step_internal(kInf, out);
-  } catch (...) {
-    deferring_ = false;
-    throw;
-  }
-  deferring_ = false;
-  return o == StepOutcome::kExecuted;
-}
-
-void Engine::finish_step() {
-  if (!tail_pending_) return;
-  switch (pending_) {
-    case PendingCommit::kFlagged:
-      // flagged_buf_ is untouched since step_begin; the arena's segment
-      // holds the kernel output in the same (fw, bw)-pair order
-      // flagged_rates_fused would have produced.
-      rates_.set_junction_pairs(flagged_buf_.data(),
-                                commit_arena_->rates_at(arena_offset_),
-                                pending_nf_);
-      break;
-    case PendingCommit::kAll:
-      rates_.set_all(commit_arena_->rates_at(arena_offset_),
-                     2 * circuit_.junction_count());
-      audit_peak_total_ = 0.0;  // set_all rebuilt the tree: drift squashed
-      break;
-    case PendingCommit::kNone:
-      break;
-  }
-  pending_ = PendingCommit::kNone;
-  tail_pending_ = false;
-  run_step_tail();
-  if (callback_) callback_(*this, pending_event_);
 }
 
 std::uint64_t Engine::run_events(std::uint64_t n) {

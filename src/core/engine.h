@@ -40,8 +40,6 @@
 
 namespace semsim {
 
-class EnsembleRateArena;
-
 /// One executed tunnel event.
 struct Event {
   enum class Kind : std::uint8_t { kSingleElectron, kCooperPair, kCotunneling };
@@ -200,44 +198,6 @@ class Engine {
     callback_ = std::move(cb);
   }
 
-  // ---- two-phase stepping (ensemble lockstep; core/ensemble.h) ------------
-  //
-  // The ensemble engine runs N replica engines one EVENT ROUND at a time:
-  // phase A (`step_begin`) advances each lane through the whole step EXCEPT
-  // the rate-kernel evaluation — the freshly recomputed ΔW pairs and their
-  // conductances are appended to a shared EnsembleRateArena instead — then
-  // ONE tunnel_rates_batch_replicas pass evaluates every lane's channels
-  // fused, and phase B (`finish_step`) commits each lane's rates to its
-  // Fenwick tree and runs the deferred step tail (periodic refresh, audit,
-  // event callback). Each lane's RNG draws, ΔW values, rates and schedules
-  // are bitwise identical to solo step() calls — the kernels are
-  // per-element pure, and nothing in phase A of one lane reads another
-  // lane's state — so a 1-replica ensemble reproduces the golden hashes.
-
-  /// Routes this engine's deferred rate evaluations through `arena`
-  /// (nullptr unbinds; then step_begin degenerates to step()). The arena
-  /// must outlive the binding; only legal between steps.
-  void bind_rate_arena(EnsembleRateArena* arena) noexcept { arena_ = arena; }
-
-  /// True when this engine's configuration can defer rate evaluation: the
-  /// plain normal-state orthodox kernel only. Superconducting (QP/Cooper
-  /// pair) and cotunneling channels keep their bespoke kernels and run
-  /// solo inside the round (still correct, just not fused).
-  bool deferred_rates_supported() const noexcept;
-
-  /// Phase A of one event: everything step() does up to (and including)
-  /// recomputing ΔW, with the rate-kernel evaluation parked in the bound
-  /// arena. Returns false when the engine is stuck (exactly step()'s
-  /// contract); unbound or unsupported engines execute a full step().
-  /// After a true return the engine MUST NOT step again until
-  /// finish_step() ran (the Fenwick tree still holds pre-event rates).
-  bool step_begin(Event* out = nullptr);
-
-  /// Phase B: commits the arena-evaluated rates of the pending event and
-  /// runs the deferred step tail. Requires the arena's evaluate() since
-  /// the matching step_begin. No-op when nothing is pending.
-  void finish_step();
-
  private:
   // Channel layout in the Fenwick tree:
   //   [0, 2J)      single-electron / quasi-particle, (fwd, bwd) per junction
@@ -259,13 +219,6 @@ class Engine {
   /// Recomputes the channels of every junction in flagged_buf_ and commits
   /// them to the Fenwick tree in one set_many batch (adaptive path only).
   void commit_flagged_rates();
-  /// Deferred twins of commit_flagged_rates / the non-adaptive recompute:
-  /// ΔW is refreshed NOW (store stays exact), the rate kernel runs later in
-  /// the arena's fused pass, the Fenwick commit in finish_step().
-  void defer_flagged_commit();
-  void defer_full_recompute();
-  /// The post-commit step tail: periodic full refresh + periodic audit.
-  void run_step_tail();
   void recompute_secondary();  // CP + cotunneling channels (non-adaptive)
   void apply_event(std::size_t channel, Event& ev);
   void after_charge_move(NodeId from, NodeId to, double q);
@@ -350,20 +303,6 @@ class Engine {
   std::vector<std::vector<std::size_t>> source_seed_junctions_;
   SolverStats stats_;
   std::function<void(const Engine&, const Event&)> callback_;
-
-  // ---- two-phase stepping state (ensemble lockstep) -----------------------
-  enum class PendingCommit : std::uint8_t { kNone, kFlagged, kAll };
-  EnsembleRateArena* arena_ = nullptr;  // non-owning; bound by the ensemble
-  // The arena the pending segment was appended to — captured at defer time,
-  // so the ensemble may rebind arena_ to the next round's buffer (pipelined
-  // double-buffering) before this lane's finish_step() runs.
-  const EnsembleRateArena* commit_arena_ = nullptr;
-  bool deferring_ = false;       // inside step_begin's step_internal call
-  bool tail_pending_ = false;    // an event awaits finish_step()
-  PendingCommit pending_ = PendingCommit::kNone;
-  std::size_t arena_offset_ = 0;  // where this step's segment starts
-  std::size_t pending_nf_ = 0;    // flagged-junction count of the segment
-  Event pending_event_{};         // for the deferred callback
 
   // ---- integrity layer (guard) --------------------------------------------
   InvariantAuditor auditor_;

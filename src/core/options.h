@@ -108,30 +108,37 @@ struct SolverStats {
   std::uint64_t junctions_flagged = 0;
   std::uint64_t full_refreshes = 0;
   std::uint64_t source_updates = 0;
+
+  /// Every rate evaluation kind in one total (single-electron/QP, Cooper
+  /// pair, cotunneling).
+  std::uint64_t all_rate_evaluations() const noexcept {
+    return rate_evaluations + cp_rate_evaluations + cot_rate_evaluations;
+  }
+
+  SolverStats& operator+=(const SolverStats& s) noexcept {
+    events += s.events;
+    rate_evaluations += s.rate_evaluations;
+    cp_rate_evaluations += s.cp_rate_evaluations;
+    cot_rate_evaluations += s.cot_rate_evaluations;
+    potential_node_updates += s.potential_node_updates;
+    junctions_tested += s.junctions_tested;
+    junctions_flagged += s.junctions_flagged;
+    full_refreshes += s.full_refreshes;
+    source_updates += s.source_updates;
+    return *this;
+  }
 };
 
-/// Per-run observability counters for the parallel drivers: solver work
-/// summed over all work units (each unit runs on one engine; units are
-/// merged on the calling thread in index order, so the totals are
-/// thread-count independent) plus the wall time of the parallel region,
-/// which is the only field that legitimately varies with the thread count.
+/// The work tally of a run: solver work summed over every work unit (units
+/// are merged on the calling thread in index order, so the sum is
+/// thread-count independent), the unit count, and the worker count and wall
+/// time of the parallel region — the only two fields that legitimately vary
+/// with the thread count.
 struct RunCounters {
-  unsigned threads = 1;           ///< worker count of the parallel region
-  std::uint64_t units = 0;        ///< work units executed (points/rows/seeds)
-  std::uint64_t events = 0;       ///< tunnel events simulated
-  std::uint64_t rate_evaluations = 0;  ///< SE/QP + CP + cotunneling evals
-  std::uint64_t flags_raised = 0;      ///< adaptive junctions flagged
-  std::uint64_t full_refreshes = 0;
-  double wall_seconds = 0.0;      ///< wall clock of the parallel region
-
-  void absorb(const SolverStats& s) noexcept {
-    ++units;
-    events += s.events;
-    rate_evaluations +=
-        s.rate_evaluations + s.cp_rate_evaluations + s.cot_rate_evaluations;
-    flags_raised += s.junctions_flagged;
-    full_refreshes += s.full_refreshes;
-  }
+  SolverStats stats;
+  std::uint64_t units = 0;  ///< points/rows/seeds/replicas/clusters
+  unsigned threads = 1;
+  double wall_seconds = 0.0;
 };
 
 }  // namespace semsim

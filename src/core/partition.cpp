@@ -494,18 +494,7 @@ void PartitionedEngine::restore_clusters(
 
 SolverStats PartitionedEngine::merged_stats() const {
   SolverStats s;
-  for (const auto& cu : clusters_) {
-    const SolverStats& e = cu->engine->stats();
-    s.events += e.events;
-    s.rate_evaluations += e.rate_evaluations;
-    s.cp_rate_evaluations += e.cp_rate_evaluations;
-    s.cot_rate_evaluations += e.cot_rate_evaluations;
-    s.potential_node_updates += e.potential_node_updates;
-    s.junctions_tested += e.junctions_tested;
-    s.junctions_flagged += e.junctions_flagged;
-    s.full_refreshes += e.full_refreshes;
-    s.source_updates += e.source_updates;
-  }
+  for (const auto& cu : clusters_) s += cu->engine->stats();
   return s;
 }
 

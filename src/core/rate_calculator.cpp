@@ -154,33 +154,6 @@ void RateCalculator::delta_w_flagged(const double* v,
   }
 }
 
-void RateCalculator::delta_w_flagged_stage(const double* v,
-                                           const std::uint32_t* slot_a,
-                                           const std::uint32_t* slot_b,
-                                           const std::size_t* junctions,
-                                           std::size_t n_flagged,
-                                           double* dw_store, double* dw_pack,
-                                           double* g_pack) const noexcept {
-  // ΔW expressions verbatim from delta_w_flagged (same TU — same
-  // contraction), fanned out to the store and the arena pack while the pair
-  // is still in registers; the conductance gather rides the same loop.
-  const double e = kElementaryCharge;
-  const double* u = u_.data();
-  const double* g = chan_g_.data();
-  for (std::size_t i = 0; i < n_flagged; ++i) {
-    const std::size_t j = junctions[i];
-    const double dv = v[slot_b[j]] - v[slot_a[j]];
-    const double dw_fw = -e * dv + u[j];
-    const double dw_bw = e * dv + u[j];
-    dw_store[2 * j] = dw_fw;
-    dw_store[2 * j + 1] = dw_bw;
-    dw_pack[2 * i] = dw_fw;
-    dw_pack[2 * i + 1] = dw_bw;
-    g_pack[2 * i] = g[2 * j];
-    g_pack[2 * i + 1] = g[2 * j + 1];
-  }
-}
-
 void RateCalculator::flagged_rates_fused(const double* v,
                                          const std::uint32_t* slot_a,
                                          const std::uint32_t* slot_b,

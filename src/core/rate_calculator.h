@@ -77,21 +77,6 @@ class RateCalculator {
                        const std::size_t* junctions, std::size_t n_flagged,
                        double* dw) const noexcept;
 
-  /// Staging twin of delta_w_flagged for the deferred (ensemble-arena) path:
-  /// one pass computes each flagged junction's ΔW pair in registers, writes
-  /// it to BOTH the persistent store `dw_store` (scattered at 2j, like
-  /// flagged_rates_fused) and the contiguous pack `dw_pack` (at 2i, the
-  /// arena segment the fused round kernel reads), and gathers the junction's
-  /// conductance pair into `g_pack` — replacing the delta_w_flagged +
-  /// scatter/gather loop the deferred commit used to run. Identical ΔW
-  /// expressions in the same TU, so the store and pack stay bitwise equal to
-  /// the solo path's.
-  void delta_w_flagged_stage(const double* v, const std::uint32_t* slot_a,
-                             const std::uint32_t* slot_b,
-                             const std::size_t* junctions,
-                             std::size_t n_flagged, double* dw_store,
-                             double* dw_pack, double* g_pack) const noexcept;
-
   /// Fused adaptive flagged-commit kernel: for each flagged junction j =
   /// junctions[i], recomputes the ΔW pair (same expressions as
   /// delta_w_flagged), writes it straight into the persistent per-channel

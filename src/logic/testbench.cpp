@@ -166,7 +166,8 @@ MultiSeedDelayResult run_delay_experiment_seeds(
   double acc = 0.0;
   for (const SeedOut& o : outs) {
     res.delays.push_back(o.delay);
-    res.counters.absorb(o.stats);
+    res.counters.stats += o.stats;
+    ++res.counters.units;
     if (std::isfinite(o.delay)) {
       acc += o.delay;
       ++res.valid;

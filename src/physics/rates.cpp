@@ -150,10 +150,9 @@ void tunnel_rates_batch_fast(const double* delta_w, const double* conductance,
   }
 #if defined(SEMSIM_X86_KERNELS)
   // Packed thermal path when the host has AVX2 (the default -O3 build
-  // targets baseline x86-64, so the portable chunk loop stays scalar; this
-  // runtime dispatch is how the fused ensemble arena pass actually
-  // amortizes). Bit-identical per element — see thermal_rates_fast_avx2;
-  // pinned against the portable path by test_physics.
+  // targets baseline x86-64, so the portable chunk loop stays scalar).
+  // Bit-identical per element — see thermal_rates_fast_avx2; pinned
+  // against the portable path by test_physics.
   if (cpu_has_avx2()) {
     thermal_rates_fast_avx2(delta_w, conductance, kt, out, n);
     return;
@@ -197,38 +196,6 @@ void tunnel_rates_batch_fast_portable(const double* delta_w,
   }
   for (; i < n; ++i) {
     out[i] = kt * x_over_expm1_fast(delta_w[i] / kt) * conductance[i];
-  }
-}
-
-void tunnel_rates_batch_replicas(const double* delta_w,
-                                 const double* conductance, const double* kt,
-                                 const std::size_t* offsets,
-                                 std::size_t n_segments, bool fast,
-                                 double* out) noexcept {
-  if (n_segments == 0) return;
-  bool uniform_kt = true;
-  for (std::size_t r = 1; r < n_segments; ++r) {
-    uniform_kt = uniform_kt && kt[r] == kt[0];
-  }
-  const auto run = [fast](const double* dw, const double* g, double t,
-                          double* o, std::size_t n) {
-    if (fast) {
-      tunnel_rates_batch_fast(dw, g, t, o, n);
-    } else {
-      tunnel_rates_batch(dw, g, t, o, n);
-    }
-  };
-  if (uniform_kt) {
-    // Unperturbed-temperature ensembles (the common case): one fused pass
-    // over every replica's channels. Per-element purity of both kernels
-    // makes this bitwise identical to per-segment calls.
-    run(delta_w + offsets[0], conductance + offsets[0], kt[0],
-        out + offsets[0], offsets[n_segments] - offsets[0]);
-    return;
-  }
-  for (std::size_t r = 0; r < n_segments; ++r) {
-    run(delta_w + offsets[r], conductance + offsets[r], kt[r],
-        out + offsets[r], offsets[r + 1] - offsets[r]);
   }
 }
 

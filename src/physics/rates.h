@@ -63,22 +63,4 @@ void tunnel_rates_batch_fast_portable(const double* delta_w,
                                       const double* conductance, double kt,
                                       double* out, std::size_t n) noexcept;
 
-/// Replica-strided batch for the ensemble engine (core/ensemble.h): one call
-/// evaluates the channel arrays of MANY device replicas packed back to back.
-/// Segment r covers [offsets[r], offsets[r+1]) of delta_w/conductance/out
-/// and uses kt[r] (offsets has n_segments + 1 entries; kt <= 0 = T = 0
-/// limit). `fast` selects tunnel_rates_batch_fast for the thermal path.
-///
-/// BITWISE CONTRACT: out[i] equals, bit for bit, what a per-segment
-/// tunnel_rates_batch[_fast] call would produce. Both kernels are
-/// per-element pure (the fast kernel is chunk-position independent —
-/// property-tested since PR 5), so when every replica shares one kt the
-/// whole pack is evaluated as a SINGLE fused pass — the amortization the
-/// replica-major layout exists for — without changing a single bit.
-void tunnel_rates_batch_replicas(const double* delta_w,
-                                 const double* conductance, const double* kt,
-                                 const std::size_t* offsets,
-                                 std::size_t n_segments, bool fast,
-                                 double* out) noexcept;
-
 }  // namespace semsim

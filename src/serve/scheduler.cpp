@@ -62,8 +62,6 @@ struct JobScheduler::Job {
   std::uint64_t points_total = 0;
   std::uint64_t points_done = 0;
   std::uint64_t degraded_points = 0;
-  std::uint64_t replicas_total = 0;
-  std::uint64_t replicas_done = 0;
   std::vector<PartialPoint> partial;
 };
 
@@ -85,7 +83,6 @@ class JobProgressSink final : public ProgressSink {
   void on_sweep_points(std::size_t first, const IvPoint* points,
                        std::size_t count) override {
     const std::lock_guard<std::mutex> lock(job_.progress_mu);
-    job_.units_done += 1;
     job_.points_done += count;
     for (std::size_t i = 0; i < count; ++i) {
       const IvPoint& p = points[i];
@@ -106,16 +103,6 @@ class JobProgressSink final : public ProgressSink {
   void on_unit_done(std::size_t /*unit*/) override {
     const std::lock_guard<std::mutex> lock(job_.progress_mu);
     job_.units_done += 1;
-  }
-
-  void on_ensemble_started(std::uint64_t replicas_total) override {
-    const std::lock_guard<std::mutex> lock(job_.progress_mu);
-    job_.replicas_total = replicas_total;
-  }
-
-  void on_replica_done(std::uint32_t /*replica*/, bool /*ok*/) override {
-    const std::lock_guard<std::mutex> lock(job_.progress_mu);
-    job_.replicas_done += 1;
   }
 
  private:
@@ -439,8 +426,11 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
     s.points_total = job->points_total;
     s.points_done = job->points_done;
     s.degraded_points = job->degraded_points;
-    s.replicas_total = job->replicas_total;
-    s.replicas_done = job->replicas_done;
+    if (job->ensemble.enabled) {
+      // An ensemble's work units are its replicas.
+      s.replicas_total = job->units_total;
+      s.replicas_done = job->units_done;
+    }
     s.partial = job->partial;
   }
   std::sort(s.partial.begin(), s.partial.end(),

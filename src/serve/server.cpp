@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -209,13 +210,7 @@ Server::Server(const ServerConfig& config, JobScheduler& scheduler)
 Server::~Server() {
   stop();
   // run() may never have been called; reap anything it left behind.
-  {
-    const std::lock_guard<std::mutex> lock(workers_mu_);
-    for (std::thread& t : workers_) {
-      if (t.joinable()) t.join();
-    }
-    workers_.clear();
-  }
+  join_workers();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   ::close(pipe_rd_);
   ::close(pipe_wr_);
@@ -250,13 +245,37 @@ void Server::run() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     const std::lock_guard<std::mutex> lock(workers_mu_);
-    workers_.emplace_back([this, fd] { handle_connection(fd); });
+    // Join the connections that ended since the last accept: a daemon
+    // serving many short connections must not keep every finished thread
+    // (and its stack) until shutdown.
+    for (const std::thread::id id : finished_) {
+      const auto it = std::find_if(
+          workers_.begin(), workers_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      workers_.erase(it);
+    }
+    finished_.clear();
+    workers_.emplace_back([this, fd] {
+      handle_connection(fd);
+      const std::lock_guard<std::mutex> done(workers_mu_);
+      finished_.push_back(std::this_thread::get_id());
+    });
   }
+  join_workers();
+}
+
+void Server::join_workers() {
+  // Join outside the lock: a returning connection thread takes it once to
+  // report itself finished.
+  std::vector<std::thread> workers;
+  {
+    const std::lock_guard<std::mutex> lock(workers_mu_);
+    workers.swap(workers_);
+  }
+  for (std::thread& t : workers) t.join();
   const std::lock_guard<std::mutex> lock(workers_mu_);
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
+  finished_.clear();
 }
 
 void Server::handle_connection(int fd) {

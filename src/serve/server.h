@@ -80,6 +80,13 @@ class Server {
   /// the pipe's read end and wakes immediately — no timeout ticks.
   void stop() noexcept;
 
+  /// Connection threads not yet joined: the live connections plus those
+  /// that ended since the last accept.
+  std::size_t connection_threads() const {
+    const std::lock_guard<std::mutex> lock(workers_mu_);
+    return workers_.size();
+  }
+
   /// True once a client sent the `shutdown` verb.
   bool shutdown_requested() const noexcept {
     return shutdown_requested_.load(std::memory_order_relaxed);
@@ -87,6 +94,8 @@ class Server {
 
  private:
   void handle_connection(int fd);
+  /// Joins every connection thread (shutdown).
+  void join_workers();
   /// One request line -> one response line (no trailing newline).
   std::string handle_line(const std::string& line);
 
@@ -100,8 +109,10 @@ class Server {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<bool> shutdown_requested_{false};
-  std::mutex workers_mu_;
+  mutable std::mutex workers_mu_;
   std::vector<std::thread> workers_;
+  /// Connection threads that returned and await their join (workers_mu_).
+  std::vector<std::thread::id> finished_;
 };
 
 }  // namespace semsim

@@ -214,6 +214,9 @@ TEST(FrontierVsReference, CollectIsThreadCountIndependent) {
   // every thread must log the identical flagged sequence. Guards against
   // hidden mutable state leaking through the shared const references.
   SolverFixture f(5, 96);
+  // The adjacency caches are built lazily; warm them before the threads
+  // share the circuit, as Circuit::build_caches() requires.
+  f.circuit().build_caches();
   constexpr int kThreads = 8;
   std::vector<std::vector<std::size_t>> logs(kThreads);
   std::vector<std::thread> workers;
@@ -518,9 +521,9 @@ TEST(AdaptiveCounters, ConservedAcrossCheckpointResume) {
 }
 
 TEST(AdaptiveCounters, RunCountersAbsorbFlagsRaised) {
-  // RunCounters::flags_raised is the sweep-level aggregate of
-  // SolverStats::junctions_flagged; absorb() must carry it over verbatim
-  // along with the combined rate-evaluation total.
+  // The run tally sums SolverStats field by field: the flags an engine
+  // raised, like every other counter, reach the tally verbatim, and the
+  // document's combined rate-evaluation total is all three kinds.
   ThreeJunctionChain f;
   EngineOptions o;
   o.temperature = 4.2;
@@ -531,13 +534,16 @@ TEST(AdaptiveCounters, RunCountersAbsorbFlagsRaised) {
   ASSERT_GT(s.junctions_flagged, 0u);
 
   RunCounters rc;
-  rc.absorb(s);
-  EXPECT_EQ(rc.units, 1u);
-  EXPECT_EQ(rc.flags_raised, s.junctions_flagged);
-  EXPECT_EQ(rc.events, s.events);
-  EXPECT_EQ(rc.rate_evaluations, s.rate_evaluations + s.cp_rate_evaluations +
-                                     s.cot_rate_evaluations);
-  EXPECT_EQ(rc.full_refreshes, s.full_refreshes);
+  rc.stats += s;
+  rc.stats += s;
+  EXPECT_EQ(rc.stats.junctions_flagged, 2 * s.junctions_flagged);
+  EXPECT_EQ(rc.stats.junctions_tested, 2 * s.junctions_tested);
+  EXPECT_EQ(rc.stats.events, 2 * s.events);
+  EXPECT_EQ(rc.stats.potential_node_updates, 2 * s.potential_node_updates);
+  EXPECT_EQ(rc.stats.full_refreshes, 2 * s.full_refreshes);
+  EXPECT_EQ(rc.stats.all_rate_evaluations(),
+            2 * (s.rate_evaluations + s.cp_rate_evaluations +
+                 s.cot_rate_evaluations));
 }
 
 }  // namespace

@@ -155,6 +155,42 @@ TEST(RunFacade, ToJsonRoundTripsThroughParser) {
   EXPECT_GT(doc.at("counters").at("units").as_number(), 0.0);
 }
 
+TEST(RunFacade, SweepDocumentsCarryEverySolverCounter) {
+  // A sweep document's stats object sums every unit's SolverStats field by
+  // field, like every other run shape; the counters' rate total is all
+  // three evaluation kinds.
+  const auto document = [](const std::string& text) {
+    RunRequest req;
+    req.input = parse_simulation_input(text);
+    req.seed = 7;
+    req.threads = 2;
+    return JsonValue::parse(run(req).to_json(/*canonical=*/true));
+  };
+  const auto expect_total = [](const JsonValue& doc) {
+    const JsonValue& s = doc.at("stats");
+    EXPECT_EQ(doc.at("counters").at("rate_evaluations").as_number(),
+              s.at("rate_evaluations").as_number() +
+                  s.at("cp_rate_evaluations").as_number() +
+                  s.at("cot_rate_evaluations").as_number());
+  };
+  const std::string set_body =
+      "num ext 3\nnum nodes 4\njunc 1 1 4 1meg 1a\njunc 2 4 2 1meg 1a\n"
+      "cap 3 4 3a\nvdc 3 0\nsymm 2\nrecord 1 2\n";
+
+  const JsonValue adaptive =
+      document(set_body + "temp 5\njumps 2000\nsweep 1 0.01 0.002\n");
+  const JsonValue& as = adaptive.at("stats");
+  EXPECT_GT(as.at("junctions_flagged").as_number(), 0.0);
+  EXPECT_GE(as.at("junctions_tested").as_number(),
+            as.at("junctions_flagged").as_number());
+  expect_total(adaptive);
+
+  const JsonValue sset = document(
+      set_body + "temp 0.05\nsuper 0.2 1.2\njumps 500\nsweep 1 0.05 0.1\n");
+  EXPECT_GT(sset.at("stats").at("cp_rate_evaluations").as_number(), 0.0);
+  expect_total(sset);
+}
+
 TEST(RunFacade, MakeUnitEngineMatchesManualSeeding) {
   const SimulationInput input =
       parse_simulation_input(std::string(kSetInput));

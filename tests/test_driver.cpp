@@ -98,7 +98,8 @@ TEST(Driver, NonAdaptiveOptionMatchesAdaptive) {
   // The adaptive run must have done far fewer rate evaluations... on a
   // single-island SET the seeds cover both junctions, so the saving is
   // modest but must exist via the periodic-refresh accounting.
-  EXPECT_LE(ra.stats.rate_evaluations, rn.stats.rate_evaluations);
+  EXPECT_LE(ra.counters.stats.rate_evaluations,
+            rn.counters.stats.rate_evaluations);
 }
 
 TEST(Driver, MissingRecordThrows) {
@@ -158,7 +159,7 @@ TEST(GoldenSmoke, Fig1bBlockadeDepthAndAntisymmetry) {
   EXPECT_LT(i_mid, 0.05 * i_hi);
   EXPECT_NEAR(i_lo / i_hi, 1.0, 0.15);
   EXPECT_EQ(counters.units, 21u);
-  EXPECT_GT(counters.events, 0u);
+  EXPECT_GT(counters.stats.events, 0u);
 }
 
 TEST(GoldenSmoke, Fig6AdaptiveBeatsNonAdaptiveInEvalsPerEvent) {

@@ -1,11 +1,7 @@
-// Ensemble engine lockdown (ROADMAP item 3, the v3 run API).
+// Ensemble lockdown (the v3 run API).
 //
-// Three layers under test here:
+// Two layers under test here:
 //
-//   * core/ensemble.h — the lockstep gang: every lane's trajectory must be
-//     bitwise identical to the same Engine stepping solo, through BOTH
-//     step_round() and the software-pipelined run_events() (double-buffered
-//     arena), and a faulted lane must die alone;
 //   * analysis/ensemble.h — replica determinism (thread-count invariant
 //     canonical documents, replica rows independent of the population
 //     size), perturbation purity, and per-replica fault degradation;
@@ -22,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -34,7 +29,6 @@
 #include "analysis/ensemble_driver.h"
 #include "base/error.h"
 #include "core/engine.h"
-#include "core/ensemble.h"
 #include "core/options.h"
 #include "io/envelope.h"
 #include "io/json.h"
@@ -49,39 +43,7 @@ namespace {
 
 // ---- fixtures -------------------------------------------------------------
 
-/// The golden-suite SET: two junctions, one island, one gate capacitor.
-Circuit make_set(double v_src, double v_drn, double v_gate) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(src, Waveform::dc(v_src));
-  c.set_source(drn, Waveform::dc(-v_drn));
-  c.set_source(gate, Waveform::dc(v_gate));
-  return c;
-}
-
-/// Junction chain: conducting at T = 0 for bias 0.012, blockaded at 0.
-Circuit make_chain(int stages, double bias) {
-  Circuit c;
-  const NodeId vp = c.add_external("vp");
-  const NodeId vn = c.add_external("vn");
-  c.set_source(vp, Waveform::dc(bias));
-  c.set_source(vn, Waveform::dc(-bias));
-  for (int s = 0; s < stages; ++s) {
-    const NodeId i = c.add_island();
-    c.add_junction(vp, i, 1e6, 1e-18);
-    c.add_junction(i, vn, 1e6, 1e-18);
-    c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-  }
-  return c;
-}
-
-/// Plain measurement input (no sweep): the fused-gang driver shape.
+/// Plain measurement input (no sweep): the solo-engine replica body.
 constexpr char kMeasureInput[] = R"(
 num ext 3
 num nodes 4
@@ -95,216 +57,6 @@ temp 5
 record 1 2
 jumps 1500
 )";
-
-struct EventRecord {
-  std::uint64_t time_bits = 0;
-  std::size_t index = 0;
-  NodeId from = 0;
-  NodeId to = 0;
-
-  bool operator==(const EventRecord&) const = default;
-};
-
-EventRecord record_of(const Event& e) {
-  return {std::bit_cast<std::uint64_t>(e.time), e.index, e.from, e.to};
-}
-
-/// Full recorded trajectory of a solo engine: `n` events via run_events.
-std::vector<EventRecord> solo_trajectory(const Circuit& c,
-                                         const EngineOptions& o,
-                                         std::uint64_t n) {
-  Engine engine(c, o);
-  std::vector<EventRecord> out;
-  out.reserve(n);
-  engine.set_event_callback(
-      [&](const Engine&, const Event& e) { out.push_back(record_of(e)); });
-  engine.run_events(n);
-  return out;
-}
-
-EngineOptions lane_options(std::uint64_t seed, double temperature,
-                           bool fast_rates) {
-  EngineOptions o;
-  o.temperature = temperature;
-  o.seed = seed;
-  o.fast_rates = fast_rates;
-  return o;
-}
-
-// ---- core lockstep gang: bitwise vs solo ----------------------------------
-
-TEST(Lockstep, StepRoundTrajectoriesBitwiseIdenticalToSolo) {
-  // Four lanes on four DIFFERENT devices (distinct gate biases, so the lane
-  // segments in the shared arena have genuinely different ΔW populations),
-  // advanced round by round. Every lane's per-round event must match the
-  // solo engine bit for bit — the central lockstep contract.
-  const std::vector<double> gates = {0.0, 0.004, 0.009, 0.013};
-  std::deque<Circuit> circuits;
-  std::deque<Engine> lanes;
-  std::deque<Engine> solos;
-  std::vector<Engine*> ptrs;
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    circuits.push_back(make_set(0.02, 0.02, gates[i]));
-    const EngineOptions o = lane_options(31 + i, 4.2, /*fast_rates=*/false);
-    lanes.emplace_back(circuits.back(), o);
-    solos.emplace_back(circuits.back(), o);
-    ptrs.push_back(&lanes.back());
-  }
-
-  EnsembleEngine ens(ptrs, /*fast_rates=*/false);
-  Event se;
-  for (int round = 0; round < 1500; ++round) {
-    ASSERT_EQ(ens.step_round(), gates.size()) << "round " << round;
-    for (std::size_t i = 0; i < gates.size(); ++i) {
-      ASSERT_TRUE(ens.last_round_executed()[i]);
-      ASSERT_TRUE(solos[i].step(&se));
-      ASSERT_EQ(record_of(ens.last_event(i)), record_of(se))
-          << "lane " << i << " round " << round;
-    }
-  }
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(ens.lane(i).time()),
-              std::bit_cast<std::uint64_t>(solos[i].time()))
-        << "lane " << i;
-  }
-}
-
-TEST(Lockstep, PipelinedRunEventsBitwiseIdenticalToSolo) {
-  // run_events() fuses phase B of round r with phase A of round r+1 over a
-  // double-buffered arena — a different interleaving ACROSS lanes than
-  // step_round(), which must not change a single per-lane bit. Fast-rates
-  // mode on an AVX2-era host also routes the fused pass through the packed
-  // kernel, so this doubles as its integration lockdown.
-  const std::vector<double> gates = {0.0, 0.004, 0.009, 0.013};
-  constexpr std::uint64_t kEvents = 1500;
-  std::deque<Circuit> circuits;
-  std::deque<Engine> lanes;
-  std::vector<Engine*> ptrs;
-  std::vector<std::vector<EventRecord>> want(gates.size());
-  std::vector<std::vector<EventRecord>> got(gates.size());
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    circuits.push_back(make_set(0.02, 0.02, gates[i]));
-    const EngineOptions o = lane_options(77 + i, 4.2, /*fast_rates=*/true);
-    want[i] = solo_trajectory(circuits.back(), o, kEvents);
-    ASSERT_EQ(want[i].size(), kEvents);
-    lanes.emplace_back(circuits.back(), o);
-    lanes.back().set_event_callback(
-        [&got, i](const Engine&, const Event& e) {
-          got[i].push_back(record_of(e));
-        });
-    ptrs.push_back(&lanes.back());
-  }
-
-  EnsembleEngine ens(ptrs, /*fast_rates=*/true);
-  ASSERT_EQ(ens.run_events(kEvents), kEvents * gates.size());
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    ASSERT_EQ(got[i].size(), kEvents) << "lane " << i;
-    for (std::uint64_t e = 0; e < kEvents; ++e) {
-      ASSERT_EQ(got[i][e], want[i][e]) << "lane " << i << " event " << e;
-    }
-  }
-}
-
-TEST(Lockstep, MixedRoundAndPipelinedDrivingStaysOnTheSoloTrajectory) {
-  // Alternating step_round() and run_events() batches must stay on the solo
-  // trajectory: the pipelined drain (finish_round) may not leave a lane with
-  // a half-committed event behind.
-  Circuit c = make_set(0.02, 0.02, 0.007);
-  const EngineOptions o = lane_options(5, 4.2, /*fast_rates=*/false);
-  const std::vector<EventRecord> want = solo_trajectory(c, o, 1300);
-
-  Engine lane(c, o);
-  std::vector<EventRecord> got;
-  lane.set_event_callback(
-      [&](const Engine&, const Event& e) { got.push_back(record_of(e)); });
-  std::vector<Engine*> ptrs = {&lane};
-  EnsembleEngine ens(ptrs, /*fast_rates=*/false);
-  std::uint64_t total = 0;
-  for (int burst = 0; burst < 10; ++burst) {
-    for (int r = 0; r < 30; ++r) total += ens.step_round();
-    total += ens.run_events(100);
-  }
-  ASSERT_EQ(total, 1300u);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t e = 0; e < want.size(); ++e) {
-    ASSERT_EQ(got[e], want[e]) << "event " << e;
-  }
-}
-
-TEST(Lockstep, FaultedLaneDiesAloneOthersBitwiseUntouched) {
-  // Lane 1 is scheduled to corrupt a rate at event 120 (guard/fault.h); the
-  // gang must mark exactly that lane dead — with the invariant code — while
-  // the survivors' trajectories remain bitwise the solo ones.
-  const std::vector<double> gates = {0.0, 0.006, 0.012};
-  constexpr std::uint64_t kEvents = 800;
-  FaultPlan plan;
-  FaultSpec f;
-  f.kind = FaultKind::kNanRate;
-  f.at_event = 120;
-  plan.faults.push_back(f);
-
-  std::deque<Circuit> circuits;
-  std::deque<Engine> lanes;
-  std::vector<Engine*> ptrs;
-  std::vector<std::vector<EventRecord>> want(gates.size());
-  std::vector<std::vector<EventRecord>> got(gates.size());
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    circuits.push_back(make_set(0.02, 0.02, gates[i]));
-    EngineOptions o = lane_options(11 + i, 4.2, /*fast_rates=*/false);
-    if (i != 1) want[i] = solo_trajectory(circuits.back(), o, kEvents);
-    if (i == 1) o.fault = FaultInjector(&plan, 0, 0);
-    lanes.emplace_back(circuits.back(), o);
-    lanes.back().set_event_callback(
-        [&got, i](const Engine&, const Event& e) {
-          got[i].push_back(record_of(e));
-        });
-    ptrs.push_back(&lanes.back());
-  }
-
-  EnsembleEngine ens(ptrs, /*fast_rates=*/false);
-  ens.run_events(kEvents);
-  EXPECT_TRUE(ens.state(0).alive);
-  EXPECT_TRUE(ens.state(2).alive);
-  ASSERT_FALSE(ens.state(1).alive);
-  EXPECT_EQ(ens.state(1).code, ErrorCode::kNonFiniteRate);
-  EXPECT_FALSE(ens.state(1).runnable());
-  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ASSERT_EQ(got[i].size(), kEvents) << "lane " << i;
-    for (std::uint64_t e = 0; e < kEvents; ++e) {
-      ASSERT_EQ(got[i][e], want[i][e]) << "lane " << i << " event " << e;
-    }
-  }
-}
-
-TEST(Lockstep, StuckAndGatedLanesDropOutOfRounds) {
-  // An unbiased SET at T = 0 is Coulomb-blockaded: its first step_begin
-  // returns false and the lane parks as `stuck` without poisoning the
-  // round. A caller-gated lane (set_enabled) behaves the same way.
-  std::deque<Circuit> circuits;
-  circuits.push_back(make_chain(4, 0.012));
-  circuits.push_back(make_chain(4, 0.0));  // blockaded
-  circuits.push_back(make_chain(4, 0.012));
-  std::deque<Engine> lanes;
-  std::vector<Engine*> ptrs;
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    lanes.emplace_back(circuits[i], lane_options(3 + i, 0.0, false));
-    ptrs.push_back(&lanes.back());
-  }
-  EnsembleEngine ens(ptrs, /*fast_rates=*/false);
-  EXPECT_EQ(ens.step_round(), 2u);
-  EXPECT_TRUE(ens.state(1).stuck);
-  EXPECT_TRUE(ens.state(1).alive);
-  ens.set_enabled(2, false);
-  EXPECT_EQ(ens.step_round(), 1u);
-  EXPECT_TRUE(ens.last_round_executed()[0]);
-  EXPECT_FALSE(ens.last_round_executed()[2]);
-  ens.set_enabled(2, true);
-  EXPECT_EQ(ens.step_round(), 2u);
-  // All lanes gated: run_events must return 0, not spin.
-  ens.set_enabled(0, false);
-  ens.set_enabled(2, false);
-  EXPECT_EQ(ens.run_events(100), 0u);
-}
 
 // ---- analysis layer: determinism and fault degradation --------------------
 
@@ -322,7 +74,7 @@ RunRequest ensemble_request(std::uint32_t replicas, unsigned threads = 1,
 }
 
 TEST(EnsembleDeterminism, CanonicalDocumentIsThreadCountInvariant) {
-  // 10 replicas = 3 gang tiles, sharded across 1 and 8 workers: the
+  // 10 replica units, sharded across 1 and 8 workers: the
   // canonical v3 documents must be byte-identical (replica streams derive
   // from the replica index, never the executing thread).
   const RunResult r1 = run(ensemble_request(10, 1));
@@ -359,8 +111,8 @@ TEST(EnsembleDeterminism, ReplicaRowsIndependentOfPopulationSize) {
 
 TEST(EnsembleDeterminism, UnperturbedSingleReplicaMatchesSoloRunBitwise) {
   // The N = 1, zero-spread ensemble runs the solo device on the solo stream
-  // through the gang machinery: the measurement must be the non-ensemble
-  // result bit for bit (the "N = 1 path identical" acceptance gate).
+  // as one replica unit: the measurement must be the non-ensemble result
+  // bit for bit (the "N = 1 path identical" acceptance gate).
   RunRequest solo;
   solo.input = parse_simulation_input(kMeasureInput);
   solo.seed = 9;
@@ -369,18 +121,18 @@ TEST(EnsembleDeterminism, UnperturbedSingleReplicaMatchesSoloRunBitwise) {
   RunRequest ens = solo;
   ens.ensemble.enabled = true;
   ens.ensemble.replicas = 1;
-  const RunResult gang = run(ens);
+  const RunResult replica = run(ens);
 
   ASSERT_TRUE(direct.driver.current.has_value());
-  ASSERT_TRUE(gang.driver.current.has_value());
+  ASSERT_TRUE(replica.driver.current.has_value());
   EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.driver.current->mean),
-            std::bit_cast<std::uint64_t>(gang.driver.current->mean));
+            std::bit_cast<std::uint64_t>(replica.driver.current->mean));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.driver.current->stderr_mean),
-            std::bit_cast<std::uint64_t>(gang.driver.current->stderr_mean));
-  EXPECT_EQ(direct.driver.events, gang.driver.events);
-  ASSERT_TRUE(gang.driver.ensemble.has_value());
+            std::bit_cast<std::uint64_t>(replica.driver.current->stderr_mean));
+  EXPECT_EQ(direct.driver.events, replica.driver.events);
+  ASSERT_TRUE(replica.driver.ensemble.has_value());
   EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                gang.driver.ensemble->rows[0].observable),
+                replica.driver.ensemble->rows[0].observable),
             std::bit_cast<std::uint64_t>(direct.driver.current->mean));
 }
 
@@ -489,27 +241,24 @@ TEST(EnsembleFaultIsolation, StrictModeAbortsWithTheReplicaInContext) {
 }
 
 TEST(EnsembleProgress, ReplicaCompletionStreamsToTheSink) {
+  // A replica is one work unit: the run announces the population as its
+  // unit count and reports every replica exactly once.
   struct RecordingSink : ProgressSink {
     std::uint64_t started = 0;
-    std::vector<std::uint32_t> done;
-    int not_ok = 0;
-    void on_ensemble_started(std::uint64_t replicas_total) override {
-      started = replicas_total;
+    std::vector<std::size_t> done;
+    void on_run_started(std::uint64_t units_total, std::uint64_t) override {
+      started = units_total;
     }
-    void on_replica_done(std::uint32_t replica, bool ok) override {
-      done.push_back(replica);
-      if (!ok) ++not_ok;
-    }
+    void on_unit_done(std::size_t unit) override { done.push_back(unit); }
   } sink;
   RunRequest req = ensemble_request(5);
   req.progress = &sink;
   run(req);
   EXPECT_EQ(sink.started, 5u);
   ASSERT_EQ(sink.done.size(), 5u);
-  EXPECT_EQ(sink.not_ok, 0);
-  std::vector<std::uint32_t> sorted = sink.done;
+  std::vector<std::size_t> sorted = sink.done;
   std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sorted, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 // ---- spec validation and band statistics ----------------------------------
@@ -773,11 +522,11 @@ struct TempDir {
 };
 
 TEST(EnsembleServe, CancelLeavesReplicaSpoolAndResumeIsBitwise) {
-  // 12 replicas = 3 gang tiles on one worker. A sleep fault parks replica 4
-  // (tile 1) for half a second: tile 0's rows reach the spool, the cancel
-  // lands while tile 1 sleeps, and tile 2 is never started. The resubmitted
-  // job restores the spooled replicas and completes to the SAME canonical
-  // bytes as an uninterrupted direct run.
+  // 12 replica units on one worker. A sleep fault parks replica 4 for half
+  // a second: replicas 0-3 reach the spool, the cancel lands while replica
+  // 4 sleeps, and replicas 5-11 are never started. The resubmitted job
+  // restores the spooled replicas and completes to the SAME canonical bytes
+  // as an uninterrupted direct run.
   const std::string want = run(ensemble_request(12)).to_json(/*canonical=*/true);
   TempDir spool("semsim_ensemble_cancel_spool");
   SchedulerConfig cfg;

@@ -184,10 +184,13 @@ TEST(Determinism, SweepCountersThreadCountIndependent) {
   const DriverResult r1 = run_simulation(input, o1);
   const DriverResult r8 = run_simulation(input, o8);
   EXPECT_EQ(r1.counters.units, r8.counters.units);
-  EXPECT_EQ(r1.counters.events, r8.counters.events);
-  EXPECT_EQ(r1.counters.rate_evaluations, r8.counters.rate_evaluations);
-  EXPECT_EQ(r1.counters.flags_raised, r8.counters.flags_raised);
-  EXPECT_EQ(r1.counters.full_refreshes, r8.counters.full_refreshes);
+  EXPECT_EQ(r1.counters.stats.events, r8.counters.stats.events);
+  EXPECT_EQ(r1.counters.stats.rate_evaluations,
+            r8.counters.stats.rate_evaluations);
+  EXPECT_EQ(r1.counters.stats.junctions_flagged,
+            r8.counters.stats.junctions_flagged);
+  EXPECT_EQ(r1.counters.stats.full_refreshes,
+            r8.counters.stats.full_refreshes);
   EXPECT_EQ(r1.counters.threads, 1u);
   EXPECT_EQ(r8.counters.threads, 8u);
 }

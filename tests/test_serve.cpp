@@ -1038,6 +1038,31 @@ TEST(SocketServer, OverloadRejectCarriesRetryAfterMsOverTheWire) {
   sched.shutdown();
 }
 
+TEST(SocketServer, FinishedConnectionThreadsAreReaped) {
+  // Every call is one connection served by one thread. The accept loop
+  // joins the threads of finished connections, so 500 sequential pings
+  // grow neither the process's thread count nor the server's thread table.
+  ServerFixture fx;
+  const ServeClient client = fx.client();
+  const auto task_count = [] {
+    std::size_t n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  RequestEnvelope ping;
+  ASSERT_TRUE(JsonValue::parse(client.call(ping)).at("ok").as_bool());
+  const std::size_t baseline = task_count();
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(JsonValue::parse(client.call(ping)).at("ok").as_bool());
+  }
+  EXPECT_LE(task_count(), baseline + 16);
+  EXPECT_LE(fx.server.connection_threads(), 16u);
+}
+
 TEST(SocketServer, TcpLoopbackTransportWorks) {
   SchedulerConfig sched_cfg;
   JobScheduler scheduler(sched_cfg);

@@ -1,0 +1,295 @@
+// Contract of the work-unit runner (analysis/units.h), at 1 and 8 threads:
+// cancel -> checkpoint -> resume is bitwise lossless, attempts run on their
+// derived retry streams, strict mode names the unit while non-strict mode
+// degrades it, every unit is reported exactly once, and a cancellation
+// raised inside a unit is never retried or recorded.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <filesystem>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
+
+#include "analysis/sweep.h"
+#include "analysis/units.h"
+#include "base/error.h"
+#include "base/random.h"
+
+namespace semsim {
+namespace {
+
+constexpr std::uint64_t kBase = 0x5EED;
+constexpr std::size_t kUnits = 40;
+
+/// A unit's result: one uniform draw from the attempt's stream, plus the
+/// stream that produced it.
+struct Draw : UnitWork {
+  std::uint64_t seed = 0;
+  double value = 0.0;
+};
+
+/// A checkpoint path unique to this process and call, removed afterwards.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name) {
+    static std::atomic<int> counter{0};
+    path_ = (std::filesystem::temp_directory_path() /
+             (name + "_" + std::to_string(::getpid()) + "_" +
+              std::to_string(counter++) + ".ckpt"))
+                .string();
+    std::filesystem::remove(path_);
+  }
+  ~TempFile() { std::filesystem::remove(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Units whose body draws from the attempt's stream; `hook` runs first in
+/// every attempt (to throw, cancel, or record the stream).
+Units<Draw> draw_units(std::function<void(const UnitAttempt&)> hook = {}) {
+  Units<Draw> units;
+  units.count = kUnits;
+  units.name = "probe";
+  units.isolated = true;
+  units.encode = [](BinaryWriter& w, const Draw& d) {
+    w.u8(d.outcome.ok ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(d.outcome.code));
+    w.u32(d.outcome.attempts);
+    w.u64(d.seed);
+    w.f64(d.value);
+    encode_solver_stats(w, d.stats);
+  };
+  units.decode = [](BinaryReader& r, std::size_t) {
+    Draw d;
+    d.outcome.ok = r.u8() != 0;
+    d.outcome.code = static_cast<ErrorCode>(r.u32());
+    d.outcome.attempts = r.u32();
+    d.seed = r.u64();
+    d.value = r.f64();
+    d.stats = decode_solver_stats(r);
+    return d;
+  };
+  units.body = [hook](const UnitAttempt& a, Draw& d) {
+    if (hook) hook(a);
+    Xoshiro256 rng(a.seed());
+    d.seed = a.seed();
+    d.value = rng.uniform01();
+    d.stats.events = a.unit + 1;
+  };
+  return units;
+}
+
+UnitContext context(unsigned threads) {
+  return UnitContext{ParallelExecutor(threads), {}, nullptr, nullptr, {},
+                     kBase};
+}
+
+void expect_same(const std::vector<Draw>& a, const std::vector<Draw>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t u = 0; u < a.size(); ++u) {
+    EXPECT_EQ(a[u].seed, b[u].seed) << "unit " << u;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[u].value),
+              std::bit_cast<std::uint64_t>(b[u].value))
+        << "unit " << u;
+    EXPECT_EQ(a[u].outcome.attempts, b[u].outcome.attempts) << "unit " << u;
+    EXPECT_EQ(a[u].stats.events, b[u].stats.events) << "unit " << u;
+  }
+}
+
+class UnitRunner : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(UnitRunner, CancelAfterUnitKResumesBitwise) {
+  const UnitContext plain = context(GetParam());
+  RunCounters ref_tally;
+  const std::vector<Draw> ref = run_units(draw_units(), plain, &ref_tally);
+
+  TempFile file("semsim_units_cancel");
+  constexpr std::size_t kCancelAfter = 4;
+  CancelToken cancel;
+  UnitContext ctx = context(GetParam());
+  ctx.checkpoint.path = file.path();
+  ctx.cancel = &cancel;
+  try {
+    // Unit k raises the token and still finishes. Later units that started
+    // alongside it hold their worker until then, so every unit picked up
+    // afterwards sees the token: the run must stop short of the end.
+    run_units(draw_units([&](const UnitAttempt& a) {
+                if (a.unit == kCancelAfter) cancel.request_stop();
+                while (a.unit > kCancelAfter && !cancel.stop_requested()) {
+                  std::this_thread::yield();
+                }
+              }),
+              ctx, nullptr);
+    FAIL() << "a raised token must stop the run";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+  }
+
+  // The file holds finished units only, each exactly its uninterrupted
+  // payload; unit k itself finished before the cancel was seen.
+  {
+    const RunCheckpoint cp(file.path(), 0, kUnits);
+    EXPECT_TRUE(cp.has(kCancelAfter));
+    EXPECT_LT(cp.completed(), kUnits);
+    if (GetParam() == 1) {
+      EXPECT_EQ(cp.completed(), kCancelAfter + 1);
+    }
+    const Units<Draw> codec = draw_units();
+    for (std::size_t u = 0; u < kUnits; ++u) {
+      if (!cp.has(u)) continue;
+      const std::vector<std::uint8_t> bytes = cp.payload(u);
+      BinaryReader r(bytes);
+      const Draw d = codec.decode(r, u);
+      EXPECT_EQ(d.seed, ref[u].seed) << "unit " << u;
+      EXPECT_EQ(d.value, ref[u].value) << "unit " << u;
+    }
+  }
+
+  cancel.reset();
+  RunCounters tally;
+  const std::vector<Draw> resumed = run_units(draw_units(), ctx, &tally);
+  expect_same(resumed, ref);
+  EXPECT_EQ(tally.units, ref_tally.units);
+  EXPECT_EQ(tally.stats.events, ref_tally.stats.events);
+}
+
+TEST_P(UnitRunner, AttemptsRunOnTheirRetryStreams) {
+  std::mutex mu;
+  std::vector<std::tuple<std::size_t, std::uint32_t, std::uint64_t>> seen;
+  UnitContext ctx = context(GetParam());
+  ctx.retry.max_attempts = 3;
+  const std::vector<Draw> out = run_units(
+      draw_units([&](const UnitAttempt& a) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          seen.emplace_back(a.unit, a.attempt, a.seed());
+        }
+        if (a.unit % 3 == 1 && a.attempt < 2) {
+          throw InvariantViolation(ErrorCode::kNonFiniteRate, "poisoned");
+        }
+      }),
+      ctx, nullptr);
+  EXPECT_EQ(seen.size(), kUnits + 2 * (kUnits / 3));
+  for (const auto& [unit, attempt, seed] : seen) {
+    EXPECT_EQ(seed, retry_stream_seed(kBase, unit, attempt));
+    if (attempt == 0) {
+      EXPECT_EQ(seed, derive_stream_seed(kBase, unit));
+    }
+  }
+  for (std::size_t u = 0; u < kUnits; ++u) {
+    const bool retried = u % 3 == 1;
+    EXPECT_TRUE(out[u].outcome.ok) << "unit " << u;
+    EXPECT_EQ(out[u].outcome.attempts, retried ? 3u : 1u) << "unit " << u;
+    EXPECT_EQ(out[u].outcome.code,
+              retried ? ErrorCode::kNonFiniteRate : ErrorCode::kNone);
+    EXPECT_EQ(out[u].seed, retry_stream_seed(kBase, u, retried ? 2 : 0));
+  }
+}
+
+TEST_P(UnitRunner, StrictRethrowsWithTheUnitAndLenientDegrades) {
+  const auto poison = [](const UnitAttempt& a) {
+    if (a.unit == 2) {
+      throw InvariantViolation(ErrorCode::kNonFiniteRate, "rate is nan");
+    }
+  };
+  UnitContext strict = context(GetParam());
+  strict.retry.strict = true;
+  try {
+    run_units(draw_units(poison), strict, nullptr);
+    FAIL() << "strict mode swallowed the fault";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNonFiniteRate);
+    EXPECT_NE(std::string(e.what()).find("probe 2"), std::string::npos)
+        << e.what();
+  }
+
+  UnitContext lenient = context(GetParam());
+  lenient.retry.max_attempts = 3;
+  const std::vector<Draw> out =
+      run_units(draw_units(poison), lenient, nullptr);
+  EXPECT_FALSE(out[2].outcome.ok);
+  EXPECT_EQ(out[2].outcome.code, ErrorCode::kNonFiniteRate);
+  EXPECT_EQ(out[2].outcome.attempts, 3u);
+  for (std::size_t u = 0; u < kUnits; ++u) {
+    if (u == 2) continue;
+    EXPECT_TRUE(out[u].outcome.ok) << "unit " << u;
+    EXPECT_EQ(out[u].outcome.attempts, 1u) << "unit " << u;
+  }
+}
+
+TEST_P(UnitRunner, EveryUnitIsReportedOnceRestoredOnesIncluded) {
+  struct CountingSink : ProgressSink {
+    std::atomic<std::uint64_t> started{0};
+    std::mutex mu;
+    std::vector<std::size_t> done;
+    void on_run_started(std::uint64_t units, std::uint64_t) override {
+      started += units;
+    }
+    void on_unit_done(std::size_t unit) override {
+      const std::lock_guard<std::mutex> lock(mu);
+      done.push_back(unit);
+    }
+  };
+  TempFile file("semsim_units_progress");
+  UnitContext ctx = context(GetParam());
+  ctx.checkpoint.path = file.path();
+  // Half the units on file first, then the full run restores them.
+  {
+    RunCheckpoint cp(file.path(), 0, kUnits);
+    const Units<Draw> units = draw_units();
+    const std::vector<Draw> ref =
+        run_units(units, context(GetParam()), nullptr);
+    for (std::size_t u = 0; u < kUnits; u += 2) {
+      BinaryWriter w;
+      units.encode(w, ref[u]);
+      cp.record(u, w.take());
+    }
+  }
+  CountingSink sink;
+  ctx.progress = &sink;
+  std::atomic<std::size_t> ran{0};
+  run_units(draw_units([&](const UnitAttempt&) { ++ran; }), ctx, nullptr);
+  EXPECT_EQ(sink.started.load(), kUnits);
+  EXPECT_EQ(ran.load(), kUnits / 2);
+  std::vector<std::size_t> done = sink.done;
+  std::sort(done.begin(), done.end());
+  ASSERT_EQ(done.size(), kUnits);
+  for (std::size_t u = 0; u < kUnits; ++u) EXPECT_EQ(done[u], u);
+}
+
+TEST_P(UnitRunner, CancelInsideAUnitIsNeitherRetriedNorRecorded) {
+  TempFile file("semsim_units_inner_cancel");
+  UnitContext ctx = context(GetParam());
+  ctx.checkpoint.path = file.path();
+  ctx.retry.max_attempts = 5;
+  std::atomic<int> attempts_on_unit_1{0};
+  try {
+    run_units(draw_units([&](const UnitAttempt& a) {
+                if (a.unit != 1) return;
+                ++attempts_on_unit_1;
+                throw Error(ErrorCode::kCancelled, "stopped inside the unit");
+              }),
+              ctx, nullptr);
+    FAIL() << "an inner cancellation must propagate";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+  }
+  EXPECT_EQ(attempts_on_unit_1.load(), 1);
+  const RunCheckpoint cp(file.path(), 0, kUnits);
+  EXPECT_FALSE(cp.has(1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, UnitRunner, ::testing::Values(1u, 8u));
+
+}  // namespace
+}  // namespace semsim

@@ -396,16 +396,16 @@ int main(int argc, char** argv) {
       table.write(std::cout);
     }
     std::printf("# work: %llu rate evaluations over %llu events\n",
-                static_cast<unsigned long long>(r.stats.rate_evaluations),
-                static_cast<unsigned long long>(r.stats.events));
+                static_cast<unsigned long long>(r.counters.stats.rate_evaluations),
+                static_cast<unsigned long long>(r.counters.stats.events));
     std::printf(
         "# run: %u thread(s), %llu unit(s), %llu events, %llu rate evals, "
         "%llu flags, %llu refreshes, %.3f s wall\n",
         r.counters.threads, static_cast<unsigned long long>(r.counters.units),
-        static_cast<unsigned long long>(r.counters.events),
-        static_cast<unsigned long long>(r.counters.rate_evaluations),
-        static_cast<unsigned long long>(r.counters.flags_raised),
-        static_cast<unsigned long long>(r.counters.full_refreshes),
+        static_cast<unsigned long long>(r.counters.stats.events),
+        static_cast<unsigned long long>(r.counters.stats.all_rate_evaluations()),
+        static_cast<unsigned long long>(r.counters.stats.junctions_flagged),
+        static_cast<unsigned long long>(r.counters.stats.full_refreshes),
         r.counters.wall_seconds);
 
     if (!json_path.empty()) {

@@ -199,6 +199,11 @@ int main(int argc, char** argv) {
   } catch (const Error& e) {
     std::fprintf(stderr, "semsim_serve: %s\n", e.what());
     return exit_code_for(e);
+  } catch (const std::exception& e) {
+    // Uncoded failures (std::system_error from a thread that could not
+    // start, bad_alloc) still end with a message and a coded exit.
+    std::fprintf(stderr, "semsim_serve: %s\n", e.what());
+    return kExitFailure;
   }
   return kExitOk;
 }
