@@ -8,7 +8,10 @@
 // The hashes cover: SET and SSET circuits, adaptive and non-adaptive
 // solvers, cotunneling, waveform (breakpoint) sources, a multi-island
 // chain, and parallel sweep tables at 1 and 8 threads (which must also be
-// identical to each other, per the determinism contract).
+// identical to each other, per the determinism contract). GoldenModel pins
+// the electrostatic model itself (kappa, S and the kappa row extents) of
+// two logic-scale circuits whose C_II has a non-trivial row profile, plus
+// an adaptive trajectory on each.
 //
 // If a hash mismatch is INTENDED (a deliberate trajectory-affecting
 // change), regenerate the constants by running this binary and copying the
@@ -21,7 +24,11 @@
 #include "base/constants.h"
 #include "base/thread_pool.h"
 #include "core/engine.h"
+#include "logic/benchmarks.h"
+#include "logic/elaborate.h"
+#include "logic/random_logic.h"
 #include "netlist/circuit.h"
+#include "netlist/electrostatics.h"
 #include "obs/checkpoint.h"
 
 namespace semsim {
@@ -269,6 +276,87 @@ TEST(GoldenSweep, SsetAdaptiveRequested) {
   cfg.measure.measure_events = 600;
   expect_sweep_golden(f.c, engine_opts(0.3, true, 42), cfg, 0x98157f90f0e3884aULL,
                       "SSET sweep");
+}
+
+// ---- pinned electrostatic models of logic-scale circuits -------------------
+// Generated on the dense O(n^3) model build, before the profile-bounded
+// kernels of linalg/cholesky.cpp: those kernels must reproduce its bits.
+
+/// Every bit of kappa and S, and the kappa row extents.
+std::uint64_t model_hash(const ElectrostaticModel& m) {
+  BinaryWriter w;
+  const std::size_t ni = m.island_count();
+  const std::size_t ne = m.external_count();
+  w.u64(ni);
+  w.u64(ne);
+  for (std::size_t r = 0; r < ni; ++r) {
+    for (std::size_t c = 0; c < ni; ++c) w.f64(m.kappa()(r, c));
+    for (std::size_t c = 0; c < ne; ++c) w.f64(m.source_gain()(r, c));
+    w.u64(m.row_begin(r));
+    w.u64(m.row_end(r));
+  }
+  return fnv1a64(w.bytes().data(), w.bytes().size());
+}
+
+/// The elaborated full-adder benchmark: a pulse on the toggled input, the
+/// other inputs at their base values.
+Circuit full_adder_circuit() {
+  const LogicBenchmark b = make_benchmark("full-adder");
+  const SetLogicParams params{};
+  ElaboratedCircuit elab = elaborate(b.netlist, params);
+  const auto& ins = b.netlist.inputs();
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    elab.circuit().set_source(
+        elab.node(ins[i]),
+        i == b.toggle_input
+            ? Waveform::pulse(0.0, params.vdd, 2e-9, 10e-9, 20e-9)
+            : Waveform::dc(b.base_vector[i] ? params.vdd : 0.0));
+  }
+  return elab.circuit();
+}
+
+/// A seeded 2 x 128-junction random-logic fabric, the blocks' chain
+/// outputs tied by a 0.5 aF coupler, with a phase-staggered pulse on each
+/// block's chain input.
+Circuit random_fabric_circuit() {
+  RandomLogicSpec spec;
+  spec.target_junctions = 128;
+  spec.seed = 2008;
+  const RandomLogicBlocks blocks = make_random_logic_blocks(spec, 2);
+  const SetLogicParams params{};
+  ElaboratedCircuit elab = elaborate(blocks.netlist, params);
+  Circuit& c = elab.circuit();
+  c.add_capacitor(elab.node(blocks.chain_out[0]),
+                  elab.node(blocks.chain_out[1]), 0.5e-18);
+  const auto& ins = blocks.netlist.inputs();
+  const std::size_t per_block = ins.size() / 2;
+  for (std::size_t i = 0; i < ins.size(); ++i) {
+    c.set_source(elab.node(ins[i]),
+                 i % per_block == 0
+                     ? Waveform::pulse(0.0, params.vdd,
+                                       10e-9 * static_cast<double>(i / per_block),
+                                       10e-9, 20e-9)
+                     : Waveform::dc(0.0));
+  }
+  return c;
+}
+
+TEST(GoldenModel, FullAdder) {
+  const Circuit c = full_adder_circuit();
+  expect_golden(model_hash(ElectrostaticModel(c)), 0x186e1961b0329a82ULL,
+                "full-adder model");
+  Engine e(c, engine_opts(SetLogicParams{}.temperature, true, 1701));
+  expect_golden(trajectory_hash(e, 4000), 0x18bbaf04b489f0b7ULL,
+                "full-adder adaptive");
+}
+
+TEST(GoldenModel, RandomFabric) {
+  const Circuit c = random_fabric_circuit();
+  expect_golden(model_hash(ElectrostaticModel(c)), 0xb5f9449c5dabb7f9ULL,
+                "2 x 128 fabric model");
+  Engine e(c, engine_opts(SetLogicParams{}.temperature, true, 1702));
+  expect_golden(trajectory_hash(e, 4000), 0x40e3fe0e613c41a9ULL,
+                "2 x 128 fabric adaptive");
 }
 
 }  // namespace
