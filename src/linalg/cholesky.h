@@ -1,10 +1,17 @@
-// Cholesky factorization for symmetric positive-definite systems.
+// Cholesky factorization and inverse for symmetric positive-definite systems.
 //
 // The island-capacitance matrix C_II of a physical circuit is SPD (it is a
 // weighted graph Laplacian plus positive diagonal ground/lead coupling), so
 // Cholesky both halves the inversion cost versus LU and acts as a structural
 // validity check: a factorization failure means the netlist has a floating
 // island with no capacitive path to any fixed potential.
+//
+// Every kernel is profile-bounded: row i of the lower triangle is worked
+// only from its first nonzero column, which Cholesky fill-in never moves, and
+// the inverse's products run only over each row's nonzero extent. The
+// skipped terms are exact +-0 products, so L and A^-1 carry the same bits
+// as the dense textbook loops (tests/test_linalg.cpp keeps those loops as
+// the oracle).
 #pragma once
 
 #include <cstddef>
@@ -16,9 +23,11 @@ namespace semsim {
 
 class CholeskyDecomposition {
  public:
-  /// Factors SPD `a` as L L^T. Throws NumericError if `a` is not positive
-  /// definite to working precision.
-  explicit CholeskyDecomposition(const Matrix& a);
+  /// Factors SPD `a` as L L^T in a's storage (pass an rvalue to skip the
+  /// copy). Only the lower triangle of `a` is read. Throws NumericError
+  /// (kNotPositiveDefinite) if `a` is not positive definite to working
+  /// precision.
+  explicit CholeskyDecomposition(Matrix a);
 
   std::size_t size() const noexcept { return l_.rows(); }
 
@@ -26,12 +35,20 @@ class CholeskyDecomposition {
 
   Matrix inverse() const;
 
-  /// The lower-triangular factor.
+  /// The lower-triangular factor (strict upper triangle exactly +0.0).
   const Matrix& l() const noexcept { return l_; }
 
  private:
   Matrix l_;
+  /// Column of the first nonzero entry of each row of L.
+  std::vector<std::size_t> first_;
 };
+
+/// Inverse of SPD `a`, computed in a's own storage: factor, invert L and
+/// form L^-T L^-1 in place, so one n x n buffer serves the whole chain.
+/// Bitwise equal to CholeskyDecomposition(a).inverse(), and symmetric bit
+/// for bit (the lower triangle is mirrored). Throws like the constructor.
+Matrix spd_inverse(Matrix a);
 
 /// Convenience: true when `a` is SPD (factorization succeeds).
 bool is_positive_definite(const Matrix& a);

@@ -9,7 +9,9 @@
 // a tunnel event, and free-energy changes in O(1) per matrix entry.
 //
 // C_II is symmetric positive definite for any electrically valid circuit;
-// the Cholesky factorization doubles as the validity check.
+// the Cholesky factorization doubles as the validity check. C_II itself is
+// not kept: it is inverted in its own storage (spd_inverse), and only its
+// diagonal (each island's C_sigma) survives the build.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +52,6 @@ class ElectrostaticModel {
   }
   NodeId external_node(std::size_t idx) const { return external_nodes_.at(idx); }
 
-  const Matrix& c_ii() const noexcept { return c_ii_; }
   const Matrix& c_ie() const noexcept { return c_ie_; }
   const Matrix& kappa() const noexcept { return kappa_; }
   const Matrix& source_gain() const noexcept { return source_gain_; }
@@ -121,7 +122,7 @@ class ElectrostaticModel {
   std::vector<int> island_index_;
   std::vector<int> external_index_;
   std::vector<CapacitiveElement> elements_;
-  Matrix c_ii_;
+  std::vector<double> c_sigma_;  ///< diagonal of C_II, per island
   Matrix c_ie_;
   Matrix kappa_;
   Matrix source_gain_;

@@ -177,7 +177,6 @@ TEST(Electrostatics, SetCapacitanceMatrix) {
   EXPECT_EQ(m.island_count(), 1u);
   EXPECT_EQ(m.external_count(), 3u);
   // C_sigma = C1 + C2 + Cg = 5 aF.
-  EXPECT_NEAR(m.c_ii()(0, 0), 5e-18, 1e-30);
   EXPECT_NEAR(m.total_capacitance(f.island), 5e-18, 1e-30);
   // kappa = 1 / C_sigma.
   EXPECT_NEAR(m.kappa()(0, 0), 1.0 / 5e-18, 1e3);
