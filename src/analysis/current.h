@@ -56,7 +56,9 @@ struct ConvergedCurrentResult {
   /// iid one.
   CurrentEstimate estimate;
   double tau_int = 0.5;     ///< integrated autocorrelation time (in chunks)
-  double rel_error = 0.0;   ///< binned error / |mean|
+  /// Binned error / |mean of the chunk samples|: the stopping rule's
+  /// measure.
+  double rel_error = 0.0;
   bool converged = false;   ///< target reached before the event cap
   /// Per-chunk current samples; mergeable across work units in index order
   /// (BinningAccumulator::merge) for thread-count-independent statistics.
@@ -67,8 +69,10 @@ struct ConvergedCurrentResult {
 /// event chunks) into a BinningAccumulator and stops as soon as the binned
 /// relative error of the mean current drops below stop.target_rel_error —
 /// checked every stop.check_interval events — or at stop.max_events.
-/// A stuck engine (deep blockade, no open channel) reports an exactly-zero
-/// converged current, like measure_mean_current.
+/// The reported current is the total signed charge over the total measured
+/// time (not the chunk mean, which reads 16/15 high); the chunks give the
+/// binned error. A stuck engine (deep blockade, no open channel) reports an
+/// exactly-zero converged current, like measure_mean_current.
 ConvergedCurrentResult measure_current_converged(
     Engine& engine, const std::vector<CurrentProbe>& probes,
     std::uint64_t warmup_events, const StopCriterion& stop);

@@ -278,6 +278,12 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
 #define SEMSIM_RUN_FIELD(ident, member, KIND, json_name, cli_flag) \
   SEMSIM_FIELD_FP_##KIND(options.member)
 #include "analysis/run_fields.inc"
+  // Convergence appendix: a convergence-stopped current is total charge
+  // over total time, and no longer the mean of the per-chunk currents
+  // (16/15 high). The tag keeps a checkpoint or cached result of that
+  // estimator from resuming into or answering for this one; runs without
+  // convergence stopping keep their fingerprint.
+  if (options.stop.convergence_enabled()) w.str("current: charge over time");
   // Ensemble appendix: ONLY when enabled, so every pre-ensemble fingerprint
   // (and with it every existing checkpoint and cached result) is unchanged.
   if (options.ensemble.enabled) {
@@ -526,6 +532,8 @@ DriverResult run_repeats(const SimulationInput& input,
   // independent of the worker count.
   RunningStats runs;
   ConvergedCurrentResult merged;
+  double charge = 0.0;     // convergence mode: signed charge [C] ...
+  double span = 0.0;       // ... over measured time [s], summed
   bool all_converged = true;
   const RepeatResult* last_ok = nullptr;
   for (std::size_t rpt = 0; rpt < runs_out.size(); ++rpt) {
@@ -541,6 +549,8 @@ DriverResult run_repeats(const SimulationInput& input,
     runs.add(r.estimate.mean);
     if (use_convergence) {
       merged.samples.merge(r.converged.samples);
+      charge += r.estimate.mean * r.estimate.sim_time;
+      span += r.estimate.sim_time;
       all_converged = all_converged && r.converged.converged;
     }
     last_ok = &r;
@@ -553,10 +563,11 @@ DriverResult run_repeats(const SimulationInput& input,
   }
   CurrentEstimate est = last_ok->estimate;
   if (use_convergence) {
-    // Across independent repeats the merged accumulator is the natural
-    // estimator: its binned error accounts for in-stream autocorrelation,
-    // which the naive spread over a handful of repeat means cannot.
-    est.mean = merged.samples.mean();
+    // Like each repeat, the merged current is total charge over total
+    // measured time. The merged accumulator gives the error bar: its binned
+    // error accounts for in-stream autocorrelation, which the naive spread
+    // over a handful of repeat means cannot.
+    est.mean = span > 0.0 ? charge / span : 0.0;
     est.stderr_mean = merged.samples.binned_error();
     merged.estimate = est;
     merged.tau_int = merged.samples.tau_int();

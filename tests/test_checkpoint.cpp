@@ -17,6 +17,7 @@
 #include "base/error.h"
 #include "base/random.h"
 #include "core/engine.h"
+#include "master/master_equation.h"
 #include "netlist/parser.h"
 #include "obs/checkpoint.h"
 
@@ -530,6 +531,94 @@ TEST(Convergence, MergedRepeatStatisticsThreadCountIndependent) {
   EXPECT_EQ(results[0].converged->tau_int, results[1].converged->tau_int);
   EXPECT_EQ(results[0].converged->samples.count(),
             results[1].converged->samples.count());
+}
+
+/// A conducting SET point (40 mV bias, 20 mV gate, 5 K) where the mean of
+/// the per-chunk currents read 6.7 % above the master equation.
+std::string conducting_set_input(const char* jumps) {
+  return std::string(R"(
+num ext 3
+num nodes 4
+junc 1 1 4 1meg 1a
+junc 2 4 2 1meg 1a
+cap 3 4 3a
+vdc 1 0.04
+vdc 2 -0.04
+vdc 3 0.02
+temp 5
+record 1 2
+jumps )") + jumps + "\n";
+}
+
+/// Checks a convergence-stopped run against the master-equation current
+/// within max(5 sigma, 2 %).
+void expect_matches_master_equation(const std::string& text) {
+  const SimulationInput input = parse_simulation_input(text);
+  DriverOptions opt;
+  opt.seed = 1;
+  opt.stop.target_rel_error = 0.005;
+  const DriverResult r = run_simulation(input, opt);
+  ASSERT_TRUE(r.current.has_value());
+  EngineOptions eo;
+  eo.temperature = input.temperature;
+  const double i_me = MasterEquationSolver(input.circuit, eo).junction_current(0);
+  const double tol =
+      std::max(5.0 * r.current->stderr_mean, 0.02 * std::abs(i_me));
+  EXPECT_NEAR(r.current->mean, i_me, tol)
+      << "sigma " << r.current->stderr_mean;
+}
+
+TEST(Convergence, CurrentMatchesMasterEquation) {
+  expect_matches_master_equation(conducting_set_input("50000"));
+}
+
+TEST(Convergence, MergedRepeatCurrentMatchesMasterEquation) {
+  expect_matches_master_equation(conducting_set_input("20000 4"));
+}
+
+std::uint64_t header_fingerprint(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
+                                  std::istreambuf_iterator<char>());
+  BinaryReader r(bytes);
+  r.u64();  // magic
+  r.u32();  // format version
+  r.u32();  // reserved
+  return r.u64();
+}
+
+TEST(Convergence, ChunkMeanCheckpointIsRejected) {
+  // Header fingerprints of the checkpoints that builds reporting the mean
+  // of the per-chunk currents wrote for `jumps 20000 2` at seed 1: with
+  // target_rel_error 0.01, and on the fixed budget.
+  constexpr std::uint64_t kChunkMeanConvergence = 0x75ac7e9c39a3cd3fULL;
+  constexpr std::uint64_t kFixedBudget = 0x658446a195d09e23ULL;
+  const SimulationInput input =
+      parse_simulation_input(conducting_set_input("20000 2"));
+
+  // A partial checkpoint of the old estimator must not resume into the
+  // new one: it fails with a coded error.
+  TempFile old_file("/tmp/semsim_ckpt_chunk_mean.bin");
+  RunCheckpoint(old_file.path, kChunkMeanConvergence, 2, false, false)
+      .record(0, {1, 2, 3});
+  DriverOptions opt;
+  opt.seed = 1;
+  opt.stop.target_rel_error = 0.01;
+  opt.resume_path = old_file.path;
+  try {
+    run_simulation(input, opt);
+    FAIL() << "a chunk-mean convergence checkpoint was resumed";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCheckpointMismatch) << e.what();
+  }
+
+  // Fixed-budget runs keep their fingerprint, so their checkpoints resume.
+  TempFile fixed("/tmp/semsim_ckpt_fixed_budget.bin");
+  DriverOptions fixed_opt;
+  fixed_opt.seed = 1;
+  fixed_opt.checkpoint_path = fixed.path;
+  run_simulation(input, fixed_opt);
+  EXPECT_EQ(header_fingerprint(fixed.path), kFixedBudget);
 }
 
 TEST(Convergence, SweepPointsCarryErrorColumnsAndStayDeterministic) {
