@@ -9,7 +9,10 @@
 #include "base/random.h"
 #include "core/engine.h"
 #include "linalg/cholesky.h"
+#include "logic/elaborate.h"
+#include "logic/random_logic.h"
 #include "netlist/circuit.h"
+#include "netlist/electrostatics.h"
 #include "physics/cooper_pair.h"
 #include "physics/cotunneling.h"
 #include "physics/qp_rate.h"
@@ -246,6 +249,29 @@ void BM_CholeskyInverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskyInverse)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+// The whole model build (C_II assembly, inverse, flush, S) on a seeded
+// 4 x 128-junction logic fabric with 0.5 aF chain-out couplers: the
+// narrow-profile case, beside the dense no-profile BM_CholeskyInverse.
+void BM_ElectrostaticModel(benchmark::State& state) {
+  RandomLogicSpec spec;
+  spec.target_junctions = 128;
+  spec.seed = 11;
+  const RandomLogicBlocks blocks = make_random_logic_blocks(spec, 4);
+  ElaboratedCircuit elab = elaborate(blocks.netlist, SetLogicParams{});
+  for (std::size_t b = 0; b + 1 < blocks.chain_out.size(); ++b) {
+    elab.circuit().add_capacitor(elab.node(blocks.chain_out[b]),
+                                 elab.node(blocks.chain_out[b + 1]), 0.5e-18);
+  }
+  const Circuit& c = elab.circuit();
+  c.build_caches();
+  for (auto _ : state) {
+    const ElectrostaticModel model(c);
+    benchmark::DoNotOptimize(model.kappa_row(0));
+  }
+  state.counters["islands"] = static_cast<double>(ElectrostaticModel(c).island_count());
+}
+BENCHMARK(BM_ElectrostaticModel)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semsim
