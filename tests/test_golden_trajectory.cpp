@@ -157,6 +157,17 @@ TEST(GoldenTrajectory, SsetNonAdaptive) {
   expect_golden(trajectory_hash(e, 2000), 0x3bf10ff57b1bc5acULL, "SSET non-adaptive");
 }
 
+TEST(GoldenTrajectory, SsetFig1cOperatingPoint) {
+  // The paper's Fig. 1c SSET at 50 mK and +-20 mV on the engine's default
+  // quasi-particle table range: a table an order of magnitude wider in kT
+  // than the 0.3 K goldens above, most of whose unfavourable tail lies
+  // where the detailed-balance factor underflows.
+  SetCircuit f(0.02, -0.02, 0.0);
+  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  Engine e(f.c, engine_opts(0.05, true, 999));
+  expect_golden(trajectory_hash(e, 2000), 0xcac4921e498dce20ULL, "SSET 50 mK");
+}
+
 TEST(GoldenTrajectory, CotunnelingAdaptive) {
   // Sub-threshold bias: cotunneling channels carry the current; the SE
   // channels stay adaptive, cotunneling recomputes non-adaptively.
@@ -236,8 +247,8 @@ IvSweepConfig small_sweep(const SetCircuit& f) {
 
 void expect_sweep_golden(const Circuit& circuit, const EngineOptions& eo,
                          const IvSweepConfig& cfg, std::uint64_t expected,
-                         const char* what) {
-  const ParallelSweepConfig par{/*base_seed=*/42, /*points_per_unit=*/2};
+                         const char* what, std::size_t points_per_unit = 2) {
+  const ParallelSweepConfig par{/*base_seed=*/42, points_per_unit};
   const std::vector<IvPoint> t1 =
       run_iv_sweep(circuit, eo, cfg, ParallelExecutor(1), par);
   const std::vector<IvPoint> t8 =
@@ -276,6 +287,21 @@ TEST(GoldenSweep, SsetAdaptiveRequested) {
   cfg.measure.measure_events = 600;
   expect_sweep_golden(f.c, engine_opts(0.3, true, 42), cfg, 0x98157f90f0e3884aULL,
                       "SSET sweep");
+}
+
+TEST(GoldenSweep, SsetFig1cTwoPoints) {
+  // 50 mK, +-50 mV, one point per work unit: two unit engines on the
+  // sweep's default quasi-particle table range.
+  SetCircuit f(0.0, 0.0, 0.0);
+  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  IvSweepConfig cfg = small_sweep(f);
+  cfg.from = -0.05;
+  cfg.to = 0.05;
+  cfg.step = 0.1;
+  cfg.measure.warmup_events = 100;
+  cfg.measure.measure_events = 600;
+  expect_sweep_golden(f.c, engine_opts(0.05, true, 42), cfg, 0x3b574842e1b1cc84ULL,
+                      "SSET 50 mK sweep", /*points_per_unit=*/1);
 }
 
 // ---- pinned electrostatic models of logic-scale circuits -------------------
