@@ -13,6 +13,7 @@
 #include "logic/random_logic.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
+#include "physics/bcs.h"
 #include "physics/cooper_pair.h"
 #include "physics/cotunneling.h"
 #include "physics/qp_rate.h"
@@ -137,6 +138,23 @@ void BM_QpRateCachedLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QpRateCachedLookup);
+
+// The whole quasi-particle table build an engine pays at set-up: the Fig. 1c
+// SSET's unit-resistance table at 50 mK over the +-259.8 meV its default
+// rule gives a sweep from 0 V (11,301 points).
+void BM_QpTableBuild(benchmark::State& state) {
+  const double d = bcs_gap(0.2e-3 * kElectronVolt, 1.2, 0.05);
+  const double half = 259.8e-3 * kElectronVolt;
+  std::size_t points = 0;
+  for (auto _ : state) {
+    QuasiparticleRate qp({1.0, d, d, 0.05});
+    qp.build_table(-half, half);
+    points = qp.table_w().size();
+    benchmark::DoNotOptimize(points);
+  }
+  state.counters["points"] = static_cast<double>(points);
+}
+BENCHMARK(BM_QpTableBuild)->Unit(benchmark::kMillisecond);
 
 void BM_CooperPairRate(benchmark::State& state) {
   for (auto _ : state) {

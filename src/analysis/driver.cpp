@@ -463,6 +463,7 @@ DriverResult run_repeats(const SimulationInput& input,
 
   input.circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(input.circuit);
+  const auto qp_table = build_qp_table(input.circuit, *model, eo);
 
   Units<RepeatResult> units;
   units.count = repeats;
@@ -510,7 +511,7 @@ DriverResult run_repeats(const SimulationInput& input,
     return r;
   };
   units.body = [&](const UnitAttempt& a, RepeatResult& r) {
-    Engine& engine = a.engine(input.circuit, eo, model);
+    Engine& engine = a.engine(input.circuit, eo, model, qp_table);
     if (use_convergence) {
       r.converged =
           measure_current_converged(engine, probes, cfg.warmup_events, stop);

@@ -255,10 +255,18 @@ DriverResult run_ensemble(const SimulationInput& input,
   const CurrentMeasureConfig cfg = measure_config_from_input(input);
   // One capacitance-matrix inversion for the whole ensemble when no
   // perturbation touches a capacitance (R, background charge and
-  // temperature never enter the electrostatic model).
+  // temperature never enter the electrostatic model), and one
+  // quasi-particle table when the temperature is not perturbed either (the
+  // unit-resistance table ignores R and background charge). A replica
+  // whose table would differ builds its own (see the Engine constructor).
   std::shared_ptr<const ElectrostaticModel> shared_model;
+  std::shared_ptr<const QuasiparticleRate> shared_qp_table;
   if (plain && !spec.capacitance.active()) {
     shared_model = std::make_shared<const ElectrostaticModel>(input.circuit);
+    if (!spec.temperature.active()) {
+      shared_qp_table = build_qp_table(input.circuit, *shared_model,
+                                       engine_options_for(input, options));
+    }
   }
   if (plain) {
     units.body = [&](const UnitAttempt& a, ReplicaOutcome& o) {
@@ -266,7 +274,8 @@ DriverResult run_ensemble(const SimulationInput& input,
       o.row.replica = r;
       SimulationInput rep = materialize_replica(input, spec, eff, r);
       const EngineOptions eo = engine_options_for(rep, options);
-      Engine& e = a.engine(std::move(rep.circuit), eo, shared_model);
+      Engine& e =
+          a.engine(std::move(rep.circuit), eo, shared_model, shared_qp_table);
       o.row.current = measure_mean_current(e, probes, cfg);
       o.row.observable = o.row.current.mean;
       o.row.sim_time = e.time();

@@ -232,10 +232,12 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
     return std::min(points.size() - first(u), per);
   };
 
-  // Shared read-only state: one capacitance inversion for all engines, and
-  // warm adjacency caches so concurrent engine construction is race-free.
+  // Shared read-only state: one capacitance inversion and one
+  // quasi-particle table for all engines, and warm adjacency caches so
+  // concurrent engine construction is race-free.
   circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(circuit);
+  const auto qp_table = build_qp_table(circuit, *model, options);
 
   struct Chunk : UnitWork {
     std::vector<IvPoint> points;
@@ -263,7 +265,7 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
     const auto build = [&](std::uint32_t attempt) -> Engine& {
       return slot.emplace(
           circuit, unit_engine_options(options, par.base_seed, a.unit, attempt),
-          model);
+          model, qp_table);
     };
     PointEngine pe{&build(0), build, &c};
     for (std::size_t i = first(a.unit); i < first(a.unit) + size(a.unit); ++i) {
@@ -390,6 +392,7 @@ std::vector<std::vector<double>> run_stability_map(
 
   circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(circuit);
+  const auto qp_table = build_qp_table(circuit, *model, options);
 
   struct Row : UnitWork {
     std::vector<double> values;
@@ -403,7 +406,7 @@ std::vector<std::vector<double>> run_stability_map(
     const auto build = [&](std::uint32_t attempt) -> Engine& {
       Engine& e = slot.emplace(
           circuit, unit_engine_options(options, par.base_seed, a.unit, attempt),
-          model);
+          model, qp_table);
       if (attempt > 0) e.set_dc_source(cfg.gate_node, cfg.gate_values[a.unit]);
       return e;
     };

@@ -39,17 +39,19 @@ AttemptRecord run_with_retry(const RetryPolicy& policy,
 
 Engine& UnitAttempt::engine(
     const Circuit& circuit, const EngineOptions& base,
-    std::shared_ptr<const ElectrostaticModel> model) const {
+    std::shared_ptr<const ElectrostaticModel> model,
+    std::shared_ptr<const QuasiparticleRate> qp_table) const {
   return engine_slot->emplace(
       circuit, unit_engine_options(base, base_seed, unit, attempt),
-      std::move(model));
+      std::move(model), std::move(qp_table));
 }
 
 Engine& UnitAttempt::engine(
     Circuit&& circuit, const EngineOptions& base,
-    std::shared_ptr<const ElectrostaticModel> model) const {
+    std::shared_ptr<const ElectrostaticModel> model,
+    std::shared_ptr<const QuasiparticleRate> qp_table) const {
   return engine(circuit_slot->emplace(std::move(circuit)), base,
-                std::move(model));
+                std::move(model), std::move(qp_table));
 }
 
 std::unique_ptr<RunCheckpoint> UnitContext::open_checkpoint(

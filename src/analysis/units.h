@@ -91,13 +91,16 @@ struct UnitAttempt {
     return retry_stream_seed(base_seed, unit, attempt);
   }
   /// This attempt's engine, on unit_engine_options(base, base_seed, unit,
-  /// attempt). The runner owns it and adds its work to the unit once the
-  /// attempt returns or throws; the rvalue overload also keeps an
-  /// attempt-local circuit (a perturbed replica) alive for it.
+  /// attempt), given the run's shared model and quasi-particle table (see
+  /// the Engine constructor). The runner owns it and adds its work to the
+  /// unit once the attempt returns or throws; the rvalue overload also
+  /// keeps an attempt-local circuit (a perturbed replica) alive for it.
   Engine& engine(const Circuit& circuit, const EngineOptions& base,
-                 std::shared_ptr<const ElectrostaticModel> model) const;
+                 std::shared_ptr<const ElectrostaticModel> model,
+                 std::shared_ptr<const QuasiparticleRate> qp_table) const;
   Engine& engine(Circuit&& circuit, const EngineOptions& base,
-                 std::shared_ptr<const ElectrostaticModel> model) const;
+                 std::shared_ptr<const ElectrostaticModel> model,
+                 std::shared_ptr<const QuasiparticleRate> qp_table) const;
 
   std::optional<Engine>* engine_slot = nullptr;
   std::optional<Circuit>* circuit_slot = nullptr;

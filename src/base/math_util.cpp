@@ -5,23 +5,6 @@
 
 namespace semsim {
 
-double fermi(double e, double kt) noexcept {
-  if (kt <= 0.0) {
-    if (e < 0.0) return 1.0;
-    if (e > 0.0) return 0.0;
-    return 0.5;
-  }
-  const double x = e / kt;
-  if (x > 700.0) return 0.0;
-  if (x < -700.0) return 1.0;
-  return 1.0 / (1.0 + std::exp(x));
-}
-
-double fermi_blocking_product(double e, double de, double kt) noexcept {
-  // 1 - f(y) == f(-y); products of two Fermi functions are well conditioned.
-  return fermi(e, kt) * fermi(-(e + de), kt);
-}
-
 double lerp_on_grid(const std::vector<double>& xs,
                     const std::vector<double>& ys, double x) noexcept {
   if (xs.empty()) return 0.0;

@@ -27,12 +27,30 @@ inline double x_over_expm1(double x) noexcept {
 
 /// Fermi-Dirac occupation f(e) = 1 / (1 + exp(e / kT)) with overflow-safe
 /// evaluation; `kt` is k_B * T in the same units as `e`. kt == 0 gives the
-/// step function (value 0.5 exactly at e == 0).
-double fermi(double e, double kt) noexcept;
+/// step function (value 0.5 exactly at e == 0). Below x = e/kT = -37,
+/// exp(x) < 2^-53 is less than half an ulp of 1, so 1 + exp(x) rounds to
+/// exactly 1 and the quotient is exactly 1.0: that branch skips the exp()
+/// without changing a bit. Inline, like x_over_expm1, so the
+/// quasi-particle integrand (physics/qp_rate) evaluates it without a
+/// cross-TU call.
+inline double fermi(double e, double kt) noexcept {
+  if (kt <= 0.0) {
+    if (e < 0.0) return 1.0;
+    if (e > 0.0) return 0.0;
+    return 0.5;
+  }
+  const double x = e / kt;
+  if (x > 700.0) return 0.0;
+  if (x < -37.0) return 1.0;
+  return 1.0 / (1.0 + std::exp(x));
+}
 
 /// f(e) * (1 - f(e + de)) integrated kernel helper: evaluates
 /// f(e, kt) * (1 - f(e + de, kt)) without catastrophic cancellation.
-double fermi_blocking_product(double e, double de, double kt) noexcept;
+inline double fermi_blocking_product(double e, double de, double kt) noexcept {
+  // 1 - f(y) == f(-y); products of two Fermi functions are well conditioned.
+  return fermi(e, kt) * fermi(-(e + de), kt);
+}
 
 /// Linear interpolation on a strictly increasing grid. Clamps outside the
 /// range. `xs` and `ys` must have equal size >= 2.

@@ -13,10 +13,49 @@ namespace semsim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The one home of an engine's quasi-particle table rule: the range is
+/// options.qp_table_half_range or, by default, twice the largest source
+/// swing plus 16 charging terms, 8 times the 2*Delta threshold and 60 kT.
+/// `calc` adopts `shared` when it is that table and builds it otherwise.
+void tabulate_qp_rate(const Circuit& circuit, const EngineOptions& options,
+                      RateCalculator& calc,
+                      std::shared_ptr<const QuasiparticleRate> shared) {
+  if (!calc.quasiparticle()) return;
+  double half = options.qp_table_half_range;
+  if (half <= 0.0) {
+    double v_max = 0.0;
+    for (const NodeId n : circuit.externals()) {
+      v_max = std::max(v_max, circuit.source(n).max_abs());
+    }
+    double u_max = 0.0;
+    for (std::size_t j = 0; j < circuit.junction_count(); ++j) {
+      u_max = std::max(u_max, calc.charging_term(j));
+    }
+    half = 2.0 * kElementaryCharge * v_max + 16.0 * u_max +
+           8.0 * 2.0 * calc.gap() + 60.0 * kBoltzmann * options.temperature;
+  }
+  calc.build_qp_table(half, std::move(shared));
+}
+
+}  // namespace
+
+std::shared_ptr<const QuasiparticleRate> build_qp_table(
+    const Circuit& circuit, const ElectrostaticModel& model,
+    const EngineOptions& options) {
+  if (!circuit.superconducting()) return nullptr;
+  try {
+    RateCalculator calc(circuit, model, options);
+    tabulate_qp_rate(circuit, options, calc, nullptr);
+    return calc.qp_unit();
+  } catch (const Error&) {
+    return nullptr;
+  }
 }
 
 Engine::Engine(const Circuit& circuit, EngineOptions options,
-               std::shared_ptr<const ElectrostaticModel> shared_model)
+               std::shared_ptr<const ElectrostaticModel> shared_model,
+               std::shared_ptr<const QuasiparticleRate> shared_qp_table)
     : circuit_(circuit),
       options_(options),
       model_holder_(shared_model ? std::move(shared_model)
@@ -107,23 +146,7 @@ Engine::Engine(const Circuit& circuit, EngineOptions options,
     seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   }
 
-  if (calc_.superconducting() && calc_.gap() > 0.0) {
-    double half = options_.qp_table_half_range;
-    if (half <= 0.0) {
-      double v_max = 0.0;
-      for (const NodeId n : circuit_.externals()) {
-        v_max = std::max(v_max, circuit_.source(n).max_abs());
-      }
-      double u_max = 0.0;
-      for (std::size_t j = 0; j < circuit_.junction_count(); ++j) {
-        u_max = std::max(u_max, calc_.charging_term(j));
-      }
-      half = 2.0 * kElementaryCharge * v_max + 16.0 * u_max +
-             8.0 * 2.0 * calc_.gap() +
-             60.0 * kBoltzmann * options_.temperature;
-    }
-    calc_.build_qp_table(half);
-  }
+  tabulate_qp_rate(circuit_, options_, calc_, std::move(shared_qp_table));
 
   reset(options_.seed);
 }

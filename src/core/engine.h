@@ -73,14 +73,34 @@ struct EngineSnapshot {
   SolverStats stats;
 };
 
+/// The quasi-particle rate table an engine over `circuit` with `options`
+/// builds: Eq. 3 at 1 Ohm over options.qp_table_half_range or, by default,
+/// a range wide enough for every free-energy change the run can reach.
+/// nullptr for a normal circuit or a vanished gap, and for a configuration
+/// the engine itself rejects (each unit engine then rejects it inside its
+/// own fault isolation). Multi-unit runs build it once, beside their
+/// shared ElectrostaticModel, and pass it to every unit engine.
+std::shared_ptr<const QuasiparticleRate> build_qp_table(
+    const Circuit& circuit, const ElectrostaticModel& model,
+    const EngineOptions& options);
+
 class Engine {
  public:
-  /// The circuit must outlive the engine. `shared_model` lets several
-  /// engines (adaptive vs non-adaptive comparisons, multi-seed delay runs)
-  /// reuse one capacitance-matrix inversion, which dominates setup cost for
-  /// the large Fig. 6 benchmarks; pass nullptr to build a private one.
+  /// The circuit must outlive the engine. `shared_model` and
+  /// `shared_qp_table` carry set-up that every engine of a run (sweep
+  /// chunks, repeats, replicas, retries, adaptive vs non-adaptive
+  /// comparisons) would otherwise repeat; pass nullptr to build privately.
+  ///   * `shared_model`: one capacitance-matrix inversion, which dominates
+  ///     set-up for the large Fig. 6 benchmarks. It must be the model of a
+  ///     circuit with this circuit's capacitances.
+  ///   * `shared_qp_table`: one quasi-particle table (build_qp_table), which
+  ///     dominates set-up for a superconducting circuit. It is adopted only
+  ///     when its gap, temperature and range equal this engine's bit for
+  ///     bit; otherwise the engine builds its own, so a replica with a
+  ///     perturbed temperature or capacitance stays correct with any table.
   Engine(const Circuit& circuit, EngineOptions options,
-         std::shared_ptr<const ElectrostaticModel> shared_model = nullptr);
+         std::shared_ptr<const ElectrostaticModel> shared_model = nullptr,
+         std::shared_ptr<const QuasiparticleRate> shared_qp_table = nullptr);
 
   // ---- state ---------------------------------------------------------------
 

@@ -92,14 +92,21 @@ RateCalculator::RateCalculator(const Circuit& circuit,
     p.delta1 = gap_;
     p.delta2 = gap_;
     p.temperature = temperature_;
-    qp_unit_ = std::make_unique<QuasiparticleRate>(p);
+    qp_unit_ = std::make_shared<const QuasiparticleRate>(p);
   }
 }
 
-void RateCalculator::build_qp_table(double half_range) {
+void RateCalculator::build_qp_table(
+    double half_range, std::shared_ptr<const QuasiparticleRate> shared) {
   if (!qp_unit_) return;
   require(half_range > 0.0, "build_qp_table: non-positive range");
-  qp_unit_->build_table(-half_range, half_range);
+  if (shared && shared->tabulates(qp_unit_->params(), -half_range, half_range)) {
+    qp_unit_ = std::move(shared);
+    return;
+  }
+  auto table = std::make_shared<QuasiparticleRate>(qp_unit_->params());
+  table->build_table(-half_range, half_range);
+  qp_unit_ = std::move(table);
 }
 
 ChannelRates RateCalculator::junction_rates(std::size_t j, double va,

@@ -128,9 +128,18 @@ class RateCalculator {
   /// junction `j` [J].
   double charging_term(std::size_t j) const { return u_.at(j); }
 
-  /// Builds/rebuilds the quasi-particle rate table covering
-  /// |delta_w| <= half_range. No-op for normal circuits.
-  void build_qp_table(double half_range);
+  /// Tabulates the quasi-particle rate over |delta_w| <= half_range, or
+  /// adopts `shared` instead when it already is that table: same gap,
+  /// temperature and range, bit for bit (QuasiparticleRate::tabulates).
+  /// No-op for normal circuits.
+  void build_qp_table(double half_range,
+                      std::shared_ptr<const QuasiparticleRate> shared = nullptr);
+
+  /// The unit-resistance quasi-particle rate (nullptr when normal or
+  /// gapless); holds the table once build_qp_table has run.
+  const std::shared_ptr<const QuasiparticleRate>& qp_unit() const noexcept {
+    return qp_unit_;
+  }
 
  private:
   const Circuit& circuit_;
@@ -159,9 +168,10 @@ class RateCalculator {
   std::vector<double> cot_u1_, cot_u2_;
   std::vector<double> cot_kff_, cot_ktt_, cot_kft_;
   std::vector<double> cot_r1_, cot_r2_;
-  // One shared QP shape table (rate at R = 1 Ohm); per-junction rates scale
-  // by 1/R since Eq. 3 is linear in the junction conductance.
-  std::unique_ptr<QuasiparticleRate> qp_unit_;
+  // One QP shape table (rate at R = 1 Ohm), shared by every junction and
+  // possibly by every engine of a run; per-junction rates scale by 1/R
+  // since Eq. 3 is linear in the junction conductance.
+  std::shared_ptr<const QuasiparticleRate> qp_unit_;
 };
 
 }  // namespace semsim

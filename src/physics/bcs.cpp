@@ -10,10 +10,4 @@ double bcs_gap(double delta0, double tc, double temperature) noexcept {
   return delta0 * std::tanh(1.74 * std::sqrt(tc / temperature - 1.0));
 }
 
-double bcs_reduced_dos(double energy, double delta) noexcept {
-  const double ae = std::fabs(energy);
-  if (ae <= delta) return 0.0;
-  return ae / std::sqrt(energy * energy - delta * delta);
-}
-
 }  // namespace semsim

@@ -1,7 +1,9 @@
 #include "physics/qp_rate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "base/constants.h"
 #include "base/error.h"
@@ -154,7 +156,11 @@ double QuasiparticleRate::rate(double delta_w) const {
     // Deep in the unfavourable tail the direct integrand underflows before
     // the window is sampled; use detailed balance instead. The electrode
     // swap is a no-op because both electrodes share the circuit material.
-    return std::exp(x / kt_) * integral(-x);
+    // Past x ~ -745 kT the Boltzmann factor underflows to exactly 0, and 0
+    // times the finite, non-negative integral is exactly +0: skip it.
+    const double boltzmann = std::exp(x / kt_);
+    if (boltzmann == 0.0) return 0.0;
+    return boltzmann * integral(-x);
   }
   return integral(x);
 }
@@ -229,6 +235,19 @@ void QuasiparticleRate::build_table(double w_min, double w_max) {
   for (std::size_t i = 0; i < table_w_.size(); ++i) {
     table_rate_[i] = rate(table_w_[i]);
   }
+}
+
+bool QuasiparticleRate::tabulates(const Params& p, double w_min,
+                                  double w_max) const noexcept {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  // build_table's grid over a range around 0 spans [w_min, w_max] exactly
+  // (any other table simply fails the match).
+  return has_table() && same(p.resistance, p_.resistance) &&
+         same(p.delta1, p_.delta1) && same(p.delta2, p_.delta2) &&
+         same(p.temperature, p_.temperature) &&
+         same(w_min, table_w_.front()) && same(w_max, table_w_.back());
 }
 
 double QuasiparticleRate::rate_cached(double delta_w) const {

@@ -19,6 +19,15 @@
 // 40 kT where the rate varies exponentially on the thermal scale, geometric
 // spacing outside where it is a smooth power law — with linear interpolation
 // and direct-integral fallback outside the covered range.
+//
+// The build skips only work whose result is known exactly. An unfavourable
+// rate past ~745 kT is detailed balance exp(x/kT) * Gamma(-x) with the
+// exponential underflowed to exactly 0, so rate() returns +0 without the
+// integral; and the Fermi factors of the integrand are exactly 1.0 below
+// e/kT = -37 (base/math_util.h), so they skip their exp(). Every table
+// entry keeps its bits (the test suite holds the build to a copy of the
+// unskipped code, memcmp-equal). A built table is read-only, so the engines
+// of one run share one (core/engine.h, build_qp_table).
 #pragma once
 
 #include <vector>
@@ -50,8 +59,15 @@ class QuasiparticleRate {
   /// integral outside the covered range (and when no table was built).
   double rate_cached(double delta_w) const;
 
-  /// Number of table points (0 when untabulated). For tests/diagnostics.
-  std::size_t table_size() const noexcept { return table_w_.size(); }
+  /// The table's grid and rates (empty when untabulated). For tests and
+  /// diagnostics.
+  const std::vector<double>& table_w() const noexcept { return table_w_; }
+  const std::vector<double>& table_rate() const noexcept { return table_rate_; }
+
+  /// True when this object holds the table build_table(w_min, w_max) gives
+  /// a rate with parameters `p`: parameters and covered range equal bit for
+  /// bit, so every entry is too.
+  bool tabulates(const Params& p, double w_min, double w_max) const noexcept;
 
  private:
   double integral(double x) const;  // x = energy gain

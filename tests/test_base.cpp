@@ -282,6 +282,60 @@ TEST(MathUtil, FermiBlockingProductMatchesDirect) {
   }
 }
 
+/// Out-of-line replica of fermi exactly as it lived in math_util.cpp before
+/// the move into the header and the x < -37 branch. The branch skips exp()
+/// for the quasi-particle integrand; it is only legal if it cannot change a
+/// single output bit, because the golden SSET trajectories hash the rates
+/// built from it.
+[[gnu::noinline]] double fermi_outofline(double e, double kt) noexcept {
+  if (kt <= 0.0) {
+    if (e < 0.0) return 1.0;
+    if (e > 0.0) return 0.0;
+    return 0.5;
+  }
+  const double x = e / kt;
+  if (x > 700.0) return 0.0;
+  if (x < -700.0) return 1.0;
+  return 1.0 / (1.0 + std::exp(x));
+}
+
+TEST(MathUtil, FermiBitwiseEqualsOutOfLineVersion) {
+  // x = e / kT. Inside [-700, 700] both must equal 1 / (1 + exp(x)) bit for
+  // bit; outside, the shared clamps. At kT = 1 the division is exact; at
+  // the 50 mK kT in joules it rounds the way the integrand's does.
+  std::size_t checked = 0;
+  std::size_t bad = 0;
+  double first_bad = 0.0;
+  const auto check = [&](double x) {
+    for (const double kt : {1.0, kBoltzmann * 0.05}) {
+      const double e = x * kt;
+      const double got = fermi(e, kt);
+      bool same = std::bit_cast<std::uint64_t>(got) ==
+                  std::bit_cast<std::uint64_t>(fermi_outofline(e, kt));
+      const double y = e / kt;
+      if (y >= -700.0 && y <= 700.0) {
+        same = same && std::bit_cast<std::uint64_t>(got) ==
+                           std::bit_cast<std::uint64_t>(1.0 / (1.0 + std::exp(y)));
+      }
+      ++checked;
+      if (!same && bad++ == 0) first_bad = x;
+    }
+  };
+  // All of [-800, 800] in steps of 2^-6.
+  for (int i = -800 * 64; i <= 800 * 64; ++i) check(i / 64.0);
+  // Through the skip threshold: [-37.5, -36] in steps of 2^-18 ...
+  for (int i = 0; i <= 3 << 17; ++i) check(-37.5 + i / 262144.0);
+  // ... and ulp by ulp across x = -37 and across ln(2^-53) = -36.7368...,
+  // where 1 + exp(x) first rounds to exactly 1.
+  for (const double centre : {-37.0, -53.0 * std::log(2.0)}) {
+    double x = centre;
+    for (int i = 0; i < 4096; ++i) x = std::nextafter(x, -100.0);
+    for (int i = 0; i < 8192; ++i, x = std::nextafter(x, 0.0)) check(x);
+  }
+  EXPECT_EQ(bad, 0u) << "of " << checked << " points; first at x = "
+                     << first_bad;
+}
+
 TEST(MathUtil, LerpOnGrid) {
   const std::vector<double> xs = {0.0, 1.0, 2.0};
   const std::vector<double> ys = {0.0, 10.0, 40.0};

@@ -3,7 +3,12 @@
 // cotunneling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "base/constants.h"
 #include "base/random.h"
@@ -287,6 +292,215 @@ TEST(QpRate, TableFallbackOutsideRange) {
   qp.build_table(-2.0 * d, 2.0 * d);
   const double w = -10.0 * d;
   EXPECT_NEAR(qp.rate_cached(w), qp.rate(w), 1e-9 * qp.rate(w));
+}
+
+// ---- quasi-particle table build: bitwise oracle ------------------------------
+// A sealed copy of the quasi-particle integral and rate exactly as they were
+// before the build learned to skip work: out-of-line Fermi and BCS factors,
+// no x < -37 Fermi branch, and the detailed-balance tail as exp * integral
+// with no zero test. Both skips are only legal if they keep every bit of
+// every table entry and every direct rate.
+namespace oracle {
+
+[[gnu::noinline]] double fermi(double e, double kt) noexcept {
+  if (kt <= 0.0) {
+    if (e < 0.0) return 1.0;
+    if (e > 0.0) return 0.0;
+    return 0.5;
+  }
+  const double x = e / kt;
+  if (x > 700.0) return 0.0;
+  if (x < -700.0) return 1.0;
+  return 1.0 / (1.0 + std::exp(x));
+}
+
+[[gnu::noinline]] double dos(double energy, double delta) noexcept {
+  const double ae = std::fabs(energy);
+  if (ae <= delta) return 0.0;
+  return ae / std::sqrt(energy * energy - delta * delta);
+}
+
+constexpr int kGlPoints = 20;
+constexpr double kGlNode[kGlPoints] = {
+    -0.9931285991850949, -0.9639719272779138, -0.9122344282513259,
+    -0.8391169718222188, -0.7463319064601508, -0.6360536807265150,
+    -0.5108670019508271, -0.3737060887154195, -0.2277858511416451,
+    -0.0765265211334973,  0.0765265211334973,  0.2277858511416451,
+     0.3737060887154195,  0.5108670019508271,  0.6360536807265150,
+     0.7463319064601508,  0.8391169718222188,  0.9122344282513259,
+     0.9639719272779138,  0.9931285991850949};
+constexpr double kGlWeight[kGlPoints] = {
+    0.0176140071391521, 0.0406014298003869, 0.0626720483341091,
+    0.0832767415767048, 0.1019301198172404, 0.1181945319615184,
+    0.1316886384491766, 0.1420961093183820, 0.1491729864726037,
+    0.1527533871307258, 0.1527533871307258, 0.1491729864726037,
+    0.1420961093183820, 0.1316886384491766, 0.1181945319615184,
+    0.1019301198172404, 0.0832767415767048, 0.0626720483341091,
+    0.0406014298003869, 0.0176140071391521};
+
+template <typename Fn>
+double integrate_sqrt_left(Fn&& fn, double a, double b) {
+  const double tmax = std::sqrt(b - a);
+  double acc = 0.0;
+  for (int i = 0; i < kGlPoints; ++i) {
+    const double t = 0.5 * tmax * (kGlNode[i] + 1.0);
+    acc += kGlWeight[i] * 2.0 * t * fn(a + t * t);
+  }
+  return acc * 0.5 * tmax;
+}
+
+template <typename Fn>
+double integrate_sqrt_right(Fn&& fn, double a, double b) {
+  const double tmax = std::sqrt(b - a);
+  double acc = 0.0;
+  for (int i = 0; i < kGlPoints; ++i) {
+    const double t = 0.5 * tmax * (kGlNode[i] + 1.0);
+    acc += kGlWeight[i] * 2.0 * t * fn(b - t * t);
+  }
+  return acc * 0.5 * tmax;
+}
+
+template <typename Fn>
+double integrate_segment(Fn&& fn, double a, double b) {
+  if (!(b > a)) return 0.0;
+  const double m = 0.5 * (a + b);
+  return integrate_sqrt_left(fn, a, m) + integrate_sqrt_right(fn, m, b);
+}
+
+template <typename Fn>
+double integrate_graded(Fn&& fn, double a, double b, double h0) {
+  if (!(b > a)) return 0.0;
+  h0 = std::min(h0, 0.5 * (b - a));
+  const double mid = 0.5 * (a + b);
+  double acc = 0.0;
+  double lo = a, width = h0;
+  while (lo < mid) {
+    const double hi = std::min(lo + width, mid);
+    acc += integrate_segment(fn, lo, hi);
+    lo = hi;
+    width *= 2.0;
+  }
+  double hi_edge = b;
+  width = h0;
+  while (hi_edge > mid) {
+    const double lo_edge = std::max(hi_edge - width, mid);
+    acc += integrate_segment(fn, lo_edge, hi_edge);
+    hi_edge = lo_edge;
+    width *= 2.0;
+  }
+  return acc;
+}
+
+double integral(const QuasiparticleRate::Params& p, double x) {
+  const double kt = kBoltzmann * p.temperature;
+  const double d1 = p.delta1;
+  const double d2 = p.delta2;
+  std::vector<double> bp = {-d1, d1, -x - d2, -x + d2, 0.0, -x};
+  const double pad = 40.0 * kt;
+  double lo = *std::min_element(bp.begin(), bp.end()) - pad;
+  double hi = *std::max_element(bp.begin(), bp.end()) + pad;
+  if (!(hi > lo)) return 0.0;
+  bp.push_back(lo);
+  bp.push_back(hi);
+  std::sort(bp.begin(), bp.end());
+  bp.erase(std::unique(bp.begin(), bp.end(),
+                       [](double a, double b) { return std::abs(a - b) < 1e-30; }),
+           bp.end());
+  const auto integrand = [&](double e) {
+    const double n1 = d1 > 0.0 ? dos(e, d1) : 1.0;
+    if (n1 == 0.0) return 0.0;
+    const double n2 = d2 > 0.0 ? dos(e + x, d2) : 1.0;
+    if (n2 == 0.0) return 0.0;
+    return n1 * n2 * (fermi(e, kt) * fermi(-(e + x), kt));
+  };
+  double h0 = kt > 0.0 ? kt : 0.0;
+  if (h0 == 0.0 && d1 + d2 > 0.0) h0 = (d1 + d2) / 64.0;
+  if (h0 == 0.0) h0 = (hi - lo) / 64.0;
+  double acc = 0.0;
+  for (std::size_t s = 0; s + 1 < bp.size(); ++s) {
+    const double a = std::max(bp[s], lo);
+    const double b = std::min(bp[s + 1], hi);
+    if (b <= a) continue;
+    acc += integrate_graded(integrand, a, b, h0);
+  }
+  return acc / (kElementaryCharge * kElementaryCharge * p.resistance);
+}
+
+double rate(const QuasiparticleRate::Params& p, double delta_w) {
+  const double kt = kBoltzmann * p.temperature;
+  const double x = -delta_w;
+  if (kt > 0.0 && x < -40.0 * kt) return std::exp(x / kt) * integral(p, -x);
+  return integral(p, x);
+}
+
+}  // namespace oracle
+
+/// One (Delta, T, range) family of the superconducting devices the engine
+/// tabulates, at unit resistance like the engine's shape table.
+struct QpFamily {
+  const char* name;
+  double delta0_mev;
+  double tc;
+  double temperature;
+  double half_range_mev;
+};
+
+constexpr QpFamily kQpFamilies[] = {
+    // Fig. 1c at 50 mK: the default ranges of a +-0 V and a +-50 mV sweep.
+    {"50 mK, +-259.8 meV", 0.2, 1.2, 0.05, 259.8},
+    {"50 mK, +-359.8 meV", 0.2, 1.2, 0.05, 359.8},
+    {"0.3 K", 0.2, 1.2, 0.3, 40.0},
+    {"0.52 K, +-1.2 meV", 0.21, 1.2, 0.52, 1.2},
+    {"T = 0", 0.2, 1.2, 0.0, 100.0},
+    {"1.15 K", 0.2, 1.2, 1.15, 100.0},
+    {"Delta0 = 1 meV, Tc = 9 K, 4.2 K", 1.0, 9.0, 4.2, 100.0},
+};
+
+QuasiparticleRate::Params qp_family_params(const QpFamily& f) {
+  const double d = bcs_gap(f.delta0_mev * 1e-3 * kElectronVolt, f.tc, f.temperature);
+  return {1.0, d, d, f.temperature};
+}
+
+TEST(QpRateOracle, TableEntriesAreBitwiseUnchanged) {
+  for (const QpFamily& f : kQpFamilies) {
+    const QuasiparticleRate::Params p = qp_family_params(f);
+    const double half = f.half_range_mev * 1e-3 * kElectronVolt;
+    QuasiparticleRate qp(p);
+    qp.build_table(-half, half);
+    std::vector<double> expect;
+    for (const double w : qp.table_w()) expect.push_back(oracle::rate(p, w));
+    ASSERT_EQ(qp.table_rate().size(), expect.size()) << f.name;
+    EXPECT_EQ(std::memcmp(qp.table_rate().data(), expect.data(),
+                          expect.size() * sizeof(double)),
+              0)
+        << f.name << ": " << expect.size() << "-point table changed";
+  }
+}
+
+TEST(QpRateOracle, DirectRateIsBitwiseUnchangedOver800kT) {
+  for (const QpFamily& f : kQpFamilies) {
+    const QuasiparticleRate::Params p = qp_family_params(f);
+    const QuasiparticleRate qp(p);
+    // kT/2 steps over +-800 kT, then 0.05 kT steps across the window where
+    // exp(x/kT) is subnormal (708-745 kT) and on to where it is exactly 0.
+    // At T = 0 the grid is in units of Delta/64 instead.
+    const double unit = f.temperature > 0.0 ? kBoltzmann * f.temperature
+                                            : p.delta1 / 64.0;
+    std::vector<double> ws;
+    for (int i = -1600; i <= 1600; ++i) ws.push_back(0.5 * i * unit);
+    for (int i = 0; i <= 1000; ++i) ws.push_back((700.0 + 0.05 * i) * unit);
+    std::size_t bad = 0;
+    double first_bad = 0.0;
+    for (const double w : ws) {
+      if (std::bit_cast<std::uint64_t>(qp.rate(w)) !=
+              std::bit_cast<std::uint64_t>(oracle::rate(p, w)) &&
+          bad++ == 0) {
+        first_bad = w / unit;
+      }
+    }
+    EXPECT_EQ(bad, 0u) << f.name << ": first at dw = " << first_bad
+                       << (f.temperature > 0.0 ? " kT" : " Delta/64");
+  }
 }
 
 // ---- Cooper pair ---------------------------------------------------------------

@@ -2,7 +2,10 @@
 // cancel -> checkpoint -> resume is bitwise lossless, attempts run on their
 // derived retry streams, strict mode names the unit while non-strict mode
 // degrades it, every unit is reported exactly once, and a cancellation
-// raised inside a unit is never retried or recorded.
+// raised inside a unit is never retried or recorded. Unit engines handed
+// the run's quasi-particle table share that one object, step bitwise like
+// engines that built their own, and refuse a table of another temperature
+// or range.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +14,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -20,6 +24,7 @@
 
 #include "analysis/sweep.h"
 #include "analysis/units.h"
+#include "base/constants.h"
 #include "base/error.h"
 #include "base/random.h"
 
@@ -290,6 +295,140 @@ TEST_P(UnitRunner, CancelInsideAUnitIsNeitherRetriedNorRecorded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, UnitRunner, ::testing::Values(1u, 8u));
+
+// ---- one quasi-particle table per run ---------------------------------------
+
+/// The Fig. 1c superconducting SET at +-2 mV.
+struct Sset {
+  Circuit c;
+  NodeId src = 0;
+  NodeId drn = 0;
+  Sset() {
+    src = c.add_external("src");
+    drn = c.add_external("drn");
+    const NodeId gate = c.add_external("gate");
+    const NodeId island = c.add_island("island");
+    c.add_junction(src, island, 1e6, 1e-18);
+    c.add_junction(island, drn, 1e6, 1e-18);
+    c.add_capacitor(gate, island, 3e-18);
+    c.set_source(src, Waveform::dc(0.002));
+    c.set_source(drn, Waveform::dc(-0.002));
+    c.set_source(gate, Waveform::dc(0.0));
+    c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+    c.build_caches();
+  }
+};
+
+/// 0.3 K on an explicit +-40 meV table: it covers every free-energy change
+/// of the +-2 mV operating points (the charging term is ~16 meV), yet is a
+/// fifth of the default range, so it stays cheap under sanitizers.
+EngineOptions sset_options() {
+  EngineOptions o;
+  o.temperature = 0.3;
+  o.qp_table_half_range = 40e-3 * kElectronVolt;
+  return o;
+}
+
+/// A unit engine's table and the hash of its first 500 events.
+struct Trajectory : UnitWork {
+  const QuasiparticleRate* table = nullptr;
+  std::uint64_t hash = 0;
+};
+
+std::vector<Trajectory> run_trajectories(
+    const Sset& f, const std::shared_ptr<const ElectrostaticModel>& model,
+    const std::shared_ptr<const QuasiparticleRate>& table, unsigned threads) {
+  Units<Trajectory> units;
+  units.count = 4;
+  units.name = "trajectory";
+  units.body = [&](const UnitAttempt& a, Trajectory& t) {
+    Engine& e = a.engine(f.c, sset_options(), model, table);
+    t.table = e.rate_calculator().qp_unit().get();
+    BinaryWriter w;
+    Event ev;
+    for (int i = 0; i < 500 && e.step(&ev); ++i) {
+      w.u8(static_cast<std::uint8_t>(ev.kind));
+      w.u64(ev.index);
+      w.f64(ev.dt);
+      w.f64(ev.time);
+    }
+    t.hash = fnv1a64(w.bytes().data(), w.bytes().size());
+  };
+  return run_units(units, context(threads), nullptr);
+}
+
+bool same_entries(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+class QpTableSharing : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(QpTableSharing, UnitEnginesHoldTheRunTableAndStepLikePrivateOnes) {
+  const Sset f;
+  const auto model = std::make_shared<const ElectrostaticModel>(f.c);
+  const auto table = build_qp_table(f.c, *model, sset_options());
+  ASSERT_TRUE(table && table->has_table());
+  const std::vector<Trajectory> shared =
+      run_trajectories(f, model, table, GetParam());
+  const std::vector<Trajectory> own =
+      run_trajectories(f, model, nullptr, GetParam());
+  ASSERT_EQ(shared.size(), own.size());
+  for (std::size_t u = 0; u < shared.size(); ++u) {
+    EXPECT_EQ(shared[u].table, table.get()) << "unit " << u;
+    EXPECT_NE(own[u].table, table.get()) << "unit " << u;
+    EXPECT_EQ(shared[u].hash, own[u].hash) << "unit " << u;
+  }
+}
+
+TEST_P(QpTableSharing, ParallelSsetSweepIsThreadCountInvariant) {
+  // One point per unit: every point's engine reads the sweep's one table,
+  // concurrently at 8 threads.
+  const Sset f;
+  IvSweepConfig cfg;
+  cfg.swept = f.src;
+  cfg.mirror = f.drn;
+  cfg.from = -0.002;
+  cfg.to = 0.002;
+  cfg.step = 0.0005;
+  cfg.probes = {{0, 1.0}, {1, -1.0}};
+  cfg.measure.warmup_events = 100;
+  cfg.measure.measure_events = 400;
+  const ParallelSweepConfig par{kBase, 1};
+  const std::vector<IvPoint> serial =
+      run_iv_sweep(f.c, sset_options(), cfg, ParallelExecutor(1), par);
+  const std::vector<IvPoint> pooled =
+      run_iv_sweep(f.c, sset_options(), cfg, ParallelExecutor(GetParam()), par);
+  ASSERT_EQ(serial.size(), 9u);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled[i].current),
+              std::bit_cast<std::uint64_t>(serial[i].current))
+        << "point " << i;
+    EXPECT_EQ(pooled[i].events, serial[i].events) << "point " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, QpTableSharing, ::testing::Values(1u, 8u));
+
+TEST(QpTableSharing, TableOfAnotherTemperatureOrRangeIsNotAdopted) {
+  const Sset f;
+  const auto model = std::make_shared<const ElectrostaticModel>(f.c);
+  const EngineOptions eo = sset_options();
+  EngineOptions warmer = eo;
+  warmer.temperature = 0.31;
+  EngineOptions wider = eo;
+  wider.qp_table_half_range *= 2.0;
+  const auto own = build_qp_table(f.c, *model, eo);
+  for (const EngineOptions& other : {warmer, wider}) {
+    const auto foreign = build_qp_table(f.c, *model, other);
+    const Engine e(f.c, eo, model, foreign);
+    const QuasiparticleRate& used = *e.rate_calculator().qp_unit();
+    EXPECT_NE(&used, foreign.get());
+    EXPECT_TRUE(same_entries(used.table_w(), own->table_w()));
+    EXPECT_TRUE(same_entries(used.table_rate(), own->table_rate()));
+  }
+}
 
 }  // namespace
 }  // namespace semsim
