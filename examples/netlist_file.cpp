@@ -10,10 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "analysis/current.h"
-#include "analysis/sweep.h"
-#include "core/engine.h"
-#include "netlist/parser.h"
+#include "analysis/api.h"
 
 using namespace semsim;
 
@@ -46,38 +43,33 @@ sweep 2 0.02 0.002
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const SimulationInput input = argc > 1
-                                    ? parse_simulation_file(argv[1])
-                                    : parse_simulation_input(std::string(kPaperInput));
+int main(int argc, char** argv) try {
+  RunRequest req;
+  req.input = argc > 1 ? parse_simulation_file(argv[1])
+                       : parse_simulation_input(std::string(kPaperInput));
+  req.seed = 1;
+  const SimulationInput& input = req.input;
 
   std::printf("# parsed: %zu nodes, %zu junctions, T = %.2f K%s\n",
               input.circuit.node_count(), input.circuit.junction_count(),
               input.temperature, input.cotunneling ? ", cotunneling on" : "");
 
-  EngineOptions options;
-  options.temperature = input.temperature;
-  options.cotunneling = input.cotunneling;
-  options.seed = 1;
-  Engine engine(input.circuit, options);
-
+  const DriverResult r = run(req).driver;
   if (input.sweep) {
-    IvSweepConfig cfg = sweep_config_from_input(input);
     std::printf("# sweeping node %d from %g to %g V (step %g)\n",
-                cfg.swept, cfg.from, cfg.to, cfg.step);
+                input.sweep->source, -input.sweep->max, input.sweep->max,
+                input.sweep->step);
     std::printf("# V_swept    I [A]\n");
-    for (const IvPoint& p : run_iv_sweep(engine, cfg)) {
+    for (const IvPoint& p : r.sweep) {
       std::printf("%+.5f   %+.4e\n", p.bias, p.current);
     }
   } else {
-    std::vector<CurrentProbe> probes;
-    for (const std::size_t j : input.record_junctions) probes.push_back({j, 1.0});
-    if (probes.empty()) probes.push_back({0, 1.0});
-    const CurrentEstimate est = measure_mean_current(
-        engine, probes,
-        CurrentMeasureConfig{input.max_jumps / 10 + 1, input.max_jumps, 8});
-    std::printf("I = %.4e A +- %.1e (over %llu tunnel events)\n", est.mean,
-                est.stderr_mean, static_cast<unsigned long long>(est.events));
+    std::printf("I = %.4e A +- %.1e (over %llu tunnel events)\n",
+                r.current->mean, r.current->stderr_mean,
+                static_cast<unsigned long long>(r.events));
   }
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "netlist_file: %s\n", e.what());
+  return 1;
 }

@@ -1,5 +1,5 @@
-// Quickstart: build a single-electron transistor programmatically, run the
-// Monte-Carlo engine, and print an I-V curve.
+// Quickstart: build a single-electron transistor programmatically, sweep it
+// with the Monte-Carlo engine, and print an I-V curve.
 //
 //   $ ./quickstart
 //
@@ -8,9 +8,7 @@
 // e/C_sigma = 32 mV and a quasi-linear rise above it.
 #include <cstdio>
 
-#include "analysis/current.h"
 #include "analysis/sweep.h"
-#include "core/engine.h"
 #include "netlist/circuit.h"
 
 using namespace semsim;
@@ -28,11 +26,9 @@ int main() {
   circuit.add_capacitor(gate, island, 3e-18);
   circuit.set_source(gate, Waveform::dc(0.0));
 
-  // 2. Create the Monte-Carlo engine (adaptive solver on by default).
+  // 2. Configure the Monte-Carlo engine (adaptive solver on by default).
   EngineOptions options;
   options.temperature = 5.0;  // kelvin
-  options.seed = 1;
-  Engine engine(circuit, options);
 
   // 3. Sweep the bias symmetrically and measure the current by charge
   //    counting through both junctions.
@@ -45,8 +41,13 @@ int main() {
   sweep.probes = {{0, 1.0}, {1, 1.0}};
   sweep.measure = CurrentMeasureConfig{2000, 20000, 8};
 
+  // One work unit holding all 21 points, seeded from base seed 1: each
+  // point warm-starts from the previous point's charge state.
+  const ParallelSweepConfig chunking{/*base_seed=*/1, /*points_per_unit=*/21};
+
   std::printf("# Vds [V]    I [A]      (T = 5 K, Vg = 0)\n");
-  for (const IvPoint& p : run_iv_sweep(engine, sweep)) {
+  for (const IvPoint& p :
+       run_iv_sweep(circuit, options, sweep, ParallelExecutor(1), chunking)) {
     std::printf("%+.4f   %+.4e\n", 2.0 * p.bias, p.current);
   }
   std::printf("# Coulomb blockade: current is suppressed for |Vds| < 32 mV.\n");

@@ -271,12 +271,4 @@ EngineOptions unit_engine_options(const EngineOptions& base,
   return eo;
 }
 
-Engine make_unit_engine(const Circuit& circuit, const EngineOptions& base,
-                        std::uint64_t base_seed, std::size_t unit,
-                        std::shared_ptr<const ElectrostaticModel> model,
-                        std::uint32_t attempt) {
-  return Engine(circuit, unit_engine_options(base, base_seed, unit, attempt),
-                std::move(model));
-}
-
 }  // namespace semsim

@@ -1,10 +1,7 @@
-// The single stable entry point for running a simulation.
-//
-// Every front end used to hand-assemble Engine + EngineOptions +
-// StopCriterion slightly differently (the CLI, the driver's transient and
-// repeats paths, the parallel sweep, the benches). This header collapses
-// that into one request/response pair in the style of the ALPS/VWSIM
-// simulation facades:
+// The single stable entry point for running a simulation: one
+// request/response pair in the style of the ALPS/VWSIM simulation facades,
+// shared by the CLI, the service daemon and the examples, so none of them
+// assembles Engine + EngineOptions + StopCriterion by hand:
 //
 //   RunRequest req;
 //   req.input = parse_simulation_file("set.sem");
@@ -14,12 +11,11 @@
 //
 // plus the two helpers the drivers themselves are built on —
 // engine_options_for() (one place that maps input + options to
-// EngineOptions) and make_unit_engine() (one place that seeds a work
-// unit's engine from (base_seed, unit)).
+// EngineOptions) and unit_engine_options() (one place that seeds a work
+// unit's engine from (base_seed, unit, attempt)).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "analysis/driver.h"
@@ -110,16 +106,5 @@ EngineOptions engine_options_for(const SimulationInput& input,
 EngineOptions unit_engine_options(const EngineOptions& base,
                                   std::uint64_t base_seed, std::size_t unit,
                                   std::uint32_t attempt = 0);
-
-/// Engine for work unit `unit` of a parallel run: `base` with its seed
-/// replaced by derive_stream_seed(base_seed, unit), sharing `model` (one
-/// capacitance inversion across all units; pass nullptr to build privately).
-/// Unit engines are what make sweeps and multi-seed runs bitwise
-/// thread-count independent: the stream depends on the unit index only.
-/// `attempt` > 0 selects the re-derived retry stream (guard/retry.h).
-Engine make_unit_engine(const Circuit& circuit, const EngineOptions& base,
-                        std::uint64_t base_seed, std::size_t unit,
-                        std::shared_ptr<const ElectrostaticModel> model,
-                        std::uint32_t attempt = 0);
 
 }  // namespace semsim

@@ -54,11 +54,6 @@ CurrentEstimate measure_mean_current(Engine& engine,
   return out;
 }
 
-CurrentEstimate measure_junction_current(Engine& engine, std::size_t junction,
-                                         const CurrentMeasureConfig& cfg) {
-  return measure_mean_current(engine, {CurrentProbe{junction, 1.0}}, cfg);
-}
-
 namespace {
 
 /// Chunk length of the streaming estimator: short enough that the binning

@@ -46,10 +46,6 @@ CurrentEstimate measure_mean_current(Engine& engine,
                                      const std::vector<CurrentProbe>& probes,
                                      const CurrentMeasureConfig& cfg);
 
-/// Single-junction convenience overload.
-CurrentEstimate measure_junction_current(Engine& engine, std::size_t junction,
-                                         const CurrentMeasureConfig& cfg);
-
 /// Result of a convergence-stopped measurement (obs subsystem).
 struct ConvergedCurrentResult {
   /// stderr_mean is the autocorrelation-aware BINNED error, not the naive

@@ -311,8 +311,8 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
 
 namespace {
 
-/// Sweeps: the parallel I-V sweep of analysis/sweep.h, one work unit per
-/// chunk of bias points.
+/// Sweeps: the I-V sweep of analysis/sweep.h, one work unit per chunk of
+/// bias points.
 DriverResult run_sweep(const SimulationInput& input,
                        const DriverOptions& options) {
   require(!input.record_junctions.empty(),

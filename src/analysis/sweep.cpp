@@ -10,7 +10,6 @@
 #include "analysis/api.h"
 #include "analysis/units.h"
 #include "base/error.h"
-#include "base/random.h"
 
 namespace semsim {
 
@@ -48,10 +47,10 @@ IvPoint measure_point(Engine& engine, const IvSweepConfig& cfg, double bias) {
   return p;
 }
 
-/// The engine a run of consecutive points (a sweep chunk, a map row, a
-/// serial sweep) warm-starts along. A failed point retires it: its solver
-/// work and audit trail go to `work` (when non-null), and rebuild(a)
-/// replaces it with a fresh engine on the run's next retry stream a.
+/// The engine a run of consecutive points (a sweep chunk, a map row)
+/// warm-starts along. A failed point retires it: its solver work and audit
+/// trail go to `work` (when non-null), and rebuild(a) replaces it with a
+/// fresh engine on the run's next retry stream a.
 struct PointEngine {
   Engine* engine = nullptr;
   std::function<Engine&(std::uint32_t)> rebuild;
@@ -66,17 +65,6 @@ struct PointEngine {
     engine = &rebuild(++stream_attempt);
   }
 };
-
-/// Retry options of the single-engine overloads: the caller's engine is
-/// never reseeded; a failed point moves to a locally owned engine on a
-/// salted stream of the caller's (unit, attempt).
-EngineOptions serial_retry_options(const EngineOptions& base,
-                                   std::uint32_t attempt) {
-  EngineOptions eo = base;
-  eo.seed = retry_stream_seed(base.seed, base.fault.unit(), attempt);
-  eo.fault = base.fault.for_attempt(attempt);
-  return eo;
-}
 
 /// The strict-mode context of sweep point `index`.
 std::string point_label(std::size_t index, double bias) {
@@ -189,26 +177,6 @@ IvPoint decode_iv_point(BinaryReader& r) {
   p.error = static_cast<ErrorCode>(r.u32());
   p.attempts = r.u32();
   return p;
-}
-
-std::vector<IvPoint> run_iv_sweep(Engine& engine, const IvSweepConfig& cfg) {
-  require(cfg.step > 0.0, "run_iv_sweep: step must be positive");
-  require(cfg.to >= cfg.from, "run_iv_sweep: to < from");
-  require(!cfg.probes.empty(), "run_iv_sweep: no recorded junctions");
-
-  std::optional<Engine> spare;
-  PointEngine pe{&engine, [&](std::uint32_t attempt) -> Engine& {
-                   return spare.emplace(
-                       engine.circuit(),
-                       serial_retry_options(engine.options(), attempt));
-                 }};
-  const std::vector<double> biases = sweep_points(cfg);
-  std::vector<IvPoint> points;
-  for (std::size_t i = 0; i < biases.size(); ++i) {
-    points.push_back(run_point_isolated(
-        pe, cfg, biases[i], [&] { return point_label(i, biases[i]); }));
-  }
-  return points;
 }
 
 std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
@@ -351,37 +319,6 @@ void run_map_row(PointEngine& pe, const StabilityMapConfig& cfg,
 }
 
 }  // namespace
-
-std::vector<std::vector<double>> run_stability_map(
-    Engine& engine, const StabilityMapConfig& cfg, StabilityMapReport* report) {
-  require(!cfg.probes.empty(), "run_stability_map: no recorded junctions");
-
-  std::optional<Engine> spare;
-  std::size_t g = 0;
-  UnitWork work;
-  PointEngine pe{&engine,
-                 [&](std::uint32_t attempt) -> Engine& {
-                   Engine& e = spare.emplace(
-                       engine.circuit(),
-                       serial_retry_options(engine.options(), attempt));
-                   e.set_dc_source(cfg.gate_node, cfg.gate_values[g]);
-                   return e;
-                 },
-                 &work};
-  std::vector<std::vector<double>> map(
-      cfg.gate_values.size(), std::vector<double>(cfg.bias_values.size(), 0.0));
-  std::vector<MapCellStatus> degraded;
-  for (g = 0; g < cfg.gate_values.size(); ++g) {
-    run_map_row(pe, cfg, g, map[g], degraded);
-  }
-  if (report != nullptr) {
-    pe.harvest();
-    report->degraded.insert(report->degraded.end(), degraded.begin(),
-                            degraded.end());
-    report->integrity.merge(work.integrity);
-  }
-  return map;
-}
 
 std::vector<std::vector<double>> run_stability_map(
     const Circuit& circuit, const EngineOptions& options,

@@ -1,17 +1,17 @@
 // Bias sweeps and 2-D stability maps built on the Monte-Carlo engine.
 //
-// Two execution modes:
-//   * the single-engine overloads reuse one engine across points
-//     (set_dc_source does not touch the capacitance matrices), so the
-//     charge state warm-starts from the previous bias point — the classic
-//     serial SEMSIM trick to keep equilibration cheap along a sweep;
-//   * the ParallelExecutor overloads split the sweep into fixed chunks of
-//     consecutive points (2-D maps: one gate row per unit) and run each
-//     chunk on its own engine, seeded by derive_stream_seed(base_seed,
-//     chunk_index). The decomposition and the seeds depend only on the
-//     configuration, never on the worker count, so every thread count
-//     produces bitwise-identical tables (tests/test_parallel.cpp).
-//     Within a chunk, points still warm-start from their predecessor.
+// Every sweep and map runs through run_units (analysis/units.h), the one
+// place that checkpoints, retries and cancels work units. A sweep is split
+// into fixed chunks of consecutive points (a 2-D map: one gate row per
+// unit), and each chunk runs on its own engine, seeded by
+// derive_stream_seed(base_seed, chunk_index). The decomposition and the
+// seeds depend only on the configuration, never on the worker count, so
+// every thread count produces bitwise-identical tables
+// (tests/test_parallel.cpp). Within a chunk, each point warm-starts from
+// its predecessor's charge state (set_dc_source does not touch the
+// capacitance matrices) — the classic serial SEMSIM trick to keep
+// equilibration cheap along a sweep. One chunk holding every point
+// (points_per_unit = point count) is the fully serial sweep.
 #pragma once
 
 #include <string>
@@ -108,10 +108,7 @@ struct IvSweepConfig {
   ProgressSink* progress = nullptr;
 };
 
-/// Runs the sweep in place. Points are from, from+step, ..., <= to (+eps).
-std::vector<IvPoint> run_iv_sweep(Engine& engine, const IvSweepConfig& cfg);
-
-/// Work-unit decomposition and seeding of the parallel sweep overloads.
+/// Work-unit decomposition and seeding of sweeps and maps.
 struct ParallelSweepConfig {
   /// Base seed every work unit's RNG stream is derived from.
   std::uint64_t base_seed = 1;
@@ -125,11 +122,12 @@ struct ParallelSweepConfig {
 };
 
 /// Deterministic parallel I-V sweep: one engine per chunk of points, each
-/// seeded from (base_seed, chunk_index). `counters`, when non-null, gets
-/// the solver work of all units (merged in index order) and the wall time
-/// of the parallel region. When `ckpt` is enabled, every finished chunk is
-/// recorded in a RunCheckpoint at ckpt.path (atomic rewrite per unit) and
-/// chunks already present in the file are restored instead of recomputed —
+/// seeded from (base_seed, chunk_index). Points are from, from+step, ...,
+/// <= to (+eps). `counters`, when non-null, gets the solver work of all
+/// units (merged in index order) and the wall time of the parallel region.
+/// When `ckpt` is enabled, every finished chunk is recorded in a
+/// RunCheckpoint at ckpt.path (atomic rewrite per unit) and chunks already
+/// present in the file are restored instead of recomputed —
 /// because chunks are pure functions of (config, chunk_index), the resumed
 /// table is bitwise identical to the uninterrupted one at any thread count.
 /// `integrity`, when non-null, additionally receives the merged (unit
@@ -191,13 +189,8 @@ struct StabilityMapReport {
 
 /// 2-D current map: result[g][b] = |I| at gate_values[g], bias_values[b].
 /// (Magnitude, matching the log-scale contour of the paper's Fig. 5.)
-std::vector<std::vector<double>> run_stability_map(
-    Engine& engine, const StabilityMapConfig& cfg,
-    StabilityMapReport* report = nullptr);
-
-/// Deterministic parallel stability map: one work unit per GATE ROW (the
-/// bias sweep inside a row warm-starts serially, as in the single-engine
-/// overload), row seeds derived from (base_seed, row_index);
+/// One work unit per GATE ROW (the bias sweep inside a row warm-starts
+/// serially), row seeds derived from (base_seed, row_index);
 /// points_per_unit is ignored. Bitwise-identical for every thread count.
 std::vector<std::vector<double>> run_stability_map(
     const Circuit& circuit, const EngineOptions& options,

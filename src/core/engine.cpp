@@ -394,8 +394,8 @@ void Engine::after_charge_move(NodeId from, NodeId to, double q) {
   const bool exact_potentials = has_secondary_;  // already applied above
   // Hoist the two kappa rows of the event's islands once per event: by
   // bitwise symmetry row[k] carries exactly the bits of the column entry
-  // potential_delta() reads, so each memoized dv is bit-identical to the
-  // old column-strided form while the per-junction test reads contiguous
+  // kappa[k][island], so each memoized dv is bit-identical to the
+  // column-strided form while the per-junction test reads contiguous
   // cache lines (the tested islands cluster around the event site).
   const int ev_kf = model_.island_index(from);
   const int ev_kt = model_.island_index(to);

@@ -80,17 +80,11 @@ class FaultInjector {
   std::uint64_t unit() const noexcept { return unit_; }
   std::uint32_t attempt() const noexcept { return attempt_; }
 
-  /// Rebind to a different attempt of the same unit (used by retry drivers
-  /// so a fault scheduled for attempt 0 does not re-fire on the retry).
-  FaultInjector for_attempt(std::uint32_t attempt) const noexcept {
-    FaultInjector copy = *this;
-    copy.attempt_ = attempt;
-    return copy;
-  }
-
-  /// Rebind to a concrete (unit, attempt). The parallel drivers carry one
+  /// Rebind to a concrete (unit, attempt). The drivers carry one
   /// caller-supplied injector in the base EngineOptions and rebind it per
-  /// work unit, so a plan targeting unit 3 fires only in unit 3's engine.
+  /// work unit, so a plan targeting unit 3 fires only in unit 3's engine,
+  /// and per attempt, so a fault scheduled for attempt 0 does not re-fire
+  /// on the retry.
   FaultInjector for_unit(std::uint64_t unit,
                          std::uint32_t attempt) const noexcept {
     FaultInjector copy = *this;

@@ -231,39 +231,16 @@ void ElectrostaticModel::island_potentials_into(const double* q,
   }
 }
 
-void ElectrostaticModel::add_charge_delta(NodeId n, double dq,
-                                          std::vector<double>& dv) const {
-  const int in = island_index_[static_cast<std::size_t>(n)];
-  if (in < 0) return;
-  require(dv.size() == island_count(), "add_charge_delta: dv size mismatch");
-  const std::size_t col = static_cast<std::size_t>(in);
-  for (std::size_t k = 0; k < dv.size(); ++k) dv[k] += kappa_(k, col) * dq;
-}
-
-double ElectrostaticModel::potential_delta(std::size_t k, NodeId n,
-                                           double dq) const noexcept {
-  const int in = island_index_[static_cast<std::size_t>(n)];
-  if (in < 0) return 0.0;
-  return kappa_(k, static_cast<std::size_t>(in)) * dq;
-}
-
 double ElectrostaticModel::potential_delta_row(const double* row, std::size_t k,
                                                double dq) noexcept {
-  // Out-of-line on purpose: the single rounded product must match
-  // potential_delta() exactly, and keeping the call boundary prevents the
-  // caller's surrounding arithmetic from contracting into this multiply.
-  // `row` is a kappa row (nullptr for a non-island endpoint); by bitwise
-  // symmetry row[k] carries exactly the bits of the column entry
-  // potential_delta() reads, so the value is identical — but the access is
-  // contiguous in the caller's loop instead of an 8 KiB stride per element.
+  // Out-of-line on purpose: the value must be exactly one rounded product,
+  // and keeping the call boundary prevents the caller's surrounding
+  // arithmetic from contracting into this multiply. `row` is a kappa row
+  // (nullptr for a non-island endpoint); by bitwise symmetry row[k] carries
+  // exactly the bits of the column entry kappa[k][island], but the access
+  // is contiguous in the caller's loop instead of an 8 KiB stride per
+  // element.
   return row ? row[k] * dq : 0.0;
-}
-
-double ElectrostaticModel::source_step_delta(std::size_t k, NodeId src,
-                                             double dv_src) const {
-  const int es = external_index_[static_cast<std::size_t>(src)];
-  require(es >= 0, "source_step_delta: node is not an external lead");
-  return source_gain_(k, static_cast<std::size_t>(es)) * dv_src;
 }
 
 double ElectrostaticModel::total_capacitance(NodeId n) const {

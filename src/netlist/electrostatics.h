@@ -88,25 +88,13 @@ class ElectrostaticModel {
   void island_potentials_into(const double* q, const double* v_ext,
                               double* v) const;
 
-  /// Potential change on every island when charge `dq` [C] is added to
-  /// island node `n` (column of kappa scaled by dq). No-op for non-islands.
-  void add_charge_delta(NodeId n, double dq, std::vector<double>& dv) const;
-
-  /// Potential change of island with index `k` when charge dq is added to
-  /// island node `n`: kappa[k][island_index(n)] * dq (0 for non-island n).
-  double potential_delta(std::size_t k, NodeId n, double dq) const noexcept;
-
-  /// Row-based variant for the adaptive hot loop: `row` is kappa_row() of
-  /// the perturbed island (nullptr when the endpoint is not an island) and
-  /// the result is row[k] * dq — bitwise identical to potential_delta(k, n,
-  /// dq) because kappa is bitwise symmetric, but reading contiguous memory.
+  /// Potential change of island `k` when charge `dq` [C] is added to the
+  /// island whose kappa row is `row` (nullptr when the endpoint is not an
+  /// island): row[k] * dq. Because kappa is bitwise symmetric, row[k] is
+  /// the column entry kappa[k][island], read from contiguous memory.
   /// Deliberately out of line: see the definition for the rounding contract.
   static double potential_delta_row(const double* row, std::size_t k,
                                     double dq) noexcept;
-
-  /// Potential change of island `k` when external lead node `src` steps by
-  /// `dv_src`: S[k][external_index(src)] * dv_src.
-  double source_step_delta(std::size_t k, NodeId src, double dv_src) const;
 
   /// All capacitive elements (junction capacitances first, then capacitors).
   const std::vector<CapacitiveElement>& capacitive_elements() const noexcept {

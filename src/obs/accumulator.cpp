@@ -153,145 +153,4 @@ BinningAccumulator BinningAccumulator::decode(BinaryReader& r) {
   return acc;
 }
 
-// ---- JackknifeAccumulator --------------------------------------------------
-
-JackknifeAccumulator::JackknifeAccumulator(std::size_t components,
-                                           std::size_t blocks)
-    : components_(components) {
-  require(components >= 1, "JackknifeAccumulator: need >= 1 component");
-  require(blocks >= 2, "JackknifeAccumulator: need >= 2 blocks");
-  block_n_.assign(blocks, 0);
-  block_sum_.assign(blocks * components, 0.0);
-}
-
-void JackknifeAccumulator::add(const std::vector<double>& sample) {
-  require(sample.size() == components_,
-          "JackknifeAccumulator: component count mismatch");
-  const std::size_t b = static_cast<std::size_t>(count_ % block_n_.size());
-  ++block_n_[b];
-  for (std::size_t c = 0; c < components_; ++c) {
-    block_sum_[b * components_ + c] += sample[c];
-  }
-  ++count_;
-}
-
-void JackknifeAccumulator::add(double a, double b) {
-  require(components_ == 2, "JackknifeAccumulator: not a 2-component set");
-  add(std::vector<double>{a, b});
-}
-
-double JackknifeAccumulator::component_mean(std::size_t c) const {
-  require(c < components_, "JackknifeAccumulator: component out of range");
-  require(count_ > 0, "JackknifeAccumulator: empty");
-  double sum = 0.0;
-  for (std::size_t b = 0; b < block_n_.size(); ++b) {
-    sum += block_sum_[b * components_ + c];
-  }
-  return sum / static_cast<double>(count_);
-}
-
-double JackknifeAccumulator::estimate(const Fn& f) const {
-  std::vector<double> means(components_);
-  for (std::size_t c = 0; c < components_; ++c) means[c] = component_mean(c);
-  return f(means);
-}
-
-double JackknifeAccumulator::error(const Fn& f) const {
-  require(count_ > 0, "JackknifeAccumulator: empty");
-  std::vector<double> total(components_, 0.0);
-  for (std::size_t b = 0; b < block_n_.size(); ++b) {
-    for (std::size_t c = 0; c < components_; ++c) {
-      total[c] += block_sum_[b * components_ + c];
-    }
-  }
-  // Leave-one-block-out estimates over the non-empty blocks.
-  std::vector<double> f_out;
-  std::vector<double> loo(components_);
-  for (std::size_t b = 0; b < block_n_.size(); ++b) {
-    if (block_n_[b] == 0) continue;
-    const double n_rest = static_cast<double>(count_ - block_n_[b]);
-    if (n_rest <= 0.0) continue;  // single non-empty block: no resamples
-    for (std::size_t c = 0; c < components_; ++c) {
-      loo[c] = (total[c] - block_sum_[b * components_ + c]) / n_rest;
-    }
-    f_out.push_back(f(loo));
-  }
-  const std::size_t nb = f_out.size();
-  if (nb < 2) return 0.0;
-  double fbar = 0.0;
-  for (const double v : f_out) fbar += v;
-  fbar /= static_cast<double>(nb);
-  double ss = 0.0;
-  for (const double v : f_out) ss += (v - fbar) * (v - fbar);
-  return std::sqrt(ss * static_cast<double>(nb - 1) / static_cast<double>(nb));
-}
-
-void JackknifeAccumulator::merge(const JackknifeAccumulator& other) {
-  require(other.components_ == components_ &&
-              other.block_n_.size() == block_n_.size(),
-          "JackknifeAccumulator: merge shape mismatch");
-  count_ += other.count_;
-  for (std::size_t b = 0; b < block_n_.size(); ++b) {
-    block_n_[b] += other.block_n_[b];
-  }
-  for (std::size_t i = 0; i < block_sum_.size(); ++i) {
-    block_sum_[i] += other.block_sum_[i];
-  }
-}
-
-void JackknifeAccumulator::encode(BinaryWriter& w) const {
-  w.u64(components_);
-  w.u64(count_);
-  w.vec_u64(block_n_);
-  w.vec_f64(block_sum_);
-}
-
-JackknifeAccumulator JackknifeAccumulator::decode(BinaryReader& r) {
-  const std::uint64_t components = r.u64();
-  const std::uint64_t count = r.u64();
-  std::vector<std::uint64_t> block_n = r.vec_u64();
-  std::vector<double> block_sum = r.vec_f64();
-  require(components >= 1 && block_n.size() >= 2 &&
-              block_sum.size() == block_n.size() * components,
-          "JackknifeAccumulator: corrupt payload");
-  JackknifeAccumulator acc(components, block_n.size());
-  acc.count_ = count;
-  acc.block_n_ = std::move(block_n);
-  acc.block_sum_ = std::move(block_sum);
-  return acc;
-}
-
-// ---- ObservableSet ---------------------------------------------------------
-
-BinningAccumulator& ObservableSet::operator[](const std::string& name) {
-  return obs_[name];
-}
-
-const BinningAccumulator* ObservableSet::find(const std::string& name) const {
-  const auto it = obs_.find(name);
-  return it == obs_.end() ? nullptr : &it->second;
-}
-
-void ObservableSet::merge(const ObservableSet& other) {
-  for (const auto& [name, acc] : other.obs_) obs_[name].merge(acc);
-}
-
-void ObservableSet::encode(BinaryWriter& w) const {
-  w.u64(obs_.size());
-  for (const auto& [name, acc] : obs_) {
-    w.str(name);
-    acc.encode(w);
-  }
-}
-
-ObservableSet ObservableSet::decode(BinaryReader& r) {
-  ObservableSet set;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    set.obs_[std::move(name)] = BinningAccumulator::decode(r);
-  }
-  return set;
-}
-
 }  // namespace semsim

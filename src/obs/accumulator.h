@@ -22,9 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace semsim {
@@ -90,74 +87,6 @@ class BinningAccumulator {
 
  private:
   std::vector<Level> levels_;
-};
-
-/// Jackknife resampling for quantities DERIVED from several averaged
-/// observables — f(<x_1>, ..., <x_K>), e.g. a current ratio or a Fano
-/// factor — where naive error propagation would ignore the nonlinearity.
-/// Samples are vectors of K components; they are distributed round-robin
-/// over B blocks, and the error of f is estimated from the B leave-one-
-/// block-out evaluations:
-///
-///   err^2 = (B-1)/B * sum_b (f_b - f_bar)^2.
-///
-/// Feed bin means (not raw samples) when the stream is autocorrelated.
-class JackknifeAccumulator {
- public:
-  using Fn = std::function<double(const std::vector<double>&)>;
-
-  explicit JackknifeAccumulator(std::size_t components, std::size_t blocks = 64);
-
-  void add(const std::vector<double>& sample);
-  /// Two-component convenience (ratios are the common case).
-  void add(double a, double b);
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::size_t components() const noexcept { return components_; }
-  std::size_t blocks() const noexcept { return block_n_.size(); }
-  double component_mean(std::size_t c) const;
-
-  /// Plug-in estimate f(<x_1>, ..., <x_K>).
-  double estimate(const Fn& f) const;
-  /// Jackknife standard error of f. Requires >= 2 non-empty blocks.
-  double error(const Fn& f) const;
-
-  /// Blockwise merge (same component and block counts required). Like the
-  /// binning merge, deterministic in a fixed operand order.
-  void merge(const JackknifeAccumulator& other);
-
-  void encode(BinaryWriter& w) const;
-  static JackknifeAccumulator decode(BinaryReader& r);
-
- private:
-  std::size_t components_;
-  std::uint64_t count_ = 0;
-  std::vector<std::uint64_t> block_n_;   ///< samples per block
-  std::vector<double> block_sum_;        ///< [block * components + c]
-};
-
-/// Name-keyed registry of binning accumulators: the set of observables one
-/// work unit (or one whole run) tracks. Iteration and merging are in name
-/// order, so merged sets are deterministic too.
-class ObservableSet {
- public:
-  /// Returns the accumulator for `name`, creating it on first use.
-  BinningAccumulator& operator[](const std::string& name);
-  const BinningAccumulator* find(const std::string& name) const;
-  bool contains(const std::string& name) const { return find(name) != nullptr; }
-  std::size_t size() const noexcept { return obs_.size(); }
-
-  /// Merges every observable of `other` (creating missing ones).
-  void merge(const ObservableSet& other);
-
-  auto begin() const { return obs_.begin(); }
-  auto end() const { return obs_.end(); }
-
-  void encode(BinaryWriter& w) const;
-  static ObservableSet decode(BinaryReader& r);
-
- private:
-  std::map<std::string, BinningAccumulator> obs_;
 };
 
 }  // namespace semsim

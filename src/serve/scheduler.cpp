@@ -28,15 +28,9 @@ struct JobScheduler::Job {
   bool cached = false;
 
   // ---- request (frozen at submit) ------------------------------------
-  SimulationInput input;
-  std::uint64_t seed = 1;
-  bool adaptive = true;
-  bool fast_rates = false;
-  StopCriterion stop;
-  RetryPolicy retry;
+  /// The run the job computes, without the service hooks execute() adds.
+  RunRequest request;
   FaultPlan fault;  ///< owned copy; empty = no injection
-  EnsembleSpec ensemble;  ///< disabled = single-device job
-  PartitionSpec partition;  ///< disabled = solo-engine job
   std::uint64_t fingerprint = 0;
   std::string checkpoint_path;  ///< spool file; "" = checkpointing off
   /// Absolute wall deadline (Unix epoch ms, 0 = none). Absolute so the
@@ -149,27 +143,19 @@ std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
   // Validate at the door, before a job exists: a malformed netlist throws
   // the parser's own coded error back to the client.
   auto job = std::make_unique<Job>();
-  job->input = parse_simulation_input(env.netlist);
-  if (env.repeats > 0) job->input.repeats = env.repeats;
+  RunRequest& req = job->request;
+  req.input = parse_simulation_input(env.netlist);
+  if (env.repeats > 0) req.input.repeats = env.repeats;
+  req.seed = env.seed;
+  req.adaptive = env.adaptive;
+  req.fast_rates = env.fast_rates;
+  req.stop = env.stop;
+  req.retry = env.retry;
+  req.ensemble = env.ensemble;
+  req.partition = env.partition;
   job->priority = env.priority;
-  job->seed = env.seed;
-  job->adaptive = env.adaptive;
-  job->fast_rates = env.fast_rates;
-  job->stop = env.stop;
-  job->retry = env.retry;
   job->fault = env.fault;
-  job->ensemble = env.ensemble;
-  job->partition = env.partition;
   job->client = env.client;
-
-  RunRequest req;
-  req.input = job->input;
-  req.seed = job->seed;
-  req.adaptive = job->adaptive;
-  req.fast_rates = job->fast_rates;
-  req.stop = job->stop;
-  req.ensemble = job->ensemble;
-  req.partition = job->partition;
   job->fingerprint = req.fingerprint();
   if (!config_.spool_dir.empty()) {
     job->checkpoint_path = config_.spool_dir + "/job-" +
@@ -426,7 +412,7 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
     s.points_total = job->points_total;
     s.points_done = job->points_done;
     s.degraded_points = job->degraded_points;
-    if (job->ensemble.enabled) {
+    if (job->request.ensemble.enabled) {
       // An ensemble's work units are its replicas.
       s.replicas_total = job->units_total;
       s.replicas_done = job->units_done;
@@ -614,16 +600,8 @@ void JobScheduler::deadline_loop() {
 
 void JobScheduler::execute(Job& job) {
   JobProgressSink sink(job);
-  RunRequest req;
-  req.input = job.input;
-  req.seed = job.seed;
-  req.adaptive = job.adaptive;
-  req.fast_rates = job.fast_rates;
+  RunRequest req = job.request;
   req.threads = executor_.threads();
-  req.stop = job.stop;
-  req.retry = job.retry;
-  req.ensemble = job.ensemble;
-  req.partition = job.partition;
   req.checkpoint_path = job.checkpoint_path;
   if (!job.fault.empty()) req.fault_plan = &job.fault;
   req.executor = &executor_;

@@ -45,7 +45,7 @@ TEST(Current, StuckEngineReportsZero) {
   SetFixture f;  // zero bias, T = 0: deep blockade
   Engine e(f.c, opts(0.0));
   const CurrentEstimate est =
-      measure_junction_current(e, 0, CurrentMeasureConfig{10, 100, 4});
+      measure_mean_current(e, {{0, 1.0}}, CurrentMeasureConfig{10, 100, 4});
   EXPECT_DOUBLE_EQ(est.mean, 0.0);
   EXPECT_EQ(est.events, 0u);
 }
@@ -84,22 +84,21 @@ TEST(Current, StderrShrinksWithMoreEvents) {
 
 TEST(Sweep, ValidatesConfig) {
   SetFixture f;
-  Engine e(f.c, opts(1.0));
+  const ParallelExecutor exec(1);
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.from = 0.0;
   cfg.to = 0.01;
   cfg.step = 0.0;  // invalid
   cfg.probes = {{0, 1.0}};
-  EXPECT_THROW(run_iv_sweep(e, cfg), Error);
+  EXPECT_THROW(run_iv_sweep(f.c, opts(1.0), cfg, exec), Error);
   cfg.step = 0.005;
   cfg.probes.clear();
-  EXPECT_THROW(run_iv_sweep(e, cfg), Error);
+  EXPECT_THROW(run_iv_sweep(f.c, opts(1.0), cfg, exec), Error);
 }
 
 TEST(Sweep, PointCountAndBiasGrid) {
   SetFixture f;
-  Engine e(f.c, opts(1.0, 7));
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;
@@ -108,7 +107,9 @@ TEST(Sweep, PointCountAndBiasGrid) {
   cfg.step = 0.005;
   cfg.probes = {{0, 1.0}};
   cfg.measure = CurrentMeasureConfig{100, 1000, 2};
-  const auto pts = run_iv_sweep(e, cfg);
+  // One chunk of all five points: the serial, warm-started sweep.
+  const auto pts = run_iv_sweep(f.c, opts(1.0), cfg, ParallelExecutor(1),
+                                ParallelSweepConfig{7, 5});
   ASSERT_EQ(pts.size(), 5u);
   EXPECT_DOUBLE_EQ(pts.front().bias, -0.01);
   EXPECT_NEAR(pts.back().bias, 0.01, 1e-12);
@@ -116,7 +117,6 @@ TEST(Sweep, PointCountAndBiasGrid) {
 
 TEST(Sweep, StabilityMapShape) {
   SetFixture f;
-  Engine e(f.c, opts(1.0, 9));
   StabilityMapConfig cfg;
   cfg.bias_node = f.src;
   cfg.mirror = f.drn;
@@ -125,7 +125,8 @@ TEST(Sweep, StabilityMapShape) {
   cfg.gate_values = {0.0, 0.01};
   cfg.probes = {{0, 1.0}, {1, 1.0}};
   cfg.measure = CurrentMeasureConfig{200, 2000, 2};
-  const auto map = run_stability_map(e, cfg);
+  const auto map = run_stability_map(f.c, opts(1.0), cfg, ParallelExecutor(1),
+                                     ParallelSweepConfig{9});
   ASSERT_EQ(map.size(), 2u);
   ASSERT_EQ(map[0].size(), 3u);
   for (const auto& row : map) {

@@ -10,7 +10,6 @@
 #include "base/constants.h"
 #include "core/adaptive_solver.h"
 #include "core/engine.h"
-#include "core/potential_tracker.h"
 #include "netlist/parser.h"
 #include "physics/cotunneling.h"
 #include "physics/free_energy.h"
@@ -373,51 +372,6 @@ TEST(Adaptive, TighterThresholdTracksNonAdaptiveMoreClosely) {
   }
 }
 
-// ---- PotentialTracker unit tests -------------------------------------------------
-
-TEST(PotentialTracker, LazyReplayMatchesExactRecompute) {
-  SetFixture f(0.01, -0.01, 0.005);
-  ElectrostaticModel m(f.c);
-  PotentialTracker tr(m);
-  const std::vector<double> v_ext = {0.01, -0.01, 0.005};
-  std::vector<double> q = {0.0};
-  tr.reset(q, v_ext);
-
-  tr.record_charge_move(f.src, f.island, -kE);
-  q[0] += -kE;
-  tr.record_charge_move(f.island, f.drn, -kE);
-  q[0] -= -kE;
-  tr.record_charge_move(f.drn, f.island, -kE);
-  q[0] += -kE;
-
-  const double lazy = tr.potential(0);
-  PotentialTracker fresh(m);
-  fresh.reset(q, v_ext);
-  EXPECT_NEAR(lazy, fresh.potential(0), 1e-15);
-}
-
-TEST(PotentialTracker, SourceStepReplay) {
-  SetFixture f;
-  ElectrostaticModel m(f.c);
-  PotentialTracker tr(m);
-  tr.reset({0.0}, {0.0, 0.0, 0.0});
-  tr.record_source_step(f.gate, 0.01);
-  EXPECT_NEAR(tr.potential(0), 0.006, 1e-12);
-  tr.sync_all();
-  EXPECT_NEAR(tr.potential(0), 0.006, 1e-12);
-}
-
-TEST(PotentialTracker, DeltaHelpersMatchKappa) {
-  SetFixture f;
-  ElectrostaticModel m(f.c);
-  PotentialTracker tr(m);
-  // Electron src -> island raises island charge by... the island receives
-  // charge -e, so the potential drops by e/C_sigma.
-  const double dv = tr.delta_for_charge_move(0, f.src, f.island, -kE);
-  EXPECT_NEAR(dv, -kE / 5e-18, 1e-6);
-  EXPECT_NEAR(tr.delta_for_source_step(0, f.gate, 0.02), 0.012, 1e-12);
-}
-
 // ---- AdaptiveSolver unit tests ----------------------------------------------------
 
 TEST(AdaptiveSolverUnit, TinyThresholdFlagsSeeds) {
@@ -592,7 +546,6 @@ jumps 20000 1
 
 TEST(Integration, IvSweepShowsCoulombBlockade) {
   SetFixture f(0.0, 0.0, 0.0);
-  Engine e(f.c, opts(0.5, true, 79));
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;
@@ -601,7 +554,10 @@ TEST(Integration, IvSweepShowsCoulombBlockade) {
   cfg.step = 0.005;
   cfg.probes = {{0, 1.0}, {1, 1.0}};
   cfg.measure = CurrentMeasureConfig{1000, 15000, 4};
-  const auto points = run_iv_sweep(e, cfg);
+  // One chunk of all nine points: the serial, warm-started sweep.
+  const auto points = run_iv_sweep(f.c, opts(0.5, true, 79), cfg,
+                                   ParallelExecutor(1),
+                                   ParallelSweepConfig{79, 9});
   ASSERT_EQ(points.size(), 9u);
   // Midpoint (V = 0) is deep in blockade, endpoints conduct.
   const double i_mid = std::abs(points[4].current);

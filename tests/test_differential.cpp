@@ -150,13 +150,15 @@ TEST(FastRatesDifferential, AdaptiveIvCurveStatisticallyIndistinguishable) {
   cfg.measure.measure_events = 6000;
   cfg.measure.blocks = 8;
 
-  Engine exact_engine(c, o);
-  const std::vector<IvPoint> exact_iv = run_iv_sweep(exact_engine, cfg);
+  // One chunk of all seven points: the serial, warm-started sweep.
+  const ParallelSweepConfig serial{o.seed, 7};
+  const std::vector<IvPoint> exact_iv =
+      run_iv_sweep(c, o, cfg, ParallelExecutor(1), serial);
 
   EngineOptions fast_o = o;
   fast_o.fast_rates = true;
-  Engine fast_engine(c, fast_o);
-  const std::vector<IvPoint> fast_iv = run_iv_sweep(fast_engine, cfg);
+  const std::vector<IvPoint> fast_iv =
+      run_iv_sweep(c, fast_o, cfg, ParallelExecutor(1), serial);
 
   ASSERT_EQ(exact_iv.size(), fast_iv.size());
   ASSERT_GE(exact_iv.size(), 6u);
@@ -219,12 +221,13 @@ TEST(FastRatesDifferential, CotunnelingIvStatisticallyIndistinguishable) {
   cfg.measure.measure_events = 4000;
   cfg.measure.blocks = 8;
 
-  Engine exact_engine(c, o);
-  const std::vector<IvPoint> exact_iv = run_iv_sweep(exact_engine, cfg);
+  const ParallelSweepConfig serial{o.seed, 3};  // one chunk, three points
+  const std::vector<IvPoint> exact_iv =
+      run_iv_sweep(c, o, cfg, ParallelExecutor(1), serial);
   EngineOptions fast_o = o;
   fast_o.fast_rates = true;
-  Engine fast_engine(c, fast_o);
-  const std::vector<IvPoint> fast_iv = run_iv_sweep(fast_engine, cfg);
+  const std::vector<IvPoint> fast_iv =
+      run_iv_sweep(c, fast_o, cfg, ParallelExecutor(1), serial);
 
   ASSERT_EQ(exact_iv.size(), fast_iv.size());
   for (std::size_t p = 0; p < exact_iv.size(); ++p) {

@@ -165,7 +165,7 @@ TEST(FaultInjectorTest, MatchesUnitAttemptAndEvent) {
   EXPECT_EQ(right.next(100)->kind, FaultKind::kNanRate);
   EXPECT_EQ(right.next(101), nullptr);  // non-sticky: exactly one event
   // The retry rebind: the same fault must not re-fire on attempt 1.
-  EXPECT_EQ(right.for_attempt(1).next(100), nullptr);
+  EXPECT_EQ(right.for_unit(3, 1).next(100), nullptr);
   EXPECT_EQ(wrong_unit.for_unit(3, 0).next(100), right.next(100));
 }
 
@@ -705,18 +705,21 @@ TEST(SweepFaultIsolation, StrictModeAbortsWithThePointInContext) {
 }
 
 TEST(SweepFaultIsolation, SerialSweepRetriesOnItsOwnEngine) {
+  // One chunk holding all six points (the serial, warm-started sweep): the
+  // fault fails point 0, the chunk moves to a fresh engine on its own retry
+  // stream, and that engine carries every later point.
   SetFixture fx;
   FaultPlan plan;
-  // Any unit (the serial engine is unit 0 by default), attempt 0 only.
+  // Any unit (the single chunk is unit 0), attempt 0 only.
   FaultSpec f = fault(FaultKind::kNanRate, 300);
   f.attempt = 0;
   plan.faults.push_back(f);
   EngineOptions o;
   o.temperature = 5.0;
-  o.seed = 11;
   o.fault = FaultInjector(&plan, 0, 0);
-  Engine engine(fx.c, o);
-  const std::vector<IvPoint> pts = run_iv_sweep(engine, small_sweep(fx));
+  const std::vector<IvPoint> pts =
+      run_iv_sweep(fx.c, o, small_sweep(fx), ParallelExecutor(1),
+                   ParallelSweepConfig{11, 6});
   ASSERT_EQ(pts.size(), 6u);
   EXPECT_EQ(pts[0].status, PointStatus::kRetried);
   EXPECT_EQ(pts[0].attempts, 2u);

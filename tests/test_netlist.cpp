@@ -214,18 +214,24 @@ TEST(Electrostatics, ChargeDeltaMatchesPotentialDifference) {
   const double q = -kElementaryCharge;
   const auto v0 = m.island_potentials({0.0}, {0.0, 0.0, 0.0});
   const auto v1 = m.island_potentials({q}, {0.0, 0.0, 0.0});
-  std::vector<double> dv(1, 0.0);
-  m.add_charge_delta(f.island, q, dv);
-  EXPECT_NEAR(dv[0], v1[0] - v0[0], 1e-15);
-  EXPECT_NEAR(m.potential_delta(0, f.island, q), v1[0] - v0[0], 1e-15);
-  // Non-island: no contribution.
-  EXPECT_DOUBLE_EQ(m.potential_delta(0, f.src, q), 0.0);
+  // The engine's per-event potential change: the moved charge times the
+  // kappa row of the island that received it.
+  const double* row =
+      m.kappa_row(static_cast<std::size_t>(m.island_index(f.island)));
+  EXPECT_NEAR(ElectrostaticModel::potential_delta_row(row, 0, q),
+              v1[0] - v0[0], 1e-15);
+  // Non-island endpoint (no kappa row): no contribution.
+  EXPECT_EQ(m.island_index(f.src), -1);
+  EXPECT_DOUBLE_EQ(ElectrostaticModel::potential_delta_row(nullptr, 0, q),
+                   0.0);
 }
 
 TEST(Electrostatics, SourceStepDeltaMatchesGain) {
   SetFixture f;
   ElectrostaticModel m(f.c);
-  EXPECT_NEAR(m.source_step_delta(0, f.gate, 0.01), 0.006, 1e-12);
+  // A 10 mV gate step moves the island by S[island][gate] * 10 mV.
+  const auto gate = static_cast<std::size_t>(m.external_index(f.gate));
+  EXPECT_NEAR(m.source_gain()(0, gate) * 0.01, 0.006, 1e-12);
 }
 
 TEST(Electrostatics, TwoIslandCouplingSymmetry) {

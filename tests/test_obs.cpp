@@ -1,7 +1,6 @@
 // semsim_obs accumulators (src/obs/accumulator.h) against closed forms:
 // iid streams must recover mean/variance with tau_int ~ 0.5, an AR(1)
-// process with known phi must recover the analytic autocorrelation time,
-// and the jackknife error of a ratio must match the delta method.
+// process with known phi must recover the analytic autocorrelation time.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -165,82 +164,6 @@ TEST(Binning, DecodeRejectsCorruptLevelCount) {
   w.u64(BinningAccumulator::kMaxLevels + 1);
   BinaryReader r(w.bytes());
   EXPECT_THROW(BinningAccumulator::decode(r), Error);
-}
-
-TEST(Jackknife, RatioErrorMatchesDeltaMethod) {
-  // f = <a> / <b> with independent a ~ N(2, 0.1^2), b ~ N(4, 0.2^2).
-  // Delta method: var f = f^2 (var_a / (N <a>^2) + var_b / (N <b>^2)).
-  const std::size_t n = 1 << 14;
-  std::mt19937_64 gen(2024);
-  std::normal_distribution<double> da(2.0, 0.1), db(4.0, 0.2);
-  JackknifeAccumulator acc(2);
-  for (std::size_t i = 0; i < n; ++i) acc.add(da(gen), db(gen));
-
-  const auto ratio = [](const std::vector<double>& m) { return m[0] / m[1]; };
-  const double f = acc.estimate(ratio);
-  EXPECT_NEAR(f, 0.5, 0.01);
-  const double ma = acc.component_mean(0);
-  const double mb = acc.component_mean(1);
-  const double delta_err =
-      std::fabs(f) * std::sqrt((0.1 * 0.1) / (n * ma * ma) +
-                               (0.2 * 0.2) / (n * mb * mb));
-  const double jk_err = acc.error(ratio);
-  EXPECT_NEAR(jk_err, delta_err, 0.25 * delta_err);
-}
-
-TEST(Jackknife, MergeAndSerializationRoundTrip) {
-  std::mt19937_64 gen(5);
-  std::normal_distribution<double> dist(1.0, 0.3);
-  JackknifeAccumulator a(2, 8), b(2, 8);
-  for (int i = 0; i < 400; ++i) a.add(dist(gen), dist(gen) + 1.0);
-  for (int i = 0; i < 300; ++i) b.add(dist(gen), dist(gen) + 1.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 700u);
-
-  BinaryWriter w;
-  a.encode(w);
-  BinaryReader r(w.bytes());
-  const JackknifeAccumulator back = JackknifeAccumulator::decode(r);
-  r.require_done();
-  const auto ratio = [](const std::vector<double>& m) { return m[0] / m[1]; };
-  EXPECT_EQ(back.count(), a.count());
-  EXPECT_EQ(back.estimate(ratio), a.estimate(ratio));
-  EXPECT_EQ(back.error(ratio), a.error(ratio));
-
-  JackknifeAccumulator other(3, 8);
-  EXPECT_THROW(a.merge(other), Error);
-}
-
-TEST(ObservableSet, RegistryMergeAndRoundTrip) {
-  ObservableSet set;
-  for (int i = 0; i < 100; ++i) {
-    set["current"].add(0.01 * i);
-    set["charge"].add(1.0);
-  }
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.contains("current"));
-  EXPECT_FALSE(set.contains("voltage"));
-  ASSERT_NE(set.find("charge"), nullptr);
-  EXPECT_EQ(set.find("charge")->count(), 100u);
-
-  ObservableSet more;
-  more["current"].add(0.5);
-  more["voltage"].add(2.0);
-  set.merge(more);
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_EQ(set.find("current")->count(), 101u);
-
-  BinaryWriter w;
-  set.encode(w);
-  BinaryReader r(w.bytes());
-  const ObservableSet back = ObservableSet::decode(r);
-  r.require_done();
-  EXPECT_EQ(back.size(), set.size());
-  EXPECT_EQ(back.find("current")->mean(), set.find("current")->mean());
-  // Iteration order is name order (std::map): deterministic encodes.
-  BinaryWriter w2;
-  back.encode(w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
 }  // namespace

@@ -45,6 +45,7 @@
 
 #include "analysis/api.h"
 #include "base/random.h"
+#include "flags.h"
 #include "io/json.h"
 #include "serve/client.h"
 
@@ -77,33 +78,6 @@ sweep 1 0.01 0.002
 void note(const std::string& message) {
   std::printf("semsim_chaos: %s\n", message.c_str());
   std::fflush(stdout);
-}
-
-bool flag_value(const std::string& a, const char* name, int argc, char** argv,
-                int& i, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (a.compare(0, len, name) == 0 && a.size() > len && a[len] == '=') {
-    *value = a.substr(len + 1);
-    return true;
-  }
-  if (a == name && i + 1 < argc) {
-    *value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
 }
 
 /// Next draw from the deterministic chaos stream: uniform in [lo, hi].

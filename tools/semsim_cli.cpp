@@ -15,16 +15,14 @@
 // equation and prints its currents next to the Monte-Carlo values (small
 // circuits only). Every value flag accepts both `--flag VALUE` and
 // `--flag=VALUE`.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "analysis/api.h"
+#include "flags.h"
 #include "guard/exit_codes.h"
 #include "io/table_writer.h"
 #include "master/master_equation.h"
@@ -109,126 +107,6 @@ void usage(const char* argv0) {
       argv0, RunResult::kJsonSchema);
 }
 
-/// Matches `--name VALUE` (consuming the next argv) or `--name=VALUE`.
-bool flag_value(const std::string& a, const char* name, int argc, char** argv,
-                int& i, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (a.compare(0, len, name) == 0 && a.size() > len && a[len] == '=') {
-    *value = a.substr(len + 1);
-    return true;
-  }
-  if (a == name && i + 1 < argc) {
-    *value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-/// Strict decimal parse; anything but a plain non-negative integer is fatal.
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: %s\n", flag, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Ensemble flags, generated from the SEMSIM_ENSEMBLE_FIELD table
-/// (analysis/run_fields.inc). Passing any of them enables the ensemble.
-/// Returns true when `a` was one of them (and consumed its value).
-bool parse_ensemble_flag(const std::string& a, int argc, char** argv, int& i,
-                         EnsembleSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_u64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_BOOL(member, flag)  // no boolean ensemble fields
-#define SEMSIM_FIELD_CLI_DIST(member, flag)                            \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                        \
-    if (!perturbation_dist_from(v, &spec->member)) {                   \
-      std::fprintf(stderr, "%s: unknown distribution '%s' (gaussian|uniform)\n", \
-                   flag, v.c_str());                                   \
-      std::exit(2);                                                    \
-    }                                                                  \
-    spec->enabled = true;                                              \
-    return true;                                                       \
-  }
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U64
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-#undef SEMSIM_FIELD_CLI_BOOL
-#undef SEMSIM_FIELD_CLI_DIST
-  return false;
-}
-
-/// Partition flags, generated from the SEMSIM_PARTITION_FIELD table.
-/// Passing any of them enables partitioned execution.
-bool parse_partition_flag(const std::string& a, int argc, char** argv, int& i,
-                          PartitionSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -248,19 +126,9 @@ int main(int argc, char** argv) {
     } else if (flag_value(a, "--threads", argc, argv, i, &v)) {
       req.threads = static_cast<unsigned>(parse_u64("--threads", v));
     } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      const std::uint64_t n = parse_u64("--repeats", v);
-      if (n == 0 || n > 0xFFFFFFFFULL) {
-        std::fprintf(stderr, "--repeats: out of range: %s\n", v.c_str());
-        return kExitUsage;
-      }
-      repeats_override = static_cast<std::uint32_t>(n);
+      repeats_override = parse_count("--repeats", v);
     } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      req.stop.target_rel_error = parse_f64("--target-rel-error", v);
-      if (!(req.stop.target_rel_error > 0.0)) {
-        std::fprintf(stderr, "--target-rel-error: must be > 0: %s\n",
-                     v.c_str());
-        return kExitUsage;
-      }
+      req.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
     } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
       req.stop.max_events = parse_u64("--max-events", v);
     } else if (flag_value(a, "--checkpoint", argc, argv, i, &v)) {
@@ -272,23 +140,13 @@ int main(int argc, char** argv) {
     } else if (a == "--strict") {
       req.retry.strict = true;
     } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      const std::uint64_t n = parse_u64("--retries", v);
-      if (n == 0 || n > 0xFFFFFFFFULL) {
-        std::fprintf(stderr, "--retries: out of range: %s\n", v.c_str());
-        return kExitUsage;
-      }
-      req.retry.max_attempts = static_cast<std::uint32_t>(n);
+      req.retry.max_attempts = parse_count("--retries", v);
     } else if (flag_value(a, "--audit-interval", argc, argv, i, &v)) {
       req.audit.interval = parse_u64("--audit-interval", v);
     } else if (a == "--no-audit") {
       req.audit.enabled = false;
     } else if (flag_value(a, "--watchdog-seconds", argc, argv, i, &v)) {
-      req.audit.watchdog_seconds = parse_f64("--watchdog-seconds", v);
-      if (!(req.audit.watchdog_seconds > 0.0)) {
-        std::fprintf(stderr, "--watchdog-seconds: must be > 0: %s\n",
-                     v.c_str());
-        return kExitUsage;
-      }
+      req.audit.watchdog_seconds = parse_positive_f64("--watchdog-seconds", v);
     } else if (a == "--non-adaptive") {
       req.adaptive = false;
     } else if (a == "--fast-rates") {

@@ -27,10 +27,9 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "flags.h"
 #include "guard/exit_codes.h"
 #include "serve/server.h"
 
@@ -71,33 +70,6 @@ void usage(const char* argv0) {
       "                     (default 60000, 0 = never)\n"
       "  --max-request-mb N request size cap in MiB (default 4)\n",
       argv0);
-}
-
-bool flag_value(const std::string& a, const char* name, int argc, char** argv,
-                int& i, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (a.compare(0, len, name) == 0 && a.size() > len && a[len] == '=') {
-    *value = a.substr(len + 1);
-    return true;
-  }
-  if (a == name && i + 1 < argc) {
-    *value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
 }
 
 }  // namespace

@@ -17,20 +17,20 @@
 // `semsim input.sem --canonical-json`. Responses print to stdout verbatim
 // (one JSON line); --json additionally writes the result document to FILE.
 //
-// Exit codes: 0 ok; 1 transport/protocol error; 2 usage; 3 the daemon
+// Exit codes: 0 ok; 1 transport/protocol error; 2 usage, including a flag
+// value semsim would reject (checked before connecting); 3 the daemon
 // answered with an error response; 4 --wait saw the job end failed; 5
 // --wait saw the job end cancelled.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "base/random.h"
+#include "flags.h"
 #include "io/json.h"
 #include "serve/client.h"
 
@@ -65,124 +65,6 @@ void usage(const char* argv0) {
       "                   overloaded submit is retried after the daemon's\n"
       "                   retry_after_ms hint\n",
       argv0);
-}
-
-bool flag_value(const std::string& a, const char* name, int argc, char** argv,
-                int& i, std::string* value) {
-  const std::size_t len = std::strlen(name);
-  if (a.compare(0, len, name) == 0 && a.size() > len && a[len] == '=') {
-    *value = a.substr(len + 1);
-    return true;
-  }
-  if (a == name && i + 1 < argc) {
-    *value = argv[++i];
-    return true;
-  }
-  return false;
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.find('-') != std::string::npos) {
-    std::fprintf(stderr, "%s: not a non-negative integer: %s\n", flag,
-                 text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: %s\n", flag, text.c_str());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Ensemble submit flags, generated from the same SEMSIM_ENSEMBLE_FIELD
-/// table semsim_cli uses (analysis/run_fields.inc); any of them enables the
-/// ensemble section of the envelope.
-bool parse_ensemble_flag(const std::string& a, int argc, char** argv, int& i,
-                         EnsembleSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_u64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_FIELD_CLI_BOOL(member, flag)  // no boolean ensemble fields
-#define SEMSIM_FIELD_CLI_DIST(member, flag)                            \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                        \
-    if (!perturbation_dist_from(v, &spec->member)) {                   \
-      std::fprintf(stderr, "%s: unknown distribution '%s' (gaussian|uniform)\n", \
-                   flag, v.c_str());                                   \
-      std::exit(2);                                                    \
-    }                                                                  \
-    spec->enabled = true;                                              \
-    return true;                                                       \
-  }
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U64
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-#undef SEMSIM_FIELD_CLI_BOOL
-#undef SEMSIM_FIELD_CLI_DIST
-  return false;
-}
-
-/// Partition flags (SEMSIM_PARTITION_FIELD table); any of them enables the
-/// envelope's optional "partition" section.
-bool parse_partition_flag(const std::string& a, int argc, char** argv, int& i,
-                          PartitionSpec* spec) {
-  std::string v;
-#define SEMSIM_FIELD_CLI_U32(member, flag)                          \
-  if (flag_value(a, flag, argc, argv, i, &v)) {                     \
-    const std::uint64_t n = parse_u64(flag, v);                     \
-    if (n == 0 || n > 0xFFFFFFFFULL) {                              \
-      std::fprintf(stderr, "%s: out of range: %s\n", flag, v.c_str()); \
-      std::exit(2);                                                 \
-    }                                                               \
-    spec->member = static_cast<std::uint32_t>(n);                   \
-    spec->enabled = true;                                           \
-    return true;                                                    \
-  }
-#define SEMSIM_FIELD_CLI_F64(member, flag)        \
-  if (flag_value(a, flag, argc, argv, i, &v)) {   \
-    spec->member = parse_f64(flag, v);            \
-    spec->enabled = true;                         \
-    return true;                                  \
-  }
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_CLI_##KIND(member, cli_flag)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_CLI_U32
-#undef SEMSIM_FIELD_CLI_F64
-  return false;
 }
 
 /// True when the response line is an ok "semsim.response/v1" object (the
@@ -271,16 +153,17 @@ int main(int argc, char** argv) {
     } else if (flag_value(a, "--seed", argc, argv, i, &v)) {
       env.seed = parse_u64("--seed", v);
     } else if (flag_value(a, "--priority", argc, argv, i, &v)) {
-      env.priority = std::atoi(v.c_str());
+      // The envelope's priority range (io/envelope.cpp).
+      env.priority = static_cast<int>(
+          parse_int("--priority", v, -1000000, 1000000));
     } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      env.repeats = static_cast<std::uint32_t>(parse_u64("--repeats", v));
+      env.repeats = parse_count("--repeats", v);
     } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      env.stop.target_rel_error = std::atof(v.c_str());
+      env.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
     } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
       env.stop.max_events = parse_u64("--max-events", v);
     } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      env.retry.max_attempts =
-          static_cast<std::uint32_t>(parse_u64("--retries", v));
+      env.retry.max_attempts = parse_count("--retries", v);
     } else if (a == "--strict") {
       env.retry.strict = true;
     } else if (a == "--fast-rates") {
