@@ -44,14 +44,8 @@ CurrentEstimate window_current(const std::vector<CurrentProbe>& probes,
 /// warm-up is `jumps`/10, and the standard error comes from eight
 /// contiguous blocks of per-barrier samples.
 ///
-/// Checkpoint/bitwise contract: the run ALWAYS takes its per-cluster
-/// snapshots at the 32 fixed event milestones (unit 0 = warm-up), whether
-/// or not a checkpoint file is configured — Engine::snapshot() performs a
-/// canonicalizing full update, so snapshotting only on the checkpointed
-/// path would make checkpointed and plain runs diverge. With the
-/// milestones unconditional, a daemon job (spool-checkpointed) and a plain
-/// CLI run of the same request produce byte-identical result documents,
-/// and interrupted + resumed equals uninterrupted.
+/// The run is a sequence (analysis/units.h) of 33 milestones: the warm-up,
+/// then every 32nd of the measured events.
 DriverResult run_partitioned(const SimulationInput& input,
                              const DriverOptions& options) {
   // Coded kCircuitInvalid so the CLI exits 3 ("your input is wrong") and
@@ -88,17 +82,12 @@ DriverResult run_partitioned(const SimulationInput& input,
   };
 
   const auto wall0 = std::chrono::steady_clock::now();
-  throw_if_cancelled(ctx.cancel, "partitioned run");
   input.circuit.build_caches();
   // The global model feeds only the planner's kappa scan; each cluster
   // engine factorizes its own (much smaller) sub-circuit model.
   const ElectrostaticModel model(input.circuit);
   PartitionedEngine part(input.circuit, model, eo, options.partition,
                          &ctx.exec);
-
-  ctx.tag_checkpoint("partition", kSlices);
-  const std::unique_ptr<RunCheckpoint> cp = ctx.open_checkpoint(kSlices + 1);
-  ctx.started(kSlices + 1, 0);
 
   bool warmed = false;
   std::uint64_t warm_events = 0;
@@ -116,8 +105,34 @@ DriverResult run_partitioned(const SimulationInput& input,
     }
     return acc;
   };
-  const auto encode_state = [&]() {
-    BinaryWriter w;
+
+  Sequence seq;
+  seq.count = kSlices + 1;
+  seq.name = "partition milestone";
+  seq.advance = [&](std::size_t k) {
+    // Milestone k is reached at the first barrier past it.
+    while (!warmed ||
+           (k > 0 && part.total_events() - warm_events < milestone(k))) {
+      if (part.exhausted()) return false;  // nothing can ever fire again
+      part.advance_window(chunk);
+      const std::uint64_t total = part.total_events();
+      if (!warmed && total >= warmup) {
+        warmed = true;
+        warm_events = total;
+        t0 = part.time();
+        q0.clear();
+        for (const CurrentProbe& p : probes) {
+          q0.push_back(part.junction_transferred_e(p.junction));
+        }
+      }
+      if (warmed) {
+        sample_t.push_back(part.time());
+        sample_q.push_back(signed_transfer());
+      }
+    }
+    return true;
+  };
+  seq.encode = [&](BinaryWriter& w) {
     const std::vector<EngineSnapshot> snaps = part.snapshot_clusters();
     w.u32(static_cast<std::uint32_t>(snaps.size()));
     for (const EngineSnapshot& s : snaps) encode_engine_snapshot(w, s);
@@ -128,74 +143,24 @@ DriverResult run_partitioned(const SimulationInput& input,
     w.vec_f64(q0);
     w.vec_f64(sample_t);
     w.vec_f64(sample_q);
-    return w.take();
   };
-
-  std::uint64_t next_unit = 0;
-  if (cp) {
-    const std::int64_t done = cp->last_unit();
-    if (done >= 0) {
-      // Named local: payload() returns by value and the reader only
-      // borrows the bytes.
-      const std::vector<std::uint8_t> state =
-          cp->payload(static_cast<std::size_t>(done));
-      BinaryReader r(state);
-      const std::uint32_t n = r.u32();
-      require(n == part.clusters(),
-              "checkpoint: partition cluster count mismatch");
-      std::vector<EngineSnapshot> snaps;
-      snaps.reserve(n);
-      for (std::uint32_t c = 0; c < n; ++c) {
-        snaps.push_back(decode_engine_snapshot(r));
-      }
-      const std::uint64_t windows = r.u64();
-      warmed = r.u8() != 0;
-      warm_events = r.u64();
-      t0 = r.f64();
-      q0 = r.vec_f64();
-      sample_t = r.vec_f64();
-      sample_q = r.vec_f64();
-      r.require_done();
-      part.restore_clusters(snaps, windows);
-      next_unit = static_cast<std::uint64_t>(done) + 1;
-      for (std::uint64_t u = 0; u < next_unit; ++u) ctx.unit_done(u);
+  seq.decode = [&](BinaryReader& r) {
+    const std::uint32_t n = r.u32();
+    std::vector<EngineSnapshot> snaps;
+    for (std::uint32_t c = 0; c < n; ++c) {
+      snaps.push_back(decode_engine_snapshot(r));
     }
-  }
-
-  const auto reach_milestone = [&](std::uint64_t unit) {
-    const std::vector<std::uint8_t> state = encode_state();
-    if (cp) cp->record(unit, state);
-    ctx.unit_done(unit);
+    const std::uint64_t windows = r.u64();
+    warmed = r.u8() != 0;
+    warm_events = r.u64();
+    t0 = r.f64();
+    q0 = r.vec_f64();
+    sample_t = r.vec_f64();
+    sample_q = r.vec_f64();
+    part.restore_clusters(snaps, windows);
   };
-
-  while (next_unit <= kSlices) {
-    throw_if_cancelled(ctx.cancel, "partition window");
-    part.advance_window(chunk);
-    const std::uint64_t total = part.total_events();
-    if (!warmed && total >= warmup) {
-      warmed = true;
-      warm_events = total;
-      t0 = part.time();
-      q0.clear();
-      for (const CurrentProbe& p : probes) {
-        q0.push_back(part.junction_transferred_e(p.junction));
-      }
-      if (next_unit == 0) {
-        reach_milestone(0);
-        next_unit = 1;
-      }
-    }
-    if (warmed) {
-      sample_t.push_back(part.time());
-      sample_q.push_back(signed_transfer());
-      const std::uint64_t measured = total - warm_events;
-      while (next_unit <= kSlices && measured >= milestone(next_unit)) {
-        reach_milestone(next_unit);
-        ++next_unit;
-      }
-    }
-    if (part.exhausted()) break;  // nothing can ever fire again
-  }
+  ctx.tag_checkpoint("partition", kSlices);
+  run_sequence(seq, ctx);
 
   DriverResult result;
   if (!warmed) {
@@ -348,7 +313,8 @@ DriverResult run_sweep(const SimulationInput& input,
 
 /// Fixed simulated span: a single transient, inherently serial. Measure over
 /// the whole window after a warm-up tenth (paper: "until the desired
-/// simulation time is met").
+/// simulation time is met"). The run is a sequence (analysis/units.h) of 33
+/// milestones: the warm-up, then 32 equal time slices of the measured span.
 DriverResult run_transient(const SimulationInput& input,
                            const DriverOptions& options) {
   const EngineOptions eo = engine_options_for(input, options);
@@ -356,41 +322,16 @@ DriverResult run_transient(const SimulationInput& input,
   UnitContext ctx = unit_context(input, options, options.seed);
 
   const auto wall0 = std::chrono::steady_clock::now();
-  throw_if_cancelled(ctx.cancel, "transient");
   Engine engine(input.circuit, eo);
   const double warmup_t = 0.1 * input.max_time;
   double t0 = 0.0;
   std::vector<double> q0;
-  // Checkpointed transient: the run is cut into fixed time slices and the
-  // engine snapshot after each slice is recorded, so a crash loses at most
-  // one slice. Slicing itself perturbs the trajectory (each slice boundary
-  // clamps one waiting-time draw, and each snapshot performs a
-  // canonicalizing full refresh), so a checkpointed run is compared against
-  // a checkpointed run — interrupted + resumed is then bitwise identical to
-  // uninterrupted, because the slice grid is fixed by the configuration
-  // alone. Unit 0 is the warm-up, units 1..N the measurement slices; unit
-  // k's payload subsumes all earlier ones.
   constexpr std::uint64_t kSlices = 32;
-  ctx.tag_checkpoint("transient", kSlices);
-  const std::unique_ptr<RunCheckpoint> cp = ctx.open_checkpoint(kSlices + 1);
-  const std::uint64_t slices = cp ? kSlices : 0;
-  ctx.started(slices + 1, 0);
-  std::int64_t done = cp ? cp->last_unit() : -1;
-  if (done >= 0) {
-    const std::vector<std::uint8_t> bytes =
-        cp->payload(static_cast<std::size_t>(done));
-    BinaryReader r(bytes);
-    engine.restore(decode_engine_snapshot(r));
-    t0 = r.f64();
-    q0 = r.vec_f64();
-    r.require_done();
-    for (std::int64_t u = 0; u <= done; ++u) {
-      ctx.unit_done(static_cast<std::size_t>(u));
-    }
-  }
-  for (std::uint64_t k = static_cast<std::uint64_t>(done + 1); k <= slices;
-       ++k) {
-    throw_if_cancelled(ctx.cancel, "transient slice");
+
+  Sequence seq;
+  seq.count = kSlices + 1;
+  seq.name = "transient slice";
+  seq.advance = [&](std::size_t k) {
     if (k == 0) {
       engine.run_until(warmup_t);
       t0 = engine.time();
@@ -398,24 +339,27 @@ DriverResult run_transient(const SimulationInput& input,
       for (const CurrentProbe& p : probes) {
         q0.push_back(engine.junction_transferred_e(p.junction));
       }
-      // Unsliced: the measurement window is this unit's tail.
-      if (!cp) engine.run_until(input.max_time);
     } else {
-      const double t_end =
-          k == kSlices ? input.max_time
-                       : warmup_t + static_cast<double>(k) *
-                                        (input.max_time - warmup_t) / kSlices;
-      engine.run_until(t_end);
+      engine.run_until(k == kSlices
+                           ? input.max_time
+                           : warmup_t + static_cast<double>(k) *
+                                            (input.max_time - warmup_t) /
+                                            kSlices);
     }
-    if (cp) {
-      BinaryWriter w;
-      encode_engine_snapshot(w, engine.snapshot());
-      w.f64(t0);
-      w.vec_f64(q0);
-      cp->record(k, w.take());
-    }
-    ctx.unit_done(k);
-  }
+    return true;
+  };
+  seq.encode = [&](BinaryWriter& w) {
+    encode_engine_snapshot(w, engine.snapshot());
+    w.f64(t0);
+    w.vec_f64(q0);
+  };
+  seq.decode = [&](BinaryReader& r) {
+    engine.restore(decode_engine_snapshot(r));
+    t0 = r.f64();
+    q0 = r.vec_f64();
+  };
+  ctx.tag_checkpoint("transient", kSlices);
+  run_sequence(seq, ctx);
 
   DriverResult result;
   if (!probes.empty()) {
@@ -434,8 +378,7 @@ DriverResult run_transient(const SimulationInput& input,
   return result;
 }
 
-/// One repeat of the `jumps` measurement. Every field but the audit trail
-/// is checkpointed (see encode below).
+/// One repeat of the `jumps` measurement.
 struct RepeatResult : UnitWork {
   CurrentEstimate estimate;
   double sim_time = 0.0;
@@ -470,15 +413,11 @@ DriverResult run_repeats(const SimulationInput& input,
   units.name = "repeat";
   units.isolated = true;
   units.encode = [&](BinaryWriter& w, const RepeatResult& r) {
-    w.u8(r.outcome.ok ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(r.outcome.code));
-    w.u32(r.outcome.attempts);
     w.f64(r.estimate.mean);
     w.f64(r.estimate.stderr_mean);
     w.f64(r.estimate.sim_time);
     w.u64(r.estimate.events);
     w.f64(r.sim_time);
-    encode_solver_stats(w, r.stats);
     w.u8(use_convergence ? 1 : 0);
     if (use_convergence) {
       r.converged.samples.encode(w);
@@ -489,15 +428,11 @@ DriverResult run_repeats(const SimulationInput& input,
   };
   units.decode = [&](BinaryReader& rd, std::size_t) {
     RepeatResult r;
-    r.outcome.ok = rd.u8() != 0;
-    r.outcome.code = static_cast<ErrorCode>(rd.u32());
-    r.outcome.attempts = rd.u32();
     r.estimate.mean = rd.f64();
     r.estimate.stderr_mean = rd.f64();
     r.estimate.sim_time = rd.f64();
     r.estimate.events = rd.u64();
     r.sim_time = rd.f64();
-    r.stats = decode_solver_stats(rd);
     const bool has_samples = rd.u8() != 0;
     require(has_samples == use_convergence,
             "checkpoint: repeat payload does not match the stop criterion");

@@ -49,9 +49,10 @@ struct RunOptionsCore {
   StopCriterion stop;
 
   /// Non-empty enables crash-safe checkpointing to this file: completed
-  /// work units (sweep chunks, repeat runs, transient slices) are recorded
-  /// after each unit via an atomic rewrite, and a matching existing file is
-  /// resumed from. The run identity (circuit, directives, seed, solver,
+  /// work units (sweep chunks, repeats, replicas) or a sequential run's
+  /// newest milestone (transient, partitioned) are recorded via an atomic
+  /// rewrite, and a matching existing file is resumed from. It never
+  /// changes a result. The run identity (circuit, directives, seed, solver,
   /// stop criterion) is fingerprinted into the file; a mismatched file is
   /// rejected with Error.
   std::string checkpoint_path;

@@ -149,10 +149,9 @@ std::string replica_status_label(const ReplicaRow& row) {
 
 namespace {
 
-/// One replica's complete contribution to the merged DriverResult. The
-/// checkpoint payload serializes everything except the audit trail
-/// (diagnostic, not run identity) — resuming reproduces a bitwise-identical
-/// canonical document.
+/// One replica's complete contribution to the merged DriverResult; resuming
+/// from its checkpoint payload reproduces a bitwise-identical canonical
+/// document.
 struct ReplicaOutcome : UnitWork {
   ReplicaRow row;
   /// Degraded work units INSIDE an ok replica (failed sweep points of that
@@ -162,9 +161,6 @@ struct ReplicaOutcome : UnitWork {
 
 void encode_outcome(BinaryWriter& w, const ReplicaOutcome& o) {
   w.u32(o.row.replica);
-  w.u8(o.outcome.ok ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(o.outcome.code));
-  w.u32(o.outcome.attempts);
   w.f64(o.row.current.mean);
   w.f64(o.row.current.stderr_mean);
   w.f64(o.row.current.sim_time);
@@ -174,7 +170,6 @@ void encode_outcome(BinaryWriter& w, const ReplicaOutcome& o) {
   w.u64(o.row.events);
   w.u64(o.row.sweep.size());
   for (const IvPoint& p : o.row.sweep) encode_iv_point(w, p);
-  encode_solver_stats(w, o.stats);
   w.u64(o.inner_failures.size());
   for (const UnitFailure& f : o.inner_failures) {
     w.u64(f.unit);
@@ -187,9 +182,6 @@ void encode_outcome(BinaryWriter& w, const ReplicaOutcome& o) {
 ReplicaOutcome decode_outcome(BinaryReader& r) {
   ReplicaOutcome o;
   o.row.replica = r.u32();
-  o.outcome.ok = r.u8() != 0;
-  o.outcome.code = static_cast<ErrorCode>(r.u32());
-  o.outcome.attempts = r.u32();
   o.row.current.mean = r.f64();
   o.row.current.stderr_mean = r.f64();
   o.row.current.sim_time = r.f64();
@@ -202,7 +194,6 @@ ReplicaOutcome decode_outcome(BinaryReader& r) {
   for (std::uint64_t p = 0; p < np; ++p) {
     o.row.sweep.push_back(decode_iv_point(r));
   }
-  o.stats = decode_solver_stats(r);
   const std::uint64_t nf = r.u64();
   for (std::uint64_t f = 0; f < nf; ++f) {
     UnitFailure uf;

@@ -29,8 +29,8 @@ struct FanoConfig {
   std::uint64_t warmup_events = 2000;
 };
 
-/// Runs the engine in place. Returns windows = 0 when the engine got stuck
-/// before any full window elapsed.
+/// Runs the engine in place. Every window is measured: a stuck engine still
+/// lets time pass, so each of its windows counts zero charge.
 FanoEstimate measure_fano(Engine& engine, const FanoConfig& cfg);
 
 }  // namespace semsim

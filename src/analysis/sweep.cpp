@@ -217,7 +217,6 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
   units.encode = [](BinaryWriter& w, const Chunk& c) {
     w.u64(c.points.size());
     for (const IvPoint& p : c.points) encode_iv_point(w, p);
-    encode_solver_stats(w, c.stats);
   };
   units.decode = [&](BinaryReader& r, std::size_t u) {
     Chunk c;
@@ -225,7 +224,6 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
     for (std::size_t i = 0; i < size(u); ++i) {
       c.points.push_back(decode_iv_point(r));
     }
-    c.stats = decode_solver_stats(r);
     return c;
   };
   units.body = [&](const UnitAttempt& a, Chunk& c) {

@@ -18,7 +18,7 @@ std::vector<TracePoint> record_voltage_trace(Engine& engine,
     Event ev;
     // Advance by one event; a stuck engine still lets time run out.
     if (!engine.step(&ev)) {
-      if (!engine.run_until(cfg.t_end)) break;
+      engine.run_until(cfg.t_end);
       trace.push_back({engine.time(), smoothed});
       break;
     }

@@ -99,7 +99,48 @@ UnitContext unit_context(const SimulationInput& input,
   return ctx;
 }
 
+void run_sequence(const Sequence& seq, const UnitContext& ctx) {
+  const std::unique_ptr<RunCheckpoint> cp = ctx.open_checkpoint(seq.count);
+  ctx.started(seq.count, 0);
+  std::size_t next = 0;  // the first milestone not on file
+  if (cp) {
+    std::size_t done = seq.count;
+    while (done > 0 && !cp->has(done - 1)) --done;
+    if (done > 0) {
+      const std::vector<std::uint8_t> bytes = cp->payload(done - 1);
+      BinaryReader r(bytes);
+      seq.decode(r);
+      r.require_done();
+      for (; next < done; ++next) ctx.unit_done(next);
+    }
+  }
+  for (std::size_t k = next; k < seq.count; ++k) {
+    throw_if_cancelled(ctx.cancel, seq.name);
+    if (!seq.advance(k)) return;
+    BinaryWriter w;
+    seq.encode(w);
+    if (cp) cp->record_only(k, w.take());
+    ctx.unit_done(k);
+  }
+}
+
 namespace detail {
+
+void encode_unit_work(BinaryWriter& w, const UnitWork& work) {
+  encode_solver_stats(w, work.stats);
+  w.u8(work.outcome.ok ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(work.outcome.code));
+  w.u32(work.outcome.attempts);
+  encode_integrity_report(w, work.integrity);
+}
+
+void decode_unit_work(BinaryReader& r, UnitWork& work) {
+  work.stats = decode_solver_stats(r);
+  work.outcome.ok = r.u8() != 0;
+  work.outcome.code = static_cast<ErrorCode>(r.u32());
+  work.outcome.attempts = r.u32();
+  work.integrity = decode_integrity_report(r);
+}
 
 void run_attempts(const UnitContext& ctx, std::size_t unit, const char* name,
                   bool isolated, UnitWork& work,

@@ -1,4 +1,5 @@
-// One work-unit runner for every multi-unit path of the analysis layer.
+// The two runners of the analysis layer: run_units for every multi-unit
+// path, run_sequence for the two sequential ones.
 //
 // Multi-seed repeats, I-V sweep chunks, stability-map rows and ensemble
 // replicas are the same loop: independent work units, each a pure function
@@ -6,7 +7,9 @@
 // owns everything around a unit's body:
 //
 //   * resume: the path's RunCheckpoint is opened under its sub-fingerprint
-//     and every unit already on file is decoded instead of recomputed;
+//     and every unit already on file is decoded instead of recomputed; the
+//     runner itself writes and reads the UnitWork part of each payload
+//     (stats, outcome, audit trail), the path's codec the rest;
 //   * cancel: checked before each unit starts, outside any retry, so a
 //     cancellation is never degraded into a recorded failure;
 //   * fault isolation: an isolated unit that throws is retried on
@@ -19,6 +22,12 @@
 //     unit's SolverStats and audit trail go into one RunCounters tally —
 //     so results are bitwise identical for every thread count, and a
 //     resumed run equals an uninterrupted one.
+//
+// Transient slices and partition milestones are instead the milestones of
+// ONE evolving state, the points at which a sequential run can checkpoint.
+// run_sequence encodes the state at every milestone, checkpointed or not,
+// so the canonicalizing Engine::snapshot() behind it happens on every run:
+// plain, checkpointed, resumed and served runs are one trajectory.
 //
 // run_with_retry is the retry loop itself; the sweep's per-point and the
 // stability map's per-cell isolation call it directly, because a poisoned
@@ -67,8 +76,8 @@ AttemptRecord run_with_retry(const RetryPolicy& policy,
                              const std::function<void()>& on_error,
                              const std::function<std::string()>& label);
 
-/// The part of a unit result the runner merges; result types derive from
-/// it. Codecs checkpoint `stats` and `outcome`, never the audit trail.
+/// The part of a unit result the runner merges and checkpoints; result
+/// types derive from it, and their codecs carry only the rest.
 struct UnitWork {
   SolverStats stats;
   IntegrityReport integrity;
@@ -132,6 +141,24 @@ UnitContext unit_context(const SimulationInput& input,
                          const DriverOptions& options,
                          std::uint64_t base_seed);
 
+/// The milestones of one evolving state (see the header comment).
+struct Sequence {
+  std::size_t count = 0;
+  const char* name = "milestone";  ///< cancellation message
+  /// Carries the state to milestone k; false ends the sequence there (the
+  /// run is exhausted).
+  std::function<bool(std::size_t k)> advance;
+  /// The state and everything the run did up to it, audit trails included.
+  std::function<void(BinaryWriter&)> encode;
+  std::function<void(BinaryReader&)> decode;
+};
+
+/// Restores the newest milestone on file, firing one on_unit_done per
+/// restored milestone; then per further milestone checks cancellation,
+/// advances, encodes, records the payload as the file's only record when
+/// checkpointing, and fires on_unit_done.
+void run_sequence(const Sequence& seq, const UnitContext& ctx);
+
 /// A path's work units.
 template <typename T>
 struct Units {
@@ -152,6 +179,8 @@ namespace detail {
 void run_attempts(const UnitContext& ctx, std::size_t unit, const char* name,
                   bool isolated, UnitWork& work,
                   const std::function<void(const UnitAttempt&)>& body);
+void encode_unit_work(BinaryWriter& w, const UnitWork& work);
+void decode_unit_work(BinaryReader& r, UnitWork& work);
 }  // namespace detail
 
 /// Runs `units` under `ctx` and returns their results in index order.
@@ -170,6 +199,7 @@ std::vector<T> run_units(const Units<T>& units, const UnitContext& ctx,
       const std::vector<std::uint8_t> bytes = cp->payload(u);
       BinaryReader rd(bytes);
       r = units.decode(rd, u);
+      detail::decode_unit_work(rd, r);
       rd.require_done();
     } else {
       throw_if_cancelled(ctx.cancel, units.name);
@@ -178,6 +208,7 @@ std::vector<T> run_units(const Units<T>& units, const UnitContext& ctx,
       if (cp) {
         BinaryWriter w;
         units.encode(w, r);
+        detail::encode_unit_work(w, r);
         cp->record(u, w.take());
       }
     }

@@ -203,6 +203,7 @@ EngineSnapshot Engine::snapshot() {
                  node_v_.begin() + static_cast<std::ptrdiff_t>(n_isl_ + n_ext_));
   s.overridden.assign(overridden_.begin(), overridden_.end());
   s.stats = stats_;
+  s.integrity = auditor_.report();
   return s;
 }
 
@@ -229,6 +230,7 @@ void Engine::restore(const EngineSnapshot& s) {
   resync_schedules();
   next_breakpoint_ = s.next_breakpoint;
   rebaseline_audit();
+  auditor_.restore(s.integrity);
   auditor_.arm(time_, stats_.events);
 }
 
@@ -523,22 +525,7 @@ void Engine::handle_source_deltas() {
 }
 
 void Engine::set_dc_source(NodeId n, double volts) {
-  const int e = model_.external_index(n);
-  require(e >= 0, "set_dc_source: node is not an external lead");
-  const std::size_t ei = static_cast<std::size_t>(e);
-  overridden_[ei] = true;
-  const double dv = volts - node_v_[n_isl_ + ei];
-  if (dv != 0.0) {
-    node_v_[n_isl_ + ei] = volts;
-    // Bias points of a sweep are rare relative to events: recompute
-    // everything exactly (also rebuilds the prefix tree, so cancellation
-    // drift from the old rates cannot swamp rates that shrank by many
-    // orders of magnitude when entering blockade).
-    full_update();
-  }
-  next_breakpoint_ = refresh_next_breakpoint();
-  // Each bias point gets its own wall-clock budget and progress window.
-  auditor_.arm(time_, stats_.events);
+  set_dc_sources({{n, volts}});
 }
 
 void Engine::set_dc_sources(
@@ -554,20 +541,13 @@ void Engine::set_dc_sources(
       changed = true;
     }
   }
-  // One exact recompute for the whole batch: full_update reads only the
-  // final lead potentials, so this matches N sequential set_dc_source
-  // calls bitwise at a fraction of the cost.
+  // One exact recompute for the whole batch. It also rebuilds the prefix
+  // tree, so cancellation drift from the old rates cannot swamp rates that
+  // shrank by orders of magnitude when entering blockade.
   if (changed) full_update();
   next_breakpoint_ = refresh_next_breakpoint();
+  // Each bias point gets its own wall-clock budget and progress window.
   auditor_.arm(time_, stats_.events);
-}
-
-void Engine::advance_time_to(double t) {
-  require(std::isfinite(t) && t >= time_,
-          "advance_time_to: target precedes the current clock");
-  require(!(std::isfinite(next_breakpoint_) && next_breakpoint_ <= t),
-          "advance_time_to: would skip a source breakpoint");
-  time_ = t;
 }
 
 void Engine::set_electron_counts(
@@ -814,13 +794,10 @@ std::uint64_t Engine::run_events(std::uint64_t n) {
   return done;
 }
 
-bool Engine::run_until(double t_end) {
+void Engine::run_until(double t_end) {
   while (time_ < t_end) {
-    const StepOutcome o = step_internal(t_end, nullptr);
-    if (o == StepOutcome::kReachedLimit) return true;
-    if (o == StepOutcome::kStuck) return false;
+    if (step_internal(t_end, nullptr) != StepOutcome::kExecuted) return;
   }
-  return true;
 }
 
 }  // namespace semsim

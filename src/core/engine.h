@@ -71,6 +71,7 @@ struct EngineSnapshot {
   std::vector<double> v_ext;               ///< per external index
   std::vector<std::uint8_t> overridden;    ///< set_dc_source flags
   SolverStats stats;
+  IntegrityReport integrity;  ///< audit trail so far; restore() resumes it
 };
 
 /// The quasi-particle rate table an engine over `circuit` with `options`
@@ -145,7 +146,6 @@ class Engine {
 
   const ElectrostaticModel& model() const noexcept { return model_; }
   const Circuit& circuit() const noexcept { return circuit_; }
-  const EngineOptions& options() const noexcept { return options_; }
   const RateCalculator& rate_calculator() const noexcept { return calc_; }
 
   // ---- control --------------------------------------------------------------
@@ -158,8 +158,8 @@ class Engine {
   /// drift discharged), so the caches need not be serialized and the run
   /// that continues after snapshot() evolves identically to one restored
   /// from it. In adaptive mode the refresh perturbs subsequent evolution
-  /// relative to a run that never snapshots — enable checkpointing on both
-  /// runs being compared.
+  /// relative to a run that never snapshots, so the sequential drivers
+  /// snapshot at their milestones on every run (analysis/units.h).
   EngineSnapshot snapshot();
 
   /// Restores a snapshot taken from an engine over the same circuit and
@@ -178,27 +178,17 @@ class Engine {
   /// (throws otherwise, since breakpoints are absolute times).
   void rebase_time();
 
-  /// Replaces the source on external node `n` with DC `volts` and updates
-  /// rates immediately (adaptively when enabled). This is how sweeps move
-  /// between bias points without rebuilding the engine.
+  /// Replaces the source on external node `n` with DC `volts`: the
+  /// one-lead call of set_dc_sources. This is how sweeps move between bias
+  /// points without rebuilding the engine.
   void set_dc_source(NodeId n, double volts);
 
-  /// Batch variant: overrides every listed external lead, then performs ONE
-  /// exact full update (and one breakpoint refresh / watchdog re-arm) for
-  /// the whole batch. Bitwise identical to the equivalent sequence of
-  /// set_dc_source calls — the full recompute depends only on the final
-  /// source values — but O(circuit) once instead of once per lead. The
-  /// partitioned runner uses this to synchronize every boundary potential
-  /// of a cluster at a window barrier.
+  /// Overrides every listed external lead with its DC value, then performs
+  /// ONE exact full update (and one breakpoint refresh / watchdog re-arm)
+  /// for the whole batch; the full recompute depends only on the final
+  /// source values. The partitioned runner uses this to synchronize every
+  /// boundary potential of a cluster at a window barrier.
   void set_dc_sources(const std::vector<std::pair<NodeId, double>>& sources);
-
-  /// Advances the simulation clock to `t` without drawing RNG or executing
-  /// events. Only legal when the clock would cross no source breakpoint on
-  /// the way (throws otherwise) and `t` is not in the past. Used by the
-  /// partitioned runner to carry a stuck cluster (run_until returned false:
-  /// all rates zero, next breakpoint beyond `t`) to the window horizon so
-  /// every cluster clock agrees at the barrier.
-  void advance_time_to(double t);
 
   /// Executes one tunnel event. Returns false when no event can ever occur
   /// (all rates zero and no future source breakpoints) — the caller decides
@@ -208,10 +198,12 @@ class Engine {
   /// Runs up to `n` events; returns how many actually executed.
   std::uint64_t run_events(std::uint64_t n);
 
-  /// Runs until simulated time reaches `t_end` (the final partial waiting
-  /// time advances the clock without an event). Returns false if the engine
-  /// got stuck before `t_end` with no possible events.
-  bool run_until(double t_end);
+  /// Runs until simulated time reaches `t_end`: the final partial waiting
+  /// time advances the clock without an event, so a finite `t_end` is
+  /// always reached, also by an engine that can never fire again (in deep
+  /// blockade time passes without events). Only an infinite `t_end` can
+  /// leave the clock short, when no event can ever occur.
+  void run_until(double t_end);
 
   /// Called after every executed event.
   void set_event_callback(std::function<void(const Engine&, const Event&)> cb) {

@@ -364,40 +364,31 @@ std::uint64_t PartitionedEngine::advance_window(
   const std::uint64_t before = total_events();
   if (plan_.clusters == 1) {
     // No windowing: run_events is pure step() calls, so the trajectory —
-    // including the RNG stream — is bitwise the solo engine's. A short
-    // count means step() hit the forever-stuck state (a finite waveform
-    // edge would have been consumed inside the step).
-    const std::uint64_t ran =
-        clusters_.front()->engine->run_events(solo_chunk_events);
-    exhausted_ = ran < solo_chunk_events;
+    // including the RNG stream — is bitwise the solo engine's.
+    clusters_.front()->engine->run_events(solo_chunk_events);
   } else {
+    // run_until reaches a finite horizon also when a cluster is stuck,
+    // so every cluster clock agrees at the barrier.
     const double horizon =
         static_cast<double>(windows_done_ + 1) * window_;
-    std::vector<std::uint8_t> stuck(clusters_.size(), 0);
     exec_->for_each(clusters_.size(), [&](std::size_t c) {
-      Engine& e = *clusters_[c]->engine;
-      if (!e.run_until(horizon)) {
-        // Stuck (zero total rate, no breakpoint before the horizon):
-        // carry the clock to the barrier RNG-free so every cluster
-        // agrees on the window time.
-        e.advance_time_to(horizon);
-        stuck[c] = 1;
-      }
+      clusters_[c]->engine->run_until(horizon);
     });
     sync_boundaries();
-    bool all_dead = true;
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-      if (stuck[c] == 0 ||
-          std::isfinite(clusters_[c]->engine->next_breakpoint())) {
-        all_dead = false;
-        break;
-      }
-    }
-    exhausted_ = all_dead;
   }
   audit_charge(windows_done_);
   ++windows_done_;
   return total_events() - before;
+}
+
+bool PartitionedEngine::exhausted() const {
+  for (const auto& cu : clusters_) {
+    const Engine& e = *cu->engine;
+    if (e.total_rate() != 0.0 || std::isfinite(e.next_breakpoint())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void PartitionedEngine::sync_boundaries() {
@@ -486,7 +477,6 @@ void PartitionedEngine::restore_clusters(
     clusters_[c]->engine->restore(snaps[c]);
   }
   windows_done_ = windows_done;
-  exhausted_ = false;
   // Snapshots are taken at barriers (post-audit), so re-anchoring the
   // baselines to the restored state reproduces the audit stream exactly.
   for (auto& cu : clusters_) rebaseline(*cu);

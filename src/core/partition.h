@@ -100,7 +100,6 @@ class PartitionedEngine {
                     const EngineOptions& base, const PartitionSpec& spec,
                     const ParallelExecutor* exec);
 
-  const PartitionPlan& plan() const noexcept { return plan_; }
   std::uint32_t clusters() const noexcept { return plan_.clusters; }
 
   /// Shared simulation clock: the last synchronized horizon (k > 1), or
@@ -117,21 +116,19 @@ class PartitionedEngine {
   double window() const noexcept { return window_; }
 
   /// Advances one synchronization step and returns the events it
-  /// executed. k > 1: every cluster runs to the next shared horizon
-  /// (stuck clusters carry their clock forward RNG-free), then boundary
+  /// executed. k > 1: every cluster runs to the next shared horizon (a
+  /// stuck cluster's clock reaches it too, RNG-free), then boundary
   /// potentials are exchanged read-all-then-write-all and the cross-cut
   /// charge audit runs. k == 1: the cluster executes up to
   /// `solo_chunk_events` plain steps (no windowing; see header comment).
-  /// Returns 0 when every cluster is stuck (no event can ever fire).
   std::uint64_t advance_window(std::uint64_t solo_chunk_events);
 
-  /// True after a window in which no cluster can ever fire again: every
-  /// cluster is stuck (zero total rate) AND no cluster has a finite
-  /// source breakpoint left to revive it. A merely *idle* window (zero
-  /// events but a future waveform edge, or a neighbour that may push a
-  /// boundary potential) keeps this false — the runner must keep
-  /// windowing toward the edge.
-  bool exhausted() const noexcept { return exhausted_; }
+  /// True when no cluster can ever fire again: at a barrier (after the
+  /// boundary sync), every cluster has a zero total rate and no finite
+  /// source breakpoint left to revive it. A merely *idle* window (a future
+  /// waveform edge, or a boundary potential a neighbour still moves) keeps
+  /// this false.
+  bool exhausted() const;
 
   /// Cumulative a->b transfer count of GLOBAL junction j, routed to the
   /// owning cluster's engine.
@@ -153,10 +150,6 @@ class PartitionedEngine {
   /// Work counters / audit trail summed over clusters in index order.
   SolverStats merged_stats() const;
   IntegrityReport merged_integrity() const;
-
-  const Engine& cluster_engine(std::uint32_t c) const {
-    return *clusters_.at(c)->engine;
-  }
 
  private:
   /// One cut capacitor endpoint mirrored into this cluster.
@@ -193,7 +186,6 @@ class PartitionedEngine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> junction_map_;
   double window_ = 0.0;
   std::uint64_t windows_done_ = 0;
-  bool exhausted_ = false;
 };
 
 }  // namespace semsim

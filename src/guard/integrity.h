@@ -133,7 +133,6 @@ class InvariantAuditor {
   InvariantAuditor() = default;
   explicit InvariantAuditor(const AuditOptions& options) : options_(options) {}
 
-  const AuditOptions& options() const noexcept { return options_; }
   const IntegrityReport& report() const noexcept { return report_; }
 
   /// True when the engine should call audit() at this event count.
@@ -152,6 +151,8 @@ class InvariantAuditor {
 
   /// Clears recorded issues and counters (engine reset).
   void clear();
+  /// Continues the audit trail of a restored run.
+  void restore(const IntegrityReport& report) { report_ = report; }
 
  private:
   void check_rates(const AuditView& view);

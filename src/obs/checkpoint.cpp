@@ -172,6 +172,7 @@ void encode_engine_snapshot(BinaryWriter& w, const EngineSnapshot& s) {
   w.vec_f64(s.v_ext);
   w.vec_u8(s.overridden);
   encode_solver_stats(w, s.stats);
+  encode_integrity_report(w, s.integrity);
 }
 
 EngineSnapshot decode_engine_snapshot(BinaryReader& r) {
@@ -184,6 +185,7 @@ EngineSnapshot decode_engine_snapshot(BinaryReader& r) {
   s.v_ext = r.vec_f64();
   s.overridden = r.vec_u8();
   s.stats = decode_solver_stats(r);
+  s.integrity = decode_integrity_report(r);
   return s;
 }
 
@@ -211,6 +213,35 @@ SolverStats decode_solver_stats(BinaryReader& r) {
   s.full_refreshes = r.u64();
   s.source_updates = r.u64();
   return s;
+}
+
+void encode_integrity_report(BinaryWriter& w, const IntegrityReport& r) {
+  w.u64(r.audits_run);
+  w.u64(r.last_audit_event);
+  w.u64(r.issues.size());
+  for (const IntegrityIssue& i : r.issues) {
+    w.u32(static_cast<std::uint32_t>(i.code));
+    w.str(i.detail);
+    w.u64(i.at_event);
+    w.f64(i.sim_time);
+  }
+}
+
+IntegrityReport decode_integrity_report(BinaryReader& r) {
+  IntegrityReport out;
+  out.audits_run = r.u64();
+  out.last_audit_event = r.u64();
+  const std::uint64_t n = r.u64();
+  if (n > kMaxVector) throw Error("checkpoint: corrupt issue count");
+  for (std::uint64_t k = 0; k < n; ++k) {
+    IntegrityIssue i;
+    i.code = static_cast<ErrorCode>(r.u32());
+    i.detail = r.str();
+    i.at_event = r.u64();
+    i.sim_time = r.f64();
+    out.issues.push_back(std::move(i));
+  }
+  return out;
 }
 
 // ---- RunCheckpoint ---------------------------------------------------------
@@ -332,12 +363,6 @@ std::vector<std::uint8_t> RunCheckpoint::payload(std::size_t unit) const {
   return it->second;
 }
 
-std::int64_t RunCheckpoint::last_unit() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (units_.empty()) return -1;
-  return static_cast<std::int64_t>(units_.rbegin()->first);
-}
-
 std::size_t RunCheckpoint::completed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return units_.size();
@@ -349,6 +374,15 @@ void RunCheckpoint::record(std::size_t unit, std::vector<std::uint8_t> payload) 
   std::lock_guard<std::mutex> lock(mu_);
   units_[unit] = std::move(payload);
   save_locked();
+}
+
+void RunCheckpoint::record_only(std::size_t unit,
+                                std::vector<std::uint8_t> payload) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    units_.clear();
+  }
+  record(unit, std::move(payload));
 }
 
 void RunCheckpoint::save_locked() const {

@@ -9,9 +9,11 @@
 //
 //   * RunCheckpoint — a versioned snapshot file holding one opaque payload
 //     per completed WORK UNIT of a run (sweep chunks, repeat seeds,
-//     transient slices). Payloads typically contain serialized engine state
-//     (RNG words, island occupations, transported charge), accumulator
-//     contents, and per-unit results. The file is rewritten atomically
+//     ensemble replicas), or for a sequence (transient slices, partition
+//     milestones) ONE record, its newest milestone. Payloads typically
+//     contain serialized engine state (RNG words, island occupations,
+//     transported charge), accumulator contents, per-unit results and
+//     audit trails. The file is rewritten atomically
 //     (temp file + rename) after every record, so a SIGKILL at any instant
 //     leaves either the previous or the new consistent snapshot — never a
 //     torn one. On open, an existing file is validated against the format
@@ -32,7 +34,7 @@
 // Because work units are pure functions of (configuration, unit_index) —
 // the determinism contract of base/thread_pool.h — resuming from any subset
 // of completed units and recomputing the rest reproduces the uninterrupted
-// run bit for bit, at any thread count.
+// run bit for bit, at any thread count; so does resuming a sequence.
 #pragma once
 
 #include <cstddef>
@@ -103,20 +105,24 @@ class BinaryReader {
 };
 
 /// Engine state serialization (RNG words, clock, island occupations,
-/// transported charge, source overrides, work counters).
+/// transported charge, source overrides, work counters, audit trail).
 void encode_engine_snapshot(BinaryWriter& w, const EngineSnapshot& s);
 EngineSnapshot decode_engine_snapshot(BinaryReader& r);
 
 void encode_solver_stats(BinaryWriter& w, const SolverStats& s);
 SolverStats decode_solver_stats(BinaryReader& r);
 
+/// Audit trail serialization (counts, last audited event, issues).
+void encode_integrity_report(BinaryWriter& w, const IntegrityReport& r);
+IntegrityReport decode_integrity_report(BinaryReader& r);
+
 /// Versioned per-unit snapshot file; see the format comment above.
 /// Thread-safe: record() may be called concurrently from worker threads.
 class RunCheckpoint {
  public:
-  /// v2 (integrity layer): sweep-chunk payloads gained per-point status /
-  /// error-code / attempts fields, so v1 files are cleanly rejected.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  /// v3: every payload carries its audit trail, and a sequence keeps one
+  /// record, so v2 files are rejected with kCheckpointMismatch.
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   /// Binds to `path`. If the file exists it is loaded and validated
   /// (throws a coded IoError on any mismatch or corruption); otherwise an
@@ -138,16 +144,14 @@ class RunCheckpoint {
   bool has(std::size_t unit) const;
   /// Payload of a completed unit (copy; throws if absent).
   std::vector<std::uint8_t> payload(std::size_t unit) const;
-  /// Highest recorded unit index, or -1 when empty (for sequential runs
-  /// where unit i subsumes all earlier ones, e.g. transient slices).
-  std::int64_t last_unit() const;
   /// Stores (or overwrites) a unit's payload and atomically rewrites the
   /// file. Throws Error on I/O failure or an out-of-range unit index.
   void record(std::size_t unit, std::vector<std::uint8_t> payload);
+  /// Like record(), but the payload replaces every other record (a
+  /// sequence's newest milestone subsumes the earlier ones).
+  void record_only(std::size_t unit, std::vector<std::uint8_t> payload);
 
   std::size_t completed() const;
-  std::uint64_t unit_count() const noexcept { return unit_count_; }
-  const std::string& path() const noexcept { return path_; }
   /// Records dropped by salvage mode on load (0 when the file was intact
   /// or salvage was off).
   std::uint64_t salvaged_dropped() const noexcept { return salvaged_dropped_; }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/api.h"
 #include "analysis/current.h"
 #include "analysis/driver.h"
 #include "analysis/sweep.h"
@@ -230,7 +231,6 @@ TEST(RunCheckpoint, RecordsPersistAcrossReopen) {
   {
     RunCheckpoint cp(tmp.path, /*fingerprint=*/7, /*unit_count=*/4);
     EXPECT_EQ(cp.completed(), 0u);
-    EXPECT_EQ(cp.last_unit(), -1);
     cp.record(2, {1, 2, 3});
     cp.record(0, {});  // empty payloads are legal
     EXPECT_TRUE(cp.has(2));
@@ -240,7 +240,6 @@ TEST(RunCheckpoint, RecordsPersistAcrossReopen) {
   }
   RunCheckpoint back(tmp.path, 7, 4);
   EXPECT_EQ(back.completed(), 2u);
-  EXPECT_EQ(back.last_unit(), 2);
   EXPECT_EQ(back.payload(2), (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_TRUE(back.payload(0).empty());
 }
@@ -421,21 +420,109 @@ record 1 2
 time 2e-7
 )";
 
+/// Raises `cancel` once work unit `after` is done, so the run stops before
+/// the next one: an interruption at a unit boundary.
+class CancelAfterUnit : public ProgressSink {
+ public:
+  CancelAfterUnit(CancelToken& cancel, std::size_t after)
+      : cancel_(cancel), after_(after) {}
+  void on_unit_done(std::size_t unit) override {
+    if (unit == after_) cancel_.request_stop();
+  }
+
+ private:
+  CancelToken& cancel_;
+  std::size_t after_;
+};
+
+/// Runs `options` cancelled after unit `after`; the run must stop with
+/// kCancelled and leave its checkpoint behind.
+void run_cancelled_after(const SimulationInput& input, DriverOptions options,
+                         std::size_t after) {
+  CancelToken cancel;
+  CancelAfterUnit sink(cancel, after);
+  options.cancel = &cancel;
+  options.progress = &sink;
+  try {
+    run_simulation(input, options);
+    FAIL() << "the run finished despite the cancel after unit " << after;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled) << e.what();
+  }
+}
+
 TEST(DriverResume, TransientInterruptedAndResumedIsBitwiseIdentical) {
-  // Transient slicing perturbs the trajectory relative to an unsliced run
-  // (each snapshot canonicalizes the engine), so the reference here is the
-  // COMPLETE checkpointed run — interrupted + resumed must match it exactly.
+  // The reference is the COMPLETE checkpointed run — interrupted + resumed
+  // must match it exactly.
   TempFile tmp("/tmp/semsim_ckpt_transient.bin");
   const DriverResult ref = run_input(kTransientInput, 1, tmp.path);
   ASSERT_TRUE(ref.current.has_value());
 
-  keep_first_records(tmp.path, 9);  // crash in the middle of the 33 slices
+  // Cancel in the middle of the 33 milestones.
+  std::remove(tmp.path.c_str());
+  DriverOptions opt;
+  opt.seed = 7;
+  opt.checkpoint_path = tmp.path;
+  run_cancelled_after(parse_simulation_input(std::string(kTransientInput)),
+                      opt, 9);
   const DriverResult res = run_input(kTransientInput, 1, "", tmp.path);
   ASSERT_TRUE(res.current.has_value());
   EXPECT_EQ(ref.current->mean, res.current->mean);
   EXPECT_EQ(ref.current->sim_time, res.current->sim_time);
   EXPECT_EQ(ref.simulated_time, res.simulated_time);
   EXPECT_EQ(ref.events, res.events);
+}
+
+/// The canonical document of `text` at seed 7 with an audit every 500
+/// events, so resumed runs must also carry the audits of restored work.
+std::string audited_document(const char* text, const std::string& checkpoint,
+                             const std::string& resume) {
+  RunRequest req;
+  req.input = parse_simulation_input(std::string(text));
+  req.seed = 7;
+  req.audit.interval = 500;
+  req.checkpoint_path = checkpoint;
+  req.resume_path = resume;
+  return run(req).to_json(/*canonical=*/true);
+}
+
+TEST(DriverResume, TransientIsOneDocumentPlainCheckpointedAndResumed) {
+  TempFile tmp("/tmp/semsim_ckpt_transient_doc.bin");
+  const std::string plain = audited_document(kTransientInput, "", "");
+  EXPECT_EQ(audited_document(kTransientInput, tmp.path, ""), plain);
+
+  std::remove(tmp.path.c_str());
+  DriverOptions opt;
+  opt.seed = 7;
+  opt.audit.interval = 500;
+  opt.checkpoint_path = tmp.path;
+  run_cancelled_after(parse_simulation_input(std::string(kTransientInput)),
+                      opt, 9);
+  EXPECT_EQ(audited_document(kTransientInput, "", tmp.path), plain);
+}
+
+TEST(DriverResume, ResumedSweepKeepsTheAuditTrail) {
+  TempFile tmp("/tmp/semsim_ckpt_sweep_audits.bin");
+  const std::string ref = audited_document(kSweepInput, "", "");
+  ASSERT_NE(ref.find("\"audits_run\":"), std::string::npos);
+  ASSERT_EQ(ref.find("\"audits_run\":0"), std::string::npos);
+  audited_document(kSweepInput, tmp.path, "");
+  keep_first_records(tmp.path, 2);  // crash after 2 of the 6 chunks
+  EXPECT_EQ(audited_document(kSweepInput, "", tmp.path), ref);
+}
+
+TEST(DriverResume, VersionTwoCheckpointIsRefused) {
+  TempFile tmp("/tmp/semsim_ckpt_v2.bin");
+  run_input(kRepeatsInput, 1, tmp.path);
+  std::vector<std::uint8_t> b = read_bytes(tmp.path);
+  for (int i = 0; i < 4; ++i) b[8 + i] = i == 0 ? 2 : 0;  // format version
+  write_bytes(tmp.path, b);
+  try {
+    run_input(kRepeatsInput, 1, "", tmp.path);
+    FAIL() << "a version 2 checkpoint was resumed";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCheckpointMismatch) << e.what();
+  }
 }
 
 // ---- convergence-based stopping -------------------------------------------

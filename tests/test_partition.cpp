@@ -1,7 +1,8 @@
 // Domain-decomposed execution (core/partition.h): plan purity and
 // strong-coupling refusal, the 1-cluster bitwise-vs-solo contract, k-cluster
 // thread-count invariance, the cross-cut charge-conservation audit under
-// fault injection, and driver-level checkpoint/resume of a partitioned run.
+// fault injection, exhaustion when every cluster blocks, and driver-level
+// checkpoint/resume of a partitioned run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/api.h"
 #include "analysis/driver.h"
 #include "base/error.h"
 #include "base/thread_pool.h"
@@ -237,32 +239,37 @@ void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
           static_cast<std::streamsize>(b.size()));
 }
 
-std::uint64_t u64_at(const std::vector<std::uint8_t>& b, std::size_t off) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(b[off + i]) << (8 * i);
-  return v;
-}
-
-void put_u64(std::vector<std::uint8_t>& b, std::size_t off, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    b[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-// Header layout (obs/checkpoint.h): record_count@32, records from byte 40
-// as [u64 unit | u64 len | payload | u64 checksum]. Same surgery as
-// test_checkpoint.cpp: truncate to the first `keep` records.
-void keep_first_records(const std::string& path, std::uint64_t keep) {
-  std::vector<std::uint8_t> b = read_bytes(path);
-  ASSERT_LE(keep, u64_at(b, 32));
-  std::size_t off = 40;
-  for (std::uint64_t k = 0; k < keep; ++k) {
-    const std::uint64_t len = u64_at(b, off + 8);
-    off += 8 + 8 + static_cast<std::size_t>(len) + 8;
+/// Raises `cancel` once work unit `after` is done, so the run stops before
+/// the next one: an interruption at a milestone.
+class CancelAfterUnit : public ProgressSink {
+ public:
+  CancelAfterUnit(CancelToken& cancel, std::size_t after)
+      : cancel_(cancel), after_(after) {}
+  void on_unit_done(std::size_t unit) override {
+    if (unit == after_) cancel_.request_stop();
   }
-  b.resize(off);
-  put_u64(b, 32, keep);
-  write_bytes(path, b);
+
+ private:
+  CancelToken& cancel_;
+  std::size_t after_;
+};
+
+/// Runs `options` with a checkpoint at `path`, cancelled after milestone
+/// `after`; the run must stop with kCancelled.
+void run_cancelled_after(const SimulationInput& input, DriverOptions options,
+                         const std::string& path, std::size_t after) {
+  std::remove(path.c_str());
+  CancelToken cancel;
+  CancelAfterUnit sink(cancel, after);
+  options.checkpoint_path = path;
+  options.cancel = &cancel;
+  options.progress = &sink;
+  try {
+    run_simulation(input, options);
+    FAIL() << "the run finished despite the cancel after unit " << after;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled) << e.what();
+  }
 }
 
 struct TempFile {
@@ -282,18 +289,22 @@ SimulationInput partitioned_input() {
   return in;
 }
 
-DriverResult run_partitioned_input(unsigned threads,
-                                   const std::string& checkpoint = "",
-                                   const std::string& resume = "") {
-  const SimulationInput in = partitioned_input();
+DriverOptions partitioned_options(unsigned threads) {
   DriverOptions opt;
   opt.seed = 5;
   opt.threads = threads;
   opt.partition.enabled = true;
   opt.partition.clusters = 2;
+  return opt;
+}
+
+DriverResult run_partitioned_input(unsigned threads,
+                                   const std::string& checkpoint = "",
+                                   const std::string& resume = "") {
+  DriverOptions opt = partitioned_options(threads);
   opt.checkpoint_path = checkpoint;
   opt.resume_path = resume;
-  return run_simulation(in, opt);
+  return run_simulation(partitioned_input(), opt);
 }
 
 void expect_results_bitwise_equal(const DriverResult& a,
@@ -317,7 +328,9 @@ TEST(PartitionDriver, CheckpointedRunResumesMidWindowBitwise) {
   const DriverResult full = run_partitioned_input(2, tmp.path);
   expect_results_bitwise_equal(ref, full);
 
-  keep_first_records(tmp.path, 9);  // crash inside the milestone sequence
+  // Stop inside the milestone sequence.
+  run_cancelled_after(partitioned_input(), partitioned_options(2), tmp.path,
+                      8);
   const std::vector<std::uint8_t> interrupted = read_bytes(tmp.path);
   for (const unsigned threads : {1u, 8u}) {
     SCOPED_TRACE(threads);
@@ -325,6 +338,85 @@ TEST(PartitionDriver, CheckpointedRunResumesMidWindowBitwise) {
     const DriverResult res = run_partitioned_input(threads, "", tmp.path);
     expect_results_bitwise_equal(ref, res);
   }
+}
+
+/// examples/service/fabric.sem: two SET transistors behind a 0.05 aF
+/// coupler, which `--partitions 2` cuts into two clusters.
+constexpr char kFabricInput[] = R"(
+num ext 6
+num nodes 8
+junc 1 1 7 1meg 1a
+junc 2 7 2 1meg 1a
+cap 3 7 3a
+junc 3 4 8 1meg 1a
+junc 4 8 5 1meg 1a
+cap 6 8 3a
+cap 7 8 0.05a
+vdc 1 0.005
+vdc 2 -0.005
+vdc 3 0.0
+vdc 4 0.005
+vdc 5 -0.005
+vdc 6 0.0
+temp 5
+record 1 3
+jumps 20000
+)";
+
+TEST(PartitionDriver, ResumedFromAnyMilestoneGivesTheUninterruptedDocument) {
+  RunRequest req;
+  req.input = parse_simulation_input(std::string(kFabricInput));
+  req.seed = 7;
+  req.partition = spec_for(2);
+  const std::string want = run(req).to_json(/*canonical=*/true);
+  for (const std::size_t after : {0u, 1u, 16u}) {
+    SCOPED_TRACE(after);
+    TempFile tmp("/tmp/semsim_ckpt_fabric.bin");
+    run_cancelled_after(req.input, req.driver_options(), tmp.path, after);
+    RunRequest resumed = req;
+    resumed.resume_path = tmp.path;
+    EXPECT_EQ(run(resumed).to_json(/*canonical=*/true), want);
+  }
+}
+
+// ---- exhaustion -------------------------------------------------------------
+
+/// kFabricInput in full blockade: T = 0, the leads at +-1 mV and both
+/// gates at 35 mV. A couple of events fire, then no cluster ever can.
+constexpr char kBlockadeFabricInput[] = R"(
+num ext 6
+num nodes 8
+junc 1 1 7 1meg 1a
+junc 2 7 2 1meg 1a
+cap 3 7 3a
+junc 3 4 8 1meg 1a
+junc 4 8 5 1meg 1a
+cap 6 8 3a
+cap 7 8 0.05a
+vdc 1 0.001
+vdc 2 -0.001
+vdc 3 0.035
+vdc 4 0.001
+vdc 5 -0.001
+vdc 6 0.035
+temp 0
+record 1 3
+jumps 20000
+)";
+
+TEST(PartitionEngine, EveryClusterBlockedExhaustsTheRun) {
+  const SimulationInput in =
+      parse_simulation_input(std::string(kBlockadeFabricInput));
+  in.circuit.build_caches();
+  const ElectrostaticModel m(in.circuit);
+  DriverOptions opt;
+  opt.seed = 7;
+  const ParallelExecutor exec(2);
+  PartitionedEngine part(in.circuit, m, engine_options_for(in, opt),
+                         spec_for(2), &exec);
+  ASSERT_EQ(part.clusters(), 2u);
+  for (int w = 0; w < 8 && !part.exhausted(); ++w) part.advance_window(0);
+  EXPECT_TRUE(part.exhausted());
 }
 
 }  // namespace

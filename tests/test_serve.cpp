@@ -483,6 +483,43 @@ TEST(Scheduler, CancelLeavesResumableCheckpointAndResubmitResumes) {
   sched.shutdown();
 }
 
+TEST(Scheduler, SpooledTransientEqualsThePlainRun) {
+  // The pulsed-gate SET of examples/service/transient.sem: a `time` run,
+  // which the spool checkpoints at each of its milestones.
+  constexpr char kTransientInput[] = R"(
+num ext 3
+num nodes 4
+junc 1 1 4 1meg 1a
+junc 2 4 2 1meg 1a
+cap 3 4 3a
+vdc 1 0.01
+vdc 2 -0.01
+vpulse 3 0 0.02 0 5n 10n
+temp 5
+record 1 2
+time 2e-7
+)";
+  RunRequest req;
+  req.input = parse_simulation_input(kTransientInput);
+  req.seed = 7;
+  const std::string want = run(req).to_json(/*canonical=*/true);
+
+  TempDir spool("semsim_serve_transient_spool");
+  SchedulerConfig cfg;
+  cfg.threads = 1;
+  cfg.spool_dir = spool.path;
+  JobScheduler sched(cfg);
+  RequestEnvelope env;
+  env.verb = RequestEnvelope::Verb::kSubmit;
+  env.netlist = kTransientInput;
+  env.seed = 7;
+  const std::uint64_t id = sched.submit(env);
+  const JobStatus s = wait_terminal(sched, id);
+  ASSERT_EQ(s.state, JobState::kDone) << s.error;
+  EXPECT_EQ(sched.result(id), want);
+  sched.shutdown();
+}
+
 TEST(Scheduler, ShutdownCancelsAndCheckpointsTheRunningJob) {
   const std::string want = run(sweep_request()).to_json(/*canonical=*/true);
   TempDir spool("semsim_serve_shutdown_spool");

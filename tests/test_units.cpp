@@ -2,7 +2,9 @@
 // cancel -> checkpoint -> resume is bitwise lossless, attempts run on their
 // derived retry streams, strict mode names the unit while non-strict mode
 // degrades it, every unit is reported exactly once, and a cancellation
-// raised inside a unit is never retried or recorded. Unit engines handed
+// raised inside a unit is never retried or recorded. The sequence runner
+// keeps one record, the newest milestone, reports each milestone once,
+// restored ones included, and ends when an advance finds the run exhausted. Unit engines handed
 // the run's quasi-particle table share that one object, step bitwise like
 // engines that built their own, and refuse a table of another temperature
 // or range.
@@ -257,6 +259,7 @@ TEST_P(UnitRunner, EveryUnitIsReportedOnceRestoredOnesIncluded) {
     for (std::size_t u = 0; u < kUnits; u += 2) {
       BinaryWriter w;
       units.encode(w, ref[u]);
+      detail::encode_unit_work(w, ref[u]);
       cp.record(u, w.take());
     }
   }
@@ -295,6 +298,105 @@ TEST_P(UnitRunner, CancelInsideAUnitIsNeitherRetriedNorRecorded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, UnitRunner, ::testing::Values(1u, 8u));
+
+// ---- run_sequence ---------------------------------------------------------
+
+constexpr std::size_t kMilestones = 8;
+
+/// A sequence over one counter: milestone k adds k + 1 to it. advance(k)
+/// for k >= exhausted_at ends the sequence.
+struct Counter {
+  std::uint64_t value = 0;
+  std::vector<std::size_t> advanced;
+
+  Sequence sequence(std::size_t exhausted_at = kMilestones) {
+    Sequence seq;
+    seq.count = kMilestones;
+    seq.advance = [this, exhausted_at](std::size_t k) {
+      if (k >= exhausted_at) return false;
+      advanced.push_back(k);
+      value += k + 1;
+      return true;
+    };
+    seq.encode = [this](BinaryWriter& w) { w.u64(value); };
+    seq.decode = [this](BinaryReader& r) { value = r.u64(); };
+    return seq;
+  }
+};
+
+/// Records every on_unit_done, and after each one what the checkpoint file
+/// holds: its record count and whether that milestone is on file.
+struct MilestoneSink : ProgressSink {
+  std::string path;
+  CancelToken* cancel = nullptr;
+  std::size_t cancel_after = kMilestones;
+  std::vector<std::size_t> done;
+  std::vector<std::size_t> records;
+  std::vector<bool> on_file;
+
+  void on_unit_done(std::size_t unit) override {
+    done.push_back(unit);
+    if (!path.empty() && std::filesystem::exists(path)) {
+      const RunCheckpoint cp(path, 0, kMilestones);
+      records.push_back(cp.completed());
+      on_file.push_back(cp.has(unit));
+    }
+    if (cancel != nullptr && unit == cancel_after) cancel->request_stop();
+  }
+};
+
+std::vector<std::size_t> iota_to(std::size_t n) {
+  std::vector<std::size_t> v(n);
+  for (std::size_t k = 0; k < n; ++k) v[k] = k;
+  return v;
+}
+
+TEST(RunSequence, KeepsOneRecordAndReportsEachMilestoneOnce) {
+  TempFile file("semsim_sequence");
+  CancelToken cancel;
+  MilestoneSink first;
+  first.path = file.path();
+  first.cancel = &cancel;
+  first.cancel_after = 3;
+  UnitContext ctx = context(1);
+  ctx.checkpoint.path = file.path();
+  ctx.cancel = &cancel;
+  ctx.progress = &first;
+  Counter stopped;
+  try {
+    run_sequence(stopped.sequence(), ctx);
+    FAIL() << "a raised token must stop the sequence";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCancelled);
+  }
+  EXPECT_EQ(first.done, iota_to(4));
+  EXPECT_EQ(first.records, std::vector<std::size_t>(4, 1));
+  EXPECT_EQ(first.on_file, std::vector<bool>(4, true));
+
+  // Resume: milestones 0..3 are restored and reported once each, and only
+  // the rest run.
+  cancel.reset();
+  MilestoneSink second;
+  second.path = file.path();
+  ctx.progress = &second;
+  Counter resumed;
+  run_sequence(resumed.sequence(), ctx);
+  EXPECT_EQ(second.done, iota_to(kMilestones));
+  EXPECT_EQ(resumed.advanced, (std::vector<std::size_t>{4, 5, 6, 7}));
+  EXPECT_EQ(second.records, std::vector<std::size_t>(kMilestones, 1));
+  EXPECT_EQ(resumed.value, 36u);
+}
+
+TEST(RunSequence, ExhaustedAdvanceEndsTheSequence) {
+  MilestoneSink sink;
+  UnitContext ctx = context(1);
+  ctx.progress = &sink;
+  Counter c;
+  run_sequence(c.sequence(/*exhausted_at=*/5), ctx);
+  EXPECT_EQ(c.advanced, iota_to(5));
+  EXPECT_EQ(sink.done, iota_to(5));
+  EXPECT_EQ(c.value, 15u);
+}
 
 // ---- one quasi-particle table per run ---------------------------------------
 
