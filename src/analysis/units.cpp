@@ -119,7 +119,7 @@ void run_sequence(const Sequence& seq, const UnitContext& ctx) {
     if (!seq.advance(k)) return;
     BinaryWriter w;
     seq.encode(w);
-    if (cp) cp->record_only(k, w.take());
+    if (cp) cp->record(k, w.take(), /*only=*/true);
     ctx.unit_done(k);
   }
 }

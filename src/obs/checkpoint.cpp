@@ -368,21 +368,14 @@ std::size_t RunCheckpoint::completed() const {
   return units_.size();
 }
 
-void RunCheckpoint::record(std::size_t unit, std::vector<std::uint8_t> payload) {
+void RunCheckpoint::record(std::size_t unit, std::vector<std::uint8_t> payload,
+                           bool only) {
   require(unit < unit_count_, "RunCheckpoint: unit index out of range");
   require(payload.size() <= kMaxPayload, "RunCheckpoint: payload too large");
   std::lock_guard<std::mutex> lock(mu_);
+  if (only) units_.clear();
   units_[unit] = std::move(payload);
   save_locked();
-}
-
-void RunCheckpoint::record_only(std::size_t unit,
-                                std::vector<std::uint8_t> payload) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    units_.clear();
-  }
-  record(unit, std::move(payload));
 }
 
 void RunCheckpoint::save_locked() const {

@@ -145,11 +145,11 @@ class RunCheckpoint {
   /// Payload of a completed unit (copy; throws if absent).
   std::vector<std::uint8_t> payload(std::size_t unit) const;
   /// Stores (or overwrites) a unit's payload and atomically rewrites the
-  /// file. Throws Error on I/O failure or an out-of-range unit index.
-  void record(std::size_t unit, std::vector<std::uint8_t> payload);
-  /// Like record(), but the payload replaces every other record (a
-  /// sequence's newest milestone subsumes the earlier ones).
-  void record_only(std::size_t unit, std::vector<std::uint8_t> payload);
+  /// file; with `only`, the payload replaces every other record (a
+  /// sequence's newest milestone subsumes the earlier ones). Throws Error
+  /// on I/O failure or an out-of-range unit index.
+  void record(std::size_t unit, std::vector<std::uint8_t> payload,
+              bool only = false);
 
   std::size_t completed() const;
   /// Records dropped by salvage mode on load (0 when the file was intact
