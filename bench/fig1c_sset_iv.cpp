@@ -48,8 +48,9 @@ std::vector<IvPoint> run_curve(bool superconducting, double vg, double step,
   cfg.probes = {{0, 1.0}, {1, 1.0}};
   cfg.measure = CurrentMeasureConfig{events / 10, events, 8};
 
-  // Larger chunks than fig1b: every engine rebuilds the quasi-particle
-  // rate tables, so amortize that over several bias points per unit.
+  // Five points per unit (the chunking is part of the sweep's identity, so
+  // it keeps the recorded curves); every unit engine reads the sweep's one
+  // quasi-particle table.
   ParallelSweepConfig par;
   par.base_seed = 42;
   par.points_per_unit = 5;

@@ -139,9 +139,10 @@ void BM_QpRateCachedLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_QpRateCachedLookup);
 
-// The whole quasi-particle table build an engine pays at set-up: the Fig. 1c
-// SSET's unit-resistance table at 50 mK over the +-259.8 meV its default
-// rule gives a sweep from 0 V (11,301 points).
+// The quasi-particle grid an engine builds at set-up: the Fig. 1c SSET's
+// unit-resistance table at 50 mK over the +-259.8 meV its default rule
+// gives a sweep from 0 V (11,301 points). Entries are integrated on first
+// read, so this times no integral (BM_QpRateDirectIntegral times one).
 void BM_QpTableBuild(benchmark::State& state) {
   const double d = bcs_gap(0.2e-3 * kElectronVolt, 1.2, 0.05);
   const double half = 259.8e-3 * kElectronVolt;

@@ -248,8 +248,9 @@ DriverResult run_ensemble(const SimulationInput& input,
   // perturbation touches a capacitance (R, background charge and
   // temperature never enter the electrostatic model), and one
   // quasi-particle table when the temperature is not perturbed either (the
-  // unit-resistance table ignores R and background charge). A replica
-  // whose table would differ builds its own (see the Engine constructor).
+  // unit-resistance table ignores R and background charge), so each entry
+  // a replica reads is integrated once for all of them. A replica whose
+  // table would differ builds its own (see the Engine constructor).
   std::shared_ptr<const ElectrostaticModel> shared_model;
   std::shared_ptr<const QuasiparticleRate> shared_qp_table;
   if (plain && !spec.capacitance.active()) {

@@ -200,9 +200,10 @@ std::vector<IvPoint> run_iv_sweep(const Circuit& circuit,
     return std::min(points.size() - first(u), per);
   };
 
-  // Shared read-only state: one capacitance inversion and one
-  // quasi-particle table for all engines, and warm adjacency caches so
-  // concurrent engine construction is race-free.
+  // Shared state: one capacitance inversion and one quasi-particle table
+  // for all engines (read-only but for its lock-free on-demand entries),
+  // and warm adjacency caches so concurrent engine construction is
+  // race-free.
   circuit.build_caches();
   auto model = std::make_shared<const ElectrostaticModel>(circuit);
   const auto qp_table = build_qp_table(circuit, *model, options);

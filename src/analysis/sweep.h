@@ -115,9 +115,9 @@ struct ParallelSweepConfig {
   /// Consecutive sweep points per work unit (>= 1). Part of the result's
   /// identity: changing it changes the decomposition (and therefore the
   /// sampled streams), changing the thread count never does. Larger chunks
-  /// amortize per-engine setup (the model and any quasi-particle table are
-  /// built once per sweep whatever the chunking) and keep the warm-start
-  /// trick within the chunk.
+  /// amortize per-engine setup and keep the warm-start trick within the
+  /// chunk; the model and any quasi-particle grid are built once per sweep
+  /// whatever the chunking.
   std::size_t points_per_unit = 1;
 };
 

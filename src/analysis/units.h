@@ -100,8 +100,9 @@ struct UnitAttempt {
     return retry_stream_seed(base_seed, unit, attempt);
   }
   /// This attempt's engine, on unit_engine_options(base, base_seed, unit,
-  /// attempt), given the run's shared model and quasi-particle table (see
-  /// the Engine constructor). The runner owns it and adds its work to the
+  /// attempt), given the run's shared model and quasi-particle table, whose
+  /// entries the unit engines fill concurrently (see the Engine
+  /// constructor). The runner owns it and adds its work to the
   /// unit once the attempt returns or throws; the rvalue overload also
   /// keeps an attempt-local circuit (a perturbed replica) alive for it.
   Engine& engine(const Circuit& circuit, const EngineOptions& base,

@@ -5,18 +5,6 @@
 
 namespace semsim {
 
-double lerp_on_grid(const std::vector<double>& xs,
-                    const std::vector<double>& ys, double x) noexcept {
-  if (xs.empty()) return 0.0;
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
 double rel_diff(double a, double b, double floor) noexcept {
   const double scale = std::max({std::abs(a), std::abs(b), floor});
   return std::abs(a - b) / scale;

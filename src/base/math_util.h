@@ -1,6 +1,7 @@
 // Numerically careful helpers shared by the physics models.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -53,9 +54,22 @@ inline double fermi_blocking_product(double e, double de, double kt) noexcept {
 }
 
 /// Linear interpolation on a strictly increasing grid. Clamps outside the
-/// range. `xs` and `ys` must have equal size >= 2.
-double lerp_on_grid(const std::vector<double>& xs,
-                    const std::vector<double>& ys, double x) noexcept;
+/// range. `ys[i]` is the value at `xs[i]`: a vector, or any type whose
+/// operator[] yields it, such as the quasi-particle table's on-demand
+/// entries (physics/qp_rate). Reads only the one or two entries it needs.
+/// `xs` must have size >= 2 and `ys` as many entries.
+template <typename Ys>
+double lerp_on_grid(const std::vector<double>& xs, const Ys& ys, double x) {
+  if (xs.empty()) return 0.0;
+  if (x <= xs.front()) return ys[0];
+  if (x >= xs.back()) return ys[xs.size() - 1];
+  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
+  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
+  const std::size_t lo = hi - 1;
+  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
+  const double y_lo = ys[lo];
+  return y_lo + t * (ys[hi] - y_lo);
+}
 
 /// Relative difference |a-b| / max(|a|, |b|, floor).
 double rel_diff(double a, double b, double floor = 1e-300) noexcept;

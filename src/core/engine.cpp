@@ -683,7 +683,11 @@ Engine::StepOutcome Engine::step_internal(double t_limit, Event* out) {
   }
   if ((stats_.events & 0xFFFF) == 0) {
     rates_.rebuild();  // cap FP drift
-    audit_peak_total_ = 0.0;
+    // after_charge_move below commits this event's rates into the rebuilt
+    // tree, subtracting from its total: the residue scales with that total,
+    // so the peak must cover it (in blockade the commit swaps a fast rate
+    // for a slow one, leaving ~1 ulp of the old total against a tiny new one).
+    audit_peak_total_ = rates_.total();
   }
 
   after_charge_move(ev.from, ev.to, ev.charge);

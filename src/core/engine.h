@@ -94,11 +94,13 @@ class Engine {
   ///   * `shared_model`: one capacitance-matrix inversion, which dominates
   ///     set-up for the large Fig. 6 benchmarks. It must be the model of a
   ///     circuit with this circuit's capacitances.
-  ///   * `shared_qp_table`: one quasi-particle table (build_qp_table), which
-  ///     dominates set-up for a superconducting circuit. It is adopted only
-  ///     when its gap, temperature and range equal this engine's bit for
-  ///     bit; otherwise the engine builds its own, so a replica with a
-  ///     perturbed temperature or capacitance stays correct with any table.
+  ///   * `shared_qp_table`: one quasi-particle table (build_qp_table). It
+  ///     saves each engine its ~1 ms grid build and lets the engines of a
+  ///     run integrate each entry once between them, filling it on first
+  ///     read from any thread. It is adopted only when its gap, temperature
+  ///     and range equal this engine's bit for bit; otherwise the engine
+  ///     builds its own, so a replica with a perturbed temperature or
+  ///     capacitance stays correct with any table.
   Engine(const Circuit& circuit, EngineOptions options,
          std::shared_ptr<const ElectrostaticModel> shared_model = nullptr,
          std::shared_ptr<const QuasiparticleRate> shared_qp_table = nullptr);

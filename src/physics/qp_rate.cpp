@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "base/constants.h"
 #include "base/error.h"
@@ -231,10 +232,34 @@ void QuasiparticleRate::build_table(double w_min, double w_max) {
   ws.erase(std::unique(ws.begin(), ws.end()), ws.end());
 
   table_w_ = std::move(ws);
-  table_rate_.resize(table_w_.size());
-  for (std::size_t i = 0; i < table_w_.size(); ++i) {
-    table_rate_[i] = rate(table_w_[i]);
+  table_rate_ = std::vector<std::atomic<double>>(table_w_.size());
+  for (std::atomic<double>& r : table_rate_) {
+    r.store(std::numeric_limits<double>::quiet_NaN(), std::memory_order_relaxed);
   }
+}
+
+static_assert(std::atomic<double>::is_always_lock_free);
+
+double QuasiparticleRate::entry(std::size_t i) const {
+  double r = table_rate_[i].load(std::memory_order_relaxed);
+  if (std::isnan(r)) {
+    r = rate(table_w_[i]);
+    table_rate_[i].store(r, std::memory_order_relaxed);
+  }
+  return r;
+}
+
+std::vector<double> QuasiparticleRate::table_rate() const {
+  std::vector<double> out(table_w_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = entry(i);
+  return out;
+}
+
+std::size_t QuasiparticleRate::filled_entries() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      table_rate_.begin(), table_rate_.end(), [](const std::atomic<double>& r) {
+        return !std::isnan(r.load(std::memory_order_relaxed));
+      }));
 }
 
 bool QuasiparticleRate::tabulates(const Params& p, double w_min,
@@ -255,7 +280,11 @@ double QuasiparticleRate::rate_cached(double delta_w) const {
       delta_w > table_w_.back()) {
     return rate(delta_w);
   }
-  return lerp_on_grid(table_w_, table_rate_, delta_w);
+  struct Entries {
+    const QuasiparticleRate& q;
+    double operator[](std::size_t i) const { return q.entry(i); }
+  };
+  return lerp_on_grid(table_w_, Entries{*this}, delta_w);
 }
 
 }  // namespace semsim

@@ -11,6 +11,7 @@
 #include "core/engine.h"
 #include "core/rate_calculator.h"
 #include "physics/cooper_pair.h"
+#include "physics/qp_rate.h"
 #include "physics/rates.h"
 
 namespace semsim {
@@ -228,6 +229,23 @@ TEST(EngineSc2, QpTableAutoRangeCoversSweep) {
   f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
   Engine e(f.c, opts(0.3, 49));
   EXPECT_GT(e.run_events(2000), 0u);
+}
+
+TEST(EngineSc2, QpTableFillsOnlyTheEntriesTheRunReads) {
+  // The Fig. 1c SSET at 50 mK and +-50 mV on the engine's default range:
+  // ~15k grid points, while the free-energy changes of a run stay near the
+  // bias and bracket about 20 of them. After construction and 10^4 events
+  // under 1 % of the entries may be filled.
+  SetFixture f(0.05, -0.05, 0.0);
+  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  Engine e(f.c, opts(0.05, 51));
+  const QuasiparticleRate& table = *e.rate_calculator().qp_unit();
+  const std::size_t points = table.table_w().size();
+  ASSERT_GT(points, 10000u);
+  EXPECT_EQ(e.run_events(10000), 10000u);
+  EXPECT_GT(table.filled_entries(), 0u);
+  EXPECT_LT(table.filled_entries(), points / 100)
+      << table.filled_entries() << " of " << points << " entries filled";
 }
 
 // ---- rate calculator ---------------------------------------------------------------

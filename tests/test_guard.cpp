@@ -427,6 +427,67 @@ TEST(InvariantAuditorTest, DetectsDeltaWDriftWhenSynced) {
   }
 }
 
+TEST(InvariantAuditorTest, FenwickDriftBeyondTheCoveredPeakThrows) {
+  // A fast rate replaced by a slow one leaves ~1 ulp of the old total in the
+  // incremental sum. The audit judges that residue against the peak total
+  // the engine reports: within 1e-6 of it passes, beyond it throws.
+  FenwickTree rates(2);
+  rates.set(1, 30.0);
+  rates.set(0, 1e13 + 0.1);
+  rates.set(0, 0.1);
+  const double drift = std::abs(rates.total() - rates.exact_total());
+  ASSERT_GT(drift, 1e-6 * rates.exact_total());  // the residue is real
+
+  AuditView view;
+  view.rates = &rates;
+  view.events = 65536;
+  view.rate_scale = 1.1 * drift / 1e-6;
+  InvariantAuditor covered{AuditOptions{}};
+  covered.audit(view);
+
+  view.rate_scale = 0.9 * drift / 1e-6;
+  InvariantAuditor auditor{AuditOptions{}};
+  try {
+    auditor.audit(view);
+    FAIL() << "a drift of " << drift << " passed against a peak of "
+           << view.rate_scale;
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kFenwickDrift);
+  }
+}
+
+TEST(InvariantAuditorTest, DeepBlockadeRunPassesTheAuditsAfterATreeRebuild) {
+  // An adaptive SET in deep blockade: every event hops onto the island and
+  // straight back, so the commit after the tree rebuild at event 65,536
+  // swaps a fast return rate for a slow one. The audit there must judge the
+  // residue against the rebuilt tree's total, not against zero.
+  RunRequest req;
+  req.input = parse_simulation_input(R"(
+num ext 3
+num nodes 4
+junc 1 1 4 1meg 1a
+junc 2 4 2 1meg 1a
+cap 3 4 3a
+vdc 1 0.004
+vdc 2 -0.004
+vdc 3 0.0
+temp 5
+record 1 2
+jumps 70000
+)");
+  for (const std::uint64_t seed : {1u, 7u}) {
+    req.seed = seed;
+    const JsonValue doc = JsonValue::parse(run(req).to_json());
+    const JsonValue& integrity = doc.at("integrity");
+    for (const JsonValue& found : integrity.at("issues").items()) {
+      ADD_FAILURE() << "seed " << seed << ": " << found.at("detail").as_string();
+    }
+    EXPECT_FALSE(doc.at("degraded").as_bool()) << "seed " << seed;
+    EXPECT_GT(doc.at("events").as_number(), 65536.0) << "seed " << seed;
+    EXPECT_GT(integrity.at("audits_run").as_number(), 65536.0 / 4096.0);
+  }
+}
+
 TEST(FaultDetection, StalledClockTripsTheNoProgressWatchdog) {
   SetFixture fx;
   FaultPlan plan;

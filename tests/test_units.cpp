@@ -6,8 +6,9 @@
 // keeps one record, the newest milestone, reports each milestone once,
 // restored ones included, and ends when an advance finds the run exhausted. Unit engines handed
 // the run's quasi-particle table share that one object, step bitwise like
-// engines that built their own, and refuse a table of another temperature
-// or range.
+// engines that built their own or were handed a pre-filled one, and refuse
+// a table of another temperature or range; threads that fill one table's
+// entries concurrently leave the bits a serial fill gives.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -471,15 +472,63 @@ TEST_P(QpTableSharing, UnitEnginesHoldTheRunTableAndStepLikePrivateOnes) {
   const auto model = std::make_shared<const ElectrostaticModel>(f.c);
   const auto table = build_qp_table(f.c, *model, sset_options());
   ASSERT_TRUE(table && table->has_table());
+  // The same table with every entry filled before the first event.
+  const auto filled = build_qp_table(f.c, *model, sset_options());
+  const std::size_t points = filled->table_rate().size();
+  ASSERT_EQ(filled->filled_entries(), points);
   const std::vector<Trajectory> shared =
       run_trajectories(f, model, table, GetParam());
   const std::vector<Trajectory> own =
       run_trajectories(f, model, nullptr, GetParam());
+  const std::vector<Trajectory> prefilled =
+      run_trajectories(f, model, filled, GetParam());
   ASSERT_EQ(shared.size(), own.size());
+  ASSERT_EQ(prefilled.size(), own.size());
   for (std::size_t u = 0; u < shared.size(); ++u) {
     EXPECT_EQ(shared[u].table, table.get()) << "unit " << u;
     EXPECT_NE(own[u].table, table.get()) << "unit " << u;
+    EXPECT_EQ(prefilled[u].table, filled.get()) << "unit " << u;
     EXPECT_EQ(shared[u].hash, own[u].hash) << "unit " << u;
+    EXPECT_EQ(prefilled[u].hash, shared[u].hash) << "unit " << u;
+  }
+}
+
+TEST(QpTableSharing, ConcurrentReadersFillEveryEntryWithTheSerialBits) {
+  // Eight threads read one table at every grid midpoint, all in the same
+  // order and released together, so they race to fill each entry. Every
+  // entry must end memcmp-equal to a serial fill, and every read must equal
+  // the serial table's.
+  const Sset f;
+  const auto model = std::make_shared<const ElectrostaticModel>(f.c);
+  const auto shared = build_qp_table(f.c, *model, sset_options());
+  const auto serial = build_qp_table(f.c, *model, sset_options());
+  ASSERT_EQ(shared->filled_entries(), 0u);
+  const std::vector<double> expect = serial->table_rate();
+  const std::vector<double>& w = shared->table_w();
+  std::vector<double> mid;
+  for (std::size_t i = 0; i + 1 < w.size(); ++i) {
+    mid.push_back(0.5 * (w[i] + w[i + 1]));
+  }
+
+  constexpr unsigned kThreads = 8;
+  std::vector<std::vector<double>> read(kThreads);
+  std::atomic<unsigned> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (unsigned k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      waiting.fetch_sub(1);
+      while (waiting.load() != 0) std::this_thread::yield();
+      for (const double x : mid) read[k].push_back(shared->rate_cached(x));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_EQ(shared->filled_entries(), w.size());
+  EXPECT_TRUE(same_entries(shared->table_rate(), expect));
+  std::vector<double> serial_read;
+  for (const double x : mid) serial_read.push_back(serial->rate_cached(x));
+  for (unsigned k = 0; k < kThreads; ++k) {
+    EXPECT_TRUE(same_entries(read[k], serial_read)) << "thread " << k;
   }
 }
 
