@@ -6,8 +6,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "analysis/api.h"
 #include "analysis/current.h"
+#include "analysis/driver.h"
 #include "base/constants.h"
 #include "base/fenwick.h"
 #include "base/math_util.h"
@@ -17,6 +22,7 @@
 #include "logic/elaborate.h"
 #include "logic/testbench.h"
 #include "master/master_equation.h"
+#include "netlist/parser.h"
 #include "physics/rates.h"
 
 namespace semsim {
@@ -512,6 +518,123 @@ TEST(FenwickProperty, SetManyRejectsBadInput) {
   EXPECT_EQ(t.total(), 0.0);
   const std::vector<double> short_w{1.0};
   EXPECT_THROW(t.set_many(idx2, short_w), Error);
+}
+
+// ---- pulse edges ------------------------------------------------------------
+
+/// One pulse shape as the repository builds it.
+struct PulseShape {
+  std::string what;
+  double delay, width, period;
+};
+
+/// Every pulse an input, benchmark, bench or golden builds: device_iv's
+/// and the service example's gate, the logic fabrics' phase-staggered
+/// chain inputs (4 blocks at k*5 ns, 8 and 2 blocks at k*2.5 and k*10 ns),
+/// the pulsed-gate goldens, the full adder, and the logic testbench's
+/// toggled input at its default period.
+std::vector<PulseShape> repository_pulses() {
+  std::vector<PulseShape> out = {
+      {"device_iv gate", 0.0, 5e-9, 10e-9},
+      {"pulsed-gate golden", 1e-9, 2e-9, 8e-9},
+      {"full adder", 2e-9, 10e-9, 20e-9},
+      {"testbench toggle", 0.5 * 20e-9, 0.5 * 20e-9, 20e-9},
+  };
+  for (const std::size_t blocks : {2u, 4u, 8u}) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      out.push_back({"fabric block " + std::to_string(b) + "/" +
+                         std::to_string(blocks),
+                     20e-9 * static_cast<double>(b) /
+                         static_cast<double>(blocks),
+                     0.5 * 20e-9, 20e-9});
+    }
+  }
+  return out;
+}
+
+double ulp_above(double t) {
+  return std::nextafter(t, std::numeric_limits<double>::infinity()) - t;
+}
+
+TEST(WaveformProperty, PulseTogglesAtEveryBreakpointAndKeepsItsWidth) {
+  // Walks 10^4 periods of every pulse breakpoint by breakpoint, the way
+  // the engine polls them: each breakpoint lies strictly ahead, changes the
+  // level, and the level holds until the next one; each period is high for
+  // `width` up to the rounding of its edges.
+  constexpr int kPeriods = 10000;
+  for (const PulseShape& p : repository_pulses()) {
+    SCOPED_TRACE(p.what);
+    const Waveform w = Waveform::pulse(0.0, 1.0, p.delay, p.width, p.period);
+    double t = 0.0;
+    double level = w.value(t);
+    double rise = -1.0;
+    double high_time = 0.0;
+    int periods = 0;
+    while (periods < kPeriods) {
+      const double bp = w.next_breakpoint(t);
+      ASSERT_GT(bp, t) << "breakpoint not ahead of " << t;
+      ASSERT_EQ(w.value(std::nextafter(bp, 0.0)), level)
+          << "level changed before the breakpoint at " << bp;
+      ASSERT_EQ(w.value(0.5 * (t + bp)), level);
+      const double next = w.value(bp);
+      ASSERT_NE(next, level) << "breakpoint " << bp << " did not toggle";
+      if (next == 1.0) {
+        if (rise >= 0.0) {
+          EXPECT_LE(std::abs((bp - rise) - p.period), 2.0 * ulp_above(bp))
+              << "period starting at " << rise;
+        }
+        rise = bp;
+      } else if (rise >= 0.0) {
+        ASSERT_LE(std::abs((bp - rise) - p.width), 2.0 * ulp_above(bp))
+            << "period starting at " << rise << " is high for " << bp - rise;
+        high_time += bp - rise;
+        ++periods;
+      }
+      level = next;
+      t = bp;
+    }
+    EXPECT_NEAR(high_time / (kPeriods * p.period), p.width / p.period, 1e-9);
+  }
+}
+
+TEST(PulseOracle, SetTransientMatchesTheDutyWeightedMasterEquation) {
+  // The benchmark's pulsed-gate SET transient (gate 0 <-> 20 mV, 5 ns of
+  // each 10 ns), over 2e-5 s on four seeds. The gate moves on a timescale
+  // far above the SET's picosecond relaxation, so the mean current is the
+  // duty-weighted average of the two stationary master-equation currents.
+  const std::string text =
+      "num ext 3\nnum nodes 4\n"
+      "junc 1 1 4 1meg 1a\njunc 2 4 2 1meg 1a\ncap 3 4 3a\n"
+      "record 1 2\nvdc 1 0.01\nvdc 2 -0.01\nvpulse 3 0 0.02 0 5n 10n\n"
+      "temp 5\ntime 2e-5\n";
+  const SimulationInput input = parse_simulation_input(text);
+  const NodeId gate = 3;
+  DriverOptions opt;
+  const EngineOptions eo = engine_options_for(input, opt);
+  const auto me_current = [&](double vg) {
+    Circuit c = input.circuit;
+    c.set_source(gate, Waveform::dc(vg));
+    const MasterEquationSolver me(c, eo);
+    double sum = 0.0;
+    for (const std::size_t j : input.record_junctions) {
+      sum += me.junction_current(j);
+    }
+    return sum / static_cast<double>(input.record_junctions.size());
+  };
+  const double exact = 0.5 * me_current(0.0) + 0.5 * me_current(0.02);
+
+  RunningStats seeds;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    opt.seed = seed;
+    const DriverResult r = run_simulation(input, opt);
+    ASSERT_TRUE(r.current.has_value());
+    seeds.add(r.current->mean);
+  }
+  const double tol =
+      std::max(5.0 * seeds.stderr_mean(), 0.02 * std::abs(exact));
+  EXPECT_NEAR(seeds.mean(), exact, tol)
+      << "sigma " << seeds.stderr_mean() << ", 20 mV alone "
+      << me_current(0.02);
 }
 
 }  // namespace
