@@ -218,6 +218,25 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
     w.i64(c.b);
     w.f64(c.capacitance);
   }
+  // The rest of the circuit: every node's kind, each lead's waveform, each
+  // island's background charge and the superconducting material. Two
+  // inputs that differ only there simulate different physics, so they
+  // must never share a cached result or a checkpoint.
+  for (NodeId n = 0; n < static_cast<NodeId>(input.circuit.node_count());
+       ++n) {
+    const NodeKind kind = input.circuit.node(n).kind;
+    w.u8(static_cast<std::uint8_t>(kind));
+    if (kind == NodeKind::kExternal) {
+      w.vec_f64(input.circuit.source(n).definition());
+    } else if (kind == NodeKind::kIsland) {
+      w.f64(input.circuit.background_charge_e(n));
+    }
+  }
+  w.u8(input.circuit.superconducting() ? 1 : 0);
+  if (input.circuit.superconducting()) {
+    w.f64(input.circuit.superconducting_params().delta0);
+    w.f64(input.circuit.superconducting_params().tc);
+  }
   w.f64(input.temperature);
   w.u8(input.cotunneling ? 1 : 0);
   w.u64(input.max_jumps);

@@ -676,10 +676,12 @@ std::uint64_t header_fingerprint(const std::string& path) {
 
 TEST(Convergence, ChunkMeanCheckpointIsRejected) {
   // Header fingerprints of the checkpoints that builds reporting the mean
-  // of the per-chunk currents wrote for `jumps 20000 2` at seed 1: with
-  // target_rel_error 0.01, and on the fixed budget.
+  // of the per-chunk currents wrote for `jumps 20000 2` at seed 1 with
+  // target_rel_error 0.01, and that this build writes on the fixed budget.
+  // kFixedBudget changed once since, when the fingerprint began to cover
+  // node kinds, source waveforms, background charges and the material.
   constexpr std::uint64_t kChunkMeanConvergence = 0x75ac7e9c39a3cd3fULL;
-  constexpr std::uint64_t kFixedBudget = 0x658446a195d09e23ULL;
+  constexpr std::uint64_t kFixedBudget = 0x2f33338ca303681cULL;
   const SimulationInput input =
       parse_simulation_input(conducting_set_input("20000 2"));
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/api.h"
+#include "base/constants.h"
 #include "base/error.h"
 #include "io/envelope.h"
 #include "io/json.h"
@@ -261,6 +262,61 @@ TEST(Fingerprint, ChangesWithAnyResultAffectingOption) {
   req.input.repeats = 9;
   EXPECT_NE(req.fingerprint(), base);
 
+  // Every circuit field beyond the elements. Node 3 is the gate lead,
+  // node 4 the island.
+  const NodeId gate = 3;
+  const NodeId island = 4;
+  req = sweep_request();
+  req.input.circuit.set_source(gate, Waveform::dc(0.02));  // level
+  EXPECT_NE(req.fingerprint(), base);
+
+  req = sweep_request();
+  req.input.circuit.set_source(gate, Waveform::step(0.0, 0.0, 1e-9));  // kind
+  EXPECT_NE(req.fingerprint(), base);
+
+  req = sweep_request();
+  req.input.circuit.set_source(gate, Waveform::pulse(0.0, 0.02, 0.0, 5e-9, 10e-9));
+  const std::uint64_t pulsed = req.fingerprint();
+  req.input.circuit.set_source(gate, Waveform::pulse(0.0, 0.02, 0.0, 4e-9, 10e-9));
+  EXPECT_NE(req.fingerprint(), pulsed);  // parameters
+
+  req = sweep_request();
+  req.input.circuit.set_source(gate, Waveform::piecewise({0.0, 1e-9}, {0.0, 0.02}));
+  const std::uint64_t pwl = req.fingerprint();
+  req.input.circuit.set_source(gate, Waveform::piecewise({0.0, 2e-9}, {0.0, 0.02}));
+  EXPECT_NE(req.fingerprint(), pwl);  // piecewise points
+  req.input.circuit.set_source(
+      gate, Waveform::piecewise({0.0, 1e-9, 3e-9}, {0.0, 0.02, 0.0}));
+  EXPECT_NE(req.fingerprint(), pwl);
+
+  req = sweep_request();
+  req.input.circuit.set_background_charge(island, 0.1);
+  EXPECT_NE(req.fingerprint(), base);
+
+  req = sweep_request();
+  req.input.circuit.set_superconducting({0.2e-3 * kElementaryCharge, 1.2});
+  const std::uint64_t super = req.fingerprint();
+  EXPECT_NE(super, base);
+  req.input.circuit.set_superconducting({0.3e-3 * kElementaryCharge, 1.2});
+  EXPECT_NE(req.fingerprint(), super);  // gap
+  req.input.circuit.set_superconducting({0.2e-3 * kElementaryCharge, 1.5});
+  EXPECT_NE(req.fingerprint(), super);  // critical temperature
+
+  // Node kinds: the same junction between nodes 1 and 2, a lead and an
+  // island in one order or the other.
+  const auto box = [](bool lead_first) {
+    RunRequest r = sweep_request();
+    Circuit c;
+    const NodeId first = lead_first ? c.add_external("1") : c.add_island("1");
+    const NodeId second = lead_first ? c.add_island("2") : c.add_external("2");
+    c.add_junction(first, second, 1e6, 1e-18);
+    r.input.circuit = c;
+    r.input.sweep.reset();
+    r.input.record_junctions = {0};
+    return r.fingerprint();
+  };
+  EXPECT_NE(box(true), box(false));
+
   // Not fingerprinted: execution environment and observers.
   req = sweep_request();
   req.threads = 64;
@@ -379,6 +435,37 @@ TEST(Scheduler, ResubmitHitsCacheWithoutRunning) {
   EXPECT_EQ(s3.state, JobState::kDone);
   EXPECT_FALSE(s3.cached);
   EXPECT_NE(sched.result(third), sched.result(first));
+  sched.shutdown();
+}
+
+TEST(Scheduler, JobsDifferingOnlyInASourceLevelBothRun) {
+  // The sweep input with its gate at 20 mV instead of 0 V: a different
+  // circuit, so it must run rather than answer from the first job's cache
+  // entry, and each document must equal its own local run.
+  std::string gated = kSweepInput;
+  const std::string gate_line = "vdc 3 0.0";
+  gated.replace(gated.find(gate_line), gate_line.size(), "vdc 3 0.02");
+  RunRequest local = sweep_request();
+  const std::string want_plain = run(local).to_json(/*canonical=*/true);
+  local.input = parse_simulation_input(gated);
+  const std::string want_gated = run(local).to_json(/*canonical=*/true);
+  ASSERT_NE(want_plain, want_gated);
+
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  JobScheduler sched(cfg);
+  const std::uint64_t first = sched.submit(sweep_envelope());
+  const JobStatus s1 = wait_terminal(sched, first);
+  ASSERT_EQ(s1.state, JobState::kDone) << s1.error;
+  RequestEnvelope env = sweep_envelope();
+  env.netlist = gated;
+  const std::uint64_t second = sched.submit(env);
+  const JobStatus s2 = wait_terminal(sched, second);
+  ASSERT_EQ(s2.state, JobState::kDone) << s2.error;
+  EXPECT_FALSE(s2.cached);
+  EXPECT_EQ(sched.cache_stats().hits, 0u);
+  EXPECT_EQ(sched.result(first), want_plain);
+  EXPECT_EQ(sched.result(second), want_gated);
   sched.shutdown();
 }
 
