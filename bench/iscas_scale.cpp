@@ -13,10 +13,14 @@
 // degenerate one-hot load profile and the comparison would measure the
 // barrier, not the decomposition.
 //
-// Both sides run the NON-adaptive solver: that is the regime where solo
-// cost is O(total junctions) per event and the decomposition's O(cluster
-// junctions) is the whole point (partition.h header). The speedup is
-// algorithmic, not thread-parallel — it holds at any executor width.
+// The 1k and 4k pairs run the NON-adaptive solver: that is the regime
+// where solo cost is O(total junctions) per event and the decomposition's
+// O(cluster junctions) is the whole point (partition.h header). The
+// speedup is algorithmic, not thread-parallel — it holds at any executor
+// width. The adaptive 4k pair runs on one thread: the adaptive solver
+// already confines an event's work to the junctions near it, so the
+// decomposition saves little per event, and the pair gates what the
+// partition layer itself costs, chiefly its window barriers.
 #include "iscas_scale.h"
 
 #include <chrono>
@@ -24,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "base/error.h"
 #include "base/thread_pool.h"
@@ -96,10 +101,10 @@ IscasFabric make_fabric(std::size_t n_blocks) {
   return f;
 }
 
-EngineOptions iscas_engine_options(bool fast_rates) {
+EngineOptions iscas_engine_options(bool fast_rates, bool adaptive) {
   EngineOptions o;
   o.temperature = SetLogicParams{}.temperature;
-  o.adaptive.enabled = false;
+  o.adaptive.enabled = adaptive;
   o.fast_rates = fast_rates;
   o.seed = 1;
   return o;
@@ -141,11 +146,17 @@ void measure_best_of_3(GateCase& r, const char* who,
   }
 }
 
-GateCase measure_solo(const IscasFabric& f, bool fast_rates) {
+std::string case_name(const IscasFabric& f, bool adaptive) {
+  return "iscas_blocks_" + std::to_string(f.junctions) +
+         (adaptive ? "_adaptive" : "");
+}
+
+GateCase measure_solo(const IscasFabric& f, bool fast_rates, bool adaptive) {
   GateCase r;
-  r.name = "iscas_blocks_" + std::to_string(f.junctions);
-  r.adaptive = false;
-  Engine e(f.elab->circuit(), iscas_engine_options(fast_rates), f.model);
+  r.name = case_name(f, adaptive);
+  r.adaptive = adaptive;
+  Engine e(f.elab->circuit(), iscas_engine_options(fast_rates, adaptive),
+           f.model);
   measure_best_of_3(
       r, "solo engine", [&] { return e.run_events(256); },
       [&] { return e.stats(); });
@@ -153,19 +164,19 @@ GateCase measure_solo(const IscasFabric& f, bool fast_rates) {
 }
 
 GateCase measure_partitioned(const IscasFabric& f, bool fast_rates,
-                             std::uint32_t clusters,
+                             bool adaptive, std::uint32_t clusters,
                              const ParallelExecutor& exec) {
   GateCase r;
-  r.name = "iscas_blocks_" + std::to_string(f.junctions) + "_part" +
-           std::to_string(clusters);
-  r.adaptive = false;
+  r.name = case_name(f, adaptive) + "_part" + std::to_string(clusters);
+  r.adaptive = adaptive;
   r.partitions = static_cast<int>(clusters);
 
   PartitionSpec spec;
   spec.enabled = true;
   spec.clusters = clusters;
   PartitionedEngine part(f.elab->circuit(), *f.model,
-                         iscas_engine_options(fast_rates), spec, &exec);
+                         iscas_engine_options(fast_rates, adaptive), spec,
+                         &exec);
   // The fabric must actually decompose; a plan that glued the blocks
   // together would silently benchmark solo-vs-solo.
   require(part.clusters() == clusters,
@@ -183,40 +194,53 @@ void report(const GateCase& c) {
               c.partitions);
 }
 
+/// Prints the partitioned/solo events/sec ratio of a pair and requires at
+/// least `min_ratio`, so even a --out (baseline) run fails loudly rather
+/// than record a baseline that blesses a regressed decomposition.
+void require_speedup(const char* what, const GateCase& solo,
+                     const GateCase& part, double min_ratio) {
+  const double ratio = solo.events_per_sec > 0.0
+                           ? part.events_per_sec / solo.events_per_sec
+                           : 0.0;
+  std::printf("# %-32s %12.0f ev/s partitioned vs %12.0f solo (%.2fx)\n",
+              what, part.events_per_sec, solo.events_per_sec, ratio);
+  require(ratio >= min_ratio,
+          std::string("iscas_scale: ") + what + " is below " +
+              std::to_string(min_ratio) + "x the solo events/sec");
+}
+
 }  // namespace
 
 void append_iscas_cases(std::vector<GateCase>& cases, bool fast_rates) {
   const ParallelExecutor exec(8);
+  const auto pair = [&](const IscasFabric& f, bool adaptive,
+                        std::uint32_t clusters, const ParallelExecutor& ex) {
+    const GateCase solo = measure_solo(f, fast_rates, adaptive);
+    cases.push_back(solo);
+    report(solo);
+    const GateCase part =
+        measure_partitioned(f, fast_rates, adaptive, clusters, ex);
+    cases.push_back(part);
+    report(part);
+    return std::make_pair(solo, part);
+  };
 
-  {
-    const IscasFabric f = make_fabric(2);
-    cases.push_back(measure_solo(f, fast_rates));
-    report(cases.back());
-    cases.push_back(measure_partitioned(f, fast_rates, 2, exec));
-    report(cases.back());
-  }
+  pair(make_fabric(2), /*adaptive=*/false, 2, exec);
 
   const IscasFabric f = make_fabric(8);
-  const GateCase solo = measure_solo(f, fast_rates);
-  cases.push_back(solo);
-  report(solo);
-  const GateCase part = measure_partitioned(f, fast_rates, 8, exec);
-  cases.push_back(part);
-  report(part);
-
-  // PR 10 acceptance: at ~4k junctions the 8-cluster decomposition must
+  // The decomposition's acceptance: at ~4k junctions the 8 clusters must
   // beat the solo engine by at least 3x events/sec. The win is per-event
   // work (O(cluster) vs O(total) rate re-evaluation), so it must hold even
-  // on a single hardware thread — fail loudly rather than record a
-  // baseline that blesses a regressed decomposition.
-  std::printf("# %-32s %12.0f ev/s partitioned vs %12.0f solo (%.2fx)\n",
-              "iscas_4096_speedup", part.events_per_sec, solo.events_per_sec,
-              solo.events_per_sec > 0.0
-                  ? part.events_per_sec / solo.events_per_sec
-                  : 0.0);
-  require(part.events_per_sec >= 3.0 * solo.events_per_sec,
-          "iscas_scale: partitioned 4096-junction run did not reach 3x the "
-          "solo events/sec");
+  // on a single hardware thread.
+  const auto [solo, part] = pair(f, /*adaptive=*/false, 8, exec);
+  require_speedup("iscas_4096_speedup", solo, part, 3.0);
+
+  // The adaptive pair on one thread: the partitioned run must not lose
+  // more than 10 % to its window barriers (measured ratios in
+  // EXPERIMENTS.md, "Partition barrier").
+  const ParallelExecutor exec1(1);
+  const auto [asolo, apart] = pair(f, /*adaptive=*/true, 8, exec1);
+  require_speedup("iscas_4096_adaptive_ratio", asolo, apart, 0.9);
 }
 
 }  // namespace semsim::bench

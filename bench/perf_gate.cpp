@@ -317,7 +317,8 @@ int main(int argc, char** argv) {
       }
     }
     // ISCAS-scale domain-decomposition cases (iscas_scale.cpp). The 4k
-    // pair carries its own in-run require(): partitioned >= 3x solo.
+    // pairs carry their own in-run require()s: partitioned >= 3x solo
+    // non-adaptive, and >= 0.9x solo adaptive on one thread.
     bench::append_iscas_cases(cases, fast_rates);
 
     cases.push_back(measure_facade_case(fast_rates));

@@ -465,6 +465,14 @@ double Engine::refresh_next_breakpoint() const {
   return bp;
 }
 
+void Engine::queue_source_step(std::size_t e, double v_new) {
+  const double dv = v_new - node_v_[n_isl_ + e];
+  if (dv != 0.0) {
+    node_v_[n_isl_ + e] = v_new;
+    pending_changes_.push_back(SourceChange{model_.external_node(e), e, dv});
+  }
+}
+
 void Engine::handle_source_deltas() {
   if (pending_changes_.empty()) return;
   ++stats_.source_updates;
@@ -547,6 +555,20 @@ void Engine::set_dc_sources(
   if (changed) full_update();
   next_breakpoint_ = refresh_next_breakpoint();
   // Each bias point gets its own wall-clock budget and progress window.
+  auditor_.arm(time_, stats_.events);
+}
+
+void Engine::step_dc_sources(
+    const std::vector<std::pair<NodeId, double>>& sources) {
+  pending_changes_.clear();
+  for (const auto& [node, volts] : sources) {
+    const int e = model_.external_index(node);
+    require(e >= 0, "step_dc_sources: node is not an external lead");
+    overridden_[static_cast<std::size_t>(e)] = true;
+    queue_source_step(static_cast<std::size_t>(e), volts);
+  }
+  handle_source_deltas();
+  next_breakpoint_ = refresh_next_breakpoint();
   auditor_.arm(time_, stats_.events);
 }
 
@@ -638,13 +660,8 @@ Engine::StepOutcome Engine::step_internal(double t_limit, Event* out) {
       pending_changes_.clear();
       for (std::size_t e = 0; e < n_ext_; ++e) {
         if (overridden_[e]) continue;
-        const NodeId node = model_.external_node(e);
-        const double v_new = circuit_.source(node).value(time_);
-        const double dv = v_new - node_v_[n_isl_ + e];
-        if (dv != 0.0) {
-          node_v_[n_isl_ + e] = v_new;
-          pending_changes_.push_back(SourceChange{node, e, dv});
-        }
+        queue_source_step(
+            e, circuit_.source(model_.external_node(e)).value(time_));
       }
       handle_source_deltas();
       next_breakpoint_ = refresh_next_breakpoint();

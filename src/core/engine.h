@@ -126,6 +126,12 @@ class Engine {
   /// Sum of all channel rates [1/s].
   double total_rate() const { return rates_.total(); }
 
+  /// True when some channel rate is nonzero. Decided from the channel
+  /// values, O(channels), not from total_rate(): between tree rebuilds the
+  /// incremental total keeps a rounding residue, so rates that were set and
+  /// then cleared need not sum back to exactly 0.
+  bool has_open_channel() const noexcept { return rates_.exact_total() > 0.0; }
+
   /// Next source-waveform edge after `time()`; +inf for DC-only drive.
   /// A stuck engine (total rate 0) with no finite breakpoint can never
   /// fire again — the partitioned runner uses this to tell "idle until a
@@ -188,9 +194,18 @@ class Engine {
   /// Overrides every listed external lead with its DC value, then performs
   /// ONE exact full update (and one breakpoint refresh / watchdog re-arm)
   /// for the whole batch; the full recompute depends only on the final
-  /// source values. The partitioned runner uses this to synchronize every
-  /// boundary potential of a cluster at a window barrier.
+  /// source values. The partitioned runner uses it once, for the initial
+  /// boundary sync at construction; its window barriers use
+  /// step_dc_sources.
   void set_dc_sources(const std::vector<std::pair<NodeId, double>>& sources);
+
+  /// Like set_dc_sources, but moves each lead by its delta through the
+  /// path a waveform edge takes (the adaptive solver flags outward from the
+  /// lead's seed junctions; the non-adaptive one adds its S column and runs
+  /// its per-event rate pass) instead of a full update, so the periodic
+  /// refresh bounds the drift. The partitioned runner's window barriers
+  /// move the boundary mirrors this way.
+  void step_dc_sources(const std::vector<std::pair<NodeId, double>>& sources);
 
   /// Executes one tunnel event. Returns false when no event can ever occur
   /// (all rates zero and no future source breakpoints) — the caller decides
@@ -223,6 +238,9 @@ class Engine {
   StepOutcome step_internal(double t_limit, Event* out);
   /// Re-derives the interval countdowns from stats_.events.
   void resync_schedules();
+  /// Moves external `e` to `v_new`; a lead that changes is queued in
+  /// pending_changes_ for handle_source_deltas.
+  void queue_source_step(std::size_t e, double v_new);
   void handle_source_deltas();  // consumes pending_changes_
   /// Exact island potentials from scratch + every channel rate.
   void full_update();

@@ -326,7 +326,7 @@ PartitionedEngine::PartitionedEngine(const Circuit& circuit,
     cu.engine = std::make_unique<Engine>(cu.circuit, eo);
   }
 
-  sync_boundaries();
+  sync_boundaries(/*exact=*/true);
   for (std::uint32_t c = 0; c < k; ++c) rebaseline(*clusters_[c]);
 
   if (k > 1) {
@@ -374,7 +374,7 @@ std::uint64_t PartitionedEngine::advance_window(
     exec_->for_each(clusters_.size(), [&](std::size_t c) {
       clusters_[c]->engine->run_until(horizon);
     });
-    sync_boundaries();
+    sync_boundaries(/*exact=*/false);
   }
   audit_charge(windows_done_);
   ++windows_done_;
@@ -384,14 +384,14 @@ std::uint64_t PartitionedEngine::advance_window(
 bool PartitionedEngine::exhausted() const {
   for (const auto& cu : clusters_) {
     const Engine& e = *cu->engine;
-    if (e.total_rate() != 0.0 || std::isfinite(e.next_breakpoint())) {
+    if (e.has_open_channel() || std::isfinite(e.next_breakpoint())) {
       return false;
     }
   }
   return true;
 }
 
-void PartitionedEngine::sync_boundaries() {
+void PartitionedEngine::sync_boundaries(bool exact) {
   // Read-all-then-write-all: every mirror reads the remote potential as
   // of the barrier, never a value another cluster's write just changed.
   std::vector<std::vector<std::pair<NodeId, double>>> updates(
@@ -404,8 +404,11 @@ void PartitionedEngine::sync_boundaries() {
     }
   }
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    if (!updates[c].empty()) {
+    if (updates[c].empty()) continue;
+    if (exact) {
       clusters_[c]->engine->set_dc_sources(updates[c]);
+    } else {
+      clusters_[c]->engine->step_dc_sources(updates[c]);
     }
   }
 }

@@ -1,4 +1,4 @@
-// Domain-decomposed single-run execution (PR 10).
+// Domain-decomposed single-run execution.
 //
 // Large SET circuits — the ISCAS-scale logic fabrics of the paper's Fig. 6
 // regime — are mostly *weakly* coupled: a gate's islands interact strongly
@@ -15,6 +15,12 @@
 // external node* whose DC source mirrors the remote island's potential at
 // the last barrier (mean-field across the cut; exact in the
 // zero-cut-coupling limit, first-order in kappa_cut otherwise).
+//
+// A barrier moves each mirror by its delta the way a waveform edge moves a
+// lead (Engine::step_dc_sources); only construction synchronizes with a
+// full update per cluster. Windows are short (~32 events per cluster on the
+// benchmark fabric), so a full update per cluster per barrier would cost
+// more than the events.
 //
 // Determinism contract (tested in tests/test_partition.cpp):
 //   * The plan, the sub-circuits, the per-cluster seeds
@@ -124,10 +130,11 @@ class PartitionedEngine {
   std::uint64_t advance_window(std::uint64_t solo_chunk_events);
 
   /// True when no cluster can ever fire again: at a barrier (after the
-  /// boundary sync), every cluster has a zero total rate and no finite
-  /// source breakpoint left to revive it. A merely *idle* window (a future
-  /// waveform edge, or a boundary potential a neighbour still moves) keeps
-  /// this false.
+  /// boundary sync), every cluster has every channel rate at exactly zero
+  /// (Engine::has_open_channel, a scan of the values: the tree total can
+  /// keep a rounding residue) and no finite source breakpoint left to
+  /// revive it. A merely *idle* window (a future waveform edge, or a
+  /// boundary potential a neighbour still moves) keeps this false.
   bool exhausted() const;
 
   /// Cumulative a->b transfer count of GLOBAL junction j, routed to the
@@ -173,7 +180,10 @@ class PartitionedEngine {
     double base_weighted_transfer = 0.0;
   };
 
-  void sync_boundaries();
+  /// Moves every boundary mirror to its remote island's potential,
+  /// read-all-then-write-all: with one full update per cluster when
+  /// `exact` (construction), else through Engine::step_dc_sources.
+  void sync_boundaries(bool exact);
   void audit_charge(std::uint64_t window_index);
   long sum_electrons(const Cluster& cl) const;
   double sum_weighted_transfer(const Cluster& cl) const;

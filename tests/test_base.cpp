@@ -177,6 +177,22 @@ TEST(Fenwick, ExactTotalSquashesDrift) {
   EXPECT_NEAR(t.total(), t.exact_total(), 1e-3 * t.exact_total() + 1e-9);
 }
 
+TEST(Fenwick, ClearedTotalKeepsARoundingResidue) {
+  // Weights set and cleared again: every value is back to 0, but the
+  // incremental tree sums do not cancel exactly. Only a scan of the values
+  // (exact_total) says the tree is empty; Engine::has_open_channel and the
+  // partitioned runner's exhaustion test rely on it.
+  FenwickTree t(3);
+  t.set(0, 0.1);
+  t.set(1, 0.2);
+  t.set(2, 0.3);
+  for (std::size_t i = 0; i < 3; ++i) t.set(i, 0.0);
+  EXPECT_NE(t.total(), 0.0);
+  EXPECT_EQ(t.exact_total(), 0.0);
+  t.rebuild();
+  EXPECT_EQ(t.total(), 0.0);
+}
+
 // ---- math_util --------------------------------------------------------------
 
 /// Out-of-line replica of x_over_expm1 exactly as it lived in math_util.cpp

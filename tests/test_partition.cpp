@@ -1,10 +1,14 @@
 // Domain-decomposed execution (core/partition.h): plan purity and
 // strong-coupling refusal, the 1-cluster bitwise-vs-solo contract, k-cluster
 // thread-count invariance, the cross-cut charge-conservation audit under
-// fault injection, exhaustion when every cluster blocks, and driver-level
-// checkpoint/resume of a partitioned run.
+// fault injection, exhaustion when every cluster blocks (also with a
+// rounding residue left in the rate trees), barriers that add no full
+// refresh, driver-level checkpoint/resume of a partitioned run, and the
+// currents a partitioned run computes against the master equation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -18,6 +22,7 @@
 #include "core/engine.h"
 #include "core/partition.h"
 #include "guard/fault.h"
+#include "master/master_equation.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
 
@@ -417,6 +422,186 @@ TEST(PartitionEngine, EveryClusterBlockedExhaustsTheRun) {
   ASSERT_EQ(part.clusters(), 2u);
   for (int w = 0; w < 8 && !part.exhausted(); ++w) part.advance_window(0);
   EXPECT_TRUE(part.exhausted());
+}
+
+/// kBlockadeFabricInput with both gates at 30 mV: each cluster fires
+/// once and blocks. The rate commits of that event leave a rounding
+/// residue in the cluster's tree total, and no periodic refresh comes to
+/// rebuild the tree (a barrier steps the mirrors; it does not rebuild).
+constexpr char kResidueFabricInput[] = R"(
+num ext 6
+num nodes 8
+junc 1 1 7 1meg 1a
+junc 2 7 2 1meg 1a
+cap 3 7 3a
+junc 3 4 8 1meg 1a
+junc 4 8 5 1meg 1a
+cap 6 8 3a
+cap 7 8 0.05a
+vdc 1 0.001
+vdc 2 -0.001
+vdc 3 0.030
+vdc 4 0.001
+vdc 5 -0.001
+vdc 6 0.030
+temp 0
+record 1 3
+jumps 20000
+)";
+
+TEST(PartitionEngine, ClusterBlockedBetweenRefreshesExhaustsTheRun) {
+  const SimulationInput in =
+      parse_simulation_input(std::string(kResidueFabricInput));
+  in.circuit.build_caches();
+  const ElectrostaticModel m(in.circuit);
+  DriverOptions opt;
+  opt.seed = 7;
+  const ParallelExecutor exec(2);
+  PartitionedEngine part(in.circuit, m, engine_options_for(in, opt),
+                         spec_for(2), &exec);
+  ASSERT_EQ(part.clusters(), 2u);
+  for (int w = 0; w < 8 && !part.exhausted(); ++w) part.advance_window(0);
+  ASSERT_TRUE(part.exhausted());
+  // The case this test exists for: every channel is closed, yet the tree
+  // totals do not read exactly 0.
+  EXPECT_NE(part.total_rate(), 0.0);
+  EXPECT_LT(part.total_events(), 8u);
+
+  // The driver's milestone loop ends on it too, short of its budget.
+  opt.partition = spec_for(2);
+  const DriverResult r = run_simulation(in, opt);
+  EXPECT_EQ(r.events, part.total_events());
+}
+
+TEST(PartitionEngine, BarriersAddNoFullRefresh) {
+  // A window barrier steps the boundary mirrors through the source-edge
+  // path, so an adaptive cluster's full refreshes are its construction
+  // and its periodic schedule, whatever the mirrors did.
+  const Circuit c = stage_circuit(8, kWeak);
+  const ElectrostaticModel m(c);
+  EngineOptions o = base_options(11);
+  constexpr std::uint64_t kInterval = 500;
+  o.adaptive.refresh_interval = kInterval;
+  const ParallelExecutor exec(2);
+  // snapshot_clusters() does one full update per cluster on both sides.
+  const std::vector<EngineSnapshot> built =
+      PartitionedEngine(c, m, o, spec_for(4), &exec).snapshot_clusters();
+  PartitionedEngine part(c, m, o, spec_for(4), &exec);
+  for (int w = 0; w < 40; ++w) part.advance_window(0);
+  EXPECT_GT(part.merged_stats().source_updates, 40u);  // mirrors moved
+  const std::vector<EngineSnapshot> after = part.snapshot_clusters();
+  ASSERT_EQ(after.size(), 4u);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    SCOPED_TRACE("cluster " + std::to_string(i));
+    EXPECT_GT(after[i].stats.events, 2 * kInterval);
+    EXPECT_EQ(after[i].stats.full_refreshes,
+              built[i].stats.full_refreshes + after[i].stats.events / kInterval);
+  }
+}
+
+// ---- what a partitioned run computes ----------------------------------------
+
+/// Master-equation current averaged over `junctions`, with `sources`
+/// replaced by DC levels.
+double me_current(const SimulationInput& in, const EngineOptions& eo,
+                  const std::vector<std::size_t>& junctions,
+                  const std::vector<std::pair<NodeId, double>>& sources = {},
+                  StateSpaceOptions space = {}) {
+  Circuit c = in.circuit;
+  for (const auto& [node, v] : sources) c.set_source(node, Waveform::dc(v));
+  const MasterEquationSolver me(c, eo, space);
+  double sum = 0.0;
+  for (const std::size_t j : junctions) sum += me.junction_current(j);
+  return sum / static_cast<double>(junctions.size());
+}
+
+void expect_oracle(const DriverResult& r, double exact) {
+  ASSERT_TRUE(r.current.has_value());
+  const double tol =
+      std::max(5.0 * r.current->stderr_mean, 0.02 * std::abs(exact));
+  EXPECT_NEAR(r.current->mean, exact, tol)
+      << "sigma " << r.current->stderr_mean;
+}
+
+/// Two uncoupled SETs, each gate pulsed between 0 and 20 mV at a 50 %
+/// duty, the second a quarter period behind the first. The first starts
+/// high, so the auto window (from the t = 0 rate) stays short.
+constexpr char kPulsedPairInput[] = R"(
+num ext 6
+num nodes 8
+junc 1 1 7 1meg 1a
+junc 2 7 2 1meg 1a
+cap 3 7 3a
+junc 3 4 8 1meg 1a
+junc 4 8 5 1meg 1a
+cap 6 8 3a
+vdc 1 0.01
+vdc 2 -0.01
+vpulse 3 0 0.02 0 5n 10n
+vdc 4 0.01
+vdc 5 -0.01
+vpulse 6 0 0.02 2.5n 5n 10n
+temp 5
+jumps 400000
+)";
+
+TEST(PartitionOracle, PulsedPairMatchesTheDutyWeightedMasterEquation) {
+  // The planner puts each SET in its own cluster, which then sees only its
+  // own gate's edges; a solo engine also re-reads each gate at the other's
+  // edges. Either way each SET's mean current is the duty-weighted average
+  // of its two stationary master-equation currents (the gate moves far
+  // slower than the SET relaxes).
+  SimulationInput in = parse_simulation_input(std::string(kPulsedPairInput));
+  const EngineOptions eo = engine_options_for(in, DriverOptions{});
+  struct Set {
+    std::vector<std::size_t> junctions;
+    NodeId gate;
+  };
+  for (const Set& set : {Set{{0, 1}, 3}, Set{{2, 3}, 6}}) {
+    SCOPED_TRACE("gate " + std::to_string(set.gate));
+    const double exact = 0.5 * me_current(in, eo, set.junctions,
+                                          {{3, 0.0}, {6, 0.0}}) +
+                         0.5 * me_current(in, eo, set.junctions,
+                                          {{3, 0.02}, {6, 0.02}});
+    in.record_junctions = set.junctions;
+    for (const std::uint32_t clusters : {1u, 2u}) {
+      SCOPED_TRACE(clusters == 1 ? "solo" : "2 partitions");
+      DriverOptions opt;
+      opt.seed = 3;
+      if (clusters > 1) opt.partition = spec_for(clusters);
+      const DriverResult r = run_simulation(in, opt);
+      EXPECT_EQ(r.counters.units, clusters);
+      expect_oracle(r, exact);
+    }
+  }
+}
+
+TEST(PartitionOracle, WeakChainMatchesTheMasterEquation) {
+  // The 4-stage chain with its 0.5 aF couplers cut, at 4.2 K: the
+  // mean-field boundary error is first order in the cut coupling, far
+  // inside the tolerance. 7^4 = 2401 master-equation states.
+  SimulationInput in;
+  in.circuit = stage_circuit(4, kWeak);
+  in.temperature = 4.2;
+  in.record_junctions = {0, 2, 4, 6};
+  in.max_jumps = 200000;
+  StateSpaceOptions space;
+  space.occupation_bound = 3;
+  const double exact = me_current(in, engine_options_for(in, DriverOptions{}),
+                                  in.record_junctions, {}, space);
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const bool adaptive : {true, false}) {
+      SCOPED_TRACE(std::to_string(clusters) + " clusters, " +
+                   (adaptive ? "adaptive" : "non-adaptive"));
+      DriverOptions opt;
+      opt.seed = 9;
+      opt.adaptive = adaptive;
+      opt.partition = spec_for(clusters);
+      const DriverResult r = run_simulation(in, opt);
+      EXPECT_EQ(r.counters.units, clusters);
+      expect_oracle(r, exact);
+    }
+  }
 }
 
 }  // namespace
