@@ -49,9 +49,10 @@ double relative_factor(Xoshiro256& rng, const PerturbationSpec& p) {
 }
 
 void validate_spread(const PerturbationSpec& p, const char* name) {
-  require(std::isfinite(p.spread) && p.spread >= 0.0,
-          std::string("ensemble: ") + name +
-              " spread must be finite and >= 0");
+  if (!(std::isfinite(p.spread) && p.spread >= 0.0)) {
+    throw Error(std::string("ensemble: ") + name +
+                " spread must be finite and >= 0");
+  }
 }
 
 }  // namespace

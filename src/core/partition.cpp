@@ -310,6 +310,7 @@ PartitionedEngine::PartitionedEngine(const Circuit& circuit,
     clusters_[p.cluster]->ties.push_back(
         {p.local_ext, rc, local_node(rc, p.remote_global)});
   }
+  for (auto& cu : clusters_) cu->mirror_updates.reserve(cu->ties.size());
 
   // Engines: per-cluster RNG stream and fault unit. The 1-cluster plan
   // keeps the base seed so the trajectory is bitwise the solo engine's.
@@ -394,21 +395,20 @@ bool PartitionedEngine::exhausted() const {
 void PartitionedEngine::sync_boundaries(bool exact) {
   // Read-all-then-write-all: every mirror reads the remote potential as
   // of the barrier, never a value another cluster's write just changed.
-  std::vector<std::vector<std::pair<NodeId, double>>> updates(
-      clusters_.size());
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    for (const BoundaryTie& t : clusters_[c]->ties) {
-      updates[c].emplace_back(
+  for (auto& cu : clusters_) {
+    cu->mirror_updates.clear();
+    for (const BoundaryTie& t : cu->ties) {
+      cu->mirror_updates.emplace_back(
           t.local_ext,
           clusters_[t.remote_cluster]->engine->node_voltage(t.remote_local));
     }
   }
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    if (updates[c].empty()) continue;
+  for (auto& cu : clusters_) {
+    if (cu->mirror_updates.empty()) continue;
     if (exact) {
-      clusters_[c]->engine->set_dc_sources(updates[c]);
+      cu->engine->set_dc_sources(cu->mirror_updates);
     } else {
-      clusters_[c]->engine->step_dc_sources(updates[c]);
+      cu->engine->step_dc_sources(cu->mirror_updates);
     }
   }
 }

@@ -170,6 +170,9 @@ class PartitionedEngine {
     Circuit circuit;
     std::unique_ptr<Engine> engine;
     std::vector<BoundaryTie> ties;
+    /// The barrier's (mirror, potential) list, one entry per tie: reused,
+    /// so a barrier allocates nothing.
+    std::vector<std::pair<NodeId, double>> mirror_updates;
     /// Signed weight per local junction for the charge audit:
     /// [a is island] - [b is island].
     std::vector<double> junction_weight;

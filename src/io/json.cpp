@@ -390,7 +390,9 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
-  require(v != nullptr, "json: missing member '" + std::string(key) + "'");
+  if (v == nullptr) {
+    throw Error("json: missing member '" + std::string(key) + "'");
+  }
   return *v;
 }
 

@@ -358,8 +358,9 @@ bool RunCheckpoint::has(std::size_t unit) const {
 std::vector<std::uint8_t> RunCheckpoint::payload(std::size_t unit) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = units_.find(unit);
-  require(it != units_.end(),
-          "RunCheckpoint: unit " + std::to_string(unit) + " not recorded");
+  if (it == units_.end()) {
+    throw Error("RunCheckpoint: unit " + std::to_string(unit) + " not recorded");
+  }
   return it->second;
 }
 

@@ -20,8 +20,9 @@ int SpiceCircuit::add_node(std::string name) {
 }
 
 void SpiceCircuit::check_node(int n, const char* what) const {
-  require(n >= 0 && static_cast<std::size_t>(n) < names_.size(),
-          std::string(what) + ": node out of range");
+  if (n < 0 || static_cast<std::size_t>(n) >= names_.size()) {
+    throw Error(std::string(what) + ": node out of range");
+  }
 }
 
 void SpiceCircuit::set_source(int node, Waveform w) {
