@@ -156,6 +156,17 @@ class Engine {
   const Circuit& circuit() const noexcept { return circuit_; }
   const RateCalculator& rate_calculator() const noexcept { return calc_; }
 
+  /// Probes after which the rate memo is kept or released.
+  static constexpr std::size_t kRateMemoProbes = 4096;
+
+  /// The exact per-channel rate memo (DESIGN.md §3d): kOff when no channel
+  /// is memoized (T = 0, quasi-particle, --fast-rates), kDeciding over its
+  /// first kRateMemoProbes probes, then kKept when at least half of them
+  /// hit and kReleased otherwise. A hit returns the kernel's own bits, so
+  /// the state never changes a trajectory; it is not checkpointed.
+  enum class RateMemoState : std::uint8_t { kOff, kDeciding, kKept, kReleased };
+  RateMemoState rate_memo_state() const noexcept;
+
   // ---- control --------------------------------------------------------------
 
   /// Returns the engine to t = 0 with all islands neutral, reseeding the RNG.
@@ -251,6 +262,8 @@ class Engine {
   /// Recomputes the channels of every junction in flagged_buf_ and commits
   /// them to the Fenwick tree in one set_many batch (adaptive path only).
   void commit_flagged_rates();
+  /// Counts one batch of memo probes until the keep-or-release decision.
+  void tally_memo(std::size_t probes, std::size_t hits);
   void recompute_secondary();  // CP + cotunneling channels (non-adaptive)
   void apply_event(std::size_t channel, Event& ev);
   void after_charge_move(NodeId from, NodeId to, double q);
@@ -320,6 +333,12 @@ class Engine {
   // integrity auditor's delta_w view.
   std::vector<double> delta_w_;
   std::vector<double> fen_val_;  // fused flagged-commit rate pairs (2/junction)
+  // Exact memo of the thermal kernel, one line per single-electron
+  // channel (physics/rates.h); empty when no channel is memoized or once
+  // released. memo_probes_/memo_hits_ count up to the decision.
+  std::vector<RateMemoLine> memo_;
+  std::size_t memo_probes_ = 0;
+  std::size_t memo_hits_ = 0;
   std::vector<bool> overridden_;      // per external index (set_dc_source)
   std::vector<SourceChange> pending_changes_;
   // Per-event memoization of island potential deltas (adaptive path).

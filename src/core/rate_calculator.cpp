@@ -161,23 +161,22 @@ void RateCalculator::delta_w_flagged(const double* v,
   }
 }
 
-void RateCalculator::flagged_rates_fused(const double* v,
-                                         const std::uint32_t* slot_a,
-                                         const std::uint32_t* slot_b,
-                                         const std::size_t* junctions,
-                                         std::size_t n_flagged, bool fast,
-                                         double* dw_store,
-                                         double* rates_out) const noexcept {
+std::size_t RateCalculator::flagged_rates_fused(
+    const double* v, const std::uint32_t* slot_a, const std::uint32_t* slot_b,
+    const std::size_t* junctions, std::size_t n_flagged, bool fast,
+    double* dw_store, double* rates_out, RateMemoLine* memo) const noexcept {
   // Same ΔW expressions as delta_w_flagged (same TU, same association), and
   // the same per-element rate expressions as the batch kernels:
   //   T = 0   : max(-dw, 0) * g            (products only — contraction-free)
   //   thermal : kt * x_over_expm1(dw/kt) * g
   // x_over_expm1 / x_over_expm1_fast are shared inline code, so evaluating
-  // here instead of physics/rates.cpp cannot change a bit.
+  // here instead of physics/rates.cpp cannot change a bit; the memo returns
+  // the thermal expression's own bits (memo_thermal_rate).
   const double e = kElementaryCharge;
   const double* u = u_.data();
   const double* g = chan_g_.data();
   const double kt = kt_;
+  std::size_t hits = 0;
   for (std::size_t i = 0; i < n_flagged; ++i) {
     const std::size_t j = junctions[i];
     if (i + 1 < n_flagged) {
@@ -196,11 +195,17 @@ void RateCalculator::flagged_rates_fused(const double* v,
     } else if (fast) {
       rates_out[2 * i] = kt * x_over_expm1_fast(dw_fw / kt) * g[2 * j];
       rates_out[2 * i + 1] = kt * x_over_expm1_fast(dw_bw / kt) * g[2 * j + 1];
+    } else if (memo) {
+      rates_out[2 * i] =
+          memo_thermal_rate(memo[2 * j], dw_fw, kt, g[2 * j], hits);
+      rates_out[2 * i + 1] =
+          memo_thermal_rate(memo[2 * j + 1], dw_bw, kt, g[2 * j + 1], hits);
     } else {
       rates_out[2 * i] = kt * x_over_expm1(dw_fw / kt) * g[2 * j];
       rates_out[2 * i + 1] = kt * x_over_expm1(dw_bw / kt) * g[2 * j + 1];
     }
   }
+  return hits;
 }
 
 void RateCalculator::cotunneling_rates_batch(const double* v,

@@ -17,6 +17,7 @@
 #include "netlist/electrostatics.h"
 #include "physics/cotunneling.h"
 #include "physics/qp_rate.h"
+#include "physics/rates.h"
 
 namespace semsim {
 
@@ -88,12 +89,15 @@ class RateCalculator {
   /// tunnel_rates_batch[_fast] over the gathered subset — per-element
   /// expression forms are identical and the x_over_expm1[_fast] helpers are
   /// shared inline code. Normal-state only (the superconducting QP path
-  /// never flags).
-  void flagged_rates_fused(const double* v, const std::uint32_t* slot_a,
-                           const std::uint32_t* slot_b,
-                           const std::size_t* junctions, std::size_t n_flagged,
-                           bool fast, double* dw_store,
-                           double* rates_out) const noexcept;
+  /// never flags). A non-null `memo` (thermal exact mode only) routes each
+  /// channel c through its line memo[c] (memo_thermal_rate, bitwise the
+  /// same rates); returns the memo hits.
+  std::size_t flagged_rates_fused(const double* v, const std::uint32_t* slot_a,
+                                  const std::uint32_t* slot_b,
+                                  const std::size_t* junctions,
+                                  std::size_t n_flagged, bool fast,
+                                  double* dw_store, double* rates_out,
+                                  RateMemoLine* memo = nullptr) const noexcept;
 
   /// Batched cotunneling rates over every enumerated path: per-path SoA
   /// constants (intermediate-state charging terms, end-node kappa entries,

@@ -135,6 +135,17 @@ void tunnel_rates_batch(const double* delta_w, const double* conductance,
   }
 }
 
+std::size_t tunnel_rates_batch_memo(const double* delta_w,
+                                    const double* conductance, double kt,
+                                    RateMemoLine* memo, double* out,
+                                    std::size_t n) noexcept {
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = memo_thermal_rate(memo[i], delta_w[i], kt, conductance[i], hits);
+  }
+  return hits;
+}
+
 // expm1_fast / x_over_expm1_fast live in physics/fast_expm1.h so the fused
 // adaptive commit kernel and the fast cotunneling factor compile the exact
 // same inline code (bitwise per-element equality across translation units).
