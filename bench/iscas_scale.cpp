@@ -122,7 +122,9 @@ void measure_best_of_3(GateCase& r, const char* who,
   std::uint64_t warmed = 0;
   while (warmed < 4000) {
     const std::uint64_t n = step();
-    require(n > 0, std::string("iscas_scale: ") + who + " stuck in warmup");
+    if (n == 0) {
+      throw Error(std::string("iscas_scale: ") + who + " stuck in warmup");
+    }
     warmed += n;
   }
   for (int rep = 0; rep < 3; ++rep) {
@@ -132,7 +134,9 @@ void measure_best_of_3(GateCase& r, const char* who,
     double dt = 0.0;
     do {
       const std::uint64_t n = step();
-      require(n > 0, std::string("iscas_scale: ") + who + " stuck in window");
+      if (n == 0) {
+        throw Error(std::string("iscas_scale: ") + who + " stuck in window");
+      }
       events += n;
       dt = seconds_since(t0);
     } while (dt < 0.1);

@@ -105,6 +105,30 @@ TEST(ErrorTaxonomy, ExitCodesMapByCategory) {
   EXPECT_EQ(exit_code_for(Error("uncoded")), kExitFailure);
 }
 
+TEST(ErrorTaxonomy, ChecksKeepTheirMessagesAndCodes) {
+  // Literal and computed messages throw the same coded Error; only the
+  // moment the string is built changed.
+  using Thrown = std::pair<ErrorCode, std::string>;
+  const auto thrown = [](const auto& check) -> Thrown {
+    try {
+      check();
+    } catch (const Error& e) {
+      return {e.code(), e.message()};
+    }
+    return {ErrorCode::kNone, ""};
+  };
+  EXPECT_EQ(thrown([] { require(false, "literal"); }),
+            Thrown(ErrorCode::kUnknown, "literal"));
+  EXPECT_EQ(thrown([] { require(false, ErrorCode::kFenwickDrift, "coded"); }),
+            Thrown(ErrorCode::kFenwickDrift, "coded"));
+  EXPECT_EQ(thrown([] { require(false, std::string("built")); }),
+            Thrown(ErrorCode::kUnknown, "built"));
+  EXPECT_EQ(thrown([] { require(true, "passes"); }),
+            Thrown(ErrorCode::kNone, ""));
+  EXPECT_EQ(thrown([] { JsonValue::parse("{}").at("events"); }),
+            Thrown(ErrorCode::kUnknown, "json: missing member 'events'"));
+}
+
 // ---- retry determinism contract ------------------------------------------
 
 TEST(RetrySeed, AttemptZeroIsExactlyTheDeriveStreamSeed) {
