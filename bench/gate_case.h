@@ -16,7 +16,9 @@ namespace semsim::bench {
 // events/sec. v4: ISCAS-scale cases (iscas_scale.cpp) timing the
 // domain-decomposed PartitionedEngine against the solo engine on the same
 // logic fabric, and every case now records "partitions" (0 = solo run).
-constexpr const char* kGateSchema = "semsim.bench_hotpath/v4";
+// v5: the approximate thermal kernel is retired, so "rates_mode" and the
+// two "_warm_fast" cases are gone; every other case keeps its name.
+constexpr const char* kGateSchema = "semsim.bench_hotpath/v5";
 
 struct GateCase {
   std::string name;

@@ -101,11 +101,10 @@ IscasFabric make_fabric(std::size_t n_blocks) {
   return f;
 }
 
-EngineOptions iscas_engine_options(bool fast_rates, bool adaptive) {
+EngineOptions iscas_engine_options(bool adaptive) {
   EngineOptions o;
   o.temperature = SetLogicParams{}.temperature;
   o.adaptive.enabled = adaptive;
-  o.fast_rates = fast_rates;
   o.seed = 1;
   return o;
 }
@@ -155,20 +154,19 @@ std::string case_name(const IscasFabric& f, bool adaptive) {
          (adaptive ? "_adaptive" : "");
 }
 
-GateCase measure_solo(const IscasFabric& f, bool fast_rates, bool adaptive) {
+GateCase measure_solo(const IscasFabric& f, bool adaptive) {
   GateCase r;
   r.name = case_name(f, adaptive);
   r.adaptive = adaptive;
-  Engine e(f.elab->circuit(), iscas_engine_options(fast_rates, adaptive),
-           f.model);
+  Engine e(f.elab->circuit(), iscas_engine_options(adaptive), f.model);
   measure_best_of_3(
       r, "solo engine", [&] { return e.run_events(256); },
       [&] { return e.stats(); });
   return r;
 }
 
-GateCase measure_partitioned(const IscasFabric& f, bool fast_rates,
-                             bool adaptive, std::uint32_t clusters,
+GateCase measure_partitioned(const IscasFabric& f, bool adaptive,
+                             std::uint32_t clusters,
                              const ParallelExecutor& exec) {
   GateCase r;
   r.name = case_name(f, adaptive) + "_part" + std::to_string(clusters);
@@ -179,8 +177,7 @@ GateCase measure_partitioned(const IscasFabric& f, bool fast_rates,
   spec.enabled = true;
   spec.clusters = clusters;
   PartitionedEngine part(f.elab->circuit(), *f.model,
-                         iscas_engine_options(fast_rates, adaptive), spec,
-                         &exec);
+                         iscas_engine_options(adaptive), spec, &exec);
   // The fabric must actually decompose; a plan that glued the blocks
   // together would silently benchmark solo-vs-solo.
   require(part.clusters() == clusters,
@@ -215,15 +212,14 @@ void require_speedup(const char* what, const GateCase& solo,
 
 }  // namespace
 
-void append_iscas_cases(std::vector<GateCase>& cases, bool fast_rates) {
+void append_iscas_cases(std::vector<GateCase>& cases) {
   const ParallelExecutor exec(8);
   const auto pair = [&](const IscasFabric& f, bool adaptive,
                         std::uint32_t clusters, const ParallelExecutor& ex) {
-    const GateCase solo = measure_solo(f, fast_rates, adaptive);
+    const GateCase solo = measure_solo(f, adaptive);
     cases.push_back(solo);
     report(solo);
-    const GateCase part =
-        measure_partitioned(f, fast_rates, adaptive, clusters, ex);
+    const GateCase part = measure_partitioned(f, adaptive, clusters, ex);
     cases.push_back(part);
     report(part);
     return std::make_pair(solo, part);

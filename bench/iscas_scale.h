@@ -17,6 +17,6 @@ namespace semsim::bench {
 /// hollowed-out decomposition fails even a --out (baseline) run: the
 /// non-adaptive 8-cluster run must reach at least 3x the solo events/sec,
 /// and the adaptive one, on a 1-thread executor, at least 0.9x.
-void append_iscas_cases(std::vector<GateCase>& cases, bool fast_rates);
+void append_iscas_cases(std::vector<GateCase>& cases);
 
 }  // namespace semsim::bench

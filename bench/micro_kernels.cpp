@@ -33,11 +33,11 @@ void BM_OrthodoxRate(benchmark::State& state) {
 BENCHMARK(BM_OrthodoxRate);
 
 // --- batch rate kernels (physics/rates.h) ------------------------------
-// Per-element cost of the hot-path kernel three ways: a scalar call loop
-// (what the engine did before the SoA batch path), the exact batch kernel,
-// and the opt-in fast polynomial kernel. Thermal inputs spanning the
-// interesting |delta_w/kT| range keep every lane on the expm1-bound branch;
-// items_processed is elements, so the reported items/sec compares directly.
+// Per-element cost of the hot-path kernel two ways: a scalar call loop
+// (what the engine did before the SoA batch path) and the batch kernel.
+// Thermal inputs spanning the interesting |delta_w/kT| range keep every
+// lane on the expm1-bound branch; items_processed is elements, so the
+// reported items/sec compares directly.
 
 constexpr double kBatchResistance = 1e6;
 constexpr double kBatchTemperature = 1.0;
@@ -49,7 +49,7 @@ void fill_batch_inputs(std::size_t n, std::vector<double>& dw,
   Xoshiro256 rng(11);
   const double kt = kBoltzmann * kBatchTemperature;
   for (std::size_t i = 0; i < n; ++i) {
-    // |x| in [1e-3, 50] kT, both signs: the chunked "simple" fast path.
+    // |x| in [1e-3, 50] kT, both signs: the expm1 branch.
     dw[i] = (2.0 * rng.uniform01() - 1.0) * 50.0 * kt;
     g[i] = 1.0 / (kElementaryCharge * kElementaryCharge * kBatchResistance);
   }
@@ -124,21 +124,6 @@ BENCHMARK(BM_RateMemoHit)->Arg(16)->Arg(256)->Arg(4096);
 void BM_RateMemoMiss(benchmark::State& state) { run_memo_bench(state, 5); }
 BENCHMARK(BM_RateMemoMiss)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_TunnelRatesBatchFast(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> dw, g, out(n);
-  fill_batch_inputs(n, dw, g);
-  const double kt = kBoltzmann * kBatchTemperature;
-  for (auto _ : state) {
-    tunnel_rates_batch_fast(dw.data(), g.data(), kt, out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TunnelRatesBatchFast)->Arg(16)->Arg(256)->Arg(4096);
-
 void BM_TunnelRatesBatchT0(benchmark::State& state) {
   // T = 0 limit: the branch the chain perf-gate cases exercise. Pure
   // max + multiply, should autovectorize.
@@ -211,10 +196,8 @@ void BM_CotunnelingRate(benchmark::State& state) {
 BENCHMARK(BM_CotunnelingRate);
 
 // Batched SoA cotunneling kernel (the engine's secondary-refresh path) over
-// the enumerated paths of a multi-island chain; Arg is 0 = exact libm
-// kernel, 1 = the --fast-rates polynomial. items/sec is paths/sec.
+// the enumerated paths of a multi-island chain. items/sec is paths/sec.
 void BM_CotunnelingRatesBatch(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
   const Circuit c = bench::chain_circuit(64);
   const ElectrostaticModel em(c);
   EngineOptions o;
@@ -233,14 +216,14 @@ void BM_CotunnelingRatesBatch(benchmark::State& state) {
   for (double& x : v) x = (rng.uniform01() - 0.5) * 0.01;
   std::vector<double> out(paths.size());
   for (auto _ : state) {
-    calc.cotunneling_rates_batch(v.data(), cot_slot.data(), fast, out.data());
+    calc.cotunneling_rates_batch(v.data(), cot_slot.data(), out.data());
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(paths.size()));
 }
-BENCHMARK(BM_CotunnelingRatesBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_CotunnelingRatesBatch);
 
 void BM_SetCompactModel(benchmark::State& state) {
   SetModelParams m;

@@ -61,17 +61,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// Steady-state stepping rate of one engine configuration: warm up past the
 /// transient, calibrate a ~100 ms window, then keep the best of three
 /// windows (the one least disturbed by the scheduler).
-GateCase measure_engine_case(int stages, bool adaptive, bool fast_rates,
+GateCase measure_engine_case(int stages, bool adaptive,
                              double temperature = 0.0) {
   GateCase r;
   r.name = (adaptive ? "chain_adaptive_" : "chain_nonadaptive_") +
            std::to_string(stages);
-  if (temperature > 0.0) {
-    // Thermal cases carry their kernel variant in the name: they appear in
-    // BOTH gate modes (the warm-fast case runs the fast kernel even in an
-    // exact-mode gate), so the name — not rates_mode — keys the comparison.
-    r.name += fast_rates ? "_warm_fast" : "_warm_exact";
-  }
+  // The warm cases keep the names their recorded baselines carry.
+  if (temperature > 0.0) r.name += "_warm_exact";
   r.stages = stages;
   r.adaptive = adaptive;
 
@@ -80,7 +76,6 @@ GateCase measure_engine_case(int stages, bool adaptive, bool fast_rates,
   EngineOptions o;
   o.temperature = temperature;
   o.adaptive.enabled = adaptive;
-  o.fast_rates = fast_rates;
   Engine e(c, o);
 
   for (int i = 0; i < 2000; ++i) require(e.step(), "perf_gate: engine stuck");
@@ -140,7 +135,7 @@ sweep 2 0.02 0.004
 
 /// End-to-end case: the facade runs a parallel IV sweep and the gate reads
 /// events and wall seconds back out of the versioned RunResult JSON.
-GateCase measure_facade_case(bool fast_rates) {
+GateCase measure_facade_case() {
   GateCase r;
   r.name = "facade_set_sweep";
   r.adaptive = true;
@@ -148,7 +143,6 @@ GateCase measure_facade_case(bool fast_rates) {
   RunRequest req;
   req.input = parse_simulation_input(std::string(kSetSweepInput));
   req.seed = 1;
-  req.fast_rates = fast_rates;
   const RunResult res = run(req);
 
   const JsonValue doc = JsonValue::parse(res.to_json());
@@ -166,12 +160,11 @@ GateCase measure_facade_case(bool fast_rates) {
   return r;
 }
 
-std::string cases_to_json(const std::vector<GateCase>& cases, double tolerance,
-                          bool fast_rates) {
+std::string cases_to_json(const std::vector<GateCase>& cases,
+                          double tolerance) {
   JsonWriter w;
   w.begin_object();
   w.field("schema", kSchema);
-  w.field("rates_mode", fast_rates ? "fast" : "exact");
   w.field("tolerance", tolerance);
   w.key("cases").begin_array();
   for (const GateCase& c : cases) {
@@ -196,8 +189,7 @@ std::string cases_to_json(const std::vector<GateCase>& cases, double tolerance,
 /// cases. A baseline case with no current counterpart is a failure too —
 /// silently dropping a case would hollow out the gate.
 int gate_against(const std::vector<GateCase>& cases,
-                 const std::string& baseline_path, double tolerance,
-                 bool fast_rates) {
+                 const std::string& baseline_path, double tolerance) {
   std::ifstream f(baseline_path, std::ios::binary);
   require(static_cast<bool>(f), "perf_gate: cannot read " + baseline_path);
   std::ostringstream ss;
@@ -205,10 +197,6 @@ int gate_against(const std::vector<GateCase>& cases,
   const JsonValue doc = JsonValue::parse(ss.str());
   require(doc.at("schema").as_string() == kSchema,
           "perf_gate: baseline schema mismatch");
-  require(doc.at("rates_mode").as_string() ==
-              (fast_rates ? "fast" : "exact"),
-          "perf_gate: baseline rates_mode mismatch (exact and fast-mode "
-          "numbers must not gate each other)");
 
   int regressions = 0;
   for (const JsonValue& b : doc.at("cases").items()) {
@@ -262,15 +250,12 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string baseline_path;
   double tolerance = 0.25;
-  bool fast_rates = false;
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s.rfind("--out=", 0) == 0) {
       out_path = s.substr(6);
     } else if (s.rfind("--baseline=", 0) == 0) {
       baseline_path = s.substr(11);
-    } else if (s == "--fast-rates") {
-      fast_rates = true;
     } else if (s.rfind("--tolerance=", 0) == 0) {
       char* end = nullptr;
       tolerance = std::strtod(s.c_str() + 12, &end);
@@ -281,7 +266,7 @@ int main(int argc, char** argv) {
       }
     } else if (s == "--help" || s == "-h") {
       std::printf("usage: %s [--out=FILE.json] [--baseline=FILE.json]\n"
-                  "          [--tolerance=0.25] [--fast-rates]\n",
+                  "          [--tolerance=0.25]\n",
                   argv[0]);
       return 0;
     } else {
@@ -302,26 +287,23 @@ int main(int argc, char** argv) {
     };
     for (const int stages : {8, 64, 256, 1024}) {
       for (const bool adaptive : {true, false}) {
-        cases.push_back(measure_engine_case(stages, adaptive, fast_rates));
+        cases.push_back(measure_engine_case(stages, adaptive));
         report(cases.back());
       }
     }
-    // Warm adaptive cases (4.2 K): the only regime where the fast kernel
-    // diverges from the exact one, timed in both variants so the fast
-    // path's advantage — and any regression to it — is visible per run.
+    // Warm adaptive cases (4.2 K): the thermal kernel and its memo on the
+    // flagged-subset path (the cold cases evaluate T = 0 rates only).
     for (const int stages : {64, 1024}) {
-      for (const bool fast : {false, true}) {
-        cases.push_back(measure_engine_case(stages, /*adaptive=*/true, fast,
-                                            /*temperature=*/4.2));
-        report(cases.back());
-      }
+      cases.push_back(measure_engine_case(stages, /*adaptive=*/true,
+                                          /*temperature=*/4.2));
+      report(cases.back());
     }
     // ISCAS-scale domain-decomposition cases (iscas_scale.cpp). The 4k
     // pairs carry their own in-run require()s: partitioned >= 3x solo
     // non-adaptive, and >= 0.9x solo adaptive on one thread.
-    bench::append_iscas_cases(cases, fast_rates);
+    bench::append_iscas_cases(cases);
 
-    cases.push_back(measure_facade_case(fast_rates));
+    cases.push_back(measure_facade_case());
     std::printf("# %-28s %12.0f ev/s  %8.1f ns/rate-eval\n",
                 cases.back().name.c_str(), cases.back().events_per_sec,
                 cases.back().ns_per_rate_eval);
@@ -347,12 +329,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "perf_gate: cannot write %s\n", out_path.c_str());
         return 1;
       }
-      f << cases_to_json(cases, tolerance, fast_rates) << '\n';
+      f << cases_to_json(cases, tolerance) << '\n';
       std::printf("# wrote %s baseline to %s\n", kSchema, out_path.c_str());
     }
     if (!baseline_path.empty()) {
-      const int regressions =
-          gate_against(cases, baseline_path, tolerance, fast_rates);
+      const int regressions = gate_against(cases, baseline_path, tolerance);
       if (regressions > 0) {
         std::printf("# %d case(s) regressed by more than %.0f%%\n",
                     regressions, tolerance * 100.0);

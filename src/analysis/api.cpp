@@ -154,7 +154,6 @@ RunResult run(const RunRequest& request) {
   r.fingerprint = request.fingerprint();
   r.seed = request.seed;
   r.adaptive = request.adaptive;
-  r.fast_rates = request.fast_rates;
   r.threads = request.threads;
   r.ensemble = request.ensemble;
   r.partition = request.partition;
@@ -168,7 +167,7 @@ std::string RunResult::to_json(bool canonical) const {
   w.field("fingerprint", fingerprint_hex(fingerprint));
   w.field("seed", seed);
   w.field("adaptive", adaptive);
-  w.field("fast_rates", fast_rates);
+  w.field("fast_rates", false);  // retired flag, constant (kJsonSchema)
   if (!canonical) w.field("threads", threads);
   w.field("events", driver.events);
   w.field("simulated_time_s", driver.simulated_time);
@@ -255,7 +254,6 @@ EngineOptions engine_options_for(const SimulationInput& input,
   eo.temperature = input.temperature;
   eo.cotunneling = input.cotunneling;
   eo.adaptive.enabled = options.adaptive;
-  eo.fast_rates = options.fast_rates;
   eo.seed = options.seed;
   eo.audit = options.audit;
   eo.fault = FaultInjector(options.fault_plan, 0, 0);

@@ -54,13 +54,14 @@ struct RunResult {
   /// the spec echo, per-replica rows, and cross-replica band statistics.
   /// Absent "ensemble" == a single-device run == exactly the v2 shape, so
   /// v2 readers keep working and v2 documents remain parseable.
+  /// "fast_rates" is always false: it named an approximate thermal kernel
+  /// that no longer exists, and it stays so that no v3 field disappears.
   static constexpr const char* kJsonSchema = "semsim.run_result/v3";
 
   DriverResult driver;
   std::uint64_t fingerprint = 0;  ///< RunRequest::fingerprint() of the run
   std::uint64_t seed = 0;
   bool adaptive = true;
-  bool fast_rates = false;
   unsigned threads = 1;
   /// Spec echo for the v3 "ensemble" object (disabled on non-ensemble runs).
   EnsembleSpec ensemble;

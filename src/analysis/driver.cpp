@@ -251,23 +251,26 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
     w.f64(input.sweep->max);
     w.f64(input.sweep->step);
   }
-  // Options tail, expanded from the frozen-order field table. fast_rates
-  // selects a different (approximate) rate kernel, so runs are not
-  // resumable across the flag: it must change the fingerprint.
-#define SEMSIM_FIELD_FP_U64(v) w.u64(v);
-#define SEMSIM_FIELD_FP_U32(v) w.u32(v);
-#define SEMSIM_FIELD_FP_F64(v) w.f64(v);
-#define SEMSIM_FIELD_FP_BOOL(v) w.u8((v) ? 1 : 0);
-#define SEMSIM_FIELD_FP_DIST(v) w.u8(static_cast<std::uint8_t>(v));
-#define SEMSIM_RUN_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.member)
-#include "analysis/run_fields.inc"
+  // Options tail, in a frozen order. The third byte is the slot of the
+  // retired fast_rates flag (an approximate thermal kernel): always 0, so
+  // every run keeps the fingerprint, checkpoints and cached results it had
+  // when the flag existed.
+  w.u64(options.seed);
+  w.u8(options.adaptive ? 1 : 0);
+  w.u8(0);
+  w.u64(options.stop.max_events);
+  w.f64(options.stop.target_rel_error);
+  w.u64(options.stop.check_interval);
   // Convergence appendix: a convergence-stopped current is total charge
   // over total time, and no longer the mean of the per-chunk currents
   // (16/15 high). The tag keeps a checkpoint or cached result of that
   // estimator from resuming into or answering for this one; runs without
   // convergence stopping keep their fingerprint.
   if (options.stop.convergence_enabled()) w.str("current: charge over time");
+#define SEMSIM_FIELD_FP_U64(v) w.u64(v);
+#define SEMSIM_FIELD_FP_U32(v) w.u32(v);
+#define SEMSIM_FIELD_FP_F64(v) w.f64(v);
+#define SEMSIM_FIELD_FP_DIST(v) w.u8(static_cast<std::uint8_t>(v));
   // Ensemble appendix: ONLY when enabled, so every pre-ensemble fingerprint
   // (and with it every existing checkpoint and cached result) is unchanged.
   if (options.ensemble.enabled) {
@@ -288,7 +291,6 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
 #undef SEMSIM_FIELD_FP_U64
 #undef SEMSIM_FIELD_FP_U32
 #undef SEMSIM_FIELD_FP_F64
-#undef SEMSIM_FIELD_FP_BOOL
 #undef SEMSIM_FIELD_FP_DIST
   return fnv1a64(w.bytes().data(), w.bytes().size());
 }

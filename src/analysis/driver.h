@@ -24,18 +24,12 @@ namespace semsim {
 /// (analysis/api.h) used to carry hand-mirrored copies of these fields —
 /// every addition risked drifting across api.h/driver.h/semsim_cli — so
 /// both are now this struct (RunRequest adds the parsed input on top). The
-/// fingerprinted scalar subset is additionally tabulated in
+/// scalars of the ensemble and partition specs are tabulated in
 /// analysis/run_fields.inc, which the fingerprint writer, the envelope
 /// codec and the CLI parsers expand mechanically.
 struct RunOptionsCore {
   std::uint64_t seed = 1;
   bool adaptive = true;   ///< false = conventional non-adaptive solver
-  /// Opt-in fast thermal rate kernel (EngineOptions::fast_rates): replaces
-  /// libm expm1 with a polynomial approximation, rates within 1e-12 relative
-  /// of the exact kernel. Deterministic, but trajectories are NOT bitwise
-  /// comparable with exact-mode runs, so the flag is part of the run
-  /// fingerprint. CLI --fast-rates.
-  bool fast_rates = false;
   /// Worker threads for sweeps and multi-seed (`jumps <n> <repeats>`) runs;
   /// 0 = all hardware threads. Results are bitwise identical for every
   /// value: work units are seeded from (seed, unit_index), never from the

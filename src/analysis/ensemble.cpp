@@ -224,6 +224,13 @@ DriverResult run_ensemble(const SimulationInput& input,
                           const DriverOptions& options) {
   const EnsembleSpec& spec = options.ensemble;
   require(spec.enabled, "run_ensemble: ensemble spec is disabled");
+  // The plain branch below runs each replica on one solo engine, which
+  // would ignore the partition spec, and the recursive one would partition
+  // every replica's run. Neither is a partitioned ensemble, so the
+  // combination is refused like the partitioned runner's own limits.
+  require(!options.partition.enabled, ErrorCode::kCircuitInvalid,
+          "ensemble: --partitions cannot be combined with --ensemble; run "
+          "the replicas unpartitioned or partition a single run");
   spec.validate();
   const std::uint64_t eff = ensemble_effective_seed(spec, options.seed);
   const std::uint32_t n = spec.replicas;

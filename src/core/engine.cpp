@@ -72,7 +72,6 @@ Engine::Engine(const Circuit& circuit, EngineOptions options,
   adaptive_active_ = options_.adaptive.enabled && !calc_.superconducting();
   has_secondary_ =
       (calc_.superconducting() && calc_.gap() > 0.0) || calc_.cotunneling_enabled();
-  fast_rates_ = options_.fast_rates;
   refresh_interval_ =
       options_.adaptive.refresh_interval > 0
           ? options_.adaptive.refresh_interval
@@ -290,9 +289,6 @@ void Engine::recompute_all_rates() {
                       delta_w_.data());
   if (calc_.quasiparticle()) {
     calc_.qp_rates_from_dw(delta_w_.data(), j_count, rate_buf_.data());
-  } else if (fast_rates_) {
-    tunnel_rates_batch_fast(delta_w_.data(), calc_.channel_conductance(),
-                            calc_.kt(), rate_buf_.data(), 2 * j_count);
   } else if (!memo_.empty()) {
     tally_memo(2 * j_count,
                tunnel_rates_batch_memo(delta_w_.data(),
@@ -317,7 +313,7 @@ void Engine::recompute_all_rates() {
   }
   const std::size_t n_paths = calc_.cotunneling_paths().size();
   const std::size_t cot_base = channel_count() - n_paths;
-  calc_.cotunneling_rates_batch(v, cot_slot_.data(), fast_rates_,
+  calc_.cotunneling_rates_batch(v, cot_slot_.data(),
                                 rate_buf_.data() + cot_base);
   stats_.cot_rate_evaluations += n_paths;
 
@@ -374,7 +370,7 @@ void Engine::commit_flagged_rates() {
   RateMemoLine* memo = memo_.empty() ? nullptr : memo_.data();
   const std::size_t hits = calc_.flagged_rates_fused(
       node_v_.data(), slot_a_.data(), slot_b_.data(), flagged_buf_.data(), nf,
-      fast_rates_, delta_w_.data(), fen_val_.data(), memo);
+      delta_w_.data(), fen_val_.data(), memo);
   if (memo) tally_memo(2 * nf, hits);
   for (std::size_t i = 0; i < nf; ++i) adaptive_.mark_fresh(flagged_buf_[i]);
   stats_.rate_evaluations += 2 * nf;
@@ -382,7 +378,7 @@ void Engine::commit_flagged_rates() {
 }
 
 Engine::RateMemoState Engine::rate_memo_state() const noexcept {
-  if (fast_rates_ || calc_.quasiparticle() || calc_.kt() <= 0.0) {
+  if (calc_.quasiparticle() || calc_.kt() <= 0.0) {
     return RateMemoState::kOff;
   }
   if (memo_probes_ < kRateMemoProbes) return RateMemoState::kDeciding;
@@ -406,12 +402,11 @@ void Engine::recompute_secondary() {
   // all island potentials exact when these channels exist. The batched
   // kernel streams the per-path SoA constants linearly; the contiguous
   // set_range commit is bitwise equivalent to the per-channel set() loop it
-  // replaced. --fast-rates routes the thermal factor through the shared
-  // Cody-Waite expm1 (byte-identical at T = 0).
+  // replaced.
   const double* v = node_v_.data();
   const std::size_t n_paths = calc_.cotunneling_paths().size();
   const std::size_t cot_base = channel_count() - n_paths;
-  calc_.cotunneling_rates_batch(v, cot_slot_.data(), fast_rates_,
+  calc_.cotunneling_rates_batch(v, cot_slot_.data(),
                                 rate_buf_.data() + cot_base);
   rates_.set_range(cot_base, rate_buf_.data() + cot_base, n_paths);
   stats_.cot_rate_evaluations += n_paths;

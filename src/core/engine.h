@@ -153,17 +153,16 @@ class Engine {
   }
 
   const ElectrostaticModel& model() const noexcept { return model_; }
-  const Circuit& circuit() const noexcept { return circuit_; }
   const RateCalculator& rate_calculator() const noexcept { return calc_; }
 
   /// Probes after which the rate memo is kept or released.
   static constexpr std::size_t kRateMemoProbes = 4096;
 
   /// The exact per-channel rate memo (DESIGN.md §3d): kOff when no channel
-  /// is memoized (T = 0, quasi-particle, --fast-rates), kDeciding over its
-  /// first kRateMemoProbes probes, then kKept when at least half of them
-  /// hit and kReleased otherwise. A hit returns the kernel's own bits, so
-  /// the state never changes a trajectory; it is not checkpointed.
+  /// is memoized (T = 0, quasi-particle), kDeciding over its first
+  /// kRateMemoProbes probes, then kKept when at least half of them hit and
+  /// kReleased otherwise. A hit returns the kernel's own bits, so the state
+  /// never changes a trajectory; it is not checkpointed.
   enum class RateMemoState : std::uint8_t { kOff, kDeciding, kKept, kReleased };
   RateMemoState rate_memo_state() const noexcept;
 
@@ -290,7 +289,6 @@ class Engine {
 
   bool adaptive_active_ = false;  // false for SC circuits or when disabled
   bool has_secondary_ = false;    // CP or cotunneling channels present
-  bool fast_rates_ = false;       // opt-in polynomial thermal kernel
   std::uint64_t refresh_interval_ = 1000;  // resolved from options (0 = auto)
   // Countdown twins of the interval schedules: `events % interval == 0`
   // costs a 64-bit division per event in the hot loop, a decrement does

@@ -42,15 +42,6 @@ struct EngineOptions {
 
   AdaptiveOptions adaptive;
 
-  /// Opt-in fast thermal rate kernel (--fast-rates): single-electron rates
-  /// at T > 0 go through tunnel_rates_batch_fast, and cotunneling channels
-  /// through cotunneling_rate_fast (polynomial expm1, <= 1e-12 relative
-  /// error per channel), instead of the bitwise-exact libm kernels.
-  /// Trajectories are still deterministic for a given seed, but are NOT
-  /// bitwise comparable to exact-mode runs. No effect at T = 0 or on
-  /// superconducting (quasi-particle / Cooper-pair) channels.
-  bool fast_rates = false;
-
   /// Cooper-pair lifetime broadening eta [J]; 0 selects the per-junction
   /// default hbar * Delta / (e^2 R_N). Only used for superconducting
   /// circuits.

@@ -5,7 +5,6 @@
 #include "base/constants.h"
 #include "base/error.h"
 #include "base/math_util.h"
-#include "physics/fast_expm1.h"
 #include "physics/bcs.h"
 #include "physics/cooper_pair.h"
 #include "physics/free_energy.h"
@@ -163,15 +162,15 @@ void RateCalculator::delta_w_flagged(const double* v,
 
 std::size_t RateCalculator::flagged_rates_fused(
     const double* v, const std::uint32_t* slot_a, const std::uint32_t* slot_b,
-    const std::size_t* junctions, std::size_t n_flagged, bool fast,
-    double* dw_store, double* rates_out, RateMemoLine* memo) const noexcept {
+    const std::size_t* junctions, std::size_t n_flagged, double* dw_store,
+    double* rates_out, RateMemoLine* memo) const noexcept {
   // Same ΔW expressions as delta_w_flagged (same TU, same association), and
-  // the same per-element rate expressions as the batch kernels:
+  // the same per-element rate expressions as the batch kernel:
   //   T = 0   : max(-dw, 0) * g            (products only — contraction-free)
   //   thermal : kt * x_over_expm1(dw/kt) * g
-  // x_over_expm1 / x_over_expm1_fast are shared inline code, so evaluating
-  // here instead of physics/rates.cpp cannot change a bit; the memo returns
-  // the thermal expression's own bits (memo_thermal_rate).
+  // x_over_expm1 is shared inline code, so evaluating here instead of
+  // physics/rates.cpp cannot change a bit; the memo returns the thermal
+  // expression's own bits (memo_thermal_rate).
   const double e = kElementaryCharge;
   const double* u = u_.data();
   const double* g = chan_g_.data();
@@ -192,9 +191,6 @@ std::size_t RateCalculator::flagged_rates_fused(
     if (kt <= 0.0) {
       rates_out[2 * i] = std::max(-dw_fw, 0.0) * g[2 * j];
       rates_out[2 * i + 1] = std::max(-dw_bw, 0.0) * g[2 * j + 1];
-    } else if (fast) {
-      rates_out[2 * i] = kt * x_over_expm1_fast(dw_fw / kt) * g[2 * j];
-      rates_out[2 * i + 1] = kt * x_over_expm1_fast(dw_bw / kt) * g[2 * j + 1];
     } else if (memo) {
       rates_out[2 * i] =
           memo_thermal_rate(memo[2 * j], dw_fw, kt, g[2 * j], hits);
@@ -210,7 +206,6 @@ std::size_t RateCalculator::flagged_rates_fused(
 
 void RateCalculator::cotunneling_rates_batch(const double* v,
                                              const std::uint32_t* cot_slot,
-                                             bool fast,
                                              double* out) const noexcept {
   // Expression shapes are cotunneling_path_rate's verbatim; only the
   // per-path kappa_node/u_/resistance_ lookups are replaced by the SoA
@@ -230,10 +225,8 @@ void RateCalculator::cotunneling_rates_batch(const double* v,
     const double dw_total =
         -e * (v_to - v_from) +
         0.5 * e * e * (cot_kff_[p] + cot_ktt_[p] - 2.0 * cot_kft_[p]);
-    out[p] = fast ? cotunneling_rate_fast(dw_total, e1, e2, cot_r1_[p],
-                                          cot_r2_[p], temperature_)
-                  : cotunneling_rate(dw_total, e1, e2, cot_r1_[p], cot_r2_[p],
-                                     temperature_);
+    out[p] = cotunneling_rate(dw_total, e1, e2, cot_r1_[p], cot_r2_[p],
+                              temperature_);
   }
 }
 

@@ -83,31 +83,29 @@ class RateCalculator {
   /// delta_w_flagged), writes it straight into the persistent per-channel
   /// store `dw_store` at (2j, 2j+1), and evaluates the junction's two rates
   /// into rates_out (2i, 2i+1) in the same pass — eliminating the
-  /// gather/scatter scratch round-trip of the staged path. `fast` selects
-  /// the Cody-Waite expm1 kernel. BITWISE CONTRACT (property-tested): the
-  /// ΔW values equal delta_w_flagged's and the rates equal
-  /// tunnel_rates_batch[_fast] over the gathered subset — per-element
-  /// expression forms are identical and the x_over_expm1[_fast] helpers are
-  /// shared inline code. Normal-state only (the superconducting QP path
-  /// never flags). A non-null `memo` (thermal exact mode only) routes each
-  /// channel c through its line memo[c] (memo_thermal_rate, bitwise the
-  /// same rates); returns the memo hits.
+  /// gather/scatter scratch round-trip of the staged path. BITWISE
+  /// CONTRACT (property-tested): the ΔW values equal delta_w_flagged's and
+  /// the rates equal tunnel_rates_batch over the gathered subset —
+  /// per-element expression forms are identical and x_over_expm1 is shared
+  /// inline code. Normal-state only (the superconducting QP path never
+  /// flags). A non-null `memo` (thermal channels only) routes each channel
+  /// c through its line memo[c] (memo_thermal_rate, bitwise the same
+  /// rates); returns the memo hits.
   std::size_t flagged_rates_fused(const double* v, const std::uint32_t* slot_a,
                                   const std::uint32_t* slot_b,
                                   const std::size_t* junctions,
-                                  std::size_t n_flagged, bool fast,
-                                  double* dw_store, double* rates_out,
+                                  std::size_t n_flagged, double* dw_store,
+                                  double* rates_out,
                                   RateMemoLine* memo = nullptr) const noexcept;
 
   /// Batched cotunneling rates over every enumerated path: per-path SoA
   /// constants (intermediate-state charging terms, end-node kappa entries,
   /// junction resistances) are precomputed at construction, so the per-event
   /// recompute reads three potentials per path from `cot_slot` (from, via,
-  /// to — the engine's slot triples) and streams linearly. `fast` routes the
-  /// thermal factor through cotunneling_rate_fast (byte-identical at T = 0).
-  /// Exact mode is bitwise identical to cotunneling_path_rate per path.
+  /// to — the engine's slot triples) and streams linearly. Bitwise
+  /// identical to cotunneling_path_rate per path.
   void cotunneling_rates_batch(const double* v, const std::uint32_t* cot_slot,
-                               bool fast, double* out) const noexcept;
+                               double* out) const noexcept;
 
   /// Quasi-particle channel rates from a precomputed per-channel ΔW array
   /// (superconducting circuits): out[2j] / out[2j+1] per junction, scaled

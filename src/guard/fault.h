@@ -77,8 +77,6 @@ class FaultInjector {
         attempt_(attempt) {}
 
   bool armed() const noexcept { return plan_ != nullptr; }
-  std::uint64_t unit() const noexcept { return unit_; }
-  std::uint32_t attempt() const noexcept { return attempt_; }
 
   /// Rebind to a concrete (unit, attempt). The drivers carry one
   /// caller-supplied injector in the base EngineOptions and rebind it per

@@ -278,7 +278,6 @@ std::string encode_request_envelope(const RequestEnvelope& env) {
       w.field("netlist", env.netlist);
       w.field("seed", env.seed);
       w.field("adaptive", env.adaptive);
-      w.field("fast_rates", env.fast_rates);
       if (env.repeats > 0) w.field("repeats", unsigned{env.repeats});
       w.key("stop").begin_object();
       w.field("max_events", env.stop.max_events);
@@ -388,7 +387,10 @@ RequestEnvelope parse_request_envelope(std::string_view line,
       }
       env.seed = u64_field(doc, "seed", 1);
       env.adaptive = bool_field(doc, "adaptive", true);
-      env.fast_rates = bool_field(doc, "fast_rates", false);
+      if (bool_field(doc, "fast_rates", false)) {
+        bad("fast_rates: the approximate thermal kernel is retired; only "
+            "false is accepted");
+      }
       const std::uint64_t repeats = u64_field(doc, "repeats", 0);
       if (repeats > 0xFFFFFFFFULL) bad("repeats out of range");
       env.repeats = static_cast<std::uint32_t>(repeats);

@@ -14,8 +14,7 @@
 //
 //   {"schema":"semsim.request/v1","verb":"submit","priority":0,
 //    "deadline_ms":60000,"client":"sweep-farm-3",          // both optional
-//    "netlist":"num ext 2\n...","seed":1,"adaptive":true,
-//    "fast_rates":false,"repeats":0,
+//    "netlist":"num ext 2\n...","seed":1,"adaptive":true,"repeats":0,
 //    "stop":{"max_events":0,"target_rel_error":0.0,"check_interval":0},
 //    "retry":{"strict":false,"max_attempts":3},
 //    "ensemble":{"replicas":64,"bg_spread":0.05,...},            // optional
@@ -26,7 +25,9 @@
 // Integer fields travel as JSON numbers and must be exactly representable
 // as doubles (<= 2^53); out-of-range or fractional values are rejected.
 // Every submit field except `netlist` is optional and defaults to the
-// RunRequest default.
+// RunRequest default. A submit may still carry `"fast_rates":false`, as
+// every client and journal record written before the approximate thermal
+// kernel was retired does; `"fast_rates":true` is a coded rejection.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +73,6 @@ struct RequestEnvelope {
   std::string netlist;
   std::uint64_t seed = 1;
   bool adaptive = true;
-  bool fast_rates = false;
   /// Overrides the netlist's `jumps` repeat count when > 0.
   std::uint32_t repeats = 0;
   StopCriterion stop;

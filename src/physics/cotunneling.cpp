@@ -5,7 +5,6 @@
 
 #include "base/constants.h"
 #include "base/math_util.h"
-#include "physics/fast_expm1.h"
 
 namespace semsim {
 
@@ -25,34 +24,6 @@ double cotunneling_rate(double dw_total, double e1, double e2, double r1,
   if (e1 <= 0.0 || e2 <= 0.0) return 0.0;
   const double x = -dw_total;
   const double s = cotunneling_thermal_factor(x, temperature);
-  if (s == 0.0) return 0.0;
-  const double inv_e = 1.0 / e1 + 1.0 / e2;
-  const double e4 = kElementaryCharge * kElementaryCharge *
-                    kElementaryCharge * kElementaryCharge;
-  return kHbar / (12.0 * 3.141592653589793 * e4 * r1 * r2) * inv_e * inv_e * s;
-}
-
-namespace {
-
-/// S(x, T) with the fast expm1: same branch structure as the exact factor,
-/// byte-identical at T <= 0 (the x^3 branch has no exponential).
-double cotunneling_thermal_factor_fast(double x, double temperature) noexcept {
-  if (temperature <= 0.0) {
-    return x > 0.0 ? x * x * x : 0.0;
-  }
-  const double kt = kBoltzmann * temperature;
-  const double two_pi_kt = 6.283185307179586 * kt;
-  const double thermal = kt * x_over_expm1_fast(-x / kt);
-  return (x * x + two_pi_kt * two_pi_kt) * thermal;
-}
-
-}  // namespace
-
-double cotunneling_rate_fast(double dw_total, double e1, double e2, double r1,
-                             double r2, double temperature) noexcept {
-  if (e1 <= 0.0 || e2 <= 0.0) return 0.0;
-  const double x = -dw_total;
-  const double s = cotunneling_thermal_factor_fast(x, temperature);
   if (s == 0.0) return 0.0;
   const double inv_e = 1.0 / e1 + 1.0 / e2;
   const double e4 = kElementaryCharge * kElementaryCharge *

@@ -32,15 +32,6 @@ double cotunneling_thermal_factor(double x, double temperature) noexcept;
 double cotunneling_rate(double dw_total, double e1, double e2, double r1,
                         double r2, double temperature) noexcept;
 
-/// --fast-rates variant: identical structure and branch thresholds, with the
-/// thermal factor's libm expm1 replaced by the shared Cody-Waite kernel
-/// (physics/fast_expm1.h). T <= 0 never touches expm1, so the cold path is
-/// byte-identical to cotunneling_rate; the thermal path stays within the
-/// same ~1e-14 relative bound as the fast tunnel kernel (<= the documented
-/// 1e-12 contract).
-double cotunneling_rate_fast(double dw_total, double e1, double e2, double r1,
-                             double r2, double temperature) noexcept;
-
 /// A directed two-junction cotunneling path: an electron effectively moves
 /// from `from` through island `via` to `to`, using junctions j1 (from-via)
 /// then j2 (via-to). Both orders of the two hops are summed inside the rate

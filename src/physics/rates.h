@@ -88,29 +88,4 @@ std::size_t tunnel_rates_batch_memo(const double* delta_w,
                                     RateMemoLine* memo, double* out,
                                     std::size_t n) noexcept;
 
-/// Fast thermal variant (opt-in via --fast-rates): replaces libm expm1 with
-/// a Cody-Waite range reduction and a degree-12 polynomial, evaluated in
-/// chunks that the compiler can vectorize. Guarantees
-///
-///     |fast - exact| <= 1e-12 * exact      (relative, per channel)
-///
-/// over the full argument range (property-tested in tests/test_property.cpp;
-/// the mathematical bound is ~1e-14). The x_over_expm1 edge branches
-/// (|x| < 1e-8 series, |x| > 700 clamps, x == 0) and the entire kt <= 0 path
-/// are byte-identical to the exact kernel, so fast mode only perturbs
-/// channels with 1e-8 <= |delta_w / kT| <= 700.
-void tunnel_rates_batch_fast(const double* delta_w, const double* conductance,
-                             double kt, double* out, std::size_t n) noexcept;
-
-/// Portable (scalar-chunk) implementation of tunnel_rates_batch_fast — the
-/// code every machine without AVX2 runs. On AVX2 hosts,
-/// tunnel_rates_batch_fast dispatches to a packed 4-wide path instead, whose
-/// every vector instruction is the packed twin of this function's scalar
-/// operation (same association, round-to-nearest, no FMA), so the two are
-/// bit-identical element for element. Exposed so tests can pin that
-/// equivalence on AVX2 hardware; production callers use the dispatcher.
-void tunnel_rates_batch_fast_portable(const double* delta_w,
-                                      const double* conductance, double kt,
-                                      double* out, std::size_t n) noexcept;
-
 }  // namespace semsim

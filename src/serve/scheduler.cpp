@@ -148,7 +148,6 @@ std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
   if (env.repeats > 0) req.input.repeats = env.repeats;
   req.seed = env.seed;
   req.adaptive = env.adaptive;
-  req.fast_rates = env.fast_rates;
   req.stop = env.stop;
   req.retry = env.retry;
   req.ensemble = env.ensemble;

@@ -310,10 +310,9 @@ Circuit make_chain_circuit(int stages) {
 
 TEST(FusedFlaggedCommit, BitwiseEqualsStagedGatherKernelScatter) {
   // flagged_rates_fused's contract: ΔW bitwise equal to delta_w_flagged,
-  // rates bitwise equal to tunnel_rates_batch[_fast] over the gathered
-  // subset — for every temperature branch (T = 0, thermal exact with and
-  // without the rate memo, thermal fast) and arbitrary flagged subsets
-  // including duplicates.
+  // rates bitwise equal to tunnel_rates_batch over the gathered subset —
+  // for every temperature branch (T = 0, thermal with and without the rate
+  // memo) and arbitrary flagged subsets including duplicates.
   const Circuit c = make_chain_circuit(16);
   const ElectrostaticModel em(c);
   Xoshiro256 rng(0xF05ED);
@@ -361,49 +360,42 @@ TEST(FusedFlaggedCommit, BitwiseEqualsStagedGatherKernelScatter) {
         g_compact[2 * i] = g[2 * flagged[i]];
         g_compact[2 * i + 1] = g[2 * flagged[i] + 1];
       }
-      for (const bool fast : {false, true}) {
-        if (fast) {
-          tunnel_rates_batch_fast(dw_compact.data(), g_compact.data(),
-                                  calc.kt(), rates_staged.data(), 2 * nf);
-        } else {
-          tunnel_rates_batch(dw_compact.data(), g_compact.data(), calc.kt(),
-                             rates_staged.data(), 2 * nf);
-        }
+      tunnel_rates_batch(dw_compact.data(), g_compact.data(), calc.kt(),
+                         rates_staged.data(), 2 * nf);
 
-        std::vector<double> dw_store(2 * j_count, -7.0);
-        std::vector<double> rates_fused(2 * nf, -7.0);
-        calc.flagged_rates_fused(v.data(), sa.data(), sb.data(),
-                                 flagged.data(), nf, fast, dw_store.data(),
-                                 rates_fused.data());
-        for (std::size_t i = 0; i < nf; ++i) {
-          const std::size_t j = flagged[i];
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(dw_store[2 * j]),
-                    std::bit_cast<std::uint64_t>(dw_compact[2 * i]))
-              << "T " << temperature << " fast " << fast << " junction " << j;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(dw_store[2 * j + 1]),
-                    std::bit_cast<std::uint64_t>(dw_compact[2 * i + 1]));
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[2 * i]),
-                    std::bit_cast<std::uint64_t>(rates_staged[2 * i]))
-              << "T " << temperature << " fast " << fast << " junction " << j;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[2 * i + 1]),
-                    std::bit_cast<std::uint64_t>(rates_staged[2 * i + 1]));
+      std::vector<double> dw_store(2 * j_count, -7.0);
+      std::vector<double> rates_fused(2 * nf, -7.0);
+      calc.flagged_rates_fused(v.data(), sa.data(), sb.data(),
+                               flagged.data(), nf, dw_store.data(),
+                               rates_fused.data());
+      for (std::size_t i = 0; i < nf; ++i) {
+        const std::size_t j = flagged[i];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(dw_store[2 * j]),
+                  std::bit_cast<std::uint64_t>(dw_compact[2 * i]))
+            << "T " << temperature << " junction " << j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(dw_store[2 * j + 1]),
+                  std::bit_cast<std::uint64_t>(dw_compact[2 * i + 1]));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[2 * i]),
+                  std::bit_cast<std::uint64_t>(rates_staged[2 * i]))
+            << "T " << temperature << " junction " << j;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[2 * i + 1]),
+                  std::bit_cast<std::uint64_t>(rates_staged[2 * i + 1]));
+      }
+      if (calc.kt() <= 0.0) continue;
+      // Through the exact rate memo: cold, then every channel again
+      // (hits), each pass bitwise the staged kernel's rates.
+      std::vector<RateMemoLine> memo(2 * j_count);
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::size_t hits = calc.flagged_rates_fused(
+            v.data(), sa.data(), sb.data(), flagged.data(), nf,
+            dw_store.data(), rates_fused.data(), memo.data());
+        if (pass == 1) {
+          EXPECT_EQ(hits, 2 * nf);
         }
-        if (fast || calc.kt() <= 0.0) continue;
-        // Through the exact rate memo: cold, then every channel again
-        // (hits), each pass bitwise the staged kernel's rates.
-        std::vector<RateMemoLine> memo(2 * j_count);
-        for (int pass = 0; pass < 2; ++pass) {
-          const std::size_t hits = calc.flagged_rates_fused(
-              v.data(), sa.data(), sb.data(), flagged.data(), nf, false,
-              dw_store.data(), rates_fused.data(), memo.data());
-          if (pass == 1) {
-            EXPECT_EQ(hits, 2 * nf);
-          }
-          for (std::size_t i = 0; i < 2 * nf; ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[i]),
-                      std::bit_cast<std::uint64_t>(rates_staged[i]))
-                << "T " << temperature << " memo pass " << pass;
-          }
+        for (std::size_t i = 0; i < 2 * nf; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(rates_fused[i]),
+                    std::bit_cast<std::uint64_t>(rates_staged[i]))
+              << "T " << temperature << " memo pass " << pass;
         }
       }
     }
@@ -429,13 +421,10 @@ TEST(CotunnelingBatch, ExactModeBitwiseEqualsPerPathRate) {
     cot_slot.push_back(static_cast<std::uint32_t>(p.via));
     cot_slot.push_back(static_cast<std::uint32_t>(p.to));
   }
-  std::vector<double> out(paths.size()), out_fast(paths.size());
+  std::vector<double> out(paths.size());
   for (int trial = 0; trial < 200; ++trial) {
     for (double& x : v) x = (rng.uniform01() - 0.5) * 0.05;
-    calc.cotunneling_rates_batch(v.data(), cot_slot.data(), /*fast=*/false,
-                                 out.data());
-    calc.cotunneling_rates_batch(v.data(), cot_slot.data(), /*fast=*/true,
-                                 out_fast.data());
+    calc.cotunneling_rates_batch(v.data(), cot_slot.data(), out.data());
     for (std::size_t p = 0; p < paths.size(); ++p) {
       const double ref = calc.cotunneling_path_rate(
           paths[p], v[static_cast<std::size_t>(paths[p].from)],
@@ -443,9 +432,6 @@ TEST(CotunnelingBatch, ExactModeBitwiseEqualsPerPathRate) {
           v[static_cast<std::size_t>(paths[p].to)]);
       ASSERT_EQ(std::bit_cast<std::uint64_t>(out[p]),
                 std::bit_cast<std::uint64_t>(ref))
-          << "trial " << trial << " path " << p;
-      // Fast mode: same ≤1e-12 relative contract as the tunnel kernel.
-      ASSERT_LE(std::abs(out_fast[p] - ref), 1e-12 * std::abs(ref) + 1e-300)
           << "trial " << trial << " path " << p;
     }
   }

@@ -122,46 +122,6 @@ TEST(EngineObservers, JunctionRateAccessorMatchesOrthodox) {
               1e-4 * orthodox_rate(dw, 1e6, 0.0));
 }
 
-TEST(EngineFastRates, RatesMatchExactWithinDocumentedBound) {
-  // --fast-rates swaps the thermal kernel; every channel rate of a freshly
-  // built engine must sit within the documented 1e-12 relative bound of the
-  // exact-mode engine, and the fast engine must actually run.
-  SetFixture fe(0.02, -0.02, 0.0), ff(0.02, -0.02, 0.0);
-  EngineOptions exact_o = opts(5.0, 41);
-  EngineOptions fast_o = exact_o;
-  fast_o.fast_rates = true;
-  Engine exact(fe.c, exact_o);
-  Engine fast(ff.c, fast_o);
-  for (std::size_t j = 0; j < fe.c.junction_count(); ++j) {
-    for (bool fw : {true, false}) {
-      const double a = exact.junction_rate(j, fw);
-      const double b = fast.junction_rate(j, fw);
-      EXPECT_LE(std::abs(b - a), 1e-12 * std::abs(a) + 1e-300)
-          << "junction " << j << (fw ? " fw" : " bw");
-    }
-  }
-  EXPECT_EQ(fast.run_events(5000), 5000u);
-  EXPECT_TRUE(fast.integrity_report().ok());
-}
-
-TEST(EngineFastRates, ZeroTemperatureIsBitwiseIdenticalToExact) {
-  // At T = 0 the fast kernel never touches the polynomial: trajectories must
-  // be bitwise identical, event for event.
-  SetFixture fe(0.02, -0.02, 0.0), ff(0.02, -0.02, 0.0);
-  EngineOptions exact_o = opts(0.0, 43);
-  EngineOptions fast_o = exact_o;
-  fast_o.fast_rates = true;
-  Engine exact(fe.c, exact_o);
-  Engine fast(ff.c, fast_o);
-  Event ea, eb;
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(exact.step(&ea));
-    ASSERT_TRUE(fast.step(&eb));
-    ASSERT_EQ(ea.index, eb.index) << "event " << i;
-    ASSERT_EQ(ea.time, eb.time) << "event " << i;
-  }
-}
-
 TEST(EngineObservers, SetElectronCountsMovesState) {
   SetFixture f;
   Engine e(f.c, opts(0.0));

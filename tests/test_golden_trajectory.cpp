@@ -200,31 +200,6 @@ TEST(GoldenTrajectory, PulsedGateNonAdaptive) {
   expect_golden(trajectory_hash(e, 4000), 0xc51adc6c5f0d17d0ULL, "pulsed gate non-adaptive");
 }
 
-TEST(GoldenTrajectory, SetAdaptiveFastRates) {
-  // --fast-rates on the adaptive thermal path: the tabulated-expm1 kernel
-  // produces a distinct but equally pinned trajectory (fast mode trades
-  // bitwise compatibility with exact mode for throughput; it must still be
-  // deterministic in itself).
-  SetCircuit f(0.02, -0.02, 0.0);
-  EngineOptions o = engine_opts(4.2, true, 12345);
-  o.fast_rates = true;
-  Engine e(f.c, o);
-  expect_golden(trajectory_hash(e, 4000), 0xcf5194d3136f2cd8ULL,
-                "SET adaptive fast-rates");
-}
-
-TEST(GoldenTrajectory, CotunnelingFastRates) {
-  // Thermal cotunneling through the fast kernel (the batch SoA path): new
-  // coverage for the fast-rates extension to second-order channels.
-  SetCircuit f(0.004, -0.004, 0.0);
-  EngineOptions o = engine_opts(1.3, true, 2024);
-  o.cotunneling = true;
-  o.fast_rates = true;
-  Engine e(f.c, o);
-  expect_golden(trajectory_hash(e, 1000), 0xf8222ee726e82f84ULL,
-                "cotunneling fast-rates");
-}
-
 TEST(GoldenTrajectory, ChainAdaptive) {
   const Circuit c = make_chain(8);
   Engine e(c, engine_opts(0.0, true, 31337));
@@ -286,13 +261,10 @@ TEST(RateMemo, KeptOnA1024StageChainUnderTheNonAdaptiveSolver) {
 }
 
 TEST(RateMemo, OffWhereNoChannelIsMemoized) {
-  // T = 0, quasi-particle and --fast-rates channels are never memoized.
+  // T = 0 and quasi-particle channels are never memoized.
   SetCircuit f(0.02, -0.02, 0.0);
   EXPECT_EQ(Engine(f.c, engine_opts(0.0, true, 1)).rate_memo_state(),
             Engine::RateMemoState::kOff);
-  EngineOptions fast = engine_opts(4.2, true, 1);
-  fast.fast_rates = true;
-  EXPECT_EQ(Engine(f.c, fast).rate_memo_state(), Engine::RateMemoState::kOff);
   f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
   EXPECT_EQ(Engine(f.c, engine_opts(0.05, true, 1)).rate_memo_state(),
             Engine::RateMemoState::kOff);
@@ -337,14 +309,6 @@ TEST(GoldenSweep, SetNonAdaptive) {
   SetCircuit f(0.0, 0.0, 0.0);
   expect_sweep_golden(f.c, engine_opts(1.0, false, 42), small_sweep(f), 0xc6d1277da8a46020ULL,
                       "SET sweep non-adaptive");
-}
-
-TEST(GoldenSweep, SetAdaptiveFastRates) {
-  SetCircuit f(0.0, 0.0, 0.0);
-  EngineOptions o = engine_opts(4.2, true, 42);
-  o.fast_rates = true;
-  expect_sweep_golden(f.c, o, small_sweep(f), 0x92d6744f5dd2e436ULL,
-                      "SET sweep adaptive fast-rates");
 }
 
 TEST(GoldenSweep, SsetAdaptiveRequested) {

@@ -384,6 +384,44 @@ TEST(PartitionDriver, ResumedFromAnyMilestoneGivesTheUninterruptedDocument) {
   }
 }
 
+/// examples/service/sweep.sem: a swept SET, which the partitioned runner
+/// refuses on its own.
+constexpr char kSweepInput[] = R"(
+num ext 3
+num nodes 4
+junc 1 1 4 1meg 1a
+junc 2 4 2 1meg 1a
+cap 3 4 3a
+vdc 3 0.0
+symm 2
+temp 5
+record 1 2
+jumps 2000
+sweep 1 0.01 0.002
+)";
+
+TEST(PartitionDriver, EnsembleWithPartitionsIsACodedCircuitError) {
+  // There is no partitioned ensemble: a plain replica runs on one solo
+  // engine, which would ignore the spec, and a swept one would partition
+  // every replica's sweep. Both are refused before any replica runs.
+  for (const char* text : {kFabricInput, kSweepInput}) {
+    RunRequest req;
+    req.input = parse_simulation_input(std::string(text));
+    req.ensemble.enabled = true;
+    req.ensemble.replicas = 2;
+    req.partition = spec_for(2);
+    try {
+      run(req);
+      ADD_FAILURE() << "an ensemble with partitions ran";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.code(), ErrorCode::kCircuitInvalid) << what;
+      EXPECT_NE(what.find("--ensemble"), std::string::npos) << what;
+      EXPECT_NE(what.find("--partitions"), std::string::npos) << what;
+    }
+  }
+}
+
 // ---- exhaustion -------------------------------------------------------------
 
 /// kFabricInput in full blockade: T = 0, the leads at +-1 mV and both

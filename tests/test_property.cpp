@@ -303,98 +303,6 @@ TEST(RateKernelProperty, ExactBatchBitwiseEqualsScalarOrthodoxRate) {
   }
 }
 
-TEST(RateKernelProperty, FastBatchWithinDocumentedRelativeError) {
-  // --fast-rates promises <= 1e-12 relative error against the exact kernel
-  // per channel, over the full argument range. Edge branches (x == 0,
-  // series, clamps, T = 0) must be byte-identical.
-  Xoshiro256 rng(0xFA57);
-  for (double temperature : {0.05, 1.0, 4.2, 300.0}) {
-    const double kt = kBoltzmann * temperature;
-    for (int trial = 0; trial < 20; ++trial) {
-      const std::size_t n = 1 + rng.uniform_below(97);
-      std::vector<double> dw, res, g;
-      fill_rate_inputs(rng, kt, n, dw, res, g);
-      std::vector<double> exact(n), fast(n);
-      tunnel_rates_batch(dw.data(), g.data(), kt, exact.data(), n);
-      tunnel_rates_batch_fast(dw.data(), g.data(), kt, fast.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = dw[i] / kt;
-        if (x == 0.0 || std::abs(x) < 1e-8 || std::abs(x) > 700.0) {
-          // Outside the polynomial range the fast kernel takes the exact
-          // kernel's branches verbatim.
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i]),
-                    std::bit_cast<std::uint64_t>(exact[i]))
-              << "T = " << temperature << " dW = " << dw[i];
-        } else {
-          ASSERT_LE(std::abs(fast[i] - exact[i]), 1e-12 * std::abs(exact[i]))
-              << "T = " << temperature << " dW = " << dw[i] << " x = " << x
-              << ": fast " << fast[i] << " vs exact " << exact[i];
-        }
-      }
-    }
-  }
-  // T = 0: the whole kernel is the exact max+multiply loop.
-  std::vector<double> dw, res, g;
-  fill_rate_inputs(rng, 0.0, 64, dw, res, g);
-  std::vector<double> exact(64), fast(64);
-  tunnel_rates_batch(dw.data(), g.data(), 0.0, exact.data(), 64);
-  tunnel_rates_batch_fast(dw.data(), g.data(), 0.0, fast.data(), 64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i]),
-              std::bit_cast<std::uint64_t>(exact[i]));
-  }
-}
-
-TEST(RateKernelProperty, FastBatchOutputIsChunkPositionIndependent) {
-  // The fast kernel processes 8-wide chunks with a scalar fallback for
-  // mixed/tail lanes. A channel's value must not depend on where it lands:
-  // evaluate a mixed array both in bulk and channel-by-channel.
-  Xoshiro256 rng(0xC0FFEE);
-  const double kt = kBoltzmann * 1.3;
-  const std::size_t n = 61;  // odd: forces a tail
-  std::vector<double> dw, res, g;
-  fill_rate_inputs(rng, kt, n, dw, res, g);
-  std::vector<double> bulk(n);
-  tunnel_rates_batch_fast(dw.data(), g.data(), kt, bulk.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double one = 0.0;
-    tunnel_rates_batch_fast(&dw[i], &g[i], kt, &one, 1);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(bulk[i]),
-              std::bit_cast<std::uint64_t>(one))
-        << "channel " << i << " dW = " << dw[i];
-  }
-}
-
-TEST(RateKernelProperty, FastBatchDispatchMatchesPortableBitwise) {
-  // tunnel_rates_batch_fast runtime-dispatches to a packed AVX2 path on
-  // hosts that have it (every vector instruction the packed twin of the
-  // portable scalar operation — same association, round-to-nearest, no
-  // FMA). Machines with and without AVX2 must produce the same trajectory
-  // bits, so the dispatched output is pinned element-wise against the
-  // portable implementation: on AVX2 hardware this compares the two code
-  // paths; elsewhere it degenerates to self-comparison and still guards the
-  // dispatcher.
-  Xoshiro256 rng(0xA5E2);
-  for (double temperature : {0.05, 1.0, 4.2, 300.0}) {
-    const double kt = kBoltzmann * temperature;
-    for (int trial = 0; trial < 20; ++trial) {
-      const std::size_t n = 1 + rng.uniform_below(97);
-      std::vector<double> dw, res, g;
-      fill_rate_inputs(rng, kt, n, dw, res, g);
-      std::vector<double> dispatched(n), portable(n);
-      tunnel_rates_batch_fast(dw.data(), g.data(), kt, dispatched.data(), n);
-      tunnel_rates_batch_fast_portable(dw.data(), g.data(), kt,
-                                       portable.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(dispatched[i]),
-                  std::bit_cast<std::uint64_t>(portable[i]))
-            << "T = " << temperature << " dW = " << dw[i]
-            << " x = " << dw[i] / kt;
-      }
-    }
-  }
-}
-
 // ---- exact rate memo (physics/rates.h) --------------------------------------
 
 /// Free-energy changes on every branch of the thermal kernel and the

@@ -102,7 +102,6 @@ TEST(Envelope, SubmitRoundTripsEveryField) {
   env.netlist = kSweepInput;
   env.seed = 42;
   env.adaptive = false;
-  env.fast_rates = true;
   env.repeats = 5;
   env.stop.max_events = 9999;
   env.stop.target_rel_error = 0.125;
@@ -123,7 +122,6 @@ TEST(Envelope, SubmitRoundTripsEveryField) {
   EXPECT_EQ(back.netlist, kSweepInput);
   EXPECT_EQ(back.seed, 42u);
   EXPECT_FALSE(back.adaptive);
-  EXPECT_TRUE(back.fast_rates);
   EXPECT_EQ(back.repeats, 5u);
   EXPECT_EQ(back.stop.max_events, 9999u);
   EXPECT_EQ(back.stop.target_rel_error, 0.125);
@@ -176,6 +174,28 @@ TEST(Envelope, MalformedRequestsAreCodedRejections) {
                ParseError);
   // Not JSON at all.
   EXPECT_THROW(parse_request_envelope("hello"), Error);
+}
+
+TEST(Envelope, RetiredFastRatesParsesOnlyAsFalse) {
+  // Every client built while the approximate thermal kernel existed sent
+  // "fast_rates":false, and every daemon journal of that time holds it:
+  // it must parse as if it were absent. Asking for the kernel is a coded
+  // rejection that names the field.
+  const std::string head =
+      R"({"schema":"semsim.request/v1","verb":"submit","netlist":"x",)";
+  const RequestEnvelope plain =
+      parse_request_envelope(head + R"("seed":3})");
+  const RequestEnvelope old =
+      parse_request_envelope(head + R"("fast_rates":false,"seed":3})");
+  EXPECT_EQ(encode_request_envelope(old), encode_request_envelope(plain));
+  try {
+    parse_request_envelope(head + R"("fast_rates":true,"seed":3})");
+    ADD_FAILURE() << "\"fast_rates\":true parsed";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParseSyntax);
+    EXPECT_NE(std::string(e.what()).find("fast_rates"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- result cache ---------------------------------------------------------
@@ -247,10 +267,6 @@ TEST(Fingerprint, ChangesWithAnyResultAffectingOption) {
 
   RunRequest req = sweep_request();
   req.adaptive = false;
-  EXPECT_NE(req.fingerprint(), base);
-
-  req = sweep_request();
-  req.fast_rates = true;  // approximate kernel => different trajectories
   EXPECT_NE(req.fingerprint(), base);
 
   req = sweep_request();
@@ -925,6 +941,41 @@ TEST(Replay, InterruptedJobReenqueuesAndConvergesToDirectBytes) {
   // Ids are never reused: the next submit lands past every replayed id.
   EXPECT_EQ(sched.submit(sweep_envelope(/*seed=*/8)), 2u);
   sched.shutdown();
+}
+
+TEST(Replay, RetiredFastRatesRecordReplaysOnlyAsFalse) {
+  // Journals written while the approximate kernel existed hold
+  // "fast_rates":false after "adaptive" in every submit record: such a job
+  // replays to the document of a fresh run. A record asking for the kernel
+  // belongs to an incompatible build and is refused.
+  TempDir dir("semsim_replay_fast_rates");
+  std::filesystem::create_directories(dir.path);
+  const auto record_with = [](const char* value) {
+    JournalRecord submit = submit_record(1, sweep_envelope());
+    const std::string adaptive = "\"adaptive\":true,";
+    const std::size_t at = submit.envelope_json.find(adaptive);
+    EXPECT_NE(at, std::string::npos) << submit.envelope_json;
+    submit.envelope_json.insert(at + adaptive.size(),
+                                std::string("\"fast_rates\":") + value + ",");
+    return submit;
+  };
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.journal_path = dir.path + "/false.wal";
+  craft_journal(cfg.journal_path, {record_with("false")});
+  {
+    JobScheduler sched(cfg);
+    EXPECT_EQ(sched.stats().replayed, 1u);
+    const JobStatus s = wait_terminal(sched, 1);
+    ASSERT_EQ(s.state, JobState::kDone) << s.error;
+    EXPECT_EQ(sched.result(1),
+              run(sweep_request()).to_json(/*canonical=*/true));
+    sched.shutdown();
+  }
+  cfg.journal_path = dir.path + "/true.wal";
+  craft_journal(cfg.journal_path, {record_with("true")});
+  EXPECT_EQ(code_of([&] { JobScheduler sched(cfg); }),
+            ErrorCode::kServeJournalCorrupt);
 }
 
 TEST(Replay, DoneDocumentComesBackVerbatimAndReseedsTheCache) {

@@ -38,7 +38,7 @@ void usage(const char* argv0) {
       "          [--master-check] [--target-rel-error X] [--max-events N]\n"
       "          [--checkpoint FILE] [--resume FILE] [--salvage-checkpoint]\n"
       "          [--strict] [--retries N] [--audit-interval N] [--no-audit]\n"
-      "          [--watchdog-seconds X] [--fast-rates]\n"
+      "          [--watchdog-seconds X]\n"
       "          [--ensemble N] [--ensemble-seed N]\n"
       "          [--ensemble-bg-spread X] [--ensemble-bg-dist D]\n"
       "          [--ensemble-r-spread X] [--ensemble-r-dist D]\n"
@@ -77,9 +77,6 @@ void usage(const char* argv0) {
       "                       (default auto; see --no-audit)\n"
       "  --no-audit           disable the runtime invariant auditor\n"
       "  --watchdog-seconds X abort a work unit after X wall-clock seconds\n"
-      "  --fast-rates         polynomial thermal rate kernel (~1e-12 relative\n"
-      "                       of exact); faster at T > 0, but trajectories\n"
-      "                       are not bitwise comparable with exact runs\n"
       "  --ensemble N         run N device replicas with perturbed parameters\n"
       "                       (statistical variability study); any --ensemble-*\n"
       "                       flag also enables the ensemble\n"
@@ -149,8 +146,6 @@ int main(int argc, char** argv) {
       req.audit.watchdog_seconds = parse_positive_f64("--watchdog-seconds", v);
     } else if (a == "--non-adaptive") {
       req.adaptive = false;
-    } else if (a == "--fast-rates") {
-      req.fast_rates = true;
     } else if (flag_value(a, "--out", argc, argv, i, &v)) {
       out_path = v;
     } else if (flag_value(a, "--canonical-json", argc, argv, i, &v)) {

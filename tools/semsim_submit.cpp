@@ -1,7 +1,7 @@
 // semsim_submit — client for the semsim_serve daemon.
 //
 //   semsim_submit --socket /tmp/semsim.sock submit input.sem [--seed N]
-//                 [--priority N] [--fast-rates] [--non-adaptive]
+//                 [--priority N] [--non-adaptive]
 //                 [--repeats N] [--target-rel-error X] [--max-events N]
 //                 [--wait] [--json FILE]
 //   semsim_submit --socket PATH status JOB
@@ -42,8 +42,8 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s (--socket PATH | --tcp PORT) VERB [ARGS] [FLAGS]\n"
       "verbs:\n"
-      "  submit FILE [--seed N] [--priority N] [--repeats N] [--fast-rates]\n"
-      "              [--non-adaptive] [--target-rel-error X] [--max-events N]\n"
+      "  submit FILE [--seed N] [--priority N] [--repeats N] [--non-adaptive]\n"
+      "              [--target-rel-error X] [--max-events N]\n"
       "              [--strict] [--retries N] [--wait] [--json FILE]\n"
       "              [--deadline-ms N] [--client NAME]\n"
       "              [--ensemble N] [--ensemble-seed N]\n"
@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
       env.retry.max_attempts = parse_count("--retries", v);
     } else if (a == "--strict") {
       env.retry.strict = true;
-    } else if (a == "--fast-rates") {
-      env.fast_rates = true;
     } else if (a == "--non-adaptive") {
       env.adaptive = false;
     } else if (a == "--wait") {
