@@ -290,12 +290,12 @@ void BM_CholeskyInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyInverse)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// The whole model build (C_II assembly, inverse, flush, S) on a seeded
-// 4 x 128-junction logic fabric with 0.5 aF chain-out couplers: the
-// narrow-profile case, beside the dense no-profile BM_CholeskyInverse.
-void BM_ElectrostaticModel(benchmark::State& state) {
+/// A seeded 4-block random-logic fabric of `block_junctions` junctions per
+/// block, adjacent blocks' chain outputs tied by 0.5 aF couplers (the
+/// benchmark's logic_fabric is 4 x 384).
+Circuit logic_fabric(std::size_t block_junctions) {
   RandomLogicSpec spec;
-  spec.target_junctions = 128;
+  spec.target_junctions = block_junctions;
   spec.seed = 11;
   const RandomLogicBlocks blocks = make_random_logic_blocks(spec, 4);
   ElaboratedCircuit elab = elaborate(blocks.netlist, SetLogicParams{});
@@ -303,15 +303,55 @@ void BM_ElectrostaticModel(benchmark::State& state) {
     elab.circuit().add_capacitor(elab.node(blocks.chain_out[b]),
                                  elab.node(blocks.chain_out[b + 1]), 0.5e-18);
   }
-  const Circuit& c = elab.circuit();
+  Circuit c = elab.circuit();
   c.build_caches();
+  return c;
+}
+
+// The whole model build (C_II assembly, inverse, flush, S) on the fabric:
+// the narrow-profile case, beside the dense no-profile BM_CholeskyInverse.
+void BM_ElectrostaticModel(benchmark::State& state) {
+  const Circuit c = logic_fabric(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     const ElectrostaticModel model(c);
     benchmark::DoNotOptimize(model.kappa_row(0));
   }
   state.counters["islands"] = static_cast<double>(ElectrostaticModel(c).island_count());
 }
-BENCHMARK(BM_ElectrostaticModel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ElectrostaticModel)
+    ->Arg(128)
+    ->Arg(384)
+    ->Unit(benchmark::kMillisecond);
+
+// The factor alone: the CholeskyDecomposition constructor on the 4 x 384
+// fabric's C_II, stamped as the model stamps it (the copy it consumes is
+// made outside the timed region).
+void BM_CholeskyFactor(benchmark::State& state) {
+  const Circuit c = logic_fabric(384);
+  const ElectrostaticModel model(c);
+  Matrix c_ii(model.island_count(), model.island_count());
+  for (const CapacitiveElement& e : model.capacitive_elements()) {
+    const int ia = model.island_index(e.a);
+    const int ib = model.island_index(e.b);
+    const auto a = static_cast<std::size_t>(ia);
+    const auto b = static_cast<std::size_t>(ib);
+    if (ia >= 0) c_ii(a, a) += e.capacitance;
+    if (ib >= 0) c_ii(b, b) += e.capacitance;
+    if (ia >= 0 && ib >= 0) {
+      c_ii(a, b) -= e.capacitance;
+      c_ii(b, a) -= e.capacitance;
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    Matrix a = c_ii;
+    state.ResumeTiming();
+    const CholeskyDecomposition chol(std::move(a));
+    benchmark::DoNotOptimize(chol.l().row_data(0));
+  }
+  state.counters["islands"] = static_cast<double>(c_ii.rows());
+}
+BENCHMARK(BM_CholeskyFactor)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semsim

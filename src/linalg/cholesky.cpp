@@ -12,8 +12,8 @@ namespace {
 
 // Why skipping is bitwise safe. Each kernel below reproduces one dense loop
 // of the textbook algorithm entry by entry: the same accumulator, the same
-// terms in the same (ascending-k) order. It leaves out only terms whose
-// product is an exact +-0 (one factor is a structural zero). Adding or
+// terms in the same (ascending-k) order, give or take terms whose product
+// is an exact +-0 (one factor is a structural zero). Adding or
 // subtracting +-0 changes no nonzero value and leaves +0.0 at +0.0; the only
 // value it can change is -0.0 (-0.0 - -0.0 = +0.0). The accumulators of the
 // inverse start at +0.0 and never become -0.0: round-to-nearest turns exact
@@ -22,97 +22,109 @@ namespace {
 
 using Profile = std::vector<std::size_t>;
 
-/// first[i]: column of the first entry of row i's lower triangle that is
-/// not +0.0 (i when there is none). A -0.0 counts as nonzero here.
-Profile row_profile(const Matrix& a) {
+bool is_plus_zero(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
+
+/// Overwrites the lower triangle of `a` with L, one column at a time
+/// (left-looking): for i > j
+///   L(i,j) = (a(i,j) - sum_{k<j} L(j,k) L(i,k)) * (1 / L(j,j)),
+/// and L(j,j) is the square root of the sum at i = j. Column j is formed in
+/// row j of the strict upper triangle, where it is contiguous: A's column
+/// is scattered there, then each finished column k < j with L(j,k) not
+/// +0.0 is subtracted in ascending k, over the rows column k lists or, once
+/// it fills a quarter of its extent [k, last[k]], over all of that. An
+/// entry that is -0.0 in A takes the full dense loop. When column j starts,
+/// row j of L (final by then) is copied into the lower triangle. Returns
+/// first[i], the column of the first entry of A's row i that is not +0.0
+/// (i if none); L is +0.0 before it, as fill-in never moves it.
+Profile factor_in_place(Matrix& a) {
   const std::size_t n = a.rows();
   Profile first(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = a.row_data(i);
-    std::size_t j = 0;
-    while (j < i && std::bit_cast<std::uint64_t>(row[j]) == 0) ++j;
-    first[i] = j;
+  std::vector<std::size_t> end(n);  // last row of A's column j not +0.0
+  std::vector<std::vector<std::size_t>> neg_zero(n);  // i: a(i,j) is -0.0
+  // Eight rows at a time, so that a dense A fills whole cache lines of the
+  // upper rows instead of striding through them one entry at a time.
+  for (std::size_t i0 = 0; i0 < n; i0 += 8) {
+    const std::size_t i1 = std::min(n, i0 + 8);
+    for (std::size_t i = i0; i < i1; ++i) {
+      std::fill(a.row_data(i) + i + 1, a.row_data(i) + n, 0.0);
+      first[i] = end[i] = i;
+    }
+    for (std::size_t j = 0; j + 1 < i1; ++j) {
+      for (std::size_t i = std::max(i0, j + 1); i < i1; ++i) {
+        const double v = a(i, j);
+        if (is_plus_zero(v)) continue;
+        first[i] = std::min(first[i], j);
+        end[j] = i;
+        a(j, i) = v;
+        if (v == 0.0) neg_zero[j].push_back(i);
+      }
+    }
   }
-  return first;
-}
-
-bool is_negative_zero(double v) { return v == 0.0 && std::signbit(v); }
-
-/// Overwrites the lower triangle of `a` with L, row by row (up-looking):
-///   L(i,j) = (a(i,j) - sum_{k<j} L(i,k) L(j,k)) * (1 / L(j,j)),
-///   L(i,i) = sqrt(a(i,i) - sum_{k<i} L(i,k)^2).
-/// Row i starts at first[i]: the entries before it are +0.0 in A and stay
-/// +0.0 in L, so a(i,j) - L(i,k) L(j,k) is worked only for k from
-/// max(first[i], first[j]). Pivots fail in the same order as a column-wise
-/// factor (row i needs only pivots < i). The strict upper triangle is
-/// neither read nor written.
-///
-/// Four entries of a row run at once: their sums over the common range
-/// k < j are four independent chains (one row's subtraction latency hides
-/// behind the others'), each still in ascending k. The shared start is the
-/// smallest of the four; the extra terms it gives an entry are exact +-0
-/// products. The four then finish in turn, each using the ones before it.
-void factor_in_place(Matrix& a, const Profile& first) {
-  const std::size_t n = a.rows();
-  std::vector<double> inv_diag(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double* li = a.row_data(i);
-    const std::size_t fi = first[i];
-    std::size_t j = fi;
-    for (; j + 4 <= i; j += 4) {
-      const double* l0 = a.row_data(j);
-      const double* l1 = a.row_data(j + 1);
-      const double* l2 = a.row_data(j + 2);
-      const double* l3 = a.row_data(j + 3);
-      double v0 = li[j], v1 = li[j + 1], v2 = li[j + 2], v3 = li[j + 3];
-      std::size_t k = std::max(
-          fi, std::min({first[j], first[j + 1], first[j + 2], first[j + 3]}));
-      if (is_negative_zero(v0) || is_negative_zero(v1) ||
-          is_negative_zero(v2) || is_negative_zero(v3)) {
-        k = 0;
+  // Column k of L is +0.0 below row last[k]. A sparse column lists the rows
+  // of its other entries in rows[start[k] .. start[k+1]), ascending, and
+  // rows[next[k]] is the next one to be worked; a dense one lists none.
+  std::vector<std::size_t> start(n + 1), next(n), last(n), rows;
+  const auto dense = [&](std::size_t k) { return start[k] == start[k + 1]; };
+  for (std::size_t j = 0; j < n; ++j) {
+    double* lj = a.row_data(j);  // L(j,k) at lj[k], k < j; L(i,j) at i >= j
+    for (std::size_t k = first[j]; k < j; ++k) lj[k] = a(k, j);
+    const double a_jj = lj[j];
+    std::size_t hi = end[j];
+    for (std::size_t k = first[j]; k < j; ++k) {
+      const double ljk = lj[k];
+      if (is_plus_zero(ljk)) continue;
+      const double* lk = a.row_data(k);
+      std::size_t stop = last[k];
+      if (!dense(k)) {
+        for (std::size_t p = next[k]++; p < start[k + 1]; ++p) {
+          lj[rows[p]] -= ljk * lk[rows[p]];
+        }
+      } else if (k + 4 <= j && start[k] == start[k + 4]) {
+        // Four dense columns in one pass over their joint extent, each entry
+        // taking their products left to right (past its own extent a column
+        // is +0.0, as L(j,k+1..k+3) may be).
+        stop = std::max({stop, last[k + 1], last[k + 2], last[k + 3]});
+        const double x1 = lj[k + 1], x2 = lj[k + 2], x3 = lj[k + 3];
+        const double *l1 = lk + n, *l2 = l1 + n, *l3 = l2 + n;
+        for (std::size_t i = j; i <= stop; ++i) {
+          lj[i] = lj[i] - ljk * lk[i] - x1 * l1[i] - x2 * l2[i] - x3 * l3[i];
+        }
+        k += 3;
+      } else {
+        for (std::size_t i = j; i <= stop; ++i) lj[i] -= ljk * lk[i];
       }
-      for (; k < j; ++k) {
-        const double x = li[k];
-        v0 -= x * l0[k];
-        v1 -= x * l1[k];
-        v2 -= x * l2[k];
-        v3 -= x * l3[k];
-      }
-      li[j] = v0 * inv_diag[j];
-      v1 -= li[j] * l1[j];
-      li[j + 1] = v1 * inv_diag[j + 1];
-      v2 -= li[j] * l2[j];
-      v2 -= li[j + 1] * l2[j + 1];
-      li[j + 2] = v2 * inv_diag[j + 2];
-      v3 -= li[j] * l3[j];
-      v3 -= li[j + 1] * l3[j + 1];
-      v3 -= li[j + 2] * l3[j + 2];
-      li[j + 3] = v3 * inv_diag[j + 3];
+      hi = std::max(hi, stop);
     }
-    for (; j < i; ++j) {
-      const double* lj = a.row_data(j);
-      double v = li[j];
-      std::size_t k = is_negative_zero(v) ? 0 : std::max(fi, first[j]);
-      for (; k < j; ++k) v -= li[k] * lj[k];
-      li[j] = v * inv_diag[j];
+    for (const std::size_t i : neg_zero[j]) {
+      lj[i] = -0.0;
+      for (std::size_t k = 0; k < j; ++k) lj[i] -= a(k, i) * lj[k];
     }
-    const double a_ii = li[i];
-    double diag = a_ii;
-    for (std::size_t k = fi; k < i; ++k) diag -= li[k] * li[k];
+    const double diag = lj[j];
     // Relative pivot test: a pivot that cancels to rounding noise means the
     // matrix is singular in exact arithmetic (e.g. a group of islands with
     // no capacitive path to any fixed potential).
-    if (!(diag > a_ii * 1e-12)) {
+    if (!(diag > a_jj * 1e-12)) {
       throw NumericError(
           ErrorCode::kNotPositiveDefinite,
           "Cholesky: matrix not positive definite at pivot " +
-          std::to_string(i) +
+          std::to_string(j) +
           " (circuit likely has an island with no capacitive path to a "
           "fixed potential)");
     }
-    li[i] = std::sqrt(diag);
-    inv_diag[i] = 1.0 / li[i];
+    lj[j] = std::sqrt(diag);
+    const double inv_ljj = 1.0 / lj[j];
+    start[j] = next[j] = rows.size();
+    last[j] = j;
+    for (std::size_t i = j + 1; i <= hi; ++i) {
+      lj[i] *= inv_ljj;
+      if (is_plus_zero(lj[i])) continue;
+      rows.push_back(i);
+      last[j] = i;
+    }
+    if (4 * (rows.size() - start[j]) > last[j] - j) rows.resize(start[j]);
+    start[j + 1] = rows.size();
   }
+  return first;
 }
 
 /// Overwrites L (lower triangle of `a`) with W = L^-1, row by row:
@@ -175,8 +187,7 @@ void gram_in_place(Matrix& a, const Profile& wfirst) {
 
 CholeskyDecomposition::CholeskyDecomposition(Matrix a) : l_(std::move(a)) {
   require(l_.rows() == l_.cols(), "Cholesky: matrix must be square");
-  first_ = row_profile(l_);
-  factor_in_place(l_, first_);
+  first_ = factor_in_place(l_);
   const std::size_t n = l_.rows();
   for (std::size_t i = 0; i < n; ++i) {
     double* row = l_.row_data(i);
@@ -213,8 +224,7 @@ Matrix CholeskyDecomposition::inverse() const {
 
 Matrix spd_inverse(Matrix a) {
   require(a.rows() == a.cols(), "Cholesky: matrix must be square");
-  const Profile first = row_profile(a);
-  factor_in_place(a, first);
+  const Profile first = factor_in_place(a);
   gram_in_place(a, invert_lower_in_place(a, first));
   return a;
 }

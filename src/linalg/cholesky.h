@@ -6,12 +6,12 @@
 // validity check: a factorization failure means the netlist has a floating
 // island with no capacitive path to any fixed potential.
 //
-// Every kernel is profile-bounded: row i of the lower triangle is worked
-// only from its first nonzero column, which Cholesky fill-in never moves, and
-// the inverse's products run only over each row's nonzero extent. The
-// skipped terms are exact +-0 products, so L and A^-1 carry the same bits
-// as the dense textbook loops (tests/test_linalg.cpp keeps those loops as
-// the oracle).
+// The factor is sparse: column j of L subtracts only the earlier columns
+// whose entry in row j is not +0.0, each over its own nonzero rows, and the
+// inverse's products run only over each row's nonzero extent. The terms
+// left out (or added) are exact +-0 products, so L and A^-1 carry the same
+// bits as the dense textbook loops (tests/test_linalg.cpp keeps those loops
+// as the oracle).
 #pragma once
 
 #include <cstddef>

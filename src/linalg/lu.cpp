@@ -94,8 +94,4 @@ double LuDecomposition::determinant() const noexcept {
   return det;
 }
 
-double LuDecomposition::condition_estimate(const Matrix& original) const {
-  return original.inf_norm() * inverse().inf_norm();
-}
-
 }  // namespace semsim

@@ -32,10 +32,6 @@ class LuDecomposition {
   /// det(A) from the factorization (sign includes pivoting parity).
   double determinant() const noexcept;
 
-  /// Crude condition estimate: ||A||_inf * ||A^-1||_inf (exact inverse; this
-  /// is O(n^3) and intended for diagnostics/tests, not hot paths).
-  double condition_estimate(const Matrix& original) const;
-
  private:
   Matrix lu_;                      // combined L (unit diag) and U factors
   std::vector<std::size_t> perm_;  // row permutation

@@ -70,17 +70,6 @@ double Matrix::max_abs_diff(const Matrix& b) const {
   return m;
 }
 
-double Matrix::inf_norm() const noexcept {
-  double m = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double s = 0.0;
-    const double* row = row_data(r);
-    for (std::size_t c = 0; c < cols_; ++c) s += std::abs(row[c]);
-    m = std::max(m, s);
-  }
-  return m;
-}
-
 bool Matrix::is_symmetric(double tol) const noexcept {
   if (rows_ != cols_) return false;
   for (std::size_t r = 0; r < rows_; ++r)

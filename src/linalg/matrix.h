@@ -57,9 +57,6 @@ class Matrix {
   /// Max |a_ij - b_ij|; matrices must be the same shape.
   double max_abs_diff(const Matrix& b) const;
 
-  /// Frobenius-ish infinity norm (max absolute row sum).
-  double inf_norm() const noexcept;
-
   bool is_symmetric(double tol = 1e-12) const noexcept;
 
  private:

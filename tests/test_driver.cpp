@@ -15,6 +15,14 @@
 namespace semsim {
 namespace {
 
+/// Driver options with the seed and the solver set by name.
+DriverOptions options(std::uint64_t seed, bool adaptive) {
+  DriverOptions o;
+  o.seed = seed;
+  o.adaptive = adaptive;
+  return o;
+}
+
 const char* kSweepInput = R"(
 junc 1 1 4 1meg 1e-18
 junc 2 4 2 1meg 1e-18
@@ -34,7 +42,7 @@ sweep 2 0.02 0.005
 
 TEST(Driver, SweepInputProducesBlockadeCurve) {
   const SimulationInput in = parse_simulation_input(std::string(kSweepInput));
-  const DriverResult r = run_simulation(in, {7, true});
+  const DriverResult r = run_simulation(in, options(7, true));
   ASSERT_EQ(r.sweep.size(), 9u);
   EXPECT_FALSE(r.current.has_value());
   // Blockade at the centre; conduction at the ends; antisymmetric-ish.
@@ -89,8 +97,8 @@ time 5e-8
 
 TEST(Driver, NonAdaptiveOptionMatchesAdaptive) {
   const SimulationInput in = parse_simulation_input(std::string(kSweepInput));
-  const DriverResult ra = run_simulation(in, {11, true});
-  const DriverResult rn = run_simulation(in, {11, false});
+  const DriverResult ra = run_simulation(in, options(11, true));
+  const DriverResult rn = run_simulation(in, options(11, false));
   ASSERT_EQ(ra.sweep.size(), rn.sweep.size());
   const double ia = ra.sweep.back().current;
   const double ib = rn.sweep.back().current;

@@ -7,6 +7,14 @@
 namespace semsim {
 namespace {
 
+/// Driver options with the seed and the solver set by name.
+DriverOptions options(std::uint64_t seed, bool adaptive) {
+  DriverOptions o;
+  o.seed = seed;
+  o.adaptive = adaptive;
+  return o;
+}
+
 SimulationInput set_input(int repeats) {
   return parse_simulation_input(std::string(R"(
 junc 1 1 4 1meg 1e-18
@@ -23,8 +31,8 @@ jumps 8000 )") + std::to_string(repeats) + "\n");
 }
 
 TEST(DriverRepeats, MultipleRepeatsAverageAndTightenError) {
-  const DriverResult one = run_simulation(set_input(1), {5, true});
-  const DriverResult nine = run_simulation(set_input(9), {5, true});
+  const DriverResult one = run_simulation(set_input(1), options(5, true));
+  const DriverResult nine = run_simulation(set_input(9), options(5, true));
   ASSERT_TRUE(one.current && nine.current);
   // Same device: the averaged estimate agrees with the single run.
   EXPECT_NEAR(nine.current->mean / one.current->mean, 1.0, 0.05);
@@ -36,7 +44,7 @@ TEST(DriverRepeats, MultipleRepeatsAverageAndTightenError) {
 TEST(DriverRepeats, RepeatsAreIndependentSeeds) {
   // With repeats the result must not be a deterministic copy of run one:
   // the standard error across repeats is finite and sane.
-  const DriverResult r = run_simulation(set_input(5), {3, true});
+  const DriverResult r = run_simulation(set_input(5), options(3, true));
   ASSERT_TRUE(r.current);
   EXPECT_GT(r.current->stderr_mean, 1e-13);
   EXPECT_LT(r.current->stderr_mean, 0.05 * std::abs(r.current->mean));

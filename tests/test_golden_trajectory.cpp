@@ -337,8 +337,10 @@ TEST(GoldenSweep, SsetFig1cTwoPoints) {
 }
 
 // ---- pinned electrostatic models of logic-scale circuits -------------------
-// Generated on the dense O(n^3) model build, before the profile-bounded
-// kernels of linalg/cholesky.cpp: those kernels must reproduce its bits.
+// The full adder and the 2 x 128 fabric were generated on the dense O(n^3)
+// model build, the 4 x 384 fabric on the profile-bounded one that preceded
+// the sparse factor: the kernels of linalg/cholesky.cpp must reproduce
+// their bits.
 
 /// Every bit of kappa and S, and the kappa row extents.
 std::uint64_t model_hash(const ElectrostaticModel& m) {
@@ -373,27 +375,30 @@ Circuit full_adder_circuit() {
   return elab.circuit();
 }
 
-/// A seeded 2 x 128-junction random-logic fabric, the blocks' chain
-/// outputs tied by a 0.5 aF coupler, with a phase-staggered pulse on each
-/// block's chain input.
-Circuit random_fabric_circuit() {
+/// A seeded `blocks` x `block_junctions` random-logic fabric built like the
+/// benchmark's logic_fabric: adjacent blocks' chain outputs tied by 0.5 aF
+/// couplers, a phase-staggered pulse on each block's chain input.
+Circuit random_fabric_circuit(std::size_t blocks, std::size_t block_junctions,
+                              std::uint64_t seed) {
   RandomLogicSpec spec;
-  spec.target_junctions = 128;
-  spec.seed = 2008;
-  const RandomLogicBlocks blocks = make_random_logic_blocks(spec, 2);
+  spec.target_junctions = block_junctions;
+  spec.seed = seed;
+  const RandomLogicBlocks rb = make_random_logic_blocks(spec, blocks);
   const SetLogicParams params{};
-  ElaboratedCircuit elab = elaborate(blocks.netlist, params);
+  ElaboratedCircuit elab = elaborate(rb.netlist, params);
   Circuit& c = elab.circuit();
-  c.add_capacitor(elab.node(blocks.chain_out[0]),
-                  elab.node(blocks.chain_out[1]), 0.5e-18);
-  const auto& ins = blocks.netlist.inputs();
-  const std::size_t per_block = ins.size() / 2;
+  for (std::size_t b = 0; b + 1 < blocks; ++b) {
+    c.add_capacitor(elab.node(rb.chain_out[b]), elab.node(rb.chain_out[b + 1]),
+                    0.5e-18);
+  }
+  const auto& ins = rb.netlist.inputs();
+  const std::size_t per_block = ins.size() / blocks;
   for (std::size_t i = 0; i < ins.size(); ++i) {
+    const double delay = 20e-9 * static_cast<double>(i / per_block) /
+                         static_cast<double>(blocks);
     c.set_source(elab.node(ins[i]),
                  i % per_block == 0
-                     ? Waveform::pulse(0.0, params.vdd,
-                                       10e-9 * static_cast<double>(i / per_block),
-                                       10e-9, 20e-9)
+                     ? Waveform::pulse(0.0, params.vdd, delay, 10e-9, 20e-9)
                      : Waveform::dc(0.0));
   }
   return c;
@@ -409,12 +414,20 @@ TEST(GoldenModel, FullAdder) {
 }
 
 TEST(GoldenModel, RandomFabric) {
-  const Circuit c = random_fabric_circuit();
+  const Circuit c = random_fabric_circuit(2, 128, 2008);
   expect_golden(model_hash(ElectrostaticModel(c)), 0xb5f9449c5dabb7f9ULL,
                 "2 x 128 fabric model");
   Engine e(c, engine_opts(SetLogicParams{}.temperature, true, 1702));
   expect_golden(trajectory_hash(e, 4000), 0x40e3fe0e613c41a9ULL,
                 "2 x 128 fabric adaptive");
+}
+
+// The benchmark's scale: 1152 islands, where whole runs of a column's
+// envelope are zero.
+TEST(GoldenModel, BenchmarkScaleFabric) {
+  const Circuit c = random_fabric_circuit(4, 384, 2008);
+  expect_golden(model_hash(ElectrostaticModel(c)), 0x48f31789f8f8b835ULL,
+                "4 x 384 fabric model");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit and property tests for the dense linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -164,10 +165,9 @@ TEST(Cholesky, SemidefiniteRejected) {
   EXPECT_FALSE(is_positive_definite(a));
 }
 
-// ---- profile-bounded kernels vs the dense loops, bit for bit ---------------
+// ---- sparse kernels vs the dense loops, bit for bit -------------------------
 
-/// The dense column-wise factor the profile-bounded kernel replaced, kept
-/// verbatim as the oracle.
+/// The dense column-wise factor, kept verbatim as the oracle.
 Matrix dense_factor(const Matrix& a) {
   Matrix l_(a.rows(), a.cols());
   const std::size_t n = a.rows();
@@ -241,10 +241,58 @@ enum class Family {
   kHolesInProfile,  ///< 8 % random couplings: zeros inside each profile
   kSignedZeros,     ///< as above, a third of the holes written as -0.0
   kDense,
-  kDiagonal
+  kDiagonal,
+  kLogic,           ///< logic-shaped: L mostly zero inside a wide envelope
+  kLogicSignedZeros ///< as above, a tenth of the envelope's holes -0.0
 };
 
+/// A C_II-like matrix shaped like a logic circuit: the first quarter of
+/// the rows are wires, the rest gates of 2-4 islands coupled among
+/// themselves; a gate's first island (and, half the time, its second)
+/// couples to a random wire, and its last island to the gate's output
+/// wire. Each island's row thus reaches far back to a wire (a wide
+/// envelope) while L fills only along the few gates sharing a wire (about
+/// 15 % of the envelope at n = 300-600, the real 4 x 384 fabric's is 5 %).
+Matrix logic_matrix(std::size_t n, bool signed_zeros, Xoshiro256& rng) {
+  Matrix a(n, n);
+  const auto couple = [&](std::size_t i, std::size_t j) {
+    const double c = (0.05 + rng.uniform01()) * 1e-18;
+    a(i, j) -= c;
+    a(j, i) -= c;
+  };
+  const std::size_t wires = std::max<std::size_t>(1, n / 4);
+  std::size_t output = 0;
+  for (std::size_t g = wires; g < n;) {
+    const std::size_t len = std::min(n - g, 2 + rng.uniform_below(3));
+    for (std::size_t i = g + 1; i < g + len; ++i) {
+      for (std::size_t j = g; j < i; ++j) couple(i, j);
+    }
+    couple(g, rng.uniform_below(wires));
+    if (len > 1 && rng.uniform01() < 0.5) {
+      couple(g + 1, rng.uniform_below(wires));
+    }
+    couple(g + len - 1, output++ % wires);
+    g += len;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = 0;
+    while (j < i && a(i, j) == 0.0) ++j;
+    for (; signed_zeros && j < i; ++j) {
+      if (a(i, j) == 0.0 && rng.uniform01() < 0.1) a(i, j) = a(j, i) = -0.0;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) sum += j == i ? 0.0 : -a(i, j);
+    a(i, i) = sum + (0.1 + rng.uniform01()) * 1e-18;
+  }
+  return a;
+}
+
 Matrix family_matrix(Family f, std::size_t n, Xoshiro256& rng) {
+  if (f == Family::kLogic || f == Family::kLogicSignedZeros) {
+    return logic_matrix(n, f == Family::kLogicSignedZeros, rng);
+  }
   const std::size_t band = 1 + rng.uniform_below(6);
   std::vector<std::size_t> block(n);  // block id of each row
   for (std::size_t i = 0, id = 0, left = 0; i < n; ++i) {
@@ -270,6 +318,8 @@ Matrix family_matrix(Family f, std::size_t n, Xoshiro256& rng) {
       case Family::kDense:
         return true;
       case Family::kDiagonal:
+      case Family::kLogic:
+      case Family::kLogicSignedZeros:
         return false;
     }
     return false;
@@ -299,12 +349,17 @@ Matrix family_matrix(Family f, std::size_t n, Xoshiro256& rng) {
 class CholeskyBitwise : public ::testing::TestWithParam<Family> {};
 
 TEST_P(CholeskyBitwise, MatchesDenseLoops) {
-  // Every size up to 48 (all remainders of the four-entry factor blocks),
-  // then a spread up to 300.
+  // Every size up to 48 (all remainders of the four-column runs), then a
+  // spread up to 300; the logic-shaped families go on to 600, where long
+  // zero runs appear inside their columns.
+  const bool logic = GetParam() == Family::kLogic ||
+                     GetParam() == Family::kLogicSignedZeros;
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 48; ++n) sizes.push_back(n);
   for (std::size_t n = 61; n <= 300; n += 13) sizes.push_back(n);
   sizes.push_back(300);
+  for (std::size_t n = 351; logic && n <= 600; n += 51) sizes.push_back(n);
+  if (logic) sizes.push_back(600);
   Xoshiro256 rng(1000 + static_cast<std::uint64_t>(GetParam()));
   for (const std::size_t n : sizes) {
     const Matrix a = family_matrix(GetParam(), n, rng);
@@ -318,10 +373,9 @@ TEST_P(CholeskyBitwise, MatchesDenseLoops) {
   }
 }
 
-const char* const kFamilyNames[] = {"Banded",         "Arrowhead",
-                                   "WeakBlocks",     "HolesInProfile",
-                                   "SignedZeros",    "Dense",
-                                   "Diagonal"};
+const char* const kFamilyNames[] = {
+    "Banded", "Arrowhead", "WeakBlocks", "HolesInProfile", "SignedZeros",
+    "Dense",  "Diagonal",  "Logic",      "LogicSignedZeros"};
 
 void PrintTo(Family f, std::ostream* os) {
   *os << kFamilyNames[static_cast<int>(f)];
@@ -335,7 +389,8 @@ INSTANTIATE_TEST_SUITE_P(
     Families, CholeskyBitwise,
     ::testing::Values(Family::kBanded, Family::kArrowhead, Family::kWeakBlocks,
                       Family::kHolesInProfile, Family::kSignedZeros,
-                      Family::kDense, Family::kDiagonal),
+                      Family::kDense, Family::kDiagonal, Family::kLogic,
+                      Family::kLogicSignedZeros),
     family_name);
 
 TEST(CholeskyBitwise, SingularMidMatrixFailsAtTheSamePivot) {
