@@ -15,28 +15,9 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 
 using namespace semsim;
-
-namespace {
-
-Circuit make_set(double v_half, double vg) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(src, Waveform::dc(v_half));
-  c.set_source(drn, Waveform::dc(-v_half));
-  c.set_source(gate, Waveform::dc(vg));
-  return c;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
@@ -52,11 +33,11 @@ int main(int argc, char** argv) {
   table.add_comment("the symmetric point, -> 1 toward the conduction edges");
   for (double frac = 0.70; frac <= 1.301; frac += args.full ? 0.025 : 0.05) {
     const double vg = frac * vg_deg;
-    Circuit c = make_set(0.005, vg);
+    const SetTransistor set = make_set(0.005, -0.005, vg);
     EngineOptions o;
     o.temperature = 0.0;
     o.seed = 5;
-    Engine e(c, o);
+    Engine e(set.c, o);
     if (e.total_rate() <= 0.0) continue;  // outside the conducting window
     FanoConfig cfg;
     cfg.junction = 0;
@@ -71,12 +52,12 @@ int main(int argc, char** argv) {
   bench::emit(args, "ext_counting_statistics", table);
 
   // Cotunneling reference point: Poissonian second-order transport.
-  Circuit c = make_set(0.005, 0.0);
+  const SetTransistor set = make_set(0.005, -0.005);
   EngineOptions o;
   o.temperature = 0.0;
   o.cotunneling = true;
   o.seed = 5;
-  Engine e(c, o);
+  Engine e(set.c, o);
   FanoConfig cfg;
   cfg.junction = 0;
   cfg.window_time = 40.0 / e.total_rate();

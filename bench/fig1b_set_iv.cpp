@@ -14,8 +14,8 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "master/master_equation.h"
-#include "netlist/circuit.h"
 
 using namespace semsim;
 
@@ -37,22 +37,14 @@ int main(int argc, char** argv) {
   std::vector<std::vector<IvPoint>> curves;
   std::size_t curve_index = 0;
   for (const double vg : gates) {
-    Circuit c;
-    const NodeId src = c.add_external("src");
-    const NodeId drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(gate, Waveform::dc(vg));
+    const SetTransistor set = make_set(0.0, 0.0, vg);
 
     EngineOptions o;
     o.temperature = 5.0;
 
     IvSweepConfig cfg;
-    cfg.swept = src;
-    cfg.mirror = drn;
+    cfg.swept = set.src;
+    cfg.mirror = set.drn;
     cfg.from = -0.02;  // Vds = 2 * v_half spans -40 .. +40 mV
     cfg.to = 0.02;
     cfg.step = step / 2.0;
@@ -69,7 +61,7 @@ int main(int argc, char** argv) {
       ckpt.path = args.checkpoint + "." + std::to_string(curve_index);
       ckpt.fingerprint = fnv1a64("fig1b curve " + std::to_string(curve_index));
     }
-    curves.push_back(run_iv_sweep(c, o, cfg, exec, par, &counters, ckpt));
+    curves.push_back(run_iv_sweep(set.c, o, cfg, exec, par, &counters, ckpt));
     ++curve_index;
   }
   bench::report_counters("fig1b sweeps", counters);
@@ -97,19 +89,10 @@ int main(int argc, char** argv) {
   // few bias points — the "second method" of the paper's Sec. I.
   std::printf("Monte-Carlo vs master equation (Vg = 0):\n");
   for (const double v_half : {0.01, 0.015, 0.02}) {
-    Circuit c;
-    const NodeId src = c.add_external("src");
-    const NodeId drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_half));
-    c.set_source(drn, Waveform::dc(-v_half));
+    const SetTransistor set = make_set(v_half, -v_half);
     EngineOptions o;
     o.temperature = 5.0;
-    MasterEquationSolver me(c, o);
+    MasterEquationSolver me(set.c, o);
     // Interpolate the Monte-Carlo curve at this bias point.
     double i_mc = 0.0;
     for (const IvPoint& p : curves[0]) {

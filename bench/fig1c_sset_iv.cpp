@@ -12,7 +12,7 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 
 using namespace semsim;
 
@@ -22,26 +22,17 @@ std::vector<IvPoint> run_curve(bool superconducting, double vg, double step,
                                std::uint64_t events,
                                const ParallelExecutor& exec,
                                RunCounters& counters) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(gate, Waveform::dc(vg));
-  if (superconducting) {
-    c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
-  }
+  SetElements elements;
+  if (superconducting) elements.superconducting = kFig1cMaterial;
+  const SetTransistor set = make_set(0.0, 0.0, vg, elements);
 
   EngineOptions o;
   o.temperature = 0.05;
   o.qp_table_half_range = 40.0 * 0.2e-3 * kElectronVolt;
 
   IvSweepConfig cfg;
-  cfg.swept = src;
-  cfg.mirror = drn;
+  cfg.swept = set.src;
+  cfg.mirror = set.drn;
   cfg.from = -0.02;
   cfg.to = 0.02;
   cfg.step = step / 2.0;
@@ -54,7 +45,7 @@ std::vector<IvPoint> run_curve(bool superconducting, double vg, double step,
   ParallelSweepConfig par;
   par.base_seed = 42;
   par.points_per_unit = 5;
-  return run_iv_sweep(c, o, cfg, exec, par, &counters);
+  return run_iv_sweep(set.c, o, cfg, exec, par, &counters);
 }
 
 }  // namespace
@@ -96,23 +87,17 @@ int main(int argc, char** argv) {
   // Gap-enlargement check with a fine sweep across the threshold region:
   // the suppressed region extends by 4*Delta/e = 0.8 mV for this material.
   auto fine_threshold = [&](bool sc) {
-    Circuit c;
-    const NodeId src = c.add_external("src");
-    const NodeId drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    if (sc) c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+    SetElements elements;
+    if (sc) elements.superconducting = kFig1cMaterial;
+    const SetTransistor set = make_set(0.0, 0.0, 0.0, elements);
     EngineOptions o;
     o.temperature = 0.05;
     o.seed = 9;
     o.qp_table_half_range = 40.0 * 0.2e-3 * kElectronVolt;
-    Engine engine(c, o);
+    Engine engine(set.c, o);
     for (double v_half = 0.0150; v_half <= 0.0175; v_half += 0.0001) {
-      engine.set_dc_source(src, v_half);
-      engine.set_dc_source(drn, -v_half);
+      engine.set_dc_source(set.src, v_half);
+      engine.set_dc_source(set.drn, -v_half);
       engine.rebase_time();
       const CurrentEstimate est = measure_mean_current(
           engine, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{500, 4000, 4});

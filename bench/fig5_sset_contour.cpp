@@ -20,7 +20,7 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 #include "netlist/electrostatics.h"
 #include "physics/bcs.h"
 
@@ -41,29 +41,10 @@ double delta0() {
   return target / std::tanh(1.74 * std::sqrt(kTc / kTemp - 1.0));
 }
 
-struct Device {
-  Circuit c;
-  NodeId src = 0, drn = 0, gate = 0, island = 0;
-};
-
-Device make_sset() {
-  Device d;
-  d.src = d.c.add_external("src");
-  d.drn = d.c.add_external("drn");
-  d.gate = d.c.add_external("gate");
-  d.island = d.c.add_island("island");
-  d.c.add_junction(d.src, d.island, kRj, kCj);   // junction 0
-  d.c.add_junction(d.island, d.drn, kRj, kCj);   // junction 1
-  d.c.add_capacitor(d.gate, d.island, kCg);
-  d.c.set_background_charge(d.island, kQb);
-  d.c.set_superconducting({delta0(), kTc});
-  return d;
-}
-
 // Analytic Cooper-pair resonance bias for junction `src_side` and island
 // occupation n: dW_cp = -2e (v_isl - v_lead) + 4u = 0 solved for V_bias.
-double jqp_resonance_bias(const ElectrostaticModel& m, const Device& d, int n,
-                          bool src_side, double vg) {
+double jqp_resonance_bias(const ElectrostaticModel& m, const SetTransistor& d,
+                          int n, bool src_side, double vg) {
   const double e = kElementaryCharge;
   const double kappa = m.kappa_node(d.island, d.island);
   const double u = 0.5 * e * e * kappa;
@@ -95,7 +76,9 @@ int main(int argc, char** argv) {
               kElementaryCharge * kElementaryCharge / (2.0 * (2.0 * kCj + kCg)) /
                   kMilliElectronVolt);
 
-  Device dev = make_sset();
+  const SetTransistor dev =
+      make_set(0.0, 0.0, 0.0,
+               {kRj, kCj, kCg, kQb, SuperconductingParams{delta0(), kTc}});
   EngineOptions o;
   o.temperature = kTemp;
   o.qp_table_half_range = 20.0 * gap;

@@ -2,8 +2,8 @@
 // the same multi-block logic fabric.
 //
 // The workload is the cuttable stand-in for the paper's large ISCAS'85
-// netlists: N disjoint 512-junction random-logic blocks
-// (make_random_logic_blocks) elaborated into one SET circuit, then tied
+// netlists: N disjoint 512-junction random-logic blocks elaborated into
+// one SET circuit (make_random_logic_blocks, make_logic_fabric), then tied
 // into a single weakly-coupled fabric by 0.5 aF wire couplers between the
 // chain outputs of adjacent blocks — exactly the coupling regime the
 // partition planner is built to cut (two orders of magnitude below the
@@ -34,70 +34,28 @@
 #include "base/thread_pool.h"
 #include "core/engine.h"
 #include "core/partition.h"
-#include "logic/elaborate.h"
-#include "logic/random_logic.h"
+#include "logic/devices.h"
+#include "logic/params.h"
 #include "netlist/electrostatics.h"
 
 namespace semsim::bench {
 namespace {
-
-/// Wire coupler between adjacent blocks' chain outputs [F]; ~0.5 aF
-/// against 300 aF wire loads, far under the planner's default cut
-/// threshold.
-constexpr double kInterBlockCouplingF = 0.5e-18;
-
-/// Chain-input pulse period [s] (same order as the Fig. 6 activity).
-constexpr double kPulsePeriod = 20e-9;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
+/// The make_logic_fabric fabric of `n_blocks` 512-junction blocks (seed
+/// 7) and its shared electrostatic model.
 struct IscasFabric {
-  RandomLogicBlocks blocks;
-  std::unique_ptr<ElaboratedCircuit> elab;
+  Circuit circuit;
   std::shared_ptr<const ElectrostaticModel> model;
-  std::size_t junctions = 0;  ///< netlist junction count (512 x blocks)
 };
 
 IscasFabric make_fabric(std::size_t n_blocks) {
-  IscasFabric f;
-  RandomLogicSpec per_block;
-  per_block.target_junctions = 512;
-  per_block.seed = 7;
-  f.blocks = make_random_logic_blocks(per_block, n_blocks);
-  f.junctions = f.blocks.netlist.junction_count();
-
-  const SetLogicParams params{};
-  f.elab = std::make_unique<ElaboratedCircuit>(
-      elaborate(f.blocks.netlist, params));
-  Circuit& c = f.elab->circuit();
-
-  for (std::size_t b = 0; b + 1 < n_blocks; ++b) {
-    c.add_capacitor(f.elab->node(f.blocks.chain_out[b]),
-                    f.elab->node(f.blocks.chain_out[b + 1]),
-                    kInterBlockCouplingF);
-  }
-
-  // Phase-staggered pulse on every block's chain input (input 0 of the
-  // block), DC ground on the rest.
-  const auto& ins = f.blocks.netlist.inputs();
-  const std::size_t per_block_inputs = ins.size() / n_blocks;
-  for (std::size_t i = 0; i < ins.size(); ++i) {
-    const NodeId node = f.elab->node(ins[i]);
-    if (i % per_block_inputs == 0) {
-      const std::size_t b = i / per_block_inputs;
-      const double delay =
-          kPulsePeriod * static_cast<double>(b) / static_cast<double>(n_blocks);
-      c.set_source(node, Waveform::pulse(0.0, params.vdd, delay,
-                                         0.5 * kPulsePeriod, kPulsePeriod));
-    } else {
-      c.set_source(node, Waveform::dc(0.0));
-    }
-  }
-  c.build_caches();
-  f.model = std::make_shared<const ElectrostaticModel>(c);
+  IscasFabric f{make_logic_fabric(n_blocks, 512, 7), nullptr};
+  f.model = std::make_shared<const ElectrostaticModel>(f.circuit);
   return f;
 }
 
@@ -150,7 +108,7 @@ void measure_best_of_3(GateCase& r, const char* who,
 }
 
 std::string case_name(const IscasFabric& f, bool adaptive) {
-  return "iscas_blocks_" + std::to_string(f.junctions) +
+  return "iscas_blocks_" + std::to_string(f.circuit.junction_count()) +
          (adaptive ? "_adaptive" : "");
 }
 
@@ -158,7 +116,7 @@ GateCase measure_solo(const IscasFabric& f, bool adaptive) {
   GateCase r;
   r.name = case_name(f, adaptive);
   r.adaptive = adaptive;
-  Engine e(f.elab->circuit(), iscas_engine_options(adaptive), f.model);
+  Engine e(f.circuit, iscas_engine_options(adaptive), f.model);
   measure_best_of_3(
       r, "solo engine", [&] { return e.run_events(256); },
       [&] { return e.stats(); });
@@ -176,7 +134,7 @@ GateCase measure_partitioned(const IscasFabric& f, bool adaptive,
   PartitionSpec spec;
   spec.enabled = true;
   spec.clusters = clusters;
-  PartitionedEngine part(f.elab->circuit(), *f.model,
+  PartitionedEngine part(f.circuit, *f.model,
                          iscas_engine_options(adaptive), spec, &exec);
   // The fabric must actually decompose; a plan that glued the blocks
   // together would silently benchmark solo-vs-solo.

@@ -4,13 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include "base/constants.h"
-#include "bench_util.h"
 #include "base/fenwick.h"
 #include "base/random.h"
 #include "core/engine.h"
 #include "linalg/cholesky.h"
-#include "logic/elaborate.h"
-#include "logic/random_logic.h"
+#include "logic/devices.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
 #include "physics/bcs.h"
@@ -198,7 +196,7 @@ BENCHMARK(BM_CotunnelingRate);
 // Batched SoA cotunneling kernel (the engine's secondary-refresh path) over
 // the enumerated paths of a multi-island chain. items/sec is paths/sec.
 void BM_CotunnelingRatesBatch(benchmark::State& state) {
-  const Circuit c = bench::chain_circuit(64);
+  const Circuit c = make_set_chain(64);
   const ElectrostaticModel em(c);
   EngineOptions o;
   o.temperature = 1.0;
@@ -246,7 +244,7 @@ void BM_FenwickSetAndSample(benchmark::State& state) {
 BENCHMARK(BM_FenwickSetAndSample)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_EngineStepAdaptive(benchmark::State& state) {
-  const Circuit c = bench::chain_circuit(static_cast<int>(state.range(0)));
+  const Circuit c = make_set_chain(static_cast<int>(state.range(0)));
   EngineOptions o;
   o.temperature = 0.0;
   o.adaptive.enabled = true;
@@ -259,7 +257,7 @@ void BM_EngineStepAdaptive(benchmark::State& state) {
 BENCHMARK(BM_EngineStepAdaptive)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_EngineStepNonAdaptive(benchmark::State& state) {
-  const Circuit c = bench::chain_circuit(static_cast<int>(state.range(0)));
+  const Circuit c = make_set_chain(static_cast<int>(state.range(0)));
   EngineOptions o;
   o.temperature = 0.0;
   o.adaptive.enabled = false;
@@ -290,28 +288,13 @@ void BM_CholeskyInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyInverse)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-/// A seeded 4-block random-logic fabric of `block_junctions` junctions per
-/// block, adjacent blocks' chain outputs tied by 0.5 aF couplers (the
-/// benchmark's logic_fabric is 4 x 384).
-Circuit logic_fabric(std::size_t block_junctions) {
-  RandomLogicSpec spec;
-  spec.target_junctions = block_junctions;
-  spec.seed = 11;
-  const RandomLogicBlocks blocks = make_random_logic_blocks(spec, 4);
-  ElaboratedCircuit elab = elaborate(blocks.netlist, SetLogicParams{});
-  for (std::size_t b = 0; b + 1 < blocks.chain_out.size(); ++b) {
-    elab.circuit().add_capacitor(elab.node(blocks.chain_out[b]),
-                                 elab.node(blocks.chain_out[b + 1]), 0.5e-18);
-  }
-  Circuit c = elab.circuit();
-  c.build_caches();
-  return c;
-}
-
-// The whole model build (C_II assembly, inverse, flush, S) on the fabric:
-// the narrow-profile case, beside the dense no-profile BM_CholeskyInverse.
+// The whole model build (C_II assembly, inverse, flush, S) on a seeded
+// 4-block fabric of range(0) junctions per block (the benchmark's
+// logic_fabric is 4 x 384): the narrow-profile case, beside the dense
+// no-profile BM_CholeskyInverse.
 void BM_ElectrostaticModel(benchmark::State& state) {
-  const Circuit c = logic_fabric(static_cast<std::size_t>(state.range(0)));
+  const Circuit c =
+      make_logic_fabric(4, static_cast<std::size_t>(state.range(0)), 11);
   for (auto _ : state) {
     const ElectrostaticModel model(c);
     benchmark::DoNotOptimize(model.kappa_row(0));
@@ -327,7 +310,7 @@ BENCHMARK(BM_ElectrostaticModel)
 // fabric's C_II, stamped as the model stamps it (the copy it consumes is
 // made outside the timed region).
 void BM_CholeskyFactor(benchmark::State& state) {
-  const Circuit c = logic_fabric(384);
+  const Circuit c = make_logic_fabric(4, 384, 11);
   const ElectrostaticModel model(c);
   Matrix c_ii(model.island_count(), model.island_count());
   for (const CapacitiveElement& e : model.capacitive_elements()) {

@@ -36,6 +36,7 @@
 #include "gate_case.h"
 #include "io/json.h"
 #include "iscas_scale.h"
+#include "logic/devices.h"
 #include "netlist/parser.h"
 
 namespace semsim {
@@ -46,11 +47,15 @@ namespace {
 using bench::GateCase;
 constexpr const char* kSchema = bench::kGateSchema;
 
-/// Inter-island coupling for the ADAPTIVE chain cases: strong enough that
-/// every event gets the neighbours' junctions tested, weak enough that the
-/// test usually clears — flagged_fraction lands strictly inside (0, 1).
-/// Non-adaptive cases keep the uncoupled circuit so events/sec comparisons
-/// against pre-coupling baselines stay apples-to-apples.
+/// Inter-island coupling for the ADAPTIVE chain cases (make_set_chain):
+/// strong enough that every event gets the neighbours' junctions tested,
+/// weak enough that the test usually clears — flagged_fraction lands
+/// strictly inside (0, 1); on the uncoupled chain an event perturbs only
+/// its own stage and the fraction is exactly 1. 0.5 aF against the 20 aF
+/// ground caps keeps the accumulated testing factor about half an order of
+/// magnitude below the flag threshold at the default alpha. Non-adaptive
+/// cases keep the uncoupled circuit so events/sec comparisons against
+/// pre-coupling baselines stay apples-to-apples.
 constexpr double kAdaptiveCouplingF = 0.5e-18;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -72,7 +77,7 @@ GateCase measure_engine_case(int stages, bool adaptive,
   r.adaptive = adaptive;
 
   const Circuit c =
-      bench::chain_circuit(stages, adaptive ? kAdaptiveCouplingF : 0.0);
+      make_set_chain(stages, adaptive ? kAdaptiveCouplingF : 0.0);
   EngineOptions o;
   o.temperature = temperature;
   o.adaptive.enabled = adaptive;

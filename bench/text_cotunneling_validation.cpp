@@ -13,7 +13,7 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 #include "physics/cotunneling.h"
 
 using namespace semsim;
@@ -30,22 +30,12 @@ int main(int argc, char** argv) {
 
   std::vector<double> log_v, log_i;
   for (double v_half = 0.001; v_half <= 0.0071; v_half += 0.001) {
-    Circuit c;
-    const NodeId src = c.add_external("src");
-    const NodeId drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_half));
-    c.set_source(drn, Waveform::dc(-v_half));
-
+    const SetTransistor set = make_set(v_half, -v_half);
     EngineOptions o;
     o.temperature = 0.0;
     o.cotunneling = true;
     o.seed = 5;
-    Engine e(c, o);
+    Engine e(set.c, o);
     const CurrentEstimate est = measure_mean_current(
         e, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{events / 20, events, 6});
 

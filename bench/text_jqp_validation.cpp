@@ -15,7 +15,7 @@
 #include "base/constants.h"
 #include "bench_util.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 #include "netlist/electrostatics.h"
 #include "physics/bcs.h"
 #include "physics/cooper_pair.h"
@@ -34,22 +34,13 @@ int main(int argc, char** argv) {
       0.21e-3 * kElectronVolt / std::tanh(1.74 * std::sqrt(tc / temp - 1.0));
   const double gap = bcs_gap(delta0, tc, temp);
 
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, rj, cj);
-  c.add_junction(island, drn, rj, cj);
-  c.add_capacitor(gate, island, cg);
-  c.set_background_charge(island, qb);
-  c.set_superconducting({delta0, tc});
-  c.set_source(gate, Waveform::dc(vg));
+  const SetTransistor set = make_set(
+      0.0, 0.0, vg, {rj, cj, cg, qb, SuperconductingParams{delta0, tc}});
 
   // Analytic resonance bias (dW_cp = 0 through the source junction, n = 0).
-  const ElectrostaticModel m(c);
+  const ElectrostaticModel m(set.c);
   const double e = kElementaryCharge;
-  const double kappa = m.kappa_node(island, island);
+  const double kappa = m.kappa_node(set.island, set.island);
   const double u = 0.5 * e * e * kappa;
   const double s_src = m.source_gain()(0, 0);
   const double s_gate = m.source_gain()(0, 2);
@@ -68,14 +59,14 @@ int main(int argc, char** argv) {
   o.temperature = temp;
   o.seed = 21;
   o.qp_table_half_range = 20.0 * gap;
-  Engine engine(c, o);
+  Engine engine(set.c, o);
 
   TableWriter table({"vbias_V", "i_A"});
   table.add_comment("bias sweep across the JQP resonance, Vg = 8 mV");
   double peak_i = 0.0, peak_v = 0.0;
   for (double vb = std::max(0.1e-3, v_resonance - 0.4e-3);
        vb <= v_resonance + 0.4e-3; vb += args.full ? 0.02e-3 : 0.04e-3) {
-    engine.set_dc_source(src, vb);
+    engine.set_dc_source(set.src, vb);
     engine.rebase_time();
     const CurrentEstimate est = measure_mean_current(
         engine, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{events / 10, events, 6});

@@ -12,44 +12,25 @@
 
 #include "analysis/current.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 
 using namespace semsim;
-
-namespace {
-
-Circuit make_set(double v_half) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(src, Waveform::dc(v_half));
-  c.set_source(drn, Waveform::dc(-v_half));
-  return c;
-}
-
-}  // namespace
 
 int main() {
   std::printf("# Vds [mV]  I_sequential [A]  I_with_cotunneling [A]\n");
   for (double v_half = 0.001; v_half <= 0.0081; v_half += 0.001) {
+    const SetTransistor set = make_set(v_half, -v_half);
     // Sequential only: stuck at T = 0 in blockade -> exactly zero current.
-    Circuit c_seq = make_set(v_half);
     EngineOptions seq;
     seq.temperature = 0.0;
-    Engine e_seq(c_seq, seq);
+    Engine e_seq(set.c, seq);
     const double i_seq = e_seq.total_rate() == 0.0 ? 0.0 : -1.0;
 
-    Circuit c_cot = make_set(v_half);
     EngineOptions cot;
     cot.temperature = 0.0;
     cot.cotunneling = true;
     cot.seed = 3;
-    Engine e_cot(c_cot, cot);
+    Engine e_cot(set.c, cot);
     const CurrentEstimate est = measure_mean_current(
         e_cot, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{500, 10000, 6});
 

@@ -17,7 +17,7 @@
 
 #include "base/constants.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 #include "netlist/electrostatics.h"
 #include "physics/bcs.h"
 
@@ -29,23 +29,19 @@ int main() {
   const double delta0 =
       0.21e-3 * kElectronVolt / std::tanh(1.74 * std::sqrt(tc / 0.52 - 1.0));
 
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  const std::size_t ja = c.add_junction(src, island, rj, cj);   // junction A
-  const std::size_t jb = c.add_junction(island, drn, rj, cj);   // junction B
-  c.add_capacitor(gate, island, cg);
+  SetTransistor set = make_set(
+      0.0, 0.0, 0.0, {rj, cj, cg, 0.0, SuperconductingParams{delta0, tc}});
+  const std::size_t ja = 0;  // junction A: src -> island
+  const std::size_t jb = 1;  // junction B: island -> drn
 
   // Solve for (Vb, Vg) such that
   //   CP through A at occupation n = 0:   -2e (v_isl - Vb) + 4u = 0
   //   CP through B at occupation n = 2:   -2e (0 - v_isl(n=2)) + 4u = 0
   // with v_isl = kappa q + s_src Vb + s_gate Vg, q = -n e. Two linear
   // equations in (Vb, Vg).
-  const ElectrostaticModel m(c);
+  const ElectrostaticModel m(set.c);
   const double e = kElementaryCharge;
-  const double kappa = m.kappa_node(island, island);
+  const double kappa = m.kappa_node(set.island, set.island);
   const double u = 0.5 * e * e * kappa;
   const double s_src = m.source_gain()(0, 0);
   const double s_gate = m.source_gain()(0, 2);
@@ -59,15 +55,14 @@ int main() {
   std::printf("DJQP point: V_bias = %.4f mV (= 2e/C_sigma), V_gate = %.4f mV\n",
               1e3 * vb, 1e3 * vg);
 
-  c.set_superconducting({delta0, tc});
-  c.set_source(src, Waveform::dc(vb));
-  c.set_source(gate, Waveform::dc(vg));
+  set.c.set_source(set.src, Waveform::dc(vb));
+  set.c.set_source(set.gate, Waveform::dc(vg));
 
   EngineOptions o;
   o.temperature = temp;
   o.seed = 3;
   o.qp_table_half_range = 40.0 * bcs_gap(delta0, tc, temp);
-  Engine engine(c, o);
+  Engine engine(set.c, o);
 
   // Classify each event and count what follows a Cooper pair per junction.
   auto label = [&](const Event& ev) -> std::string {

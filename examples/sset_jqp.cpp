@@ -15,7 +15,7 @@
 #include "analysis/current.h"
 #include "base/constants.h"
 #include "core/engine.h"
-#include "netlist/circuit.h"
+#include "logic/devices.h"
 #include "physics/bcs.h"
 
 using namespace semsim;
@@ -27,30 +27,23 @@ int main() {
   const double delta0 =
       0.21e-3 * kElectronVolt / std::tanh(1.74 * std::sqrt(tc / temperature - 1.0));
 
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 2.1e5, 110e-18);
-  c.add_junction(island, drn, 2.1e5, 110e-18);
-  c.add_capacitor(gate, island, 14e-18);
-  c.set_background_charge(island, 0.65);  // the experiment's Qb/e
-  c.set_superconducting({delta0, tc});
-  c.set_source(gate, Waveform::dc(0.008));
+  // R = 210 kOhm, C = 110 aF, Cg = 14 aF and the experiment's Qb = 0.65 e.
+  const SetTransistor set = make_set(
+      0.0, 0.0, 0.008,
+      {2.1e5, 110e-18, 14e-18, 0.65, SuperconductingParams{delta0, tc}});
 
   EngineOptions o;
   o.temperature = temperature;
   o.seed = 7;
   o.qp_table_half_range = 20.0 * bcs_gap(delta0, tc, temperature);
-  Engine engine(c, o);
+  Engine engine(set.c, o);
 
   std::printf("# SSET bias sweep at Vg = 8 mV; Delta(T) = %.3f meV\n",
               bcs_gap(delta0, tc, temperature) / kMilliElectronVolt);
   std::printf("# Vbias [mV]   I [A]\n");
   double peak_i = 0.0, peak_v = 0.0;
   for (double vb = 0.1e-3; vb <= 1.4e-3; vb += 0.05e-3) {
-    engine.set_dc_source(src, vb);
+    engine.set_dc_source(set.src, vb);
     engine.rebase_time();
     const CurrentEstimate est = measure_mean_current(
         engine, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{2000, 20000, 6});

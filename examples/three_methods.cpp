@@ -14,8 +14,8 @@
 
 #include "analysis/current.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "master/master_equation.h"
-#include "netlist/circuit.h"
 #include "spice/set_model.h"
 
 using namespace semsim;
@@ -25,17 +25,7 @@ int main() {
   const double vg = 0.010;
   const double temperature = 5.0;
 
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(src, Waveform::dc(v_half));
-  c.set_source(drn, Waveform::dc(-v_half));
-  c.set_source(gate, Waveform::dc(vg));
+  const SetTransistor set = make_set(v_half, -v_half, vg);
 
   std::printf("SET at Vds = %.0f mV, Vg = %.0f mV, T = %.0f K\n",
               2e3 * v_half, 1e3 * vg, temperature);
@@ -44,7 +34,7 @@ int main() {
   EngineOptions eo;
   eo.temperature = temperature;
   eo.seed = 9;
-  Engine engine(c, eo);
+  Engine engine(set.c, eo);
   const CurrentEstimate mc = measure_mean_current(
       engine, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{5000, 100000, 8});
   std::printf("  Monte-Carlo:      I = %.5e A  (+- %.1e, %llu events)\n",
@@ -54,16 +44,17 @@ int main() {
   // 2. Master equation over the enumerated charge states.
   EngineOptions mo;
   mo.temperature = temperature;
-  MasterEquationSolver me(c, mo);
+  MasterEquationSolver me(set.c, mo);
   std::printf("  Master equation:  I = %.5e A  (%zu states, residual %.1e)\n",
               me.junction_current(0), me.state_count(), me.residual());
 
   // 3. The SPICE baseline's analytical compact model. Its gate terms match
   //    this device with the phase gate unused (c_b -> tiny).
+  const SetElements fig1;
   SetModelParams sm;
-  sm.r_j = 1e6;
-  sm.c_j = 1e-18;
-  sm.c_g = 3e-18;
+  sm.r_j = fig1.resistance;
+  sm.c_j = fig1.capacitance;
+  sm.c_g = fig1.gate_capacitance;
   sm.c_b = 1e-24;  // no phase gate on this device
   sm.temperature = temperature;
   std::printf("  SPICE model:      I = %.5e A\n",

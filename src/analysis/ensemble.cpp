@@ -48,28 +48,7 @@ double relative_factor(Xoshiro256& rng, const PerturbationSpec& p) {
   return std::max(1.0 + p.spread * draw_z(rng, p.dist), kRelativeFactorFloor);
 }
 
-void validate_spread(const PerturbationSpec& p, const char* name) {
-  if (!(std::isfinite(p.spread) && p.spread >= 0.0)) {
-    throw Error(std::string("ensemble: ") + name +
-                " spread must be finite and >= 0");
-  }
-}
-
 }  // namespace
-
-void EnsembleSpec::validate() const {
-  require(replicas >= 1, "ensemble: replicas must be >= 1");
-  validate_spread(bg_charge, "bg_charge");
-  validate_spread(resistance, "resistance");
-  validate_spread(capacitance, "capacitance");
-  validate_spread(temperature, "temperature");
-  require(std::isfinite(yield_min) && yield_min >= 0.0,
-          "ensemble: yield_min must be finite and >= 0");
-  require(yield_max > 0.0 && !std::isnan(yield_max),
-          "ensemble: yield_max must be > 0");
-  require(yield_min <= yield_max,
-          "ensemble: yield window is inverted (yield_min > yield_max)");
-}
 
 ReplicaPerturbation draw_replica_perturbation(const SimulationInput& input,
                                               const EnsembleSpec& spec,

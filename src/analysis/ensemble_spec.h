@@ -2,9 +2,8 @@
 // service envelope codec (io/envelope.cpp — semsim_io, which semsim_analysis
 // links, not the reverse) can carry the spec without pulling the simulation
 // headers or a link-time cycle into the io layer. Everything here is
-// header-only except EnsembleSpec::validate (analysis/ensemble.cpp); the
-// codec performs its own strict parse-time checks and leaves semantic
-// validation to run_ensemble.
+// header-only, EnsembleSpec::validate included, so the codec rejects at
+// parse time exactly the specs run_ensemble would.
 //
 // See analysis/ensemble.h for the full ensemble contract and
 // analysis/run_fields.inc for the single-source field table these scalars
@@ -15,6 +14,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+
+#include "base/error.h"
 
 namespace semsim {
 
@@ -76,9 +78,27 @@ struct EnsembleSpec {
   }
 
   /// Throws Error on structural nonsense (0 replicas, negative or
-  /// non-finite spreads, inverted yield window). Defined in
-  /// analysis/ensemble.cpp.
-  void validate() const;
+  /// non-finite spreads, inverted yield window).
+  void validate() const {
+    require(replicas >= 1, "ensemble: replicas must be >= 1");
+    const std::pair<const PerturbationSpec*, const char*> spreads[] = {
+        {&bg_charge, "bg_charge"},
+        {&resistance, "resistance"},
+        {&capacitance, "capacitance"},
+        {&temperature, "temperature"}};
+    for (const auto& [p, name] : spreads) {
+      if (!(std::isfinite(p->spread) && p->spread >= 0.0)) {
+        throw Error(std::string("ensemble: ") + name +
+                    " spread must be finite and >= 0");
+      }
+    }
+    require(std::isfinite(yield_min) && yield_min >= 0.0,
+            "ensemble: yield_min must be finite and >= 0");
+    require(yield_max > 0.0 && !std::isnan(yield_max),
+            "ensemble: yield_max must be > 0");
+    require(yield_min <= yield_max,
+            "ensemble: yield window is inverted (yield_min > yield_max)");
+  }
 };
 
 /// The seed every replica stream of this run derives from.

@@ -32,7 +32,6 @@ AttemptRecord run_with_retry(const RetryPolicy& policy,
       }
       on_error();
       if (!again) return {false, last, tried};
-      retry_sleep(retry_backoff_seconds(policy, tried));
     }
   }
 }

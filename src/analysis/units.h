@@ -13,7 +13,7 @@
 //   * cancel: checked before each unit starts, outside any retry, so a
 //     cancellation is never degraded into a recorded failure;
 //   * fault isolation: an isolated unit that throws is retried on
-//     retry_stream_seed(base_seed, unit, attempt) with backoff, rethrown in
+//     retry_stream_seed(base_seed, unit, attempt), rethrown in
 //     strict mode with "<name> <unit>" in its context chain, or degraded
 //     (UnitWork::outcome); kCancelled is never retried or recorded;
 //   * record and progress: a finished unit is recorded, then reported as
@@ -69,8 +69,8 @@ struct AttemptRecord {
 /// The retry loop: calls attempt(a) for a = 0, 1, ... until one returns. A
 /// failed attempt is rethrown with label() in its context chain in strict
 /// mode; otherwise on_error() retires its state and the item is retried
-/// after the policy's backoff or, once the policy gives up, degraded
-/// (ok == false). kCancelled is rethrown at once.
+/// at once or, once the policy gives up, degraded (ok == false).
+/// kCancelled is rethrown at once.
 AttemptRecord run_with_retry(const RetryPolicy& policy,
                              const std::function<void(std::uint32_t)>& attempt,
                              const std::function<void()>& on_error,

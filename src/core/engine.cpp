@@ -756,7 +756,6 @@ Engine::StepOutcome Engine::step_internal(double t_limit, Event* out) {
   }
 
   if (out) *out = ev;
-  if (callback_) callback_(*this, ev);
   return StepOutcome::kExecuted;
 }
 

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -232,11 +231,6 @@ class Engine {
   /// leave the clock short, when no event can ever occur.
   void run_until(double t_end);
 
-  /// Called after every executed event.
-  void set_event_callback(std::function<void(const Engine&, const Event&)> cb) {
-    callback_ = std::move(cb);
-  }
-
  private:
   // Channel layout in the Fenwick tree:
   //   [0, 2J)      single-electron / quasi-particle, (fwd, bwd) per junction
@@ -351,7 +345,6 @@ class Engine {
   // Junctions to seed when external node (by external index) steps:
   std::vector<std::vector<std::size_t>> source_seed_junctions_;
   SolverStats stats_;
-  std::function<void(const Engine&, const Event&)> callback_;
 
   // ---- integrity layer (guard) --------------------------------------------
   InvariantAuditor auditor_;

@@ -42,11 +42,6 @@ struct EngineOptions {
 
   AdaptiveOptions adaptive;
 
-  /// Cooper-pair lifetime broadening eta [J]; 0 selects the per-junction
-  /// default hbar * Delta / (e^2 R_N). Only used for superconducting
-  /// circuits.
-  double cp_broadening = 0.0;
-
   /// Half-range of the tabulated quasi-particle rate in |delta_w| [J];
   /// 0 derives a range from the circuit's sources, gaps, and charging
   /// energies. Out-of-range lookups fall back to the direct integral

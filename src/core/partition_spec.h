@@ -31,8 +31,9 @@ struct PartitionSpec {
   /// to a non-partitioned run).
   std::uint32_t clusters = 1;
 
-  /// Synchronization window [s]; 0 = auto (derived from the partition's
-  /// strongest cross-cut coupling and the circuit's initial total rate).
+  /// Synchronization window [s]; 0 = auto: 256 k / Gamma_total for k
+  /// clusters and the circuit's initial total rate Gamma_total, about 256
+  /// events per cluster per window.
   double window = 0.0;
 
   /// Relative kappa threshold |k_ij| / sqrt(k_ii * k_jj) above which two

@@ -55,9 +55,7 @@ RateCalculator::RateCalculator(const Circuit& circuit,
     chan_g_.push_back(g);
     if (superconducting_ && gap_ > 0.0) {
       ej_[j] = josephson_energy(jn.resistance, gap_, temperature_);
-      cp_eta_[j] = options.cp_broadening > 0.0
-                       ? options.cp_broadening
-                       : default_cp_broadening(jn.resistance, gap_);
+      cp_eta_[j] = default_cp_broadening(jn.resistance, gap_);
     }
     const double kaa = model.kappa_node(jn.a, jn.a);
     const double kbb = model.kappa_node(jn.b, jn.b);

@@ -7,6 +7,12 @@
 #include "base/math_util.h"
 
 namespace semsim {
+namespace {
+
+/// Relative tolerance for |fenwick.total() - fenwick.exact_total()|.
+constexpr double kFenwickRelTol = 1e-6;
+
+}  // namespace
 
 void InvariantAuditor::arm(double sim_time, std::uint64_t events) {
   armed_at_ = std::chrono::steady_clock::now();
@@ -125,7 +131,7 @@ void InvariantAuditor::check_fenwick(const AuditView& view) {
   const double exact = view.rates->exact_total();
   double scale = std::abs(exact) > 1.0 ? std::abs(exact) : 1.0;
   if (view.rate_scale > scale) scale = view.rate_scale;
-  if (!(std::abs(incremental - exact) <= options_.fenwick_rel_tol * scale)) {
+  if (!(std::abs(incremental - exact) <= kFenwickRelTol * scale)) {
     fail(ErrorCode::kFenwickDrift, view,
          "audit: Fenwick total " + std::to_string(incremental) +
              " drifted from exact recompute " + std::to_string(exact));

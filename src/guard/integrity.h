@@ -48,8 +48,6 @@ struct AuditOptions {
   /// amortized cost far below the per-event work, so golden trajectories
   /// and the perf gate are unaffected.
   std::uint64_t interval = 0;
-  /// Relative tolerance for |fenwick.total() - fenwick.exact_total()|.
-  double fenwick_rel_tol = 1e-6;
   /// Abort (TimeoutError) when one run exceeds this wall-clock budget.
   /// 0 disables the wall-clock watchdog.
   double watchdog_seconds = 0.0;

@@ -5,18 +5,6 @@
 
 namespace semsim {
 
-double retry_backoff_seconds(const RetryPolicy& policy,
-                             std::uint32_t attempt) noexcept {
-  if (attempt == 0 || policy.backoff_base_seconds <= 0.0) return 0.0;
-  double delay = policy.backoff_base_seconds;
-  for (std::uint32_t k = 1; k < attempt; ++k) {
-    delay *= 2.0;
-    if (delay >= policy.backoff_cap_seconds) break;
-  }
-  return delay < policy.backoff_cap_seconds ? delay
-                                            : policy.backoff_cap_seconds;
-}
-
 void retry_sleep(double seconds) {
   if (seconds <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));

@@ -11,11 +11,10 @@
 //   * attempt k > 0 salts the unit seed with the attempt counter through a
 //     SplitMix64 round, so the retried trajectory is a fresh independent
 //     stream but still a pure function of (base_seed, unit, attempt) —
-//     never of which thread retried or how long the backoff slept.
+//     never of which thread retried.
 //
-// The capped exponential backoff exists for transient environmental
-// failures (an NFS checkpoint write, an overloaded host); pure in-process
-// numeric retries keep the default base of 0 and never sleep.
+// A retry starts as soon as its failed attempt has been torn down: the
+// policy has no backoff.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +30,6 @@ struct RetryPolicy {
   bool strict = false;
   /// Total attempts per unit, including the first. 1 disables retry.
   std::uint32_t max_attempts = 3;
-  /// First backoff delay (before attempt 1); doubles per further attempt.
-  double backoff_base_seconds = 0.0;
-  double backoff_cap_seconds = 0.5;
 
   /// True when `code` should be retried under this policy (never in strict
   /// mode, never for fatal categories like parse/circuit errors).
@@ -54,11 +50,7 @@ inline std::uint64_t retry_stream_seed(std::uint64_t base_seed,
       unit);
 }
 
-/// Backoff before attempt `attempt` (>= 1): base * 2^(attempt-1), capped.
-double retry_backoff_seconds(const RetryPolicy& policy,
-                             std::uint32_t attempt) noexcept;
-
-/// Sleeps for `seconds` (no-op for <= 0).
+/// Sleeps for `seconds` (no-op for <= 0); the kSleep fault's stall.
 void retry_sleep(double seconds);
 
 }  // namespace semsim

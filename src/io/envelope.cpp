@@ -108,7 +108,6 @@ void write_ensemble_object(JsonWriter& w, const EnsembleSpec& s) {
 #define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
 #define SEMSIM_FIELD_WRITE_U32(member, json_name) \
   w.field(json_name, unsigned{s.member});
-#define SEMSIM_FIELD_WRITE_BOOL(member, json_name) w.field(json_name, s.member);
 // Non-finite doubles have no JSON spelling; the parser's fallback restores
 // the default (yield_max -> +inf).
 #define SEMSIM_FIELD_WRITE_F64(member, json_name) \
@@ -120,16 +119,9 @@ void write_ensemble_object(JsonWriter& w, const EnsembleSpec& s) {
 #include "analysis/run_fields.inc"
 #undef SEMSIM_FIELD_WRITE_U64
 #undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_BOOL
 #undef SEMSIM_FIELD_WRITE_F64
 #undef SEMSIM_FIELD_WRITE_DIST
   w.end_object();
-}
-
-void check_ensemble_spread(double v, const char* what) {
-  if (!std::isfinite(v) || v < 0.0) {
-    bad(std::string("ensemble.") + what + " must be finite and >= 0");
-  }
 }
 
 EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
@@ -143,8 +135,6 @@ EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
     if (v > 0xFFFFFFFFULL) bad("ensemble." json_name " out of range"); \
     s.member = static_cast<std::uint32_t>(v);                      \
   }
-#define SEMSIM_FIELD_PARSE_BOOL(member, json_name) \
-  s.member = bool_field(obj, json_name, s.member);
 #define SEMSIM_FIELD_PARSE_F64(member, json_name) \
   s.member = f64_field(obj, json_name, s.member);
 #define SEMSIM_FIELD_PARSE_DIST(member, json_name)                        \
@@ -164,24 +154,14 @@ EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
 #include "analysis/run_fields.inc"
 #undef SEMSIM_FIELD_PARSE_U64
 #undef SEMSIM_FIELD_PARSE_U32
-#undef SEMSIM_FIELD_PARSE_BOOL
 #undef SEMSIM_FIELD_PARSE_F64
 #undef SEMSIM_FIELD_PARSE_DIST
-  // Structural checks mirroring EnsembleSpec::validate, as coded
-  // ParseErrors so the daemon rejects the line instead of failing the job.
-  if (s.replicas == 0) bad("ensemble.replicas must be >= 1");
-  check_ensemble_spread(s.bg_charge.spread, "bg_spread");
-  check_ensemble_spread(s.resistance.spread, "resistance_spread");
-  check_ensemble_spread(s.capacitance.spread, "capacitance_spread");
-  check_ensemble_spread(s.temperature.spread, "temperature_spread");
-  if (!std::isfinite(s.yield_min) || s.yield_min < 0.0) {
-    bad("ensemble.yield_min must be finite and >= 0");
-  }
-  if (std::isnan(s.yield_max) || s.yield_max <= 0.0) {
-    bad("ensemble.yield_max must be > 0");
-  }
-  if (s.yield_min > s.yield_max) {
-    bad("ensemble.yield_min must be <= ensemble.yield_max");
+  // EnsembleSpec::validate, as coded ParseErrors so the daemon rejects
+  // the line instead of failing the job.
+  try {
+    s.validate();
+  } catch (const Error& e) {
+    bad(e.message());
   }
   return s;
 }
@@ -193,14 +173,12 @@ void write_partition_object(JsonWriter& w, const PartitionSpec& s) {
 #define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
 #define SEMSIM_FIELD_WRITE_U32(member, json_name) \
   w.field(json_name, unsigned{s.member});
-#define SEMSIM_FIELD_WRITE_BOOL(member, json_name) w.field(json_name, s.member);
 #define SEMSIM_FIELD_WRITE_F64(member, json_name) w.field(json_name, s.member);
 #define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
   SEMSIM_FIELD_WRITE_##KIND(member, json_name)
 #include "analysis/run_fields.inc"
 #undef SEMSIM_FIELD_WRITE_U64
 #undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_BOOL
 #undef SEMSIM_FIELD_WRITE_F64
   w.end_object();
 }
@@ -230,8 +208,6 @@ PartitionSpec parse_partition_object(const JsonValue& obj) {
     if (v > 0xFFFFFFFFULL) bad("partition." json_name " out of range");  \
     s.member = static_cast<std::uint32_t>(v);                            \
   }
-#define SEMSIM_FIELD_PARSE_BOOL(member, json_name) \
-  s.member = bool_field(obj, json_name, s.member);
 #define SEMSIM_FIELD_PARSE_F64(member, json_name) \
   s.member = f64_field(obj, json_name, s.member);
 #define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
@@ -239,10 +215,9 @@ PartitionSpec parse_partition_object(const JsonValue& obj) {
 #include "analysis/run_fields.inc"
 #undef SEMSIM_FIELD_PARSE_U64
 #undef SEMSIM_FIELD_PARSE_U32
-#undef SEMSIM_FIELD_PARSE_BOOL
 #undef SEMSIM_FIELD_PARSE_F64
-  // Structural checks mirroring PartitionSpec::validate, as coded
-  // ParseErrors so the daemon rejects the line instead of failing the job.
+  // PartitionSpec::validate, as coded ParseErrors so the daemon rejects
+  // the line instead of failing the job.
   try {
     s.validate();
   } catch (const Error& e) {

@@ -76,7 +76,7 @@ struct RequestEnvelope {
   /// Overrides the netlist's `jumps` repeat count when > 0.
   std::uint32_t repeats = 0;
   StopCriterion stop;
-  /// Only `strict` and `max_attempts` travel; backoff is a daemon concern.
+  /// Only `strict` and `max_attempts` travel.
   RetryPolicy retry;
   /// Deterministic fault schedule (guard/fault.h). A testing hook: CI and
   /// the equivalence suite use it to drive the degraded-unit paths through

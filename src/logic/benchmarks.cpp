@@ -407,12 +407,6 @@ std::vector<LogicBenchmark> make_all_benchmarks() {
   return all;
 }
 
-std::vector<std::string> benchmark_names() {
-  std::vector<std::string> names;
-  for (const LogicBenchmark& b : make_all_benchmarks()) names.push_back(b.name);
-  return names;
-}
-
 LogicBenchmark make_benchmark(const std::string& name) {
   for (LogicBenchmark& b : make_all_benchmarks()) {
     if (b.name == name) return std::move(b);

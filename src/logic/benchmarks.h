@@ -41,7 +41,4 @@ std::vector<LogicBenchmark> make_all_benchmarks();
 /// for unknown names.
 LogicBenchmark make_benchmark(const std::string& name);
 
-/// The benchmark names in Fig. 6 order.
-std::vector<std::string> benchmark_names();
-
 }  // namespace semsim

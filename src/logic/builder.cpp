@@ -80,22 +80,4 @@ NodeId SetCircuitBuilder::build_nor2(NodeId a, NodeId b, NodeId out) {
   return mid;
 }
 
-NodeId SetCircuitBuilder::inverter(NodeId in) {
-  const NodeId out = add_wire();
-  build_inverter(in, out);
-  return out;
-}
-
-NodeId SetCircuitBuilder::nand2(NodeId a, NodeId b) {
-  const NodeId out = add_wire();
-  build_nand2(a, b, out);
-  return out;
-}
-
-NodeId SetCircuitBuilder::nor2(NodeId a, NodeId b) {
-  const NodeId out = add_wire();
-  build_nor2(a, b, out);
-  return out;
-}
-
 }  // namespace semsim

@@ -50,12 +50,6 @@ class SetCircuitBuilder {
   /// Returns the interior node of the series pull-up (DC value ~ NOT a).
   NodeId build_nor2(NodeId a, NodeId b, NodeId out);
 
-  // ---- convenience: create the output wire and build in one call ----
-
-  NodeId inverter(NodeId in);
-  NodeId nand2(NodeId a, NodeId b);
-  NodeId nor2(NodeId a, NodeId b);
-
   /// Junction count so far (the paper's Fig. 6/7 x-axis metric).
   std::size_t junction_count() const noexcept { return circuit_.junction_count(); }
 

@@ -138,12 +138,6 @@ SignalId GateNetlist::nand_tree(const std::vector<SignalId>& xs) {
   return add(GateOp::kInv, and_tree(xs));
 }
 
-SignalId GateNetlist::nor_tree(const std::vector<SignalId>& xs) {
-  if (xs.size() == 1) return add(GateOp::kInv, xs[0]);
-  if (xs.size() == 2) return add(GateOp::kNor2, xs[0], xs[1]);
-  return add(GateOp::kInv, or_tree(xs));
-}
-
 SignalId GateNetlist::xor_tree(const std::vector<SignalId>& xs) {
   require(!xs.empty(), "xor_tree: empty input list");
   SignalId acc = xs[0];

@@ -69,7 +69,6 @@ class GateNetlist {
   SignalId and_tree(const std::vector<SignalId>& xs);
   SignalId or_tree(const std::vector<SignalId>& xs);
   SignalId nand_tree(const std::vector<SignalId>& xs);  // INV(and_tree) shape
-  SignalId nor_tree(const std::vector<SignalId>& xs);
   SignalId xor_tree(const std::vector<SignalId>& xs);
   /// mux = sel ? hi : lo
   SignalId mux2(SignalId lo, SignalId hi, SignalId sel);

@@ -25,6 +25,7 @@
 #include "core/engine.h"
 #include "core/options.h"
 #include "core/rate_calculator.h"
+#include "logic/devices.h"
 #include "logic/elaborate.h"
 #include "logic/gate_netlist.h"
 #include "logic/params.h"
@@ -292,28 +293,13 @@ struct SetFixture {
   }
 };
 
-/// Multi-island chain giving a realistic flagged-subset shape.
-Circuit make_chain_circuit(int stages) {
-  Circuit c;
-  const NodeId vp = c.add_external("vp");
-  const NodeId vn = c.add_external("vn");
-  c.set_source(vp, Waveform::dc(0.01));
-  c.set_source(vn, Waveform::dc(-0.01));
-  for (int s = 0; s < stages; ++s) {
-    const NodeId i = c.add_island();
-    c.add_junction(vp, i, 1e6, 1e-18);
-    c.add_junction(i, vn, 1e6, 1e-18);
-    c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-  }
-  return c;
-}
-
 TEST(FusedFlaggedCommit, BitwiseEqualsStagedGatherKernelScatter) {
   // flagged_rates_fused's contract: ΔW bitwise equal to delta_w_flagged,
   // rates bitwise equal to tunnel_rates_batch over the gathered subset —
   // for every temperature branch (T = 0, thermal with and without the rate
   // memo) and arbitrary flagged subsets including duplicates.
-  const Circuit c = make_chain_circuit(16);
+  // A multi-island chain gives a realistic flagged-subset shape.
+  const Circuit c = make_set_chain(16);
   const ElectrostaticModel em(c);
   Xoshiro256 rng(0xF05ED);
   const std::size_t j_count = c.junction_count();

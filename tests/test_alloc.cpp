@@ -26,6 +26,7 @@
 #include "base/thread_pool.h"
 #include "core/engine.h"
 #include "core/partition.h"
+#include "logic/devices.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
 
@@ -139,24 +140,6 @@ TEST(AllocGuard, CounterSeesAnAllocation) {
   EXPECT_GE(calls, 4u);
 }
 
-struct SetCircuit {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetCircuit(double v_src, double v_drn, double v_gate) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-    c.build_caches();
-  }
-};
-
 EngineOptions options(double temperature, bool adaptive) {
   EngineOptions o;
   o.temperature = temperature;
@@ -179,19 +162,19 @@ void expect_allocation_free_events(Engine& e, std::uint64_t warm,
 }
 
 TEST(AllocGuard, AdaptiveThermalSet) {
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, options(5.0, true));
   expect_allocation_free_events(e, 60000, 20000);
 }
 
 TEST(AllocGuard, NonAdaptiveSet) {
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, options(5.0, false));
   expect_allocation_free_events(e, 60000, 20000);
 }
 
 TEST(AllocGuard, CotunnelingSetAtZeroTemperature) {
-  SetCircuit f(0.004, -0.004, 0.0);
+  auto f = make_set(0.004, -0.004, 0.0);
   EngineOptions o = options(0.0, true);
   o.cotunneling = true;
   Engine e(f.c, o);
@@ -201,15 +184,14 @@ TEST(AllocGuard, CotunnelingSetAtZeroTemperature) {
 TEST(AllocGuard, SuperconductingSetAt50mK) {
   // The Fig. 1c operating point. Its quasi-particle table fills entries on
   // first read; the warm-up reads the ones the window needs.
-  SetCircuit f(0.02, -0.02, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.02, -0.02, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, options(0.05, true));
   expect_allocation_free_events(e, 60000, 20000);
 }
 
 TEST(AllocGuard, PulsedGateTransientAcrossBreakpoints) {
   // The benchmark's transient: gate 0 <-> 20 mV, 5 ns of each 10 ns.
-  SetCircuit f(0.01, -0.01, 0.0);
+  auto f = make_set(0.01, -0.01, 0.0);
   f.c.set_source(f.gate, Waveform::pulse(0.0, 0.02, 0.0, 5e-9, 10e-9));
   Engine e(f.c, options(5.0, true));
   e.run_until(2e-7);
@@ -222,21 +204,7 @@ TEST(AllocGuard, PulsedGateTransientAcrossBreakpoints) {
 TEST(AllocGuard, PartitionBarrierOnATwoClusterWeakChain) {
   // Eight SET stages tied by 0.5 aF couplers: the planner cuts the chain,
   // here into two clusters. One-thread executor: the runner's own work.
-  Circuit c;
-  const NodeId vp = c.add_external("vp");
-  const NodeId vn = c.add_external("vn");
-  c.set_source(vp, Waveform::dc(0.01));
-  c.set_source(vn, Waveform::dc(-0.01));
-  NodeId prev = Circuit::kGroundNode;
-  for (int s = 0; s < 8; ++s) {
-    const NodeId i = c.add_island();
-    c.add_junction(vp, i, 1e6, 1e-18);
-    c.add_junction(i, vn, 1e6, 1e-18);
-    c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-    if (s > 0) c.add_capacitor(prev, i, 0.5e-18);
-    prev = i;
-  }
-  c.build_caches();
+  const Circuit c = make_set_chain(8, 0.5e-18);
   const ElectrostaticModel model(c);
   PartitionSpec spec;
   spec.enabled = true;

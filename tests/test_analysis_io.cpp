@@ -11,26 +11,11 @@
 #include "analysis/sweep.h"
 #include "base/constants.h"
 #include "io/table_writer.h"
+#include "logic/devices.h"
 #include "netlist/circuit.h"
 
 namespace semsim {
 namespace {
-
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture(double v_src = 0.0, double v_drn = 0.0) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-  }
-};
 
 EngineOptions opts(double t, std::uint64_t seed = 1) {
   EngineOptions o;
@@ -42,7 +27,7 @@ EngineOptions opts(double t, std::uint64_t seed = 1) {
 // ---- current estimation ------------------------------------------------------
 
 TEST(Current, StuckEngineReportsZero) {
-  SetFixture f;  // zero bias, T = 0: deep blockade
+  auto f = make_set();  // zero bias, T = 0: deep blockade
   Engine e(f.c, opts(0.0));
   const CurrentEstimate est =
       measure_mean_current(e, {{0, 1.0}}, CurrentMeasureConfig{10, 100, 4});
@@ -51,7 +36,7 @@ TEST(Current, StuckEngineReportsZero) {
 }
 
 TEST(Current, ProbeSignFlipsCurrent) {
-  SetFixture fa(0.02, -0.02), fb(0.02, -0.02);
+  auto fa = make_set(0.02, -0.02), fb = make_set(0.02, -0.02);
   Engine ea(fa.c, opts(0.0, 3));
   Engine eb(fb.c, opts(0.0, 3));
   const CurrentMeasureConfig mc{1000, 20000, 4};
@@ -62,13 +47,13 @@ TEST(Current, ProbeSignFlipsCurrent) {
 }
 
 TEST(Current, RejectsEmptyProbes) {
-  SetFixture f(0.02, -0.02);
+  auto f = make_set(0.02, -0.02);
   Engine e(f.c, opts(0.0));
   EXPECT_THROW(measure_mean_current(e, {}, CurrentMeasureConfig{}), Error);
 }
 
 TEST(Current, StderrShrinksWithMoreEvents) {
-  SetFixture fa(0.02, -0.02), fb(0.02, -0.02);
+  auto fa = make_set(0.02, -0.02), fb = make_set(0.02, -0.02);
   Engine ea(fa.c, opts(1.0, 5));
   Engine eb(fb.c, opts(1.0, 5));
   const double s_small =
@@ -83,7 +68,7 @@ TEST(Current, StderrShrinksWithMoreEvents) {
 // ---- sweeps --------------------------------------------------------------------
 
 TEST(Sweep, ValidatesConfig) {
-  SetFixture f;
+  auto f = make_set();
   const ParallelExecutor exec(1);
   IvSweepConfig cfg;
   cfg.swept = f.src;
@@ -98,7 +83,7 @@ TEST(Sweep, ValidatesConfig) {
 }
 
 TEST(Sweep, PointCountAndBiasGrid) {
-  SetFixture f;
+  auto f = make_set();
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;
@@ -116,7 +101,7 @@ TEST(Sweep, PointCountAndBiasGrid) {
 }
 
 TEST(Sweep, StabilityMapShape) {
-  SetFixture f;
+  auto f = make_set();
   StabilityMapConfig cfg;
   cfg.bias_node = f.src;
   cfg.mirror = f.drn;
@@ -139,7 +124,7 @@ TEST(Sweep, StabilityMapShape) {
 // ---- delay ----------------------------------------------------------------------
 
 TEST(Delay, RequiresSaneWindow) {
-  SetFixture f;
+  auto f = make_set();
   Engine e(f.c, opts(1.0));
   DelayConfig cfg;
   cfg.output = f.island;
@@ -150,7 +135,7 @@ TEST(Delay, RequiresSaneWindow) {
 
 TEST(Delay, NanWhenNoCrossing) {
   // Island potential never reaches an absurd threshold.
-  SetFixture f(0.02, -0.02);
+  auto f = make_set(0.02, -0.02);
   Engine e(f.c, opts(1.0, 3));
   DelayConfig cfg;
   cfg.output = f.island;
@@ -164,7 +149,7 @@ TEST(Delay, NanWhenNoCrossing) {
 TEST(Delay, DetectsStepOnIsland) {
   // The island's mean potential follows a gate step through the 0.6 gain;
   // detection threshold halfway.
-  SetFixture f(0.02, -0.02);
+  auto f = make_set(0.02, -0.02);
   f.c.set_source(f.gate, Waveform::step(0.0, 0.05, 5e-9));
   Engine e(f.c, opts(4.0, 11));
   DelayConfig cfg;

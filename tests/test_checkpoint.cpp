@@ -18,6 +18,7 @@
 #include "base/error.h"
 #include "base/random.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "master/master_equation.h"
 #include "netlist/parser.h"
 #include "obs/checkpoint.h"
@@ -95,23 +96,6 @@ TEST(RngState, RoundTripContinuesTheExactStream) {
 
 // ---- engine snapshot / restore -------------------------------------------
 
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture() {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(0.02));
-    c.set_source(drn, Waveform::dc(-0.02));
-    c.set_source(gate, Waveform::dc(0.0));
-  }
-};
-
 EngineOptions engine_opts(bool adaptive, std::uint64_t seed = 11) {
   EngineOptions o;
   o.temperature = 5.0;
@@ -130,7 +114,7 @@ void expect_engines_bitwise_equal(Engine& a, Engine& b) {
 TEST(EngineSnapshot, RestoredEngineContinuesBitwise) {
   for (const bool adaptive : {false, true}) {
     SCOPED_TRACE(adaptive ? "adaptive" : "non-adaptive");
-    SetFixture f;
+    auto f = make_set(0.02, -0.02);
     Engine a(f.c, engine_opts(adaptive));
     a.run_events(500);
 
@@ -154,7 +138,7 @@ TEST(EngineSnapshot, RestoredEngineContinuesBitwise) {
 }
 
 TEST(EngineSnapshot, RestoreRejectsShapeMismatch) {
-  SetFixture f;
+  auto f = make_set(0.02, -0.02);
   Engine a(f.c, engine_opts(true));
   a.run_events(100);
   EngineSnapshot snap = a.snapshot();
@@ -528,7 +512,7 @@ TEST(DriverResume, VersionTwoCheckpointIsRefused) {
 // ---- convergence-based stopping -------------------------------------------
 
 TEST(Convergence, StopsWhenTargetRelErrorIsMet) {
-  SetFixture f;  // conducting bias point: plenty of signal
+  auto f = make_set(0.02, -0.02);  // conducting bias point: plenty of signal
   Engine engine(f.c, engine_opts(true));
   StopCriterion stop;
   stop.target_rel_error = 0.1;
@@ -548,7 +532,7 @@ TEST(Convergence, StopsWhenTargetRelErrorIsMet) {
 TEST(Convergence, StuckEngineReportsExactZeroAsConverged) {
   // T = 0 with no bias: every rate is 0, the engine can never fire an
   // event, and the physical steady-state current is exactly zero.
-  SetFixture f;
+  auto f = make_set(0.02, -0.02);
   f.c.set_source(f.src, Waveform::dc(0.0));
   f.c.set_source(f.drn, Waveform::dc(0.0));
   EngineOptions o;
@@ -566,7 +550,7 @@ TEST(Convergence, StuckEngineReportsExactZeroAsConverged) {
 }
 
 TEST(Convergence, EventCapStopsAnUnconvergedRun) {
-  SetFixture f;
+  auto f = make_set(0.02, -0.02);
   Engine engine(f.c, engine_opts(true));
   StopCriterion stop;
   stop.target_rel_error = 1e-6;  // unreachable in this budget

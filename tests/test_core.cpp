@@ -10,6 +10,7 @@
 #include "base/constants.h"
 #include "core/adaptive_solver.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "netlist/parser.h"
 #include "physics/cotunneling.h"
 #include "physics/free_energy.h"
@@ -18,26 +19,6 @@ namespace semsim {
 namespace {
 
 constexpr double kE = kElementaryCharge;
-
-// Paper Fig. 1 SET with junction orientation chained source -> island ->
-// drain so conventional source->drain current reads positive on both
-// junctions with +1 probes.
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture(double v_src = 0.0, double v_drn = 0.0, double v_gate = 0.0) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);   // junction 0: src -> island
-    c.add_junction(island, drn, 1e6, 1e-18);   // junction 1: island -> drn
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-  }
-};
 
 EngineOptions opts(double temperature, bool adaptive,
                    std::uint64_t seed = 1) {
@@ -68,7 +49,7 @@ double analytic_set_current_t0(double v_half) {
 // ---- engine basics -----------------------------------------------------------
 
 TEST(Engine, DeepBlockadeIsStuckAtZeroTemperature) {
-  SetFixture f;  // all sources 0 V
+  auto f = make_set();  // all sources 0 V
   Engine e(f.c, opts(0.0, true));
   EXPECT_DOUBLE_EQ(e.total_rate(), 0.0);
   EXPECT_FALSE(e.step());
@@ -77,18 +58,18 @@ TEST(Engine, DeepBlockadeIsStuckAtZeroTemperature) {
 
 TEST(Engine, BlockadeLiftsAboveThreshold) {
   // Threshold at Vds = e/C_sigma = 32 mV (symmetric bias).
-  SetFixture below(0.015, -0.015, 0.0);
+  auto below = make_set(0.015, -0.015, 0.0);
   Engine eb(below.c, opts(0.0, true));
   EXPECT_DOUBLE_EQ(eb.total_rate(), 0.0);
 
-  SetFixture above(0.020, -0.020, 0.0);
+  auto above = make_set(0.020, -0.020, 0.0);
   Engine ea(above.c, opts(0.0, true));
   EXPECT_GT(ea.total_rate(), 0.0);
   EXPECT_TRUE(ea.step());
 }
 
 TEST(Engine, TimeAdvancesMonotonically) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(0.0, true));
   double t_prev = 0.0;
   Event ev;
@@ -104,7 +85,7 @@ TEST(Engine, TimeAdvancesMonotonically) {
 TEST(Engine, ThreeStateCycleAtZeroTemperature) {
   // At Vg = 0 the electron cycle (0 <-> +1) and the hole cycle (0 <-> -1)
   // are both open; no other state is reachable at this bias.
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(0.0, true));
   bool saw_plus = false, saw_minus = false;
   for (int i = 0; i < 5000; ++i) {
@@ -123,7 +104,7 @@ TEST(Engine, CurrentMatchesAnalyticTwoStateValue) {
   const double expected = analytic_set_current_t0(v_half);
   ASSERT_GT(expected, 0.0);
   for (const bool adaptive : {false, true}) {
-    SetFixture f(v_half, -v_half, 0.0);
+    auto f = make_set(v_half, -v_half, 0.0);
     Engine e(f.c, opts(0.0, adaptive, 7));
     const CurrentEstimate est = measure_mean_current(
         e, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{2000, 60000, 8});
@@ -133,7 +114,7 @@ TEST(Engine, CurrentMatchesAnalyticTwoStateValue) {
 }
 
 TEST(Engine, SeriesJunctionsCarrySameMeanCurrent) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(0.0, true, 3));
   e.run_events(50000);
   const double q0 = e.junction_transferred_e(0);
@@ -143,7 +124,7 @@ TEST(Engine, SeriesJunctionsCarrySameMeanCurrent) {
 }
 
 TEST(Engine, ChargeConservationAgainstEventLog) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(2.0, true, 5));
   long net_in = 0;  // electrons into the island per the event stream
   Event ev;
@@ -157,7 +138,7 @@ TEST(Engine, ChargeConservationAgainstEventLog) {
 }
 
 TEST(Engine, ZeroBiasZeroMeanCurrent) {
-  SetFixture f(0.0, 0.0, 0.0);
+  auto f = make_set(0.0, 0.0, 0.0);
   Engine e(f.c, opts(10.0, true, 11));  // hot enough to have events
   const CurrentEstimate est = measure_mean_current(
       e, {{0, 1.0}, {1, 1.0}}, CurrentMeasureConfig{5000, 80000, 8});
@@ -167,7 +148,7 @@ TEST(Engine, ZeroBiasZeroMeanCurrent) {
 TEST(Engine, GatePeriodicityOfCurrent) {
   // I(Vg) is periodic with period e/Cg = 53.4 mV (paper Sec. II).
   const double period = kE / 3e-18;
-  SetFixture f(0.01, -0.01, 0.0);
+  auto f = make_set(0.01, -0.01, 0.0);
   Engine e(f.c, opts(5.0, true, 13));
   const CurrentMeasureConfig mc{3000, 60000, 4};
 
@@ -181,7 +162,7 @@ TEST(Engine, GatePeriodicityOfCurrent) {
 
 TEST(Engine, GateModulatesCurrentInsideBlockade) {
   // At Vds just below threshold, Vg = e/2Cg opens the device.
-  SetFixture f(0.012, -0.012, 0.0);
+  auto f = make_set(0.012, -0.012, 0.0);
   Engine e(f.c, opts(0.0, true, 17));
   EXPECT_DOUBLE_EQ(e.total_rate(), 0.0);  // blocked at Vg = 0
   e.set_dc_source(f.gate, kE / (2.0 * 3e-18));  // degeneracy point
@@ -189,7 +170,7 @@ TEST(Engine, GateModulatesCurrentInsideBlockade) {
 }
 
 TEST(Engine, RunUntilReachesTarget) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(1.0, true, 19));
   e.run_until(2e-9);
   EXPECT_DOUBLE_EQ(e.time(), 2e-9);
@@ -200,7 +181,7 @@ TEST(Engine, RunUntilReachesTarget) {
 
 TEST(Engine, RunUntilOnBlockedCircuitAdvancesTimeWithoutEvents) {
   // Physical semantics: in deep blockade nothing happens, but time passes.
-  SetFixture f;  // zero bias, T = 0
+  auto f = make_set();  // zero bias, T = 0
   Engine e(f.c, opts(0.0, true));
   e.run_until(1e-9);
   EXPECT_DOUBLE_EQ(e.time(), 1e-9);
@@ -208,7 +189,7 @@ TEST(Engine, RunUntilOnBlockedCircuitAdvancesTimeWithoutEvents) {
 }
 
 TEST(Engine, ResetReproducesTrajectory) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(1.0, true, 23));
   std::vector<double> times1;
   Event ev;
@@ -227,14 +208,14 @@ TEST(Engine, DifferentSeedsGiveDifferentTrajectoriesSameCurrent) {
   const double v_half = 0.02;
   double i_a, i_b;
   {
-    SetFixture f(v_half, -v_half, 0.0);
+    auto f = make_set(v_half, -v_half, 0.0);
     Engine e(f.c, opts(0.0, true, 100));
     i_a = measure_mean_current(e, {{0, 1.0}, {1, 1.0}},
                                CurrentMeasureConfig{2000, 40000, 4})
               .mean;
   }
   {
-    SetFixture f(v_half, -v_half, 0.0);
+    auto f = make_set(v_half, -v_half, 0.0);
     Engine e(f.c, opts(0.0, true, 200));
     i_b = measure_mean_current(e, {{0, 1.0}, {1, 1.0}},
                                CurrentMeasureConfig{2000, 40000, 4})
@@ -250,7 +231,7 @@ TEST(Engine, StepSourceWakesBlockedCircuit) {
   // At t < 1 ns the device is blocked (V = 0, T = 0); the step to 40 mV
   // opens it. The engine must cross the breakpoint instead of reporting
   // itself stuck.
-  SetFixture f;
+  auto f = make_set();
   f.c.set_source(f.src, Waveform::step(0.0, 0.02, 1e-9));
   f.c.set_source(f.drn, Waveform::step(0.0, -0.02, 1e-9));
   Engine e(f.c, opts(0.0, true));
@@ -260,7 +241,7 @@ TEST(Engine, StepSourceWakesBlockedCircuit) {
 }
 
 TEST(Engine, SetDcSourceChangesRatesImmediately) {
-  SetFixture f;
+  auto f = make_set();
   Engine e(f.c, opts(0.0, true));
   EXPECT_DOUBLE_EQ(e.total_rate(), 0.0);
   e.set_dc_source(f.src, 0.02);
@@ -272,7 +253,7 @@ TEST(Engine, SetDcSourceChangesRatesImmediately) {
 }
 
 TEST(Engine, NodeVoltageTracksSourcesAndCharge) {
-  SetFixture f(0.0, 0.0, 0.01);
+  auto f = make_set(0.0, 0.0, 0.01);
   Engine e(f.c, opts(0.0, true));
   // Neutral island: v = 0.6 * Vg.
   EXPECT_NEAR(e.node_voltage(f.island), 0.006, 1e-12);
@@ -286,7 +267,7 @@ TEST(Adaptive, MatchesNonAdaptiveCurrentOnSet) {
   // Single-island circuit: the adaptive solver must agree to high accuracy
   // because every junction is adjacent to every event.
   const double v_half = 0.02;
-  SetFixture fa(v_half, -v_half, 0.0), fn(v_half, -v_half, 0.0);
+  auto fa = make_set(v_half, -v_half, 0.0), fn = make_set(v_half, -v_half, 0.0);
   Engine ea(fa.c, opts(0.0, true, 31));
   Engine en(fn.c, opts(0.0, false, 31));
   const CurrentMeasureConfig mc{2000, 50000, 5};
@@ -295,33 +276,11 @@ TEST(Adaptive, MatchesNonAdaptiveCurrentOnSet) {
   EXPECT_NEAR(ia, in, 0.05 * std::abs(in));
 }
 
-// A chain of SET stages separated by large wire capacitances (the paper's
-// Fig. 4 scenario: C1 isolates the stages).
-struct ChainFixture {
-  Circuit c;
-  NodeId vp, vn;
-  std::vector<NodeId> islands;
-  ChainFixture(int stages, double v_bias) {
-    vp = c.add_external("vp");
-    vn = c.add_external("vn");
-    c.set_source(vp, Waveform::dc(v_bias));
-    c.set_source(vn, Waveform::dc(-v_bias));
-    for (int s = 0; s < stages; ++s) {
-      const NodeId i = c.add_island();
-      islands.push_back(i);
-      c.add_junction(vp, i, 1e6, 1e-18);
-      c.add_junction(i, vn, 1e6, 1e-18);
-      // Big wire capacitance to ground isolates the stage electrostatically.
-      c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-    }
-  }
-};
-
 TEST(Adaptive, FlagsOnlyLocalJunctionsOnIsolatedStages) {
-  ChainFixture f(20, 0.01);
+  const Circuit c = make_set_chain(20);
   EngineOptions o = opts(0.0, true, 37);
   o.adaptive.refresh_interval = 100000;  // keep refreshes out of the count
-  Engine e(f.c, o);
+  Engine e(c, o);
   e.run_events(5000);
   const SolverStats s = e.stats();
   // 40 junctions total; with isolated stages each event should flag ~2.
@@ -332,22 +291,22 @@ TEST(Adaptive, FlagsOnlyLocalJunctionsOnIsolatedStages) {
 }
 
 TEST(Adaptive, DoesFewerRateEvaluationsThanNonAdaptive) {
-  ChainFixture fa(20, 0.01), fn(20, 0.01);
+  const Circuit c = make_set_chain(20);
   EngineOptions oa = opts(0.0, true, 41);
   oa.adaptive.refresh_interval = 1000;
-  Engine ea(fa.c, oa);
-  Engine en(fn.c, opts(0.0, false, 41));
+  Engine ea(c, oa);
+  Engine en(c, opts(0.0, false, 41));
   ea.run_events(5000);
   en.run_events(5000);
   EXPECT_LT(ea.stats().rate_evaluations, en.stats().rate_evaluations / 4);
 }
 
 TEST(Adaptive, CurrentAgreesWithNonAdaptiveOnChain) {
-  ChainFixture fa(10, 0.01), fn(10, 0.01);
+  const Circuit c = make_set_chain(10);
   EngineOptions oa = opts(0.0, true, 43);
   oa.adaptive.threshold = 0.05;
-  Engine ea(fa.c, oa);
-  Engine en(fn.c, opts(0.0, false, 43));
+  Engine ea(c, oa);
+  Engine en(c, opts(0.0, false, 43));
   const CurrentMeasureConfig mc{3000, 60000, 5};
   const double ia = measure_mean_current(ea, {{0, 1.0}}, mc).mean;
   const double in = measure_mean_current(en, {{0, 1.0}}, mc).mean;
@@ -358,15 +317,14 @@ TEST(Adaptive, CurrentAgreesWithNonAdaptiveOnChain) {
 TEST(Adaptive, TighterThresholdTracksNonAdaptiveMoreClosely) {
   // Not a strict theorem per-run, but with matched seeds and long averages
   // the relative error should not explode as alpha shrinks.
-  ChainFixture fn(8, 0.01);
-  Engine en(fn.c, opts(0.0, false, 47));
+  const Circuit c = make_set_chain(8);
+  Engine en(c, opts(0.0, false, 47));
   const CurrentMeasureConfig mc{3000, 50000, 5};
   const double in = measure_mean_current(en, {{0, 1.0}}, mc).mean;
   for (const double alpha : {0.01, 0.3}) {
-    ChainFixture fa(8, 0.01);
     EngineOptions o = opts(0.0, true, 47);
     o.adaptive.threshold = alpha;
-    Engine ea(fa.c, o);
+    Engine ea(c, o);
     const double ia = measure_mean_current(ea, {{0, 1.0}}, mc).mean;
     EXPECT_NEAR(ia / in, 1.0, alpha < 0.1 ? 0.08 : 0.25) << "alpha " << alpha;
   }
@@ -375,7 +333,7 @@ TEST(Adaptive, TighterThresholdTracksNonAdaptiveMoreClosely) {
 // ---- AdaptiveSolver unit tests ----------------------------------------------------
 
 TEST(AdaptiveSolverUnit, TinyThresholdFlagsSeeds) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel em(f.c);
   AdaptiveSolver s(f.c, em, 1e-12);
   // The solver reads dW' from a bound per-channel store (the engine's
@@ -391,7 +349,7 @@ TEST(AdaptiveSolverUnit, TinyThresholdFlagsSeeds) {
 }
 
 TEST(AdaptiveSolverUnit, HugeThresholdAccumulates) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel em(f.c);
   AdaptiveSolver s(f.c, em, 1e9);
   std::vector<double> dw = {1e-21, 1e-21, 0.0, 0.0};
@@ -409,7 +367,7 @@ TEST(AdaptiveSolverUnit, HugeThresholdAccumulates) {
 }
 
 TEST(AdaptiveSolverUnit, MarkFreshClearsAccumulator) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel em(f.c);
   AdaptiveSolver s(f.c, em, 1e9);
   // Non-zero thresholds so nothing flags.
@@ -431,7 +389,7 @@ TEST(EngineCotunneling, BlockadeCurrentMatchesAnalyticRate) {
   // Deep blockade at T = 0: sequential channels are closed, so the MC
   // process is pure Poisson cotunneling whose rate we can compute exactly.
   const double v_half = 0.005;
-  SetFixture f(v_half, -v_half, 0.0);
+  auto f = make_set(v_half, -v_half, 0.0);
   EngineOptions o = opts(0.0, true, 53);
   o.cotunneling = true;
   Engine e(f.c, o);
@@ -456,7 +414,7 @@ TEST(EngineCotunneling, BlockadeCurrentMatchesAnalyticRate) {
 
 TEST(EngineCotunneling, CurrentRoughlyCubicInBias) {
   auto current_at = [](double v_half) {
-    SetFixture f(v_half, -v_half, 0.0);
+    auto f = make_set(v_half, -v_half, 0.0);
     EngineOptions o = opts(0.0, true, 59);
     o.cotunneling = true;
     Engine e(f.c, o);
@@ -474,7 +432,7 @@ TEST(EngineCotunneling, CurrentRoughlyCubicInBias) {
 }
 
 TEST(EngineCotunneling, NoCotunnelingMeansNoBlockadeCurrent) {
-  SetFixture f(0.005, -0.005, 0.0);
+  auto f = make_set(0.005, -0.005, 0.0);
   Engine e(f.c, opts(0.0, true, 61));
   EXPECT_DOUBLE_EQ(e.total_rate(), 0.0);
 }
@@ -482,8 +440,7 @@ TEST(EngineCotunneling, NoCotunnelingMeansNoBlockadeCurrent) {
 // ---- superconducting engine ----------------------------------------------------------
 
 TEST(EngineSuperconducting, ForcesNonAdaptiveSolver) {
-  SetFixture f(0.001, -0.001, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.001, -0.001, 0.0, {.superconducting = kFig1cMaterial});
   EngineOptions o = opts(0.05, true, 67);
   Engine e(f.c, o);
   e.run_events(200);
@@ -498,11 +455,11 @@ TEST(EngineSuperconducting, GapEnlargesBlockedRegion) {
   // conducts strongly, the SSET with 2 Delta per junction still blocks
   // quasi-particle flow.
   const double v_half = 0.0185;  // just above the normal threshold of 16 mV...
-  SetFixture fn(v_half, -v_half, 0.0);
+  auto fn = make_set(v_half, -v_half, 0.0);
   Engine en(fn.c, opts(0.05, false, 71));
   EXPECT_GT(en.total_rate(), 0.0);
 
-  SetFixture fs(v_half, -v_half, 0.0);
+  auto fs = make_set(v_half, -v_half, 0.0);
   fs.c.set_superconducting({2e-3 * kElectronVolt, 12.0});  // big gap
   Engine es(fs.c, opts(0.05, false, 71));
   const CurrentEstimate est = measure_mean_current(
@@ -545,7 +502,7 @@ jumps 20000 1
 }
 
 TEST(Integration, IvSweepShowsCoulombBlockade) {
-  SetFixture f(0.0, 0.0, 0.0);
+  auto f = make_set(0.0, 0.0, 0.0);
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;

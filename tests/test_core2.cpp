@@ -10,6 +10,7 @@
 #include "base/constants.h"
 #include "core/engine.h"
 #include "core/rate_calculator.h"
+#include "logic/devices.h"
 #include "physics/cooper_pair.h"
 #include "physics/qp_rate.h"
 #include "physics/rates.h"
@@ -18,23 +19,6 @@ namespace semsim {
 namespace {
 
 constexpr double kE = kElementaryCharge;
-
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture(double v_src = 0.0, double v_drn = 0.0, double v_gate = 0.0) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-  }
-};
 
 EngineOptions opts(double t, std::uint64_t seed = 1) {
   EngineOptions o;
@@ -49,7 +33,7 @@ TEST(EngineStatMech, EquilibriumOccupationIsBoltzmann) {
   // Zero bias, T > 0: the island charge distribution must follow
   // P(n)/P(0) = exp(-dF(n)/kT) with dF(n) = n^2 e^2 / 2 C_sigma.
   const double temp = 40.0;  // hot enough that n = +-1 is well populated
-  SetFixture f;
+  auto f = make_set();
   Engine e(f.c, opts(temp, 31));
   std::map<long, double> occupancy;  // time-weighted
   e.run_events(5000);
@@ -77,7 +61,7 @@ TEST(EngineStatMech, GateShiftsEquilibriumOccupation) {
   // occupied at any temperature.
   // Degeneracy: gate-induced island potential 0.6 Vg equals e/2 C_sigma.
   const double vg_degeneracy = kE / (2.0 * 5e-18) / 0.6;
-  SetFixture f(0.0, 0.0, vg_degeneracy);
+  auto f = make_set(0.0, 0.0, vg_degeneracy);
   Engine e(f.c, opts(2.0, 33));
   std::map<long, double> occupancy;
   e.run_events(2000);
@@ -96,22 +80,22 @@ TEST(EngineStatMech, GateShiftsEquilibriumOccupation) {
 // ---- observers and accessors ------------------------------------------------------
 
 TEST(EngineObservers, EventCallbackSeesEveryEvent) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(0.0, 35));
   std::uint64_t called = 0;
   double last_time = -1.0;
-  e.set_event_callback([&](const Engine& eng, const Event& ev) {
+  Event ev;
+  while (called < 500 && e.step(&ev)) {
     ++called;
     EXPECT_GT(ev.time, last_time);
-    EXPECT_EQ(ev.time, eng.time());
+    EXPECT_EQ(ev.time, e.time());
     last_time = ev.time;
-  });
-  e.run_events(500);
+  }
   EXPECT_EQ(called, 500u);
 }
 
 TEST(EngineObservers, JunctionRateAccessorMatchesOrthodox) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(0.0, 37));
   // Junction 1 = (island, drn), backward = electron drn -> island; compare
   // with the orthodox formula at the current (neutral) state.
@@ -123,7 +107,7 @@ TEST(EngineObservers, JunctionRateAccessorMatchesOrthodox) {
 }
 
 TEST(EngineObservers, SetElectronCountsMovesState) {
-  SetFixture f;
+  auto f = make_set();
   Engine e(f.c, opts(0.0));
   EXPECT_NEAR(e.node_voltage(f.island), 0.0, 1e-12);
   e.set_electron_counts({{f.island, -3}});
@@ -134,7 +118,7 @@ TEST(EngineObservers, SetElectronCountsMovesState) {
 }
 
 TEST(EngineObservers, SharedModelGivesIdenticalTrajectories) {
-  SetFixture f1(0.02, -0.02, 0.0), f2(0.02, -0.02, 0.0);
+  auto f1 = make_set(0.02, -0.02, 0.0), f2 = make_set(0.02, -0.02, 0.0);
   auto model = std::make_shared<const ElectrostaticModel>(f1.c);
   Engine a(f1.c, opts(1.0, 41), model);
   Engine b(f2.c, opts(1.0, 41));  // private model, same physics
@@ -149,7 +133,7 @@ TEST(EngineObservers, SharedModelGivesIdenticalTrajectories) {
 }
 
 TEST(EngineObservers, StatsCountersAreConsistent) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, opts(1.0, 43));
   e.run_events(2000);
   const SolverStats s = e.stats();
@@ -164,8 +148,7 @@ TEST(EngineObservers, StatsCountersAreConsistent) {
 TEST(EngineSc2, CooperPairEventsCarryTwoElectrons) {
   // Bias the SSET at the CP resonance so pair events dominate; every event
   // must move charge in units the bookkeeping can absorb exactly.
-  SetFixture f(0.0, 0.0, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   EngineOptions o = opts(0.1, 47);
   Engine e(f.c, o);
   Event ev;
@@ -185,8 +168,7 @@ TEST(EngineSc2, QpTableAutoRangeCoversSweep) {
   // Without an explicit hint the auto range must cover typical biases so
   // the cached path (not the slow integral) is used; indirectly verified by
   // wall-clock-friendly event throughput here.
-  SetFixture f(0.002, -0.002, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.002, -0.002, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, opts(0.3, 49));
   EXPECT_GT(e.run_events(2000), 0u);
 }
@@ -196,8 +178,7 @@ TEST(EngineSc2, QpTableFillsOnlyTheEntriesTheRunReads) {
   // ~15k grid points, while the free-energy changes of a run stay near the
   // bias and bracket about 20 of them. After construction and 10^4 events
   // under 1 % of the entries may be filled.
-  SetFixture f(0.05, -0.05, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.05, -0.05, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, opts(0.05, 51));
   const QuasiparticleRate& table = *e.rate_calculator().qp_unit();
   const std::size_t points = table.table_w().size();
@@ -211,15 +192,14 @@ TEST(EngineSc2, QpTableFillsOnlyTheEntriesTheRunReads) {
 // ---- rate calculator ---------------------------------------------------------------
 
 TEST(RateCalc, RejectsCotunnelingWithSuperconductivity) {
-  SetFixture f;
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   EngineOptions o = opts(0.1);
   o.cotunneling = true;
   EXPECT_THROW(Engine(f.c, o), CircuitError);
 }
 
 TEST(RateCalc, ChargingTermMatchesAnalytic) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel m(f.c);
   EngineOptions o = opts(1.0);
   RateCalculator rc(f.c, m, o);
@@ -229,7 +209,7 @@ TEST(RateCalc, ChargingTermMatchesAnalytic) {
 }
 
 TEST(RateCalc, JunctionRatesAreSymmetricUnderNodeSwap) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel m(f.c);
   EngineOptions o = opts(2.0);
   RateCalculator rc(f.c, m, o);
@@ -244,8 +224,7 @@ TEST(RateCalc, JunctionRatesAreSymmetricUnderNodeSwap) {
 }
 
 TEST(RateCalc, CooperPairChargingIsQuadrupled) {
-  SetFixture f;
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   ElectrostaticModel m(f.c);
   EngineOptions o = opts(0.1);
   RateCalculator rc(f.c, m, o);
@@ -255,8 +234,7 @@ TEST(RateCalc, CooperPairChargingIsQuadrupled) {
 }
 
 TEST(RateCalc, GapFollowsTemperature) {
-  SetFixture f;
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   ElectrostaticModel m(f.c);
   EngineOptions cold = opts(0.05);
   EngineOptions warm = opts(1.0);
@@ -269,7 +247,7 @@ TEST(RateCalc, GapFollowsTemperature) {
 // ---- cotunneling bookkeeping ----------------------------------------------------------
 
 TEST(EngineCot2, CotunnelingMovesChargeThroughBothJunctions) {
-  SetFixture f(0.004, -0.004, 0.0);
+  auto f = make_set(0.004, -0.004, 0.0);
   EngineOptions o = opts(0.0, 51);
   o.cotunneling = true;
   Engine e(f.c, o);

@@ -8,6 +8,7 @@
 #include "analysis/trace.h"
 #include "base/constants.h"
 #include "logic/benchmarks.h"
+#include "logic/devices.h"
 #include "logic/elaborate.h"
 #include "logic/testbench.h"
 #include "netlist/parser.h"
@@ -129,22 +130,14 @@ TEST(GoldenSmoke, Fig1bBlockadeDepthAndAntisymmetry) {
   // at T = 5 K, Vg = 0. Golden tolerances, not bitwise: the blockade floor
   // sits orders of magnitude below the on-current and the ends of the
   // antisymmetric curve agree to ~15%.
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(gate, Waveform::dc(0.0));
+  const auto f = make_set();
 
   EngineOptions o;
   o.temperature = 5.0;
 
   IvSweepConfig cfg;
-  cfg.swept = src;
-  cfg.mirror = drn;
+  cfg.swept = f.src;
+  cfg.mirror = f.drn;
   cfg.from = -0.02;
   cfg.to = 0.02;
   cfg.step = 0.002;
@@ -156,7 +149,7 @@ TEST(GoldenSmoke, Fig1bBlockadeDepthAndAntisymmetry) {
   par.base_seed = 42;
   RunCounters counters;
   const std::vector<IvPoint> curve =
-      run_iv_sweep(c, o, cfg, exec, par, &counters);
+      run_iv_sweep(f.c, o, cfg, exec, par, &counters);
   ASSERT_EQ(curve.size(), 21u);
   const double i_mid = std::abs(curve[10].current);
   const double i_hi = std::abs(curve.back().current);
@@ -232,25 +225,16 @@ TEST(Vpwl, RejectsMalformed) {
 // ---- voltage trace ------------------------------------------------------------
 
 TEST(Trace, RecordsGateStepResponse) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
-  c.set_source(src, Waveform::dc(0.02));
-  c.set_source(drn, Waveform::dc(-0.02));
-  c.set_source(gate, Waveform::step(0.0, 0.05, 10e-9));
+  auto f = make_set(0.02, -0.02);
+  f.c.set_source(f.gate, Waveform::step(0.0, 0.05, 10e-9));
 
   EngineOptions o;
   o.temperature = 4.0;
   o.seed = 3;
-  Engine e(c, o);
+  Engine e(f.c, o);
 
   TraceConfig cfg;
-  cfg.node = island;
+  cfg.node = f.island;
   cfg.t_end = 30e-9;
   cfg.min_spacing = 0.05e-9;
   cfg.smoothing_tau = 1e-9;

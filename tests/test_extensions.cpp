@@ -7,6 +7,7 @@
 #include "analysis/noise.h"
 #include "base/constants.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "logic/elaborate.h"
 #include "logic/logic_parser.h"
 #include "netlist/circuit.h"
@@ -100,26 +101,9 @@ TEST(LogicParser, ErrorPaths) {
 
 // ---- Fano factor ----------------------------------------------------------------
 
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture(double v_src, double v_drn, double v_gate) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-  }
-};
-
 TEST(Fano, PoissonianCotunnelingGivesFanoOne) {
   // Deep blockade at T = 0 with cotunneling: a pure Poisson process.
-  SetFixture f(0.005, -0.005, 0.0);
+  auto f = make_set(0.005, -0.005, 0.0);
   EngineOptions o;
   o.temperature = 0.0;
   o.cotunneling = true;
@@ -144,7 +128,7 @@ TEST(Fano, SymmetricTwoStateCycleSuppressesNoiseToHalf) {
   // Gate at the degeneracy point, small symmetric bias: entry and exit
   // rates are equal and the textbook result is F = 1/2.
   const double vg_deg = kE / (2.0 * 5e-18) / 0.6;
-  SetFixture f(0.005, -0.005, vg_deg);
+  auto f = make_set(0.005, -0.005, vg_deg);
   EngineOptions o;
   o.temperature = 0.0;
   o.seed = 7;
@@ -162,7 +146,7 @@ TEST(Fano, SymmetricTwoStateCycleSuppressesNoiseToHalf) {
 }
 
 TEST(Fano, StuckEngineReportsNoWindows) {
-  SetFixture f(0.0, 0.0, 0.0);
+  auto f = make_set(0.0, 0.0, 0.0);
   EngineOptions o;
   o.temperature = 0.0;
   Engine e(f.c, o);
@@ -178,7 +162,7 @@ TEST(Fano, StuckEngineReportsNoWindows) {
 }
 
 TEST(Fano, ValidatesConfig) {
-  SetFixture f(0.005, -0.005, 0.0);
+  auto f = make_set(0.005, -0.005, 0.0);
   EngineOptions o;
   o.temperature = 1.0;
   Engine e(f.c, o);

@@ -27,55 +27,14 @@
 #include "base/thread_pool.h"
 #include "core/engine.h"
 #include "logic/benchmarks.h"
+#include "logic/devices.h"
 #include "logic/elaborate.h"
-#include "logic/random_logic.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
 #include "obs/checkpoint.h"
 
 namespace semsim {
 namespace {
-
-// ---- circuits -------------------------------------------------------------
-
-struct SetCircuit {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetCircuit(double v_src, double v_drn, double v_gate) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-  }
-};
-
-/// Chain of SET stages (the Fig. 4 scenario): multi-island adaptive flag
-/// propagation plus gate-capacitor coupling. Neighbouring islands are tied
-/// by `coupling_f` when it is positive (the benchmark's ensemble_chain
-/// uses 0.5 aF), else isolated.
-Circuit make_chain(int stages, double coupling_f = 0.0) {
-  Circuit c;
-  const NodeId vp = c.add_external("vp");
-  const NodeId vn = c.add_external("vn");
-  c.set_source(vp, Waveform::dc(0.01));
-  c.set_source(vn, Waveform::dc(-0.01));
-  NodeId prev = Circuit::kGroundNode;
-  for (int s = 0; s < stages; ++s) {
-    const NodeId i = c.add_island();
-    c.add_junction(vp, i, 1e6, 1e-18);
-    c.add_junction(i, vn, 1e6, 1e-18);
-    c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-    if (coupling_f > 0.0 && s > 0) c.add_capacitor(prev, i, coupling_f);
-    prev = i;
-  }
-  return c;
-}
 
 // ---- hashing --------------------------------------------------------------
 
@@ -130,20 +89,20 @@ void expect_golden(std::uint64_t actual, std::uint64_t expected,
 // ---- pinned trajectory hashes ---------------------------------------------
 
 TEST(GoldenTrajectory, SetAdaptive) {
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, engine_opts(1.0, true, 12345));
   expect_golden(trajectory_hash(e, 4000), 0x3dff4b333f4fd0abULL, "SET adaptive");
 }
 
 TEST(GoldenTrajectory, SetNonAdaptive) {
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   Engine e(f.c, engine_opts(1.0, false, 12345));
   expect_golden(trajectory_hash(e, 4000), 0x613495ea4188af1bULL, "SET non-adaptive");
 }
 
 TEST(GoldenTrajectory, SetColdAdaptive) {
   // T = 0: the orthodox-rate branch cut and deep-blockade zero rates.
-  SetCircuit f(0.05, -0.05, 0.004);
+  auto f = make_set(0.05, -0.05, 0.004);
   Engine e(f.c, engine_opts(0.0, true, 777));
   expect_golden(trajectory_hash(e, 4000), 0xd6058553262399e6ULL, "SET cold adaptive");
 }
@@ -151,15 +110,13 @@ TEST(GoldenTrajectory, SetColdAdaptive) {
 TEST(GoldenTrajectory, SsetAdaptiveRequested) {
   // Superconducting circuits route through the non-adaptive path even when
   // adaptive is requested; QP + Cooper-pair channels.
-  SetCircuit f(0.002, -0.002, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.002, -0.002, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, engine_opts(0.3, true, 999));
   expect_golden(trajectory_hash(e, 2000), 0x3bf10ff57b1bc5acULL, "SSET adaptive-requested");
 }
 
 TEST(GoldenTrajectory, SsetNonAdaptive) {
-  SetCircuit f(0.002, -0.002, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.002, -0.002, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, engine_opts(0.3, false, 999));
   expect_golden(trajectory_hash(e, 2000), 0x3bf10ff57b1bc5acULL, "SSET non-adaptive");
 }
@@ -169,8 +126,7 @@ TEST(GoldenTrajectory, SsetFig1cOperatingPoint) {
   // quasi-particle table range: a table an order of magnitude wider in kT
   // than the 0.3 K goldens above, most of whose unfavourable tail lies
   // where the detailed-balance factor underflows.
-  SetCircuit f(0.02, -0.02, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.02, -0.02, 0.0, {.superconducting = kFig1cMaterial});
   Engine e(f.c, engine_opts(0.05, true, 999));
   expect_golden(trajectory_hash(e, 2000), 0xcac4921e498dce20ULL, "SSET 50 mK");
 }
@@ -178,7 +134,7 @@ TEST(GoldenTrajectory, SsetFig1cOperatingPoint) {
 TEST(GoldenTrajectory, CotunnelingAdaptive) {
   // Sub-threshold bias: cotunneling channels carry the current; the SE
   // channels stay adaptive, cotunneling recomputes non-adaptively.
-  SetCircuit f(0.004, -0.004, 0.0);
+  auto f = make_set(0.004, -0.004, 0.0);
   EngineOptions o = engine_opts(0.0, true, 2024);
   o.cotunneling = true;
   Engine e(f.c, o);
@@ -187,27 +143,27 @@ TEST(GoldenTrajectory, CotunnelingAdaptive) {
 
 TEST(GoldenTrajectory, PulsedGateAdaptive) {
   // Waveform breakpoints: source-delta batches through the adaptive path.
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   f.c.set_source(f.gate, Waveform::pulse(0.0, 0.03, 1e-9, 2e-9, 8e-9));
   Engine e(f.c, engine_opts(1.0, true, 4711));
   expect_golden(trajectory_hash(e, 4000), 0xc89d877b785aa698ULL, "pulsed gate adaptive");
 }
 
 TEST(GoldenTrajectory, PulsedGateNonAdaptive) {
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   f.c.set_source(f.gate, Waveform::pulse(0.0, 0.03, 1e-9, 2e-9, 8e-9));
   Engine e(f.c, engine_opts(1.0, false, 4711));
   expect_golden(trajectory_hash(e, 4000), 0xc51adc6c5f0d17d0ULL, "pulsed gate non-adaptive");
 }
 
 TEST(GoldenTrajectory, ChainAdaptive) {
-  const Circuit c = make_chain(8);
+  const Circuit c = make_set_chain(8);
   Engine e(c, engine_opts(0.0, true, 31337));
   expect_golden(trajectory_hash(e, 4000), 0x2f1d6ec72e13f9dcULL, "chain-8 adaptive");
 }
 
 TEST(GoldenTrajectory, ChainNonAdaptive) {
-  const Circuit c = make_chain(8);
+  const Circuit c = make_set_chain(8);
   Engine e(c, engine_opts(0.0, false, 31337));
   expect_golden(trajectory_hash(e, 4000), 0xc1480e041d8ea9bfULL, "chain-8 non-adaptive");
 }
@@ -222,7 +178,7 @@ TEST(RateMemo, KeptOnTheFig1bSet) {
   // charge states, so nearly every thermal rate evaluation repeats one of
   // its channel's last four free-energy changes.
   for (const bool adaptive : {true, false}) {
-    SetCircuit f(0.02, -0.02, 0.01);
+    auto f = make_set(0.02, -0.02, 0.01);
     Engine e(f.c, engine_opts(5.0, adaptive, 1998));
     expect_golden(trajectory_hash(e, 20000),
                   adaptive ? 0xf814600e66e1caf6ULL : 0x49882dfce3642e86ULL,
@@ -237,7 +193,7 @@ TEST(RateMemo, ReleasedOnTheEnsembleChainUnderTheAdaptiveSolver) {
   // free-energy changes have just moved: most probes miss and the memo is
   // released after the first 4096. The non-adaptive solver recomputes
   // every channel each event, most of them unchanged, and keeps it.
-  const Circuit c = make_chain(256, 0.5e-18);
+  const Circuit c = make_set_chain(256, 0.5e-18);
   Engine a(c, engine_opts(4.2, true, 2048));
   expect_golden(trajectory_hash(a, 4000), 0xa4b6f44f963ed0e5ULL,
                 "256-stage chain adaptive");
@@ -253,7 +209,7 @@ TEST(RateMemo, KeptOnA1024StageChainUnderTheNonAdaptiveSolver) {
   // and is not counted; counted, its misses alone would pass the 4096
   // probes with the first event and release the memo. The decision falls
   // on the first two events instead, most of whose probes repeat.
-  const Circuit c = make_chain(1024, 0.5e-18);
+  const Circuit c = make_set_chain(1024, 0.5e-18);
   Engine n(c, engine_opts(4.2, false, 2048));
   expect_golden(trajectory_hash(n, 200), 0x70029b6583ebc9bdULL,
                 "1024-stage chain non-adaptive");
@@ -262,17 +218,17 @@ TEST(RateMemo, KeptOnA1024StageChainUnderTheNonAdaptiveSolver) {
 
 TEST(RateMemo, OffWhereNoChannelIsMemoized) {
   // T = 0 and quasi-particle channels are never memoized.
-  SetCircuit f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   EXPECT_EQ(Engine(f.c, engine_opts(0.0, true, 1)).rate_memo_state(),
             Engine::RateMemoState::kOff);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  f.c.set_superconducting(kFig1cMaterial);
   EXPECT_EQ(Engine(f.c, engine_opts(0.05, true, 1)).rate_memo_state(),
             Engine::RateMemoState::kOff);
 }
 
 // ---- pinned sweep tables (1 and 8 threads) --------------------------------
 
-IvSweepConfig small_sweep(const SetCircuit& f) {
+IvSweepConfig small_sweep(const SetTransistor& f) {
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;
@@ -300,20 +256,19 @@ void expect_sweep_golden(const Circuit& circuit, const EngineOptions& eo,
 }
 
 TEST(GoldenSweep, SetAdaptive) {
-  SetCircuit f(0.0, 0.0, 0.0);
+  auto f = make_set(0.0, 0.0, 0.0);
   expect_sweep_golden(f.c, engine_opts(1.0, true, 42), small_sweep(f), 0xf73fbca040a71e9dULL,
                       "SET sweep adaptive");
 }
 
 TEST(GoldenSweep, SetNonAdaptive) {
-  SetCircuit f(0.0, 0.0, 0.0);
+  auto f = make_set(0.0, 0.0, 0.0);
   expect_sweep_golden(f.c, engine_opts(1.0, false, 42), small_sweep(f), 0xc6d1277da8a46020ULL,
                       "SET sweep non-adaptive");
 }
 
 TEST(GoldenSweep, SsetAdaptiveRequested) {
-  SetCircuit f(0.0, 0.0, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   IvSweepConfig cfg = small_sweep(f);
   cfg.measure.warmup_events = 100;
   cfg.measure.measure_events = 600;
@@ -324,8 +279,7 @@ TEST(GoldenSweep, SsetAdaptiveRequested) {
 TEST(GoldenSweep, SsetFig1cTwoPoints) {
   // 50 mK, +-50 mV, one point per work unit: two unit engines on the
   // sweep's default quasi-particle table range.
-  SetCircuit f(0.0, 0.0, 0.0);
-  f.c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
+  auto f = make_set(0.0, 0.0, 0.0, {.superconducting = kFig1cMaterial});
   IvSweepConfig cfg = small_sweep(f);
   cfg.from = -0.05;
   cfg.to = 0.05;
@@ -375,35 +329,6 @@ Circuit full_adder_circuit() {
   return elab.circuit();
 }
 
-/// A seeded `blocks` x `block_junctions` random-logic fabric built like the
-/// benchmark's logic_fabric: adjacent blocks' chain outputs tied by 0.5 aF
-/// couplers, a phase-staggered pulse on each block's chain input.
-Circuit random_fabric_circuit(std::size_t blocks, std::size_t block_junctions,
-                              std::uint64_t seed) {
-  RandomLogicSpec spec;
-  spec.target_junctions = block_junctions;
-  spec.seed = seed;
-  const RandomLogicBlocks rb = make_random_logic_blocks(spec, blocks);
-  const SetLogicParams params{};
-  ElaboratedCircuit elab = elaborate(rb.netlist, params);
-  Circuit& c = elab.circuit();
-  for (std::size_t b = 0; b + 1 < blocks; ++b) {
-    c.add_capacitor(elab.node(rb.chain_out[b]), elab.node(rb.chain_out[b + 1]),
-                    0.5e-18);
-  }
-  const auto& ins = rb.netlist.inputs();
-  const std::size_t per_block = ins.size() / blocks;
-  for (std::size_t i = 0; i < ins.size(); ++i) {
-    const double delay = 20e-9 * static_cast<double>(i / per_block) /
-                         static_cast<double>(blocks);
-    c.set_source(elab.node(ins[i]),
-                 i % per_block == 0
-                     ? Waveform::pulse(0.0, params.vdd, delay, 10e-9, 20e-9)
-                     : Waveform::dc(0.0));
-  }
-  return c;
-}
-
 TEST(GoldenModel, FullAdder) {
   const Circuit c = full_adder_circuit();
   expect_golden(model_hash(ElectrostaticModel(c)), 0x186e1961b0329a82ULL,
@@ -414,7 +339,7 @@ TEST(GoldenModel, FullAdder) {
 }
 
 TEST(GoldenModel, RandomFabric) {
-  const Circuit c = random_fabric_circuit(2, 128, 2008);
+  const Circuit c = make_logic_fabric(2, 128, 2008);
   expect_golden(model_hash(ElectrostaticModel(c)), 0xb5f9449c5dabb7f9ULL,
                 "2 x 128 fabric model");
   Engine e(c, engine_opts(SetLogicParams{}.temperature, true, 1702));
@@ -425,7 +350,7 @@ TEST(GoldenModel, RandomFabric) {
 // The benchmark's scale: 1152 islands, where whole runs of a column's
 // envelope are zero.
 TEST(GoldenModel, BenchmarkScaleFabric) {
-  const Circuit c = random_fabric_circuit(4, 384, 2008);
+  const Circuit c = make_logic_fabric(4, 384, 2008);
   expect_golden(model_hash(ElectrostaticModel(c)), 0x48f31789f8f8b835ULL,
                 "4 x 384 fabric model");
 }

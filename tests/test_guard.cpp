@@ -29,6 +29,7 @@
 #include "guard/integrity.h"
 #include "guard/retry.h"
 #include "io/json.h"
+#include "logic/devices.h"
 #include "netlist/parser.h"
 #include "obs/checkpoint.h"
 
@@ -148,17 +149,6 @@ TEST(RetrySeed, RetriesGetFreshButDeterministicStreams) {
   EXPECT_NE(retry_stream_seed(8, 3, 1), retry_stream_seed(7, 3, 1));
 }
 
-TEST(RetryPolicy_, BackoffDoublesAndCaps) {
-  RetryPolicy p;
-  p.backoff_base_seconds = 0.1;
-  p.backoff_cap_seconds = 0.35;
-  EXPECT_DOUBLE_EQ(retry_backoff_seconds(p, 1), 0.1);
-  EXPECT_DOUBLE_EQ(retry_backoff_seconds(p, 2), 0.2);
-  EXPECT_DOUBLE_EQ(retry_backoff_seconds(p, 3), 0.35);  // capped
-  p.backoff_base_seconds = 0.0;  // the default: in-process retries never sleep
-  EXPECT_DOUBLE_EQ(retry_backoff_seconds(p, 5), 0.0);
-}
-
 TEST(RetryPolicy_, ShouldRetryRespectsStrictAttemptsAndSeverity) {
   RetryPolicy p;
   p.max_attempts = 3;
@@ -213,24 +203,7 @@ TEST(FaultInjectorTest, EmptyPlanIsNeverArmed) {
   EXPECT_FALSE(FaultInjector().armed());
 }
 
-// ---- fixture: the paper's SET --------------------------------------------
-
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture() {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(0.02));
-    c.set_source(drn, Waveform::dc(-0.02));
-    c.set_source(gate, Waveform::dc(0.0));
-  }
-};
+// ---- fixture: the paper's SET at +-20 mV (make_set) -----------------------
 
 EngineOptions faulty_opts(const FaultPlan* plan,
                           std::uint64_t audit_interval = 16) {
@@ -267,7 +240,7 @@ TEST(FaultDetection, NanRateIsRejectedAtTheFenwickSetter) {
   // The corruption attempt itself trips the guarded setter (satellite:
   // FenwickTree::set validates weights) — detection is immediate, before
   // the poisoned total can bias a single sampling decision.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kNanRate, 50));
   Engine engine(fx.c, faulty_opts(&plan));
@@ -276,7 +249,7 @@ TEST(FaultDetection, NanRateIsRejectedAtTheFenwickSetter) {
 }
 
 TEST(FaultDetection, InfRateIsRejectedAtTheFenwickSetter) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kInfRate, 50));
   Engine engine(fx.c, faulty_opts(&plan));
@@ -285,7 +258,7 @@ TEST(FaultDetection, InfRateIsRejectedAtTheFenwickSetter) {
 }
 
 TEST(FaultDetection, NegativeRateIsRejectedAtTheFenwickSetter) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kNegativeRate, 50));
   Engine engine(fx.c, faulty_opts(&plan));
@@ -298,7 +271,7 @@ TEST(FaultDetection, NanPotentialNeverSurvivesAnEvent) {
   // poisoned potential, so the NaN is caught the moment it flows anywhere:
   // either as a non-finite rate at the guarded Fenwick setter or as a
   // non-finite potential at the audit — both within the same event.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kNanPotential, 50));
   Engine engine(fx.c, faulty_opts(&plan, /*audit_interval=*/16));
@@ -338,7 +311,7 @@ TEST(InvariantAuditorTest, DetectsNonFinitePotentialDirectly) {
 TEST(FaultDetection, CorruptChargeTripsChargeConservation) {
   // An electron added with no matching junction transfer must be flagged by
   // the transferred-charge balance check at the next audit.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kCorruptCharge, 50));
   Engine engine(fx.c, faulty_opts(&plan, /*audit_interval=*/16));
@@ -354,7 +327,7 @@ TEST(FaultDetection, CorruptDeltaWIsCaughtByTheAuditInAdaptiveMode) {
   // is electrically isolated from the active SET: its ΔW slots are never
   // rewritten by events, so only the auditor's finiteness check over the
   // stored ΔW array can see the fault.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   const NodeId lead = fx.c.add_external("blk_lead");
   const NodeId blk = fx.c.add_island("blk_island");
   fx.c.add_junction(lead, blk, 1e6, 1e-18);   // junction 2 -> channels 4,5
@@ -383,7 +356,7 @@ TEST(FaultDetection, CorruptDeltaWSelfHealsInNonAdaptiveMode) {
   // corruption is overwritten before any kernel or audit reads it. This is
   // the documented semantics, and it doubles as coverage for the auditor's
   // synced ΔW-vs-recompute drift check running clean on every audit.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kCorruptDeltaW, 50));
   EngineOptions o = faulty_opts(&plan, /*audit_interval=*/1);
@@ -513,7 +486,7 @@ jumps 70000
 }
 
 TEST(FaultDetection, StalledClockTripsTheNoProgressWatchdog) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   plan.faults.push_back(fault(FaultKind::kStallClock, 10));
   EngineOptions o = faulty_opts(&plan, /*audit_interval=*/64);
@@ -523,7 +496,7 @@ TEST(FaultDetection, StalledClockTripsTheNoProgressWatchdog) {
 }
 
 TEST(FaultDetection, SleepTripsTheWallClockWatchdog) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   FaultSpec f = fault(FaultKind::kSleep, 8);
   f.millis = 50;
@@ -536,7 +509,7 @@ TEST(FaultDetection, SleepTripsTheWallClockWatchdog) {
 }
 
 TEST(FaultDetection, CleanRunAuditsAndStaysSilent) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   Engine engine(fx.c, faulty_opts(nullptr, /*audit_interval=*/16));
   engine.run_events(2000);
   const IntegrityReport& rep = engine.integrity_report();
@@ -546,7 +519,7 @@ TEST(FaultDetection, CleanRunAuditsAndStaysSilent) {
 }
 
 TEST(FaultDetection, DisabledAuditRunsNoChecks) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   EngineOptions o = faulty_opts(nullptr);
   o.audit.enabled = false;
   Engine engine(fx.c, o);
@@ -664,7 +637,7 @@ TEST(CheckpointSalvage, ChecksumFailureDropsFromTheBadRecordOn) {
 
 // ---- fault-isolated sweeps ------------------------------------------------
 
-IvSweepConfig small_sweep(const SetFixture& fx) {
+IvSweepConfig small_sweep(const SetTransistor& fx) {
   IvSweepConfig cfg;
   cfg.swept = fx.src;
   cfg.mirror = fx.drn;
@@ -692,7 +665,7 @@ void poison_unit(FaultPlan& plan, std::uint64_t unit, std::uint32_t first,
 std::vector<IvPoint> sweep_with_plan(const FaultPlan* plan, unsigned threads,
                                      bool strict = false,
                                      IntegrityReport* integrity = nullptr) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   IvSweepConfig cfg = small_sweep(fx);
   cfg.retry.strict = strict;
   EngineOptions o;
@@ -793,7 +766,7 @@ TEST(SweepFaultIsolation, SerialSweepRetriesOnItsOwnEngine) {
   // One chunk holding all six points (the serial, warm-started sweep): the
   // fault fails point 0, the chunk moves to a fresh engine on its own retry
   // stream, and that engine carries every later point.
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   FaultPlan plan;
   // Any unit (the single chunk is unit 0), attempt 0 only.
   FaultSpec f = fault(FaultKind::kNanRate, 300);
@@ -817,7 +790,7 @@ TEST(SweepFaultIsolation, SerialSweepRetriesOnItsOwnEngine) {
 // ---- fault-isolated stability maps ---------------------------------------
 
 TEST(MapFaultIsolation, PoisonedCellDegradesAndMapsStayIdentical) {
-  SetFixture fx;
+  auto fx = make_set(0.02, -0.02);
   StabilityMapConfig cfg;
   cfg.bias_node = fx.src;
   cfg.mirror = fx.drn;

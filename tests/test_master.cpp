@@ -7,6 +7,7 @@
 #include "analysis/current.h"
 #include "base/constants.h"
 #include "core/engine.h"
+#include "logic/devices.h"
 #include "master/master_equation.h"
 #include "master/state_space.h"
 #include "physics/cotunneling.h"
@@ -15,23 +16,6 @@ namespace semsim {
 namespace {
 
 constexpr double kE = kElementaryCharge;
-
-struct SetFixture {
-  Circuit c;
-  NodeId src, drn, gate, island;
-  SetFixture(double v_src = 0.0, double v_drn = 0.0, double v_gate = 0.0) {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    gate = c.add_external("gate");
-    island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(v_src));
-    c.set_source(drn, Waveform::dc(v_drn));
-    c.set_source(gate, Waveform::dc(v_gate));
-  }
-};
 
 EngineOptions opts(double t) {
   EngineOptions o;
@@ -42,7 +26,7 @@ EngineOptions opts(double t) {
 // ---- state space -----------------------------------------------------------------
 
 TEST(StateSpace, ContainsNeutralAndChargedStates) {
-  SetFixture f(0.02, -0.02, 0.0);
+  auto f = make_set(0.02, -0.02, 0.0);
   ElectrostaticModel m(f.c);
   StateSpaceOptions so;
   so.temperature = 1.0;
@@ -56,7 +40,7 @@ TEST(StateSpace, ContainsNeutralAndChargedStates) {
 }
 
 TEST(StateSpace, EnergiesMatchChargingFormula) {
-  SetFixture f;  // all sources 0
+  auto f = make_set();  // all sources 0
   ElectrostaticModel m(f.c);
   StateSpaceOptions so;
   so.temperature = 10.0;
@@ -73,7 +57,7 @@ TEST(StateSpace, EnergiesMatchChargingFormula) {
 }
 
 TEST(StateSpace, RespectsOccupationBound) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel m(f.c);
   StateSpaceOptions so;
   so.temperature = 300.0;  // hot: everything thermally reachable
@@ -83,7 +67,7 @@ TEST(StateSpace, RespectsOccupationBound) {
 }
 
 TEST(StateSpace, BudgetOverflowThrows) {
-  SetFixture f;
+  auto f = make_set();
   ElectrostaticModel m(f.c);
   StateSpaceOptions so;
   so.temperature = 300.0;
@@ -97,7 +81,7 @@ TEST(MasterEq, MatchesThreeStateAnalyticAtZeroTemperature) {
   // Same analytic reference as the engine test: symmetric bias above
   // threshold, Vg = 0 -> I = 2 e Ga Gb / (Gb + 2 Ga).
   const double v_half = 0.02;
-  SetFixture f(v_half, -v_half, 0.0);
+  auto f = make_set(v_half, -v_half, 0.0);
   MasterEquationSolver me(f.c, opts(0.0));
   const double c_sigma = 5e-18;
   const double u = kE * kE / (2.0 * c_sigma);
@@ -112,7 +96,7 @@ TEST(MasterEq, MatchesThreeStateAnalyticAtZeroTemperature) {
 
 TEST(MasterEq, EquilibriumIsBoltzmann) {
   const double temp = 20.0;
-  SetFixture f;
+  auto f = make_set();
   MasterEquationSolver me(f.c, opts(temp));
   const double u = kE * kE / (2.0 * 5e-18);
   const double expected = std::exp(-u / (kBoltzmann * temp));
@@ -127,8 +111,8 @@ TEST(MasterEq, EquilibriumIsBoltzmann) {
 
 TEST(MasterEq, GatePeriodicity) {
   const double period = kE / 3e-18;
-  SetFixture f1(0.01, -0.01, 0.013);
-  SetFixture f2(0.01, -0.01, 0.013 + period);
+  auto f1 = make_set(0.01, -0.01, 0.013);
+  auto f2 = make_set(0.01, -0.01, 0.013 + period);
   MasterEquationSolver m1(f1.c, opts(5.0));
   MasterEquationSolver m2(f2.c, opts(5.0));
   const double i1 = m1.junction_current(0);
@@ -142,7 +126,7 @@ TEST(MasterEq, GatePeriodicity) {
 
 TEST(MasterEq, CotunnelingBlockadeCurrentMatchesClosedForm) {
   const double v_half = 0.005;
-  SetFixture f(v_half, -v_half, 0.0);
+  auto f = make_set(v_half, -v_half, 0.0);
   EngineOptions o = opts(0.0);
   o.cotunneling = true;
   MasterEquationSolver me(f.c, o);
@@ -158,14 +142,14 @@ TEST(MasterEq, FiniteTemperatureCotunnelingMatchesMonteCarlo) {
   // and second-order channels flow; the ME sums them exactly, the MC
   // samples them — they must agree.
   const double v_half = 0.006;
-  SetFixture fm(v_half, -v_half, 0.0);
+  auto fm = make_set(v_half, -v_half, 0.0);
   EngineOptions o = opts(3.0);
   o.cotunneling = true;
   MasterEquationSolver me(fm.c, o);
   const double i_me = me.junction_current(0);
   ASSERT_GT(i_me, 0.0);
 
-  SetFixture fe(v_half, -v_half, 0.0);
+  auto fe = make_set(v_half, -v_half, 0.0);
   o.seed = 17;
   Engine mc(fe.c, o);
   const CurrentEstimate est = measure_mean_current(
@@ -182,21 +166,12 @@ TEST(MasterEq, JqpResonanceAppearsInStationarySolution) {
       0.21e-3 * kElectronVolt / std::tanh(1.74 * std::sqrt(tc / temp - 1.0));
 
   auto sset_current = [&](double vb, double vg) {
-    Circuit c;
-    const NodeId src = c.add_external("src");
-    const NodeId drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, rj, 110e-18);
-    c.add_junction(island, drn, rj, 110e-18);
-    c.add_capacitor(gate, island, 14e-18);
-    c.set_background_charge(island, 0.65);
-    c.set_superconducting({delta0, tc});
-    c.set_source(src, Waveform::dc(vb));
-    c.set_source(gate, Waveform::dc(vg));
+    const auto f = make_set(vb, 0.0, vg,
+                            {rj, 110e-18, 14e-18, 0.65,
+                             SuperconductingParams{delta0, tc}});
     EngineOptions o = opts(temp);
     o.qp_table_half_range = 40.0 * delta0;
-    MasterEquationSolver me(c, o);
+    MasterEquationSolver me(f.c, o);
     return std::abs(me.junction_current(0));
   };
   // Resonance bias for Vg = 8 mV computed as in bench/text_jqp_validation.
@@ -216,11 +191,11 @@ class MeVsMc : public ::testing::TestWithParam<double> {};
 TEST_P(MeVsMc, CurrentsAgreeAcrossBias) {
   const double v_half = GetParam();
   const double temp = 2.0;
-  SetFixture fm(v_half, -v_half, 0.005);
+  auto fm = make_set(v_half, -v_half, 0.005);
   MasterEquationSolver me(fm.c, opts(temp));
   const double i_me = me.junction_current(0);
 
-  SetFixture fe(v_half, -v_half, 0.005);
+  auto fe = make_set(v_half, -v_half, 0.005);
   EngineOptions eo = opts(temp);
   eo.seed = 77;
   Engine mc(fe.c, eo);
@@ -241,16 +216,14 @@ INSTANTIATE_TEST_SUITE_P(BiasSweep, MeVsMc,
 TEST(MeVsMcSc, SupercurrentAgreesAboveGap) {
   // SSET above the quasi-particle threshold: ME with QP + CP channels vs MC.
   const double v_half = 0.019;
-  const double delta0 = 0.2e-3 * kElectronVolt;
-  SetFixture fm(v_half, -v_half, 0.0);
-  fm.c.set_superconducting({delta0, 1.2});
+  const SetElements sset{.superconducting = kFig1cMaterial};
+  auto fm = make_set(v_half, -v_half, 0.0, sset);
   EngineOptions o = opts(0.3);
-  o.qp_table_half_range = 40.0 * delta0;
+  o.qp_table_half_range = 40.0 * kFig1cMaterial.delta0;
   MasterEquationSolver me(fm.c, o);
   const double i_me = me.junction_current(0);
 
-  SetFixture fe(v_half, -v_half, 0.0);
-  fe.c.set_superconducting({delta0, 1.2});
+  auto fe = make_set(v_half, -v_half, 0.0, sset);
   o.seed = 5;
   Engine mc(fe.c, o);
   const CurrentEstimate est = measure_mean_current(

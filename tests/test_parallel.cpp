@@ -17,6 +17,7 @@
 #include "analysis/sweep.h"
 #include "base/random.h"
 #include "base/thread_pool.h"
+#include "logic/devices.h"
 
 namespace semsim {
 namespace {
@@ -228,22 +229,15 @@ TEST(Determinism, MultiSeedRepeatsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, StabilityMapBitwiseIdenticalAcrossThreadCounts) {
-  Circuit c;
-  const NodeId src = c.add_external("src");
-  const NodeId drn = c.add_external("drn");
-  const NodeId gate = c.add_external("gate");
-  const NodeId island = c.add_island("island");
-  c.add_junction(src, island, 1e6, 1e-18);
-  c.add_junction(island, drn, 1e6, 1e-18);
-  c.add_capacitor(gate, island, 3e-18);
+  const auto f = make_set();
 
   EngineOptions o;
   o.temperature = 5.0;
 
   StabilityMapConfig cfg;
-  cfg.bias_node = src;
-  cfg.mirror = drn;
-  cfg.gate_node = gate;
+  cfg.bias_node = f.src;
+  cfg.mirror = f.drn;
+  cfg.gate_node = f.gate;
   cfg.bias_values = {0.005, 0.01, 0.015, 0.02};
   cfg.gate_values = {0.0, 0.01, 0.02, 0.03, 0.04};
   cfg.probes = {{0, 1.0}, {1, 1.0}};
@@ -254,7 +248,7 @@ TEST(Determinism, StabilityMapBitwiseIdenticalAcrossThreadCounts) {
   std::vector<std::vector<std::vector<double>>> maps;
   for (const unsigned threads : {1u, 2u, 8u}) {
     const ParallelExecutor exec(threads);
-    maps.push_back(run_stability_map(c, o, cfg, exec, par));
+    maps.push_back(run_stability_map(f.c, o, cfg, exec, par));
   }
   for (std::size_t k = 1; k < maps.size(); ++k) {
     ASSERT_EQ(maps[0].size(), maps[k].size());

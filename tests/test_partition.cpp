@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "core/partition.h"
 #include "guard/fault.h"
+#include "logic/devices.h"
 #include "master/master_equation.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
@@ -29,30 +30,11 @@
 namespace semsim {
 namespace {
 
-/// The perf gate's chain scenario: `stages` independent double-junction
-/// SETs between shared +-10 mV rails, neighbouring islands tied by
-/// `coupling_f`. At 0.5 aF against the 20 aF ground caps the normalized
-/// kappa coupling sits just below the planner's default threshold (the cut
-/// regime); at 5 aF it is far above it (the refuse-to-cut regime).
-Circuit stage_circuit(int stages, double coupling_f) {
-  Circuit c;
-  const NodeId vp = c.add_external("vp");
-  const NodeId vn = c.add_external("vn");
-  c.set_source(vp, Waveform::dc(0.01));
-  c.set_source(vn, Waveform::dc(-0.01));
-  NodeId prev = Circuit::kGroundNode;
-  for (int s = 0; s < stages; ++s) {
-    const NodeId i = c.add_island();
-    c.add_junction(vp, i, 1e6, 1e-18);
-    c.add_junction(i, vn, 1e6, 1e-18);
-    c.add_capacitor(i, Circuit::kGroundNode, 20e-18);
-    if (coupling_f > 0.0 && s > 0) c.add_capacitor(prev, i, coupling_f);
-    prev = i;
-  }
-  c.build_caches();
-  return c;
-}
-
+/// The perf gate's chain scenario (make_set_chain): neighbouring islands
+/// tied by kWeak or kStrong. At 0.5 aF against the 20 aF ground caps the
+/// normalized kappa coupling sits just below the planner's default
+/// threshold (the cut regime); at 5 aF it is far above it (the
+/// refuse-to-cut regime).
 constexpr double kWeak = 0.5e-18;
 constexpr double kStrong = 5e-18;
 
@@ -84,7 +66,7 @@ void expect_snapshots_equal(const EngineSnapshot& a, const EngineSnapshot& b) {
 // ---- planner --------------------------------------------------------------
 
 TEST(PartitionPlan, PureFunctionOfCircuitAndSpec) {
-  const Circuit c = stage_circuit(8, kWeak);
+  const Circuit c = make_set_chain(8, kWeak);
   const ElectrostaticModel m(c);
   const PartitionSpec spec = spec_for(4);
 
@@ -111,7 +93,7 @@ TEST(PartitionPlan, PureFunctionOfCircuitAndSpec) {
 }
 
 TEST(PartitionPlan, RefusesToCutStrongCoupling) {
-  const Circuit c = stage_circuit(8, kStrong);
+  const Circuit c = make_set_chain(8, kStrong);
   const ElectrostaticModel m(c);
   const PartitionPlan p = build_partition_plan(c, m, spec_for(4));
   // One strongly-coupled component: the planner never cuts it, no matter
@@ -125,7 +107,7 @@ TEST(PartitionPlan, RefusesToCutStrongCoupling) {
 // ---- 1-cluster bitwise-vs-solo contract ----------------------------------
 
 TEST(PartitionEngine, OneClusterIsBitwiseIdenticalToSoloEngine) {
-  const Circuit c = stage_circuit(6, kWeak);
+  const Circuit c = make_set_chain(6, kWeak);
   const ElectrostaticModel m(c);
   const EngineOptions o = base_options();
 
@@ -156,7 +138,7 @@ TEST(PartitionEngine, OneClusterIsBitwiseIdenticalToSoloEngine) {
 // ---- k-cluster thread-count invariance ------------------------------------
 
 TEST(PartitionEngine, WindowedRunIsThreadCountInvariant) {
-  const Circuit c = stage_circuit(8, kWeak);
+  const Circuit c = make_set_chain(8, kWeak);
   const ElectrostaticModel m(c);
   const EngineOptions o = base_options(7);
 
@@ -190,7 +172,7 @@ TEST(PartitionEngine, WindowedRunIsThreadCountInvariant) {
 // ---- cross-cut charge audit under fault injection --------------------------
 
 TEST(PartitionEngine, WindowAuditCatchesCorruptedCharge) {
-  const Circuit c = stage_circuit(8, kWeak);
+  const Circuit c = make_set_chain(8, kWeak);
   const ElectrostaticModel m(c);
 
   FaultPlan plan;
@@ -220,7 +202,7 @@ TEST(PartitionEngine, WindowAuditCatchesCorruptedCharge) {
 }
 
 TEST(PartitionEngine, CleanRunPassesEveryWindowAudit) {
-  const Circuit c = stage_circuit(8, kWeak);
+  const Circuit c = make_set_chain(8, kWeak);
   const ElectrostaticModel m(c);
   const ParallelExecutor exec(2);
   PartitionedEngine part(c, m, base_options(3), spec_for(2), &exec);
@@ -287,7 +269,7 @@ struct TempFile {
 
 SimulationInput partitioned_input() {
   SimulationInput in;
-  in.circuit = stage_circuit(4, kWeak);
+  in.circuit = make_set_chain(4, kWeak);
   in.temperature = 0.0;
   in.record_junctions = {0, 1};
   in.max_jumps = 3000;
@@ -515,7 +497,7 @@ TEST(PartitionEngine, BarriersAddNoFullRefresh) {
   // A window barrier steps the boundary mirrors through the source-edge
   // path, so an adaptive cluster's full refreshes are its construction
   // and its periodic schedule, whatever the mirrors did.
-  const Circuit c = stage_circuit(8, kWeak);
+  const Circuit c = make_set_chain(8, kWeak);
   const ElectrostaticModel m(c);
   EngineOptions o = base_options(11);
   constexpr std::uint64_t kInterval = 500;
@@ -619,7 +601,7 @@ TEST(PartitionOracle, WeakChainMatchesTheMasterEquation) {
   // mean-field boundary error is first order in the cut coupling, far
   // inside the tolerance. 7^4 = 2401 master-equation states.
   SimulationInput in;
-  in.circuit = stage_circuit(4, kWeak);
+  in.circuit = make_set_chain(4, kWeak);
   in.temperature = 4.2;
   in.record_junctions = {0, 2, 4, 6};
   in.max_jumps = 200000;

@@ -687,8 +687,10 @@ struct ServerFixture {
 
   explicit ServerFixture(std::size_t max_request_bytes = 4u << 20)
       : dir("semsim_serve_sock"),
-        sched_cfg{/*threads=*/2, /*cache_bytes=*/64u << 20,
-                  /*spool_dir=*/""},
+        sched_cfg{.threads = 2,
+                  .cache_bytes = 64u << 20,
+                  .spool_dir = "",
+                  .journal_path = ""},
         scheduler(sched_cfg),
         server_cfg{make_server_config(max_request_bytes)},
         server(server_cfg, scheduler),

@@ -30,6 +30,7 @@
 #include "base/constants.h"
 #include "base/error.h"
 #include "base/random.h"
+#include "logic/devices.h"
 
 namespace semsim {
 namespace {
@@ -402,25 +403,9 @@ TEST(RunSequence, ExhaustedAdvanceEndsTheSequence) {
 // ---- one quasi-particle table per run ---------------------------------------
 
 /// The Fig. 1c superconducting SET at +-2 mV.
-struct Sset {
-  Circuit c;
-  NodeId src = 0;
-  NodeId drn = 0;
-  Sset() {
-    src = c.add_external("src");
-    drn = c.add_external("drn");
-    const NodeId gate = c.add_external("gate");
-    const NodeId island = c.add_island("island");
-    c.add_junction(src, island, 1e6, 1e-18);
-    c.add_junction(island, drn, 1e6, 1e-18);
-    c.add_capacitor(gate, island, 3e-18);
-    c.set_source(src, Waveform::dc(0.002));
-    c.set_source(drn, Waveform::dc(-0.002));
-    c.set_source(gate, Waveform::dc(0.0));
-    c.set_superconducting({0.2e-3 * kElectronVolt, 1.2});
-    c.build_caches();
-  }
-};
+SetTransistor sset() {
+  return make_set(0.002, -0.002, 0.0, {.superconducting = kFig1cMaterial});
+}
 
 /// 0.3 K on an explicit +-40 meV table: it covers every free-energy change
 /// of the +-2 mV operating points (the charging term is ~16 meV), yet is a
@@ -439,7 +424,8 @@ struct Trajectory : UnitWork {
 };
 
 std::vector<Trajectory> run_trajectories(
-    const Sset& f, const std::shared_ptr<const ElectrostaticModel>& model,
+    const SetTransistor& f,
+    const std::shared_ptr<const ElectrostaticModel>& model,
     const std::shared_ptr<const QuasiparticleRate>& table, unsigned threads) {
   Units<Trajectory> units;
   units.count = 4;
@@ -468,7 +454,7 @@ bool same_entries(const std::vector<double>& a, const std::vector<double>& b) {
 class QpTableSharing : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(QpTableSharing, UnitEnginesHoldTheRunTableAndStepLikePrivateOnes) {
-  const Sset f;
+  const auto f = sset();
   const auto model = std::make_shared<const ElectrostaticModel>(f.c);
   const auto table = build_qp_table(f.c, *model, sset_options());
   ASSERT_TRUE(table && table->has_table());
@@ -498,7 +484,7 @@ TEST(QpTableSharing, ConcurrentReadersFillEveryEntryWithTheSerialBits) {
   // order and released together, so they race to fill each entry. Every
   // entry must end memcmp-equal to a serial fill, and every read must equal
   // the serial table's.
-  const Sset f;
+  const auto f = sset();
   const auto model = std::make_shared<const ElectrostaticModel>(f.c);
   const auto shared = build_qp_table(f.c, *model, sset_options());
   const auto serial = build_qp_table(f.c, *model, sset_options());
@@ -535,7 +521,7 @@ TEST(QpTableSharing, ConcurrentReadersFillEveryEntryWithTheSerialBits) {
 TEST_P(QpTableSharing, ParallelSsetSweepIsThreadCountInvariant) {
   // One point per unit: every point's engine reads the sweep's one table,
   // concurrently at 8 threads.
-  const Sset f;
+  const auto f = sset();
   IvSweepConfig cfg;
   cfg.swept = f.src;
   cfg.mirror = f.drn;
@@ -563,7 +549,7 @@ TEST_P(QpTableSharing, ParallelSsetSweepIsThreadCountInvariant) {
 INSTANTIATE_TEST_SUITE_P(Threads, QpTableSharing, ::testing::Values(1u, 8u));
 
 TEST(QpTableSharing, TableOfAnotherTemperatureOrRangeIsNotAdopted) {
-  const Sset f;
+  const auto f = sset();
   const auto model = std::make_shared<const ElectrostaticModel>(f.c);
   const EngineOptions eo = sset_options();
   EngineOptions warmer = eo;

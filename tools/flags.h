@@ -111,7 +111,6 @@ inline PerturbationSpec::Dist parse_dist(const char* flag,
   SEMSIM_SPEC_FLAG_(flag, spec->member = parse_count(flag, v))
 #define SEMSIM_FIELD_CLI_F64(member, flag) \
   SEMSIM_SPEC_FLAG_(flag, spec->member = parse_f64(flag, v))
-#define SEMSIM_FIELD_CLI_BOOL(member, flag)  // no boolean spec fields
 #define SEMSIM_FIELD_CLI_DIST(member, flag) \
   SEMSIM_SPEC_FLAG_(flag, spec->member = parse_dist(flag, v))
 
@@ -137,7 +136,6 @@ inline bool parse_partition_flag(const std::string& a, int argc, char** argv,
 #undef SEMSIM_FIELD_CLI_U64
 #undef SEMSIM_FIELD_CLI_U32
 #undef SEMSIM_FIELD_CLI_F64
-#undef SEMSIM_FIELD_CLI_BOOL
 #undef SEMSIM_FIELD_CLI_DIST
 
 }  // namespace semsim
