@@ -3,10 +3,17 @@
 // Monte-Carlo steps for both solvers on parametric chain circuits.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
 #include "base/constants.h"
 #include "base/fenwick.h"
 #include "base/random.h"
 #include "core/engine.h"
+#include "io/envelope.h"
 #include "linalg/cholesky.h"
 #include "logic/devices.h"
 #include "netlist/circuit.h"
@@ -16,6 +23,7 @@
 #include "physics/cotunneling.h"
 #include "physics/qp_rate.h"
 #include "physics/rates.h"
+#include "serve/journal.h"
 #include "spice/set_model.h"
 
 namespace semsim {
@@ -335,6 +343,46 @@ void BM_CholeskyFactor(benchmark::State& state) {
   state.counters["islands"] = static_cast<double>(c_ii.rows());
 }
 BENCHMARK(BM_CholeskyFactor)->Unit(benchmark::kMillisecond);
+
+// Opening the daemon's job journal on a restart: one sized read, then every
+// frame checked (FNV-1a over the body) and decoded where it lies. 1,000
+// submit + done pairs carrying 4 KB documents (4.54 MB), written once; the
+// file is whole, so no open truncates anything.
+void BM_JournalReplay(benchmark::State& state) {
+  const std::string path =
+      "/tmp/semsim_bm_journal." + std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  {
+    RequestEnvelope env;
+    env.verb = RequestEnvelope::Verb::kSubmit;
+    env.netlist =
+        "num ext 3\nnum nodes 4\njunc 1 1 4 1meg 1a\njunc 2 4 2 1meg 1a\n"
+        "cap 3 4 3a\nvdc 3 0.0\nsymm 2\ntemp 5\nrecord 1 2\n"
+        "jumps 2000\nsweep 1 0.01 0.002\n";
+    JobJournal journal(path);
+    JournalRecord submit;
+    submit.type = JournalRecord::Type::kSubmit;
+    JournalRecord done;
+    done.type = JournalRecord::Type::kDone;
+    done.document.assign(4096, 'd');
+    for (std::uint64_t id = 1; id <= 1000; ++id) {
+      env.seed = id;
+      submit.job_id = id;
+      submit.envelope_json = encode_request_envelope(env);
+      journal.append(submit);
+      done.job_id = id;
+      journal.append(done);
+    }
+  }
+  for (auto _ : state) {
+    JobJournal journal(path);
+    benchmark::DoNotOptimize(journal.take_records());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * std::filesystem::file_size(path)));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_JournalReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semsim

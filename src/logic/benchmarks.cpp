@@ -159,7 +159,7 @@ LogicBenchmark make_74148() {
   b.paper_junctions = 336;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> in;
-  for (int i = 0; i < 8; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) in.push_back(n.add_input(std::string("i") + std::to_string(i)));
   const SignalId n2 = n.add(Op::kInv, in[2]);
   const SignalId n4 = n.add(Op::kInv, in[4]);
   const SignalId n5 = n.add(Op::kInv, in[5]);
@@ -193,7 +193,7 @@ LogicBenchmark make_74154() {
   b.paper_junctions = 360;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> sel, nsel;
-  for (int i = 0; i < 4; ++i) sel.push_back(n.add_input("s" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) sel.push_back(n.add_input(std::string("s") + std::to_string(i)));
   const SignalId g1 = n.add_input("g1_n");
   const SignalId g2 = n.add_input("g2_n");
   for (const SignalId s : sel) nsel.push_back(n.add(Op::kInv, s));
@@ -264,7 +264,7 @@ LogicBenchmark make_74ls280() {
   b.paper_junctions = 484;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> in;
-  for (int i = 0; i < 9; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 9; ++i) in.push_back(n.add_input(std::string("i") + std::to_string(i)));
   const SignalId odd = n.xor_tree(in);
   const SignalId even = n.add(Op::kInv, odd);
   n.mark_output(n.add(Op::kBuf, even));
@@ -283,9 +283,9 @@ LogicBenchmark make_54ls181() {
   b.paper_junctions = 944;
   GateNetlist& n = b.netlist;
   std::vector<SignalId> a, bs, s;
-  for (int i = 0; i < 4; ++i) a.push_back(n.add_input("a" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) bs.push_back(n.add_input("b" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) s.push_back(n.add_input("s" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) a.push_back(n.add_input(std::string("a") + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) bs.push_back(n.add_input(std::string("b") + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) s.push_back(n.add_input(std::string("s") + std::to_string(i)));
   const SignalId m = n.add_input("m");
   const SignalId cn = n.add_input("cn");
   const SignalId nm = n.add(Op::kInv, m);
@@ -327,7 +327,7 @@ LogicBenchmark make_s208() {
   const SignalId en = n.add_input("en");
   const SignalId clk = n.add_input("clk");
   std::vector<SignalId> q;
-  for (int i = 0; i < 8; ++i) q.push_back(n.add_input("q" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) q.push_back(n.add_input(std::string("q") + std::to_string(i)));
 
   SignalId carry = en;
   std::vector<SignalId> t;

@@ -24,7 +24,7 @@ NodeId SetCircuitBuilder::add_input(std::string name) {
 }
 
 NodeId SetCircuitBuilder::add_wire(std::string name) {
-  if (name.empty()) name = "w" + std::to_string(wire_counter_++);
+  if (name.empty()) name.append("w").append(std::to_string(wire_counter_++));
   const NodeId n = circuit_.add_island(std::move(name));
   circuit_.add_capacitor(n, Circuit::kGroundNode, params_.c_wire);
   circuit_.set_background_charge(n, 0.5);

@@ -90,7 +90,7 @@ RandomLogicBlocks make_random_logic_blocks(const RandomLogicSpec& per_block,
         static_cast<SignalId>(out.netlist.signal_count());
     out.chain_out.push_back(append_random_block(
         out.netlist, per_block, derive_stream_seed(per_block.seed, b),
-        "b" + std::to_string(b) + "_"));
+        std::string("b").append(std::to_string(b)).append("_")));
     out.signals.emplace_back(
         first, static_cast<SignalId>(out.netlist.signal_count()));
   }

@@ -32,6 +32,19 @@ std::uint64_t fnv1a64(const std::string& s) noexcept {
   return fnv1a64(s.data(), s.size());
 }
 
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  if (!f) return std::nullopt;
+  const std::streamoff size = f.tellg();
+  if (size < 0) throw IoError(ErrorCode::kIoFailure, "cannot size " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (!f.seekg(0) || !f.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    throw IoError(ErrorCode::kIoFailure, "cannot read " + path);
+  }
+  return bytes;
+}
+
 // ---- BinaryWriter ----------------------------------------------------------
 
 void BinaryWriter::u8(std::uint8_t v) { buf_.push_back(v); }
@@ -255,27 +268,19 @@ RunCheckpoint::RunCheckpoint(std::string path, std::uint64_t fingerprint,
       salvage_(salvage) {
   require(!path_.empty(), "RunCheckpoint: empty path");
   require(unit_count_ >= 1, "RunCheckpoint: need at least one unit");
-  std::ifstream probe(path_, std::ios::binary);
-  if (!probe) {
+  const std::optional<std::vector<std::uint8_t>> bytes =
+      read_file_bytes(path_);
+  if (!bytes) {
     if (require_existing) {
       throw IoError(ErrorCode::kIoFailure,
                     "checkpoint: --resume file does not exist: " + path_);
     }
     return;  // fresh run: file is created on the first record()
   }
-  probe.close();
-  load_file();
+  load_file(*bytes);
 }
 
-void RunCheckpoint::load_file() {
-  std::ifstream f(path_, std::ios::binary);
-  if (!f) throw IoError(ErrorCode::kIoFailure, "checkpoint: cannot open " + path_);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  if (!f && !f.eof()) {
-    throw IoError(ErrorCode::kIoFailure, "checkpoint: read failed for " + path_);
-  }
-
+void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
   // Header damage is always fatal: without a trusted magic/version/identity
   // there is nothing safe to salvage.
   BinaryReader r(bytes);
@@ -320,16 +325,16 @@ void RunCheckpoint::load_file() {
         throw IoError(ErrorCode::kCheckpointCorrupt,
                       "checkpoint: " + path_ + " has corrupt payload length");
       }
-      std::vector<std::uint8_t> payload(static_cast<std::size_t>(len));
-      for (auto& b : payload) b = r.u8();
+      // need() checks the file holds the payload before anything is copied.
+      const std::uint8_t* payload = r.need(static_cast<std::size_t>(len));
       const std::uint64_t checksum = r.u64();
-      if (checksum != fnv1a64(payload.data(), payload.size())) {
+      if (checksum != fnv1a64(payload, static_cast<std::size_t>(len))) {
         throw IoError(ErrorCode::kCheckpointCorrupt,
                       "checkpoint: " + path_ +
                           " payload checksum mismatch for unit " +
                           std::to_string(unit) + " (corrupt file)");
       }
-      units_[unit] = std::move(payload);
+      units_[unit].assign(payload, payload + len);
       ++kept;
     }
     r.require_done();
@@ -389,8 +394,7 @@ void RunCheckpoint::save_locked() const {
   w.u64(units_.size());
   for (const auto& [unit, payload] : units_) {
     w.u64(unit);
-    w.u64(payload.size());
-    for (const std::uint8_t b : payload) w.u8(b);
+    w.vec_u8(payload);  // u64 length, then the bytes
     w.u64(fnv1a64(payload.data(), payload.size()));
   }
 

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,11 @@ namespace semsim {
 /// FNV-1a 64-bit hash; used for payload checksums and run fingerprints.
 std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept;
 std::uint64_t fnv1a64(const std::string& s) noexcept;
+
+/// The whole file at `path`, read with one sized read; nullopt when the file
+/// cannot be opened (absent). Throws IoError(kIoFailure) if the read fails.
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path);
 
 /// Little-endian append-only byte buffer.
 class BinaryWriter {
@@ -92,13 +98,15 @@ class BinaryReader {
   std::vector<double> vec_f64();
   std::vector<std::uint8_t> vec_u8();
 
+  /// The next `n` bytes where they lie (no copy); throws Error, before
+  /// anything is read, when fewer than `n` remain.
+  const std::uint8_t* need(std::size_t n);
+
   std::size_t remaining() const noexcept { return size_ - pos_; }
   /// Throws Error if any bytes are left unconsumed (corruption guard).
   void require_done() const;
 
  private:
-  const std::uint8_t* need(std::size_t n);
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -157,7 +165,7 @@ class RunCheckpoint {
   std::uint64_t salvaged_dropped() const noexcept { return salvaged_dropped_; }
 
  private:
-  void load_file();
+  void load_file(const std::vector<std::uint8_t>& bytes);
   void save_locked() const;
 
   mutable std::mutex mu_;

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "base/error.h"
 #include "obs/checkpoint.h"
@@ -17,8 +16,7 @@ namespace {
 constexpr std::uint64_t kMagic = 0x5345'4D53'494D'4A4CULL;  // "SEMSIMJL"
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4;
 /// Record body cap: the biggest legitimate body is a done record carrying a
-/// canonical result document; a corrupt length field must not drive a
-/// multi-gigabyte allocation before the checksum can reject it.
+/// canonical result document. A longer length field is read as torn.
 constexpr std::uint64_t kMaxBody = 1ULL << 30;
 
 [[noreturn]] void io_fail(const std::string& what) {
@@ -26,36 +24,41 @@ constexpr std::uint64_t kMaxBody = 1ULL << 30;
                 "journal: " + what + ": " + std::strerror(errno));
 }
 
-std::vector<std::uint8_t> encode_body(const JournalRecord& rec) {
-  BinaryWriter w;
-  w.u8(static_cast<std::uint8_t>(rec.type));
-  w.u64(rec.job_id);
+/// One framed record: u64 body length, the body, u64 FNV-1a of the body.
+std::vector<std::uint8_t> encode_frame(const JournalRecord& rec) {
+  BinaryWriter body;
+  body.u8(static_cast<std::uint8_t>(rec.type));
+  body.u64(rec.job_id);
   switch (rec.type) {
     case JournalRecord::Type::kSubmit:
-      w.str(rec.envelope_json);
-      w.u64(rec.deadline_unix_ms);
-      w.str(rec.client);
+      body.str(rec.envelope_json);
+      body.u64(rec.deadline_unix_ms);
+      body.str(rec.client);
       break;
     case JournalRecord::Type::kStart:
     case JournalRecord::Type::kCancel:
       break;
     case JournalRecord::Type::kDone:
-      w.u8(static_cast<std::uint8_t>(rec.final_state));
-      w.u32(static_cast<std::uint16_t>(rec.error_code));
-      w.str(rec.error);
-      w.str(rec.document);
+      body.u8(static_cast<std::uint8_t>(rec.final_state));
+      body.u32(static_cast<std::uint16_t>(rec.error_code));
+      body.str(rec.error);
+      body.str(rec.document);
       break;
   }
-  return w.take();
+  BinaryWriter frame;
+  frame.vec_u8(body.bytes());  // u64 length, then the body
+  frame.u64(fnv1a64(body.bytes().data(), body.bytes().size()));
+  return frame.take();
 }
 
-JournalRecord decode_body(const std::vector<std::uint8_t>& body) {
-  BinaryReader r(body);
+/// Decodes a body whose checksum verified. Strings are built straight from
+/// the file buffer. Throws Error on any damage; the caller codes it.
+JournalRecord decode_body(const std::uint8_t* data, std::size_t size) {
+  BinaryReader r(data, size);
   JournalRecord rec;
   const std::uint8_t type = r.u8();
   if (type < 1 || type > 4) {
-    throw Error(ErrorCode::kServeJournalCorrupt,
-                "journal: unknown record type " + std::to_string(type));
+    throw Error("unknown record type " + std::to_string(type));
   }
   rec.type = static_cast<JournalRecord::Type>(type);
   rec.job_id = r.u64();
@@ -71,8 +74,7 @@ JournalRecord decode_body(const std::vector<std::uint8_t>& body) {
     case JournalRecord::Type::kDone: {
       const std::uint8_t state = r.u8();
       if (state > static_cast<std::uint8_t>(JobState::kCancelled)) {
-        throw Error(ErrorCode::kServeJournalCorrupt,
-                    "journal: bad terminal state " + std::to_string(state));
+        throw Error("bad terminal state " + std::to_string(state));
       }
       rec.final_state = static_cast<JobState>(state);
       rec.error_code = static_cast<ErrorCode>(r.u32());
@@ -97,29 +99,18 @@ JobJournal::~JobJournal() {
 }
 
 void JobJournal::open_and_replay() {
-  // Read whatever is on disk first (there may be nothing).
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream f(path_, std::ios::binary);
-    if (f) {
-      bytes.assign(std::istreambuf_iterator<char>(f),
-                   std::istreambuf_iterator<char>());
-      if (!f && !f.eof()) {
-        throw IoError(ErrorCode::kIoFailure,
-                      "journal: read failed for " + path_);
-      }
-    }
-  }
+  // Whatever is on disk, in one sized read (there may be nothing).
+  const std::vector<std::uint8_t> bytes =
+      read_file_bytes(path_).value_or(std::vector<std::uint8_t>{});
 
   // valid_end tracks the longest prefix that parses cleanly; everything
   // after it is a torn append and is truncated off below.
   std::size_t valid_end = 0;
-  bool write_header = false;
-  if (bytes.size() < kHeaderBytes) {
-    // Empty file, or a crash landed inside the very first header write:
-    // either way there is no record to lose — start fresh.
-    write_header = true;
-  } else {
+  // A file shorter than a header is empty, or a crash landed inside the
+  // very first header write: either way there is no record to lose, so
+  // start fresh.
+  const bool write_header = bytes.size() < kHeaderBytes;
+  if (!write_header) {
     BinaryReader header(bytes.data(), kHeaderBytes);
     if (header.u64() != kMagic) {
       throw Error(ErrorCode::kServeJournalCorrupt,
@@ -135,31 +126,28 @@ void JobJournal::open_and_replay() {
     }
     valid_end = kHeaderBytes;
 
-    std::size_t pos = kHeaderBytes;
-    while (pos < bytes.size()) {
+    // Each frame is checked where it lies. Every test below runs before a
+    // byte of the frame is copied, so a wild length allocates nothing.
+    BinaryReader frames(bytes.data() + kHeaderBytes,
+                        bytes.size() - kHeaderBytes);
+    while (frames.remaining() >= 8) {
+      const std::uint64_t body_len = frames.u64();
+      // A length above the cap, or a body or checksum past the end of the
+      // file, is a torn append that never finished: drop the tail.
+      if (body_len > kMaxBody || body_len + 8 > frames.remaining()) break;
+      const std::size_t size = static_cast<std::size_t>(body_len);
+      const std::uint8_t* body = frames.need(size);
+      if (frames.u64() != fnv1a64(body, size)) break;
       try {
-        BinaryReader r(bytes.data() + pos, bytes.size() - pos);
-        const std::uint64_t body_len = r.u64();
-        if (body_len > kMaxBody) {
-          // Unreadable length: indistinguishable from a torn append that
-          // never finished its length field — drop the tail.
-          break;
-        }
-        std::vector<std::uint8_t> body(static_cast<std::size_t>(body_len));
-        for (auto& b : body) b = r.u8();
-        const std::uint64_t checksum = r.u64();
-        if (checksum != fnv1a64(body.data(), body.size())) break;
-        // decode_body throws kServeJournalCorrupt on structural damage
-        // INSIDE a checksummed body — that cannot be a torn append, so it
-        // is unrecoverable and propagates.
-        records_.push_back(decode_body(body));
-        pos += 8 + static_cast<std::size_t>(body_len) + 8;
-        valid_end = pos;
+        records_.push_back(decode_body(body, size));
       } catch (const Error& e) {
-        if (e.code() == ErrorCode::kServeJournalCorrupt) throw;
-        // Reader overrun: the record frame itself is truncated mid-append.
-        break;
+        // The checksum verified, so this cannot be a torn append: damage
+        // inside a written record is unrecoverable and propagates.
+        throw Error(ErrorCode::kServeJournalCorrupt,
+                    "journal: " + path_ + ": damaged record at byte " +
+                        std::to_string(valid_end) + ": " + e.what());
       }
+      valid_end = bytes.size() - frames.remaining();
     }
   }
 
@@ -193,12 +181,7 @@ void JobJournal::open_and_replay() {
 
 void JobJournal::append(const JournalRecord& record) {
   require(fd_ >= 0, ErrorCode::kIoFailure, "journal: not open");
-  const std::vector<std::uint8_t> body = encode_body(record);
-  BinaryWriter frame;
-  frame.u64(body.size());
-  for (const std::uint8_t b : body) frame.u8(b);
-  frame.u64(fnv1a64(body.data(), body.size()));
-  const auto& buf = frame.bytes();
+  const std::vector<std::uint8_t> buf = encode_frame(record);
   // One write() so a crash tears at most this record, never an earlier one.
   std::size_t off = 0;
   while (off < buf.size()) {

@@ -36,13 +36,21 @@
 // leaves a TORN TAIL. On open, the reader keeps the longest valid record
 // prefix and truncates the file back to it (truncated_bytes() reports how
 // much was dropped), so a second restart replays byte-identical state —
-// replay is idempotent. Damage that cannot be explained by a torn append
-// (bad magic, unknown format version) is an unrecoverable coded
-// Error(kServeJournalCorrupt): the journal never guesses at job identity.
+// replay is idempotent. A frame is torn when its length field, body or
+// checksum runs past the end of the file, when its length exceeds the body
+// cap, or when its checksum fails. Damage that a torn append cannot explain
+// (bad magic, unknown format version, anything wrong inside a body whose
+// checksum verified) is an unrecoverable coded Error(kServeJournalCorrupt):
+// the journal never guesses at job identity.
+//
+// The file is read with one sized read, and each frame is checked and
+// decoded where it lies in that buffer: nothing is allocated from a length
+// field before the file is known to hold those bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/job.h"
@@ -95,10 +103,11 @@ class JobJournal {
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
-  /// The valid records found on open, in append order. Replay input; not
-  /// updated by append().
-  const std::vector<JournalRecord>& records() const noexcept {
-    return records_;
+  /// The valid records found on open, in append order, moved out to the
+  /// caller: the replay input, taken once. The journal keeps no history, so
+  /// a second call returns nothing; append() never adds to it.
+  std::vector<JournalRecord> take_records() noexcept {
+    return std::move(records_);
   }
   /// Torn-tail bytes dropped (and truncated off the file) on open.
   std::uint64_t truncated_bytes() const noexcept { return truncated_bytes_; }

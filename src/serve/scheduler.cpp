@@ -139,12 +139,10 @@ JobScheduler::JobScheduler(const SchedulerConfig& config)
 JobScheduler::~JobScheduler() { shutdown(); }
 
 std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
-    const RequestEnvelope& env) const {
-  // Validate at the door, before a job exists: a malformed netlist throws
-  // the parser's own coded error back to the client.
+    const RequestEnvelope& env, SimulationInput input) const {
   auto job = std::make_unique<Job>();
   RunRequest& req = job->request;
-  req.input = parse_simulation_input(env.netlist);
+  req.input = std::move(input);
   if (env.repeats > 0) req.input.repeats = env.repeats;
   req.seed = env.seed;
   req.adaptive = env.adaptive;
@@ -167,7 +165,9 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
   require(env.verb == RequestEnvelope::Verb::kSubmit,
           ErrorCode::kServeBadRequest, "scheduler: not a submit envelope");
 
-  auto job = make_job(env);
+  // Validate at the door, before a job exists: a malformed netlist throws
+  // the parser's own coded error back to the client.
+  auto job = make_job(env, parse_simulation_input(env.netlist));
 
   // One cache probe per submit: a hit makes the job terminal immediately —
   // no queue, no engine, byte-identical document.
@@ -283,10 +283,14 @@ void JobScheduler::replay_journal() {
   journal_ = std::make_unique<JobJournal>(config_.journal_path);
   totals_.journal_truncated_bytes = journal_->truncated_bytes();
 
-  // First pass, append order: rebuild the job table.
+  // First pass, append order: rebuild the job table. The records are taken
+  // over, so the journal keeps no history and each document moves into its
+  // job. A journal repeats few netlist texts many times: each distinct text
+  // is parsed once, and every job gets its own copy of the parsed input.
   std::vector<std::uint64_t> order;  // submit order
   std::unordered_set<std::uint64_t> cancel_seen;
-  for (const JournalRecord& rec : journal_->records()) {
+  std::unordered_map<std::string, SimulationInput> parsed;
+  for (JournalRecord& rec : journal_->take_records()) {
     switch (rec.type) {
       case JournalRecord::Type::kSubmit: {
         if (jobs_.count(rec.job_id) != 0) {
@@ -296,7 +300,14 @@ void JobScheduler::replay_journal() {
         }
         std::unique_ptr<Job> job;
         try {
-          job = make_job(parse_request_envelope(rec.envelope_json));
+          const RequestEnvelope env = parse_request_envelope(rec.envelope_json);
+          auto it = parsed.find(env.netlist);
+          if (it == parsed.end()) {
+            it = parsed
+                     .emplace(env.netlist, parse_simulation_input(env.netlist))
+                     .first;
+          }
+          job = make_job(env, it->second);
         } catch (const Error& e) {
           // The envelope parsed when it was logged; if it no longer does,
           // the journal was edited or belongs to an incompatible build —
@@ -308,7 +319,7 @@ void JobScheduler::replay_journal() {
         }
         job->id = rec.job_id;
         job->deadline_unix_ms = rec.deadline_unix_ms;
-        job->client = rec.client;
+        job->client = std::move(rec.client);
         order.push_back(rec.job_id);
         jobs_.emplace(rec.job_id, std::move(job));
         next_id_ = std::max(next_id_, rec.job_id + 1);
@@ -343,13 +354,13 @@ void JobScheduler::replay_journal() {
         // double-count: the first record wins, replay stays idempotent.
         if (job_state_terminal(job->state)) break;
         job->state = rec.final_state;
-        job->error = rec.error;
+        job->error = std::move(rec.error);
         job->error_code = rec.error_code;
-        job->document = rec.document;
+        job->document = std::move(rec.document);
         if (rec.final_state == JobState::kDone) {
           totals_.completed += 1;
-          if (!rec.document.empty()) {
-            cache_.insert(job->fingerprint, rec.document);
+          if (!job->document.empty()) {
+            cache_.insert(job->fingerprint, job->document);
           }
         } else if (rec.final_state == JobState::kFailed) {
           totals_.failed += 1;

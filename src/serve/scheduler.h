@@ -66,6 +66,8 @@
 
 namespace semsim {
 
+struct SimulationInput;
+
 struct SchedulerConfig {
   /// Worker threads of the shared executor (0 = all hardware threads).
   unsigned threads = 1;
@@ -167,7 +169,9 @@ class JobScheduler {
   void deadline_loop();
   void execute(Job& job);
   Job* find_locked(std::uint64_t id) const;
-  std::unique_ptr<Job> make_job(const RequestEnvelope& env) const;
+  /// A job for `env`, whose netlist the caller has parsed into `input`.
+  std::unique_ptr<Job> make_job(const RequestEnvelope& env,
+                                SimulationInput input) const;
   void replay_journal();
   /// Terminal bookkeeping for a job that never ran (queued cancel/expiry):
   /// sets the state, counts it, and journals the transition.

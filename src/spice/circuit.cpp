@@ -13,7 +13,7 @@ SpiceCircuit::SpiceCircuit() {
 
 int SpiceCircuit::add_node(std::string name) {
   const int id = static_cast<int>(names_.size());
-  if (name.empty()) name = "n" + std::to_string(id);
+  if (name.empty()) name.append("n").append(std::to_string(id));
   names_.push_back(std::move(name));
   source_index_.push_back(-1);
   return id;

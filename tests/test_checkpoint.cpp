@@ -5,6 +5,8 @@
 // uninterrupted run bit for bit at every thread count.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
@@ -281,6 +283,46 @@ TEST(RunCheckpoint, RejectsCorruptAndMismatchedFiles) {
   bad[kFirstRecordOffset + 16] ^= 0x01;  // first payload byte of record 0
   write_bytes(tmp.path, bad);
   EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
+}
+
+TEST(RunCheckpoint, PayloadLengthPastTheEndIsCorruptAndAllocatesNothing) {
+  TempFile tmp("/tmp/semsim_ckpt_past_end.bin");
+  {
+    RunCheckpoint cp(tmp.path, 42, 3);
+    cp.record(0, {10, 20, 30, 40});
+    cp.record(1, {50});
+  }
+  const std::vector<std::uint8_t> good = read_bytes(tmp.path);
+  // Record 1 follows record 0's unit, length, 4 payload bytes and checksum.
+  const std::size_t second = kFirstRecordOffset + 8 + 8 + 4 + 8;
+  ASSERT_EQ(u64_at(good, second), 1u);
+  ASSERT_EQ(u64_at(good, second + 8), 1u);
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const long before_kib = ru.ru_maxrss;
+  // One byte past the end of the file, and a 512 MiB claim: the loader must
+  // see that the file is short before it allocates or copies anything.
+  const std::uint64_t claims[] = {10, std::uint64_t{512} << 20};
+  for (const std::uint64_t len : claims) {
+    SCOPED_TRACE("payload length " + std::to_string(len));
+    std::vector<std::uint8_t> bad = good;
+    put_u64(bad, second + 8, len);
+    write_bytes(tmp.path, bad);
+    try {
+      RunCheckpoint cp(tmp.path, 42, 3);
+      ADD_FAILURE() << "a payload past the end of the file was accepted";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCheckpointCorrupt);
+    }
+    RunCheckpoint salvaged(tmp.path, 42, 3, /*require_existing=*/false,
+                           /*salvage=*/true);
+    EXPECT_EQ(salvaged.completed(), 1u);
+    EXPECT_EQ(salvaged.payload(0), (std::vector<std::uint8_t>{10, 20, 30, 40}));
+    EXPECT_FALSE(salvaged.has(1));
+    EXPECT_EQ(salvaged.salvaged_dropped(), 1u);
+  }
+  ::getrusage(RUSAGE_SELF, &ru);
+  EXPECT_LT(ru.ru_maxrss - before_kib, 64L * 1024);
 }
 
 // ---- driver-level resume: simulated mid-run abort -------------------------

@@ -75,7 +75,7 @@ TEST(GateNetlist, EvaluateBasicOps) {
 TEST(GateNetlist, TreesAndMux) {
   GateNetlist n;
   std::vector<SignalId> in;
-  for (int i = 0; i < 5; ++i) in.push_back(n.add_input("i" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) in.push_back(n.add_input(std::string("i") + std::to_string(i)));
   const SignalId all = n.and_tree(in);
   const SignalId any = n.or_tree(in);
   const SignalId parity = n.xor_tree(in);

@@ -6,6 +6,7 @@
 // wire protocol.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -842,7 +843,7 @@ TEST(Journal, EmptyFileStartsFreshAndRecordsReplay) {
   const std::string path = dir.path + "/j.wal";
   {
     JobJournal j(path);
-    EXPECT_TRUE(j.records().empty());
+    EXPECT_TRUE(j.take_records().empty());
     EXPECT_EQ(j.truncated_bytes(), 0u);
     JournalRecord rec;
     rec.type = JournalRecord::Type::kSubmit;
@@ -853,12 +854,15 @@ TEST(Journal, EmptyFileStartsFreshAndRecordsReplay) {
     j.append(rec);
   }
   JobJournal j2(path);
-  ASSERT_EQ(j2.records().size(), 1u);
-  EXPECT_EQ(j2.records()[0].type, JournalRecord::Type::kSubmit);
-  EXPECT_EQ(j2.records()[0].job_id, 1u);
-  EXPECT_EQ(j2.records()[0].deadline_unix_ms, 12345u);
-  EXPECT_EQ(j2.records()[0].client, "c");
+  const std::vector<JournalRecord> records = j2.take_records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, JournalRecord::Type::kSubmit);
+  EXPECT_EQ(records[0].job_id, 1u);
+  EXPECT_EQ(records[0].deadline_unix_ms, 12345u);
+  EXPECT_EQ(records[0].client, "c");
   EXPECT_EQ(j2.truncated_bytes(), 0u);
+  // Taken once: the journal keeps no history after replay.
+  EXPECT_TRUE(j2.take_records().empty());
 }
 
 TEST(Journal, TornFinalRecordIsTruncatedToLastValidPrefix) {
@@ -882,14 +886,14 @@ TEST(Journal, TornFinalRecordIsTruncatedToLastValidPrefix) {
   }
   {
     JobJournal j(path);
-    ASSERT_EQ(j.records().size(), 2u);
+    ASSERT_EQ(j.take_records().size(), 2u);
     EXPECT_GT(j.truncated_bytes(), 0u);
   }
   // The tail was truncated OFF THE FILE, so a second restart sees a clean
   // journal — replay is idempotent.
   EXPECT_EQ(std::filesystem::file_size(path), clean_size);
   JobJournal again(path);
-  EXPECT_EQ(again.records().size(), 2u);
+  EXPECT_EQ(again.take_records().size(), 2u);
   EXPECT_EQ(again.truncated_bytes(), 0u);
 }
 
@@ -920,6 +924,293 @@ JournalRecord submit_record(std::uint64_t id, const RequestEnvelope& env) {
   rec.job_id = id;
   rec.envelope_json = encode_request_envelope(env);
   return rec;
+}
+
+// ---- the journal's frame reader --------------------------------------------
+
+/// Peak resident set of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+/// Appends `v` to `out` as `bytes` little-endian bytes.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// FNV-1a 64, written out here so the tests pin the checksum itself.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// One frame of the documented layout: u64 body length, the body, u64
+/// FNV-1a of the body.
+std::string frame_of(const std::string& body) {
+  std::string out;
+  put_le(out, body.size(), 8);
+  out += body;
+  put_le(out, fnv1a(body), 8);
+  return out;
+}
+
+/// A whole journal in the documented layout (serve/journal.h), built by
+/// hand: the header, then one frame per body.
+std::string journal_bytes(const std::vector<std::string>& bodies) {
+  std::string out;
+  put_le(out, 0x53454D53494D4A4CULL, 8);  // "SEMSIMJL"
+  put_le(out, 1, 4);                      // format version
+  put_le(out, 0, 4);                      // reserved
+  for (const std::string& body : bodies) out += frame_of(body);
+  return out;
+}
+
+/// Body prefix shared by every record type: u8 type, u64 job id.
+std::string body_head(JournalRecord::Type type, std::uint64_t id) {
+  std::string b(1, static_cast<char>(type));
+  put_le(b, id, 8);
+  return b;
+}
+
+/// A length-prefixed string field (u64 length, bytes).
+std::string str_field(const std::string& s) {
+  std::string b;
+  put_le(b, s.size(), 8);
+  return b + s;
+}
+
+std::string submit_body(std::uint64_t id, const std::string& envelope,
+                        std::uint64_t deadline, const std::string& client) {
+  std::string b = body_head(JournalRecord::Type::kSubmit, id) +
+                  str_field(envelope);
+  put_le(b, deadline, 8);
+  return b + str_field(client);
+}
+
+std::string done_body(std::uint64_t id, std::uint8_t state, ErrorCode code,
+                      const std::string& error, const std::string& document) {
+  std::string b = body_head(JournalRecord::Type::kDone, id);
+  put_le(b, state, 1);
+  put_le(b, static_cast<std::uint64_t>(code), 4);
+  return b + str_field(error) + str_field(document);
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
+void expect_same_record(const JournalRecord& got, const JournalRecord& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.job_id, want.job_id);
+  EXPECT_EQ(got.envelope_json, want.envelope_json);
+  EXPECT_EQ(got.deadline_unix_ms, want.deadline_unix_ms);
+  EXPECT_EQ(got.client, want.client);
+  EXPECT_EQ(got.final_state, want.final_state);
+  EXPECT_EQ(got.error_code, want.error_code);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.document, want.document);
+}
+
+JournalRecord bare_record(JournalRecord::Type type, std::uint64_t id) {
+  JournalRecord rec;
+  rec.type = type;
+  rec.job_id = id;
+  return rec;
+}
+
+JournalRecord done_record(std::uint64_t id, JobState state, ErrorCode code,
+                          std::string error, std::string document) {
+  JournalRecord rec = bare_record(JournalRecord::Type::kDone, id);
+  rec.final_state = state;
+  rec.error_code = code;
+  rec.error = std::move(error);
+  rec.document = std::move(document);
+  return rec;
+}
+
+TEST(Journal, EveryRecordTypeReadsBackFieldForField) {
+  TempDir dir("semsim_journal_types");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  JournalRecord submit = submit_record(1, sweep_envelope());
+  submit.deadline_unix_ms = 1700000000123ULL;
+  submit.client = "farm-7";
+  std::string big_doc(4096, 'x');
+  for (std::size_t i = 0; i < big_doc.size(); ++i) {
+    big_doc[i] = static_cast<char>(i * 131 % 251);  // most byte values
+  }
+  const std::vector<JournalRecord> written = {
+      submit,
+      bare_record(JournalRecord::Type::kStart, 1),
+      done_record(1, JobState::kDone, ErrorCode::kNone, "", big_doc),
+      submit_record(2, sweep_envelope(/*seed=*/8)),
+      bare_record(JournalRecord::Type::kCancel, 2),
+      done_record(2, JobState::kCancelled, ErrorCode::kCancelled,
+                  "cancelled while queued", ""),
+      submit_record(3, sweep_envelope(/*seed=*/9)),
+      done_record(3, JobState::kFailed, ErrorCode::kDeadlineExceeded,
+                  "missed its deadline", ""),
+  };
+  craft_journal(path, written);
+  JobJournal j(path);
+  EXPECT_EQ(j.truncated_bytes(), 0u);
+  const std::vector<JournalRecord> read = j.take_records();
+  ASSERT_EQ(read.size(), written.size());
+  for (std::size_t i = 0; i < read.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    expect_same_record(read[i], written[i]);
+  }
+}
+
+TEST(Journal, HandBuiltFileInTheDocumentedLayoutReplays) {
+  // Pins the on-disk format independently of the writer: bytes built here
+  // from the layout in serve/journal.h read back, replay, and equal what
+  // the writer produces for the same records.
+  TempDir dir("semsim_journal_layout");
+  std::filesystem::create_directories(dir.path);
+  const std::string envelope = encode_request_envelope(sweep_envelope());
+  const std::string hand = journal_bytes({
+      submit_body(1, envelope, 0, "c1"),
+      body_head(JournalRecord::Type::kStart, 1),
+      done_body(1, /*kDone*/ 2, ErrorCode::kNone, "", "HANDDOC"),
+      submit_body(2, envelope, 0, ""),
+      body_head(JournalRecord::Type::kCancel, 2),
+  });
+  JournalRecord submit1 = submit_record(1, sweep_envelope());
+  submit1.client = "c1";
+  const std::vector<JournalRecord> want = {
+      submit1,
+      bare_record(JournalRecord::Type::kStart, 1),
+      done_record(1, JobState::kDone, ErrorCode::kNone, "", "HANDDOC"),
+      submit_record(2, sweep_envelope()),
+      bare_record(JournalRecord::Type::kCancel, 2),
+  };
+
+  const std::string read_path = dir.path + "/hand.wal";
+  write_file(read_path, hand);
+  {
+    JobJournal j(read_path);
+    EXPECT_EQ(j.truncated_bytes(), 0u);
+    const std::vector<JournalRecord> got = j.take_records();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("record " + std::to_string(i));
+      expect_same_record(got[i], want[i]);
+    }
+  }
+  EXPECT_EQ(read_bytes(read_path), hand);  // opening changed nothing
+
+  const std::string write_path = dir.path + "/written.wal";
+  craft_journal(write_path, want);
+  EXPECT_EQ(read_bytes(write_path), hand);
+
+  SchedulerConfig cfg;
+  cfg.journal_path = read_path;
+  JobScheduler sched(cfg);
+  EXPECT_EQ(sched.result(1), "HANDDOC");
+  EXPECT_EQ(sched.status(1)->client, "c1");
+  EXPECT_EQ(sched.status(2)->state, JobState::kCancelled);
+  EXPECT_EQ(sched.stats().replayed, 2u);
+  sched.shutdown();
+}
+
+TEST(Journal, TornFramesAreTruncatedToTheValidPrefix) {
+  TempDir dir("semsim_journal_frames");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  craft_journal(path, {submit_record(1, sweep_envelope()),
+                       bare_record(JournalRecord::Type::kStart, 1)});
+  const std::string clean = read_bytes(path);
+  const std::string frame =
+      frame_of(body_head(JournalRecord::Type::kStart, 2));
+
+  std::vector<std::pair<const char*, std::string>> tails;
+  std::string flipped = frame;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+  tails.emplace_back("last record's checksum flipped", flipped);
+  std::string past_end;
+  put_le(past_end, 100, 8);
+  past_end += std::string(10, 'b');
+  tails.emplace_back("body past the end of the file", past_end);
+  tails.emplace_back("checksum past the end of the file",
+                     frame.substr(0, frame.size() - 3));
+  std::string over_cap;
+  put_le(over_cap, (1ULL << 30) + 1, 8);  // above the 1 GiB body cap
+  over_cap += std::string(32, 'c');
+  tails.emplace_back("length above the cap", over_cap);
+  tails.emplace_back("partial length field", std::string(5, '\x01'));
+  for (const auto& [name, tail] : tails) {
+    SCOPED_TRACE(name);
+    write_file(path, clean + tail);
+    JobJournal j(path);
+    EXPECT_EQ(j.take_records().size(), 2u);
+    EXPECT_EQ(j.truncated_bytes(), tail.size());
+    EXPECT_EQ(read_bytes(path), clean);
+  }
+}
+
+TEST(Journal, WildLengthFieldAllocatesNothing) {
+  // A frame claiming 512 MiB in a file that holds a few bytes of it: the
+  // reader must see that the file is short before it allocates anything.
+  TempDir dir("semsim_journal_wild");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  craft_journal(path, {submit_record(1, sweep_envelope())});
+  const std::string clean = read_bytes(path);
+  std::string tail;
+  put_le(tail, 512ULL << 20, 8);
+  tail += std::string(64, 'w');
+  write_file(path, clean + tail);
+
+  const long before_kib = peak_rss_kib();
+  {
+    JobJournal j(path);
+    EXPECT_EQ(j.take_records().size(), 1u);
+    EXPECT_EQ(j.truncated_bytes(), tail.size());
+  }
+  EXPECT_LT(peak_rss_kib() - before_kib, 64L * 1024);
+  EXPECT_EQ(read_bytes(path), clean);
+}
+
+TEST(Journal, DamageInsideAVerifiedBodyIsCorruptNotTorn) {
+  // Each bad body carries a valid checksum, so no torn append explains it:
+  // the open refuses with the coded corruption error and truncates nothing
+  // (the valid record after it stays on disk).
+  TempDir dir("semsim_journal_body");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  std::string overrun = body_head(JournalRecord::Type::kSubmit, 3);
+  put_le(overrun, 1000, 8);  // a string length past the end of the body
+  overrun += "abc";
+  const std::string start3 = body_head(JournalRecord::Type::kStart, 3);
+  std::string bad_type = start3;
+  bad_type[0] = 9;
+  const std::vector<std::pair<const char*, std::string>> bodies = {
+      {"string past the body", overrun},
+      {"trailing byte", start3 + "!"},
+      {"unknown type", bad_type},
+      {"bad terminal state", done_body(3, 7, ErrorCode::kNone, "", "")},
+  };
+  for (const auto& [name, bad] : bodies) {
+    SCOPED_TRACE(name);
+    const std::string bytes =
+        journal_bytes({body_head(JournalRecord::Type::kStart, 1),
+                       body_head(JournalRecord::Type::kStart, 2), bad,
+                       body_head(JournalRecord::Type::kStart, 4)});
+    write_file(path, bytes);
+    EXPECT_EQ(code_of([&] { JobJournal j(path); }),
+              ErrorCode::kServeJournalCorrupt);
+    EXPECT_EQ(read_bytes(path), bytes);
+  }
 }
 
 TEST(Replay, InterruptedJobReenqueuesAndConvergesToDirectBytes) {
@@ -1080,6 +1371,47 @@ TEST(Replay, DoubleRestartIsBitwiseIdempotent) {
     third.shutdown();
   }
   EXPECT_EQ(read_bytes(cfg.journal_path), after_first);
+}
+
+TEST(Replay, SameNetlistTextReplaysAsSeparateJobs) {
+  // Replay parses each distinct netlist text once; jobs sharing the text
+  // must still differ in everything else, here the seed.
+  TempDir dir("semsim_replay_shared_netlist");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.journal_path = dir.path + "/j.wal";
+  craft_journal(cfg.journal_path,
+                {submit_record(1, sweep_envelope(/*seed=*/7)),
+                 submit_record(2, sweep_envelope(/*seed=*/8))});
+
+  JobScheduler sched(cfg);
+  EXPECT_EQ(sched.stats().replayed, 2u);
+  for (const std::uint64_t id : {1u, 2u}) {
+    SCOPED_TRACE("job " + std::to_string(id));
+    const std::uint64_t seed = 6 + id;
+    const JobStatus s = wait_terminal(sched, id);
+    ASSERT_EQ(s.state, JobState::kDone) << s.error;
+    EXPECT_EQ(s.fingerprint, sweep_request(1, seed).fingerprint());
+    EXPECT_EQ(sched.result(id),
+              run(sweep_request(1, seed)).to_json(/*canonical=*/true));
+  }
+  EXPECT_NE(sched.status(1)->fingerprint, sched.status(2)->fingerprint);
+  sched.shutdown();
+}
+
+TEST(Replay, SubmitWhoseNetlistNoLongerParsesIsCorrupt) {
+  TempDir dir("semsim_replay_bad_netlist");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.journal_path = dir.path + "/j.wal";
+  RequestEnvelope broken = sweep_envelope();
+  broken.netlist = "num ext 3\njunc 1 1 9 1meg\n";
+  craft_journal(cfg.journal_path, {submit_record(1, sweep_envelope()),
+                                   submit_record(2, broken),
+                                   submit_record(3, broken)});
+  EXPECT_EQ(code_of([&] { JobScheduler sched(cfg); }),
+            ErrorCode::kServeJournalCorrupt);
 }
 
 TEST(Deadline, ExpiredJobFailsCodedNeverMisfiled) {
