@@ -8,6 +8,11 @@
 // indistinguishable from re-running the job: resubmitting an identical
 // request returns byte-identical bytes instantly, with zero engine events.
 //
+// Documents are immutable and shared, never copied: an entry holds a
+// reference to the same bytes as every job that computed or was answered
+// with it, so a document costs its bytes once however many jobs serve it,
+// and evicting an entry frees nothing a job still holds.
+//
 // Bounded LRU by total byte size (documents vary from hundreds of bytes to
 // megabytes for long sweeps, so an entry-count bound would be meaningless).
 // All methods are thread-safe; hit/miss/eviction counters feed the stats
@@ -16,12 +21,16 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
 namespace semsim {
+
+/// One canonical document, shared read-only by the cache and every job
+/// that serves it.
+using SharedDocument = std::shared_ptr<const std::string>;
 
 class ResultCache {
  public:
@@ -32,14 +41,17 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The stored document for `fingerprint`, refreshing its recency; counts
-  /// a hit or a miss.
-  std::optional<std::string> lookup(std::uint64_t fingerprint);
+  /// The stored document for `fingerprint` (the entry's own object), or
+  /// null; refreshes its recency and counts a hit or a miss.
+  SharedDocument lookup(std::uint64_t fingerprint);
 
-  /// Stores `document` under `fingerprint` (replacing any previous entry),
-  /// then evicts least-recently-used entries until the byte budget holds.
-  /// A document larger than the whole budget is not cached at all.
-  void insert(std::uint64_t fingerprint, std::string document);
+  /// Stores the non-null `document` under `fingerprint` (replacing any
+  /// previous entry), then evicts least-recently-used entries until the
+  /// byte budget holds. A document larger than the whole budget is not
+  /// cached at all. Returns the object to keep: the previous entry's when
+  /// it held the same bytes (so every holder shares one copy), else
+  /// `document`.
+  SharedDocument insert(std::uint64_t fingerprint, SharedDocument document);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -55,7 +67,7 @@ class ResultCache {
  private:
   struct Entry {
     std::uint64_t fingerprint = 0;
-    std::string document;
+    SharedDocument document;
   };
 
   mutable std::mutex mu_;

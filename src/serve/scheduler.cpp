@@ -17,29 +17,36 @@ std::uint64_t unix_now_ms() noexcept {
           .count());
 }
 
-/// Full job record. Request fields are immutable after submit(); `state`
-/// and terminal detail are guarded by the scheduler mutex; the streaming
-/// progress block is guarded by its own mutex because worker threads write
-/// it while status() reads it.
+/// Full job record. Request fields are immutable after submit(); `state`,
+/// `inputs` and terminal detail are guarded by the scheduler mutex (a
+/// running job's inputs belong to the dispatcher); the streaming progress
+/// block is guarded by its own mutex because worker threads write it while
+/// status() reads it.
 struct JobScheduler::Job {
   std::uint64_t id = 0;
   int priority = 0;
   JobState state = JobState::kQueued;
   bool cached = false;
+  bool ensemble = false;  ///< status() reports units as replicas
 
   // ---- request (frozen at submit) ------------------------------------
-  /// The run the job computes, without the service hooks execute() adds.
-  RunRequest request;
-  FaultPlan fault;  ///< owned copy; empty = no injection
+  /// What the job runs: the request without the service hooks execute()
+  /// adds, and its fault plan (empty = no injection).
+  struct Inputs {
+    RunRequest request;
+    FaultPlan fault;
+  };
+  /// Held only while the job may still run: execute() takes it over, and
+  /// every other way to a terminal state drops it.
+  std::unique_ptr<Inputs> inputs;
   std::uint64_t fingerprint = 0;
-  std::string checkpoint_path;  ///< spool file; "" = checkpointing off
   /// Absolute wall deadline (Unix epoch ms, 0 = none). Absolute so the
   /// budget keeps counting across a crash + journal replay.
   std::uint64_t deadline_unix_ms = 0;
   std::string client;  ///< admission-control identity ("" = anonymous)
 
   // ---- terminal detail (scheduler mutex) ------------------------------
-  std::string document;  ///< canonical RunResult JSON once done
+  SharedDocument document;  ///< canonical RunResult JSON once done
   std::string error;
   ErrorCode error_code = ErrorCode::kNone;
   /// Set by the deadline monitor while the job runs; tells execute() to
@@ -141,7 +148,8 @@ JobScheduler::~JobScheduler() { shutdown(); }
 std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
     const RequestEnvelope& env, SimulationInput input) const {
   auto job = std::make_unique<Job>();
-  RunRequest& req = job->request;
+  job->inputs = std::make_unique<Job::Inputs>();
+  RunRequest& req = job->inputs->request;
   req.input = std::move(input);
   if (env.repeats > 0) req.input.repeats = env.repeats;
   req.seed = env.seed;
@@ -150,15 +158,17 @@ std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
   req.retry = env.retry;
   req.ensemble = env.ensemble;
   req.partition = env.partition;
+  job->inputs->fault = env.fault;
   job->priority = env.priority;
-  job->fault = env.fault;
+  job->ensemble = env.ensemble.enabled;
   job->client = env.client;
   job->fingerprint = req.fingerprint();
-  if (!config_.spool_dir.empty()) {
-    job->checkpoint_path = config_.spool_dir + "/job-" +
-                           fingerprint_hex(job->fingerprint) + ".ckpt";
-  }
   return job;
+}
+
+std::string JobScheduler::checkpoint_path(std::uint64_t fingerprint) const {
+  if (config_.spool_dir.empty()) return {};
+  return config_.spool_dir + "/job-" + fingerprint_hex(fingerprint) + ".ckpt";
 }
 
 std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
@@ -170,8 +180,8 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
   auto job = make_job(env, parse_simulation_input(env.netlist));
 
   // One cache probe per submit: a hit makes the job terminal immediately —
-  // no queue, no engine, byte-identical document.
-  const std::optional<std::string> hit = cache_.lookup(job->fingerprint);
+  // no queue, no engine, the cache's own document.
+  SharedDocument hit = cache_.lookup(job->fingerprint);
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
@@ -181,7 +191,7 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
 
   // Admission control guards the queue and the engine; a cache hit uses
   // neither, so it is always admitted.
-  if (!hit.has_value()) {
+  if (hit == nullptr) {
     if (config_.max_queue_depth > 0 &&
         queue_.size() >= config_.max_queue_depth) {
       totals_.overload_rejected += 1;
@@ -192,13 +202,8 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
                           config_.retry_after_ms);
     }
     if (config_.max_inflight_per_client > 0) {
-      std::size_t inflight = 0;
-      for (const auto& [id, other] : jobs_) {
-        if (other->client == job->client &&
-            !job_state_terminal(other->state)) {
-          inflight += 1;
-        }
-      }
+      const auto it = inflight_.find(job->client);
+      const std::size_t inflight = it == inflight_.end() ? 0 : it->second;
       if (inflight >= config_.max_inflight_per_client) {
         totals_.overload_rejected += 1;
         throw OverloadError(
@@ -215,7 +220,6 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
   if (env.deadline_ms > 0) {
     job->deadline_unix_ms = unix_now_ms() + env.deadline_ms;
   }
-  const bool has_deadline = job->deadline_unix_ms != 0;
 
   // WAL: log the submit (durably) before the job becomes visible, so an
   // acknowledged id always survives a crash.
@@ -230,19 +234,21 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
   }
 
   totals_.submitted += 1;
-  if (hit.has_value()) {
+  if (hit != nullptr) {
     job->state = JobState::kDone;
     job->cached = true;
-    job->document = *hit;
+    job->document = std::move(hit);
+    job->inputs.reset();
     totals_.completed += 1;
     totals_.cache_hits += 1;
     journal_done_locked(*job);
   } else {
     queue_.push_back(id);
+    track_locked(*job);
+    if (job->deadline_unix_ms != 0) deadline_cv_.notify_all();
   }
   jobs_.emplace(id, std::move(job));
   cv_.notify_one();
-  if (has_deadline) deadline_cv_.notify_all();
   return id;
 }
 
@@ -259,22 +265,41 @@ void JobScheduler::journal_done_locked(const Job& job) {
   rec.final_state = job.state;
   rec.error_code = job.error_code;
   rec.error = job.error;
-  rec.document = job.document;
+  if (job.document != nullptr) rec.document = *job.document;
   journal_->append(rec);
 }
 
-void JobScheduler::finish_queued_locked(Job& job, JobState state,
-                                        ErrorCode code,
-                                        const std::string& message) {
+void JobScheduler::track_locked(const Job& job) {
+  inflight_[job.client] += 1;
+  if (job.deadline_unix_ms != 0) {
+    deadlines_.emplace(job.deadline_unix_ms, job.id);
+  }
+}
+
+void JobScheduler::settle_locked(Job& job, JobState state, ErrorCode code,
+                                 std::string error) {
   job.state = state;
-  job.error = message;
+  job.error = std::move(error);
   job.error_code = code;
-  if (state == JobState::kCancelled) {
+  job.inputs.reset();
+  if (job.deadline_unix_ms != 0) {
+    deadlines_.erase({job.deadline_unix_ms, job.id});
+  }
+  const auto slot = inflight_.find(job.client);
+  if (--slot->second == 0) inflight_.erase(slot);
+  if (state == JobState::kDone) {
+    totals_.completed += 1;
+  } else if (state == JobState::kCancelled) {
     totals_.cancelled += 1;
   } else {
     totals_.failed += 1;
     if (code == ErrorCode::kDeadlineExceeded) totals_.deadline_expired += 1;
   }
+}
+
+void JobScheduler::finish_locked(Job& job, JobState state, ErrorCode code,
+                                 std::string error) {
+  settle_locked(job, state, code, std::move(error));
   journal_done_locked(job);
 }
 
@@ -285,10 +310,12 @@ void JobScheduler::replay_journal() {
 
   // First pass, append order: rebuild the job table. The records are taken
   // over, so the journal keeps no history and each document moves into its
-  // job. A journal repeats few netlist texts many times: each distinct text
-  // is parsed once, and every job gets its own copy of the parsed input.
+  // job, or is dropped for the cache's equal copy. A journal repeats few
+  // netlist texts many times: each distinct text is parsed once, and every
+  // job gets its own copy of the parsed input.
   std::vector<std::uint64_t> order;  // submit order
   std::unordered_set<std::uint64_t> cancel_seen;
+  std::unordered_set<std::uint64_t> started;
   std::unordered_map<std::string, SimulationInput> parsed;
   for (JournalRecord& rec : journal_->take_records()) {
     switch (rec.type) {
@@ -320,6 +347,7 @@ void JobScheduler::replay_journal() {
         job->id = rec.job_id;
         job->deadline_unix_ms = rec.deadline_unix_ms;
         job->client = std::move(rec.client);
+        track_locked(*job);
         order.push_back(rec.job_id);
         jobs_.emplace(rec.job_id, std::move(job));
         next_id_ = std::max(next_id_, rec.job_id + 1);
@@ -327,8 +355,10 @@ void JobScheduler::replay_journal() {
         break;
       }
       case JournalRecord::Type::kStart:
-        // The re-enqueued job restarts from its spool checkpoint; the
-        // start record only matters for forensics.
+        // A job left running re-enqueues and restarts from its spool
+        // checkpoint. The dispatcher journals a start before every run and
+        // a cache hit never runs, so a done job without one was a hit.
+        started.insert(rec.job_id);
         break;
       case JournalRecord::Type::kCancel:
         if (jobs_.count(rec.job_id) == 0) {
@@ -353,22 +383,17 @@ void JobScheduler::replay_journal() {
         // A duplicate done (e.g. appended twice around a crash) must not
         // double-count: the first record wins, replay stays idempotent.
         if (job_state_terminal(job->state)) break;
-        job->state = rec.final_state;
-        job->error = std::move(rec.error);
-        job->error_code = rec.error_code;
-        job->document = std::move(rec.document);
+        settle_locked(*job, rec.final_state, rec.error_code,
+                      std::move(rec.error));
         if (rec.final_state == JobState::kDone) {
-          totals_.completed += 1;
-          if (!job->document.empty()) {
-            cache_.insert(job->fingerprint, job->document);
-          }
-        } else if (rec.final_state == JobState::kFailed) {
-          totals_.failed += 1;
-          if (rec.error_code == ErrorCode::kDeadlineExceeded) {
-            totals_.deadline_expired += 1;
-          }
-        } else {
-          totals_.cancelled += 1;
+          job->cached = started.count(rec.job_id) == 0;
+          if (job->cached) totals_.cache_hits += 1;
+          auto document =
+              std::make_shared<const std::string>(std::move(rec.document));
+          job->document = document->empty()
+                              ? std::move(document)
+                              : cache_.insert(job->fingerprint,
+                                              std::move(document));
         }
         break;
       }
@@ -383,13 +408,12 @@ void JobScheduler::replay_journal() {
   // their finished prefix when the dispatcher reaches them.
   for (const std::uint64_t id : order) {
     Job* job = find_locked(id);
-    if (!job_state_terminal(job->state)) {
-      if (cancel_seen.count(id) != 0) {
-        finish_queued_locked(*job, JobState::kCancelled, ErrorCode::kCancelled,
-                             "cancelled (cancel replayed from journal)");
-      } else {
-        queue_.push_back(id);
-      }
+    if (job_state_terminal(job->state)) continue;
+    if (cancel_seen.count(id) != 0) {
+      finish_locked(*job, JobState::kCancelled, ErrorCode::kCancelled,
+                    "cancelled (cancel replayed from journal)");
+    } else {
+      queue_.push_back(id);
     }
   }
   totals_.replayed = order.size();
@@ -409,11 +433,11 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
   s.client = job->client;
   s.error = job->error;
   s.error_code = job->error_code;
-  if ((job->state == JobState::kCancelled ||
-       job->state == JobState::kFailed) &&
-      !job->checkpoint_path.empty() &&
-      std::filesystem::exists(job->checkpoint_path)) {
-    s.checkpoint_path = job->checkpoint_path;
+  if (job->state == JobState::kCancelled || job->state == JobState::kFailed) {
+    std::string path = checkpoint_path(job->fingerprint);
+    if (!path.empty() && std::filesystem::exists(path)) {
+      s.checkpoint_path = std::move(path);
+    }
   }
   {
     const std::lock_guard<std::mutex> plock(job->progress_mu);
@@ -422,7 +446,7 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
     s.points_total = job->points_total;
     s.points_done = job->points_done;
     s.degraded_points = job->degraded_points;
-    if (job->request.ensemble.enabled) {
+    if (job->ensemble) {
       // An ensemble's work units are its replicas.
       s.replicas_total = job->units_total;
       s.replicas_done = job->units_done;
@@ -436,7 +460,7 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
   return s;
 }
 
-std::string JobScheduler::result(std::uint64_t id) const {
+SharedDocument JobScheduler::result(std::uint64_t id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const Job* job = find_locked(id);
   if (job == nullptr) {
@@ -469,8 +493,8 @@ bool JobScheduler::cancel(std::uint64_t id) {
   }
   if (job->state == JobState::kQueued) {
     queue_.erase(std::remove(queue_.begin(), queue_.end(), id), queue_.end());
-    finish_queued_locked(*job, JobState::kCancelled, ErrorCode::kCancelled,
-                         "cancelled while queued");
+    finish_locked(*job, JobState::kCancelled, ErrorCode::kCancelled,
+                  "cancelled while queued");
     return true;
   }
   // Running: raise the token; the dispatcher records the terminal state
@@ -505,8 +529,8 @@ void JobScheduler::shutdown() {
       }
       for (const std::uint64_t id : queue_) {
         if (Job* job = find_locked(id)) {
-          finish_queued_locked(*job, JobState::kCancelled,
-                               ErrorCode::kCancelled, "daemon shutdown");
+          finish_locked(*job, JobState::kCancelled, ErrorCode::kCancelled,
+                        "daemon shutdown");
         }
       }
       queue_.clear();
@@ -537,10 +561,9 @@ void JobScheduler::dispatcher_loop() {
       // engine, fail it with the deadline code right here.
       if (job->deadline_unix_ms != 0 &&
           unix_now_ms() >= job->deadline_unix_ms) {
-        finish_queued_locked(*job, JobState::kFailed,
-                             ErrorCode::kDeadlineExceeded,
-                             "job " + std::to_string(job->id) +
-                                 " missed its deadline while queued");
+        finish_locked(*job, JobState::kFailed, ErrorCode::kDeadlineExceeded,
+                      "job " + std::to_string(job->id) +
+                          " missed its deadline while queued");
         continue;
       }
       job->state = JobState::kRunning;
@@ -564,43 +587,28 @@ void JobScheduler::deadline_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stopping_) return;
-    // Earliest live deadline still worth watching. The scan is O(all jobs
-    // ever), like the rest of the job table — fine at service scale.
-    std::uint64_t earliest = 0;
-    for (const auto& [id, job] : jobs_) {
-      if (job_state_terminal(job->state) || job->deadline_unix_ms == 0) {
-        continue;
-      }
-      if (job->state == JobState::kRunning && job->deadline_expired) {
-        continue;  // already told to stop; execute() files the result
-      }
-      if (earliest == 0 || job->deadline_unix_ms < earliest) {
-        earliest = job->deadline_unix_ms;
-      }
-    }
-    if (earliest == 0) {
+    if (deadlines_.empty()) {
       deadline_cv_.wait(lock);
       continue;
     }
     const std::uint64_t now = unix_now_ms();
+    const std::uint64_t earliest = deadlines_.begin()->first;
     if (now < earliest) {
       deadline_cv_.wait_for(lock, std::chrono::milliseconds(earliest - now));
       continue;
     }
-    for (auto& [id, jptr] : jobs_) {
-      Job& job = *jptr;
-      if (job_state_terminal(job.state) || job.deadline_unix_ms == 0 ||
-          job.deadline_unix_ms > now) {
-        continue;
-      }
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      const std::uint64_t id = deadlines_.begin()->second;
+      Job& job = *find_locked(id);
       if (job.state == JobState::kQueued) {
         queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
                      queue_.end());
-        finish_queued_locked(job, JobState::kFailed,
-                             ErrorCode::kDeadlineExceeded,
-                             "job " + std::to_string(id) +
-                                 " missed its deadline while queued");
-      } else if (job.state == JobState::kRunning && !job.deadline_expired) {
+        finish_locked(job, JobState::kFailed, ErrorCode::kDeadlineExceeded,
+                      "job " + std::to_string(id) +
+                          " missed its deadline while queued");
+      } else {
+        // Running: told to stop once, and execute() files the result.
+        deadlines_.erase(deadlines_.begin());
         job.deadline_expired = true;
         job.cancel.request_stop();
       }
@@ -609,21 +617,25 @@ void JobScheduler::deadline_loop() {
 }
 
 void JobScheduler::execute(Job& job) {
+  // The run's inputs leave the job here and are freed when the run ends;
+  // no other thread touches a running job's inputs.
+  const std::unique_ptr<Job::Inputs> inputs = std::move(job.inputs);
   JobProgressSink sink(job);
-  RunRequest req = job.request;
+  RunRequest& req = inputs->request;
   req.threads = executor_.threads();
-  req.checkpoint_path = job.checkpoint_path;
-  if (!job.fault.empty()) req.fault_plan = &job.fault;
+  req.checkpoint_path = checkpoint_path(job.fingerprint);
+  if (!inputs->fault.empty()) req.fault_plan = &inputs->fault;
   req.executor = &executor_;
   req.cancel = &job.cancel;
   req.progress = &sink;
 
-  std::string document;
+  SharedDocument document;
   ErrorCode code = ErrorCode::kNone;
   std::string error;
   try {
     const RunResult res = run(req);
-    document = res.to_json(/*canonical=*/true);
+    document =
+        std::make_shared<const std::string>(res.to_json(/*canonical=*/true));
   } catch (const Error& e) {
     code = e.code() == ErrorCode::kNone ? ErrorCode::kUnknown : e.code();
     error = e.what();
@@ -633,12 +645,12 @@ void JobScheduler::execute(Job& job) {
   }
 
   if (code == ErrorCode::kNone) {
-    cache_.insert(job.fingerprint, document);
-    if (!job.checkpoint_path.empty()) {
+    document = cache_.insert(job.fingerprint, std::move(document));
+    if (!req.checkpoint_path.empty()) {
       // The run is reproducible from the cache (and from scratch); the
       // spool file has served its purpose.
       std::error_code ec;
-      std::filesystem::remove(job.checkpoint_path, ec);
+      std::filesystem::remove(req.checkpoint_path, ec);
     }
   }
 
@@ -651,25 +663,15 @@ void JobScheduler::execute(Job& job) {
     error = "job " + std::to_string(job.id) +
             " missed its deadline while running";
   }
-  if (code == ErrorCode::kNone) {
-    job.state = JobState::kDone;
-    job.document = std::move(document);
-    totals_.completed += 1;
-  } else if (code == ErrorCode::kCancelled) {
-    // Not a defect: the controller asked. The spool checkpoint stays on
-    // disk, so resubmitting the identical request resumes from it.
-    job.state = JobState::kCancelled;
-    job.error = std::move(error);
-    job.error_code = code;
-    totals_.cancelled += 1;
-  } else {
-    job.state = JobState::kFailed;
-    job.error = std::move(error);
-    job.error_code = code;
-    totals_.failed += 1;
-    if (code == ErrorCode::kDeadlineExceeded) totals_.deadline_expired += 1;
-  }
-  journal_done_locked(job);
+  // A cancel is not a defect: the controller asked. The spool checkpoint
+  // of a cancelled or failed run stays on disk, so resubmitting the
+  // identical request resumes from it.
+  job.document = std::move(document);
+  finish_locked(job,
+                code == ErrorCode::kNone        ? JobState::kDone
+                : code == ErrorCode::kCancelled ? JobState::kCancelled
+                                                : JobState::kFailed,
+                code, std::move(error));
 }
 
 }  // namespace semsim

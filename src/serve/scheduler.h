@@ -24,9 +24,10 @@
 // transition is appended + fsynced BEFORE the scheduler acts on it, so an
 // acknowledged submit is never lost to a SIGKILL. On construction the
 // scheduler replays the journal: terminal jobs come back verbatim (their
-// canonical documents re-seed the result cache), pending jobs re-enqueue
-// in submission order and resume from their spool checkpoints, and a
-// logged-but-unprocessed cancel lands as `cancelled`.
+// canonical documents re-seed the result cache, and a done job the cache
+// answered comes back cached), pending jobs re-enqueue in submission order
+// and resume from their spool checkpoints, and a logged-but-unprocessed
+// cancel lands as `cancelled`.
 //
 // Overload (admission control): a full queue or a client over its
 // in-flight cap gets a coded OverloadError (serve.overloaded) carrying a
@@ -41,10 +42,13 @@
 //
 // Completed documents go into a fingerprint-keyed ResultCache; a submit
 // whose fingerprint hits the cache is born `done` with cached=true and
-// never touches the engine. When a spool directory is configured, every
-// job checkpoints to spool/job-<fingerprint>.ckpt; the file is deleted on
-// success and KEPT on cancellation or failure, so resubmitting the
-// identical request resumes from the finished prefix.
+// never touches the engine. A document is held once: the job that computed
+// it, every job the cache answered with it and the cache entry share the
+// same immutable bytes, and a terminal job keeps only what status() and
+// result() read (its run inputs are dropped). When a spool directory is
+// configured, every job checkpoints to spool/job-<fingerprint>.ckpt; the
+// file is deleted on success and KEPT on cancellation or failure, so
+// resubmitting the identical request resumes from the finished prefix.
 #pragma once
 
 #include <condition_variable>
@@ -53,9 +57,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "base/cancel.h"
 #include "base/thread_pool.h"
@@ -128,9 +134,10 @@ class JobScheduler {
   /// Snapshot of one job, or nullopt for an unknown id.
   std::optional<JobStatus> status(std::uint64_t id) const;
 
-  /// The completed job's canonical RunResult document. Throws
+  /// The completed job's canonical RunResult document, shared with the
+  /// job (and the cache entry, while it lasts) rather than copied. Throws
   /// Error(kServeUnknownJob) / Error(kServeJobNotReady) otherwise.
-  std::string result(std::uint64_t id) const;
+  SharedDocument result(std::uint64_t id) const;
 
   /// Requests cancellation: a queued job transitions to `cancelled`
   /// immediately, a running job at its next work-unit boundary (poll
@@ -172,11 +179,20 @@ class JobScheduler {
   /// A job for `env`, whose netlist the caller has parsed into `input`.
   std::unique_ptr<Job> make_job(const RequestEnvelope& env,
                                 SimulationInput input) const;
+  /// The job's spool checkpoint file ("" when checkpointing is off).
+  std::string checkpoint_path(std::uint64_t fingerprint) const;
   void replay_journal();
-  /// Terminal bookkeeping for a job that never ran (queued cancel/expiry):
-  /// sets the state, counts it, and journals the transition.
-  void finish_queued_locked(Job& job, JobState state, ErrorCode code,
-                            const std::string& message);
+  /// Counts a new non-terminal job against its client's in-flight cap and
+  /// indexes its deadline.
+  void track_locked(const Job& job);
+  /// Moves a non-terminal job to its terminal `state`: records the detail,
+  /// drops its run inputs, releases its in-flight slot and deadline entry,
+  /// and counts it. Journals nothing (replay calls it too).
+  void settle_locked(Job& job, JobState state, ErrorCode code,
+                     std::string error);
+  /// settle_locked, then journals the transition.
+  void finish_locked(Job& job, JobState state, ErrorCode code,
+                     std::string error);
   void journal_done_locked(const Job& job);
 
   const SchedulerConfig config_;
@@ -192,6 +208,11 @@ class JobScheduler {
   std::unordered_map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::deque<std::uint64_t> queue_;  ///< submission order; priority at pop
   std::uint64_t running_id_ = 0;     ///< 0 = idle
+  /// Non-terminal jobs per client; a client with none has no entry.
+  std::unordered_map<std::string, std::size_t> inflight_;
+  /// (deadline_unix_ms, id) of every non-terminal job with a deadline that
+  /// the monitor has not yet told to stop, earliest first.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> deadlines_;
   Stats totals_;
 
   std::thread dispatcher_;

@@ -390,8 +390,9 @@ std::string Server::handle_line(const std::string& line) {
       case RequestEnvelope::Verb::kResult:
         // VERBATIM stored document (schema semsim.run_result/v3), so the
         // client's byte comparison sees exactly what a CLI
-        // --canonical-json run writes.
-        return scheduler_.result(env.job_id);
+        // --canonical-json run writes. Copied here, outside the scheduler
+        // lock, from the shared bytes.
+        return *scheduler_.result(env.job_id);
       case RequestEnvelope::Verb::kCancel: {
         const bool requested = scheduler_.cancel(env.job_id);
         const std::optional<JobStatus> s = scheduler_.status(env.job_id);

@@ -491,7 +491,7 @@ TEST(EnsembleServe, ServedResultBitwiseIdenticalToDirectAndCached) {
   const JobStatus s = wait_terminal(sched, id);
   ASSERT_EQ(s.state, JobState::kDone) << s.error;
   EXPECT_FALSE(s.cached);
-  EXPECT_EQ(sched.result(id), want);
+  EXPECT_EQ(*sched.result(id), want);
   // Every replica streamed a completion report to the daemon.
   EXPECT_EQ(s.units_total, 10u);
   EXPECT_EQ(s.units_done, 10u);
@@ -503,12 +503,12 @@ TEST(EnsembleServe, ServedResultBitwiseIdenticalToDirectAndCached) {
   ASSERT_TRUE(s2.has_value());
   EXPECT_EQ(s2->state, JobState::kDone);
   EXPECT_TRUE(s2->cached);
-  EXPECT_EQ(sched.result(again), want);
+  EXPECT_EQ(*sched.result(again), want);
   const std::uint64_t other = sched.submit(ensemble_envelope(12));
   const JobStatus s3 = wait_terminal(sched, other);
   EXPECT_EQ(s3.state, JobState::kDone) << s3.error;
   EXPECT_FALSE(s3.cached);
-  EXPECT_NE(sched.result(other), want);
+  EXPECT_NE(*sched.result(other), want);
   sched.shutdown();
 }
 
@@ -564,7 +564,7 @@ TEST(EnsembleServe, CancelLeavesReplicaSpoolAndResumeIsBitwise) {
   const JobStatus s2 = wait_terminal(sched, again);
   ASSERT_EQ(s2.state, JobState::kDone) << s2.error;
   EXPECT_FALSE(s2.cached);
-  EXPECT_EQ(sched.result(again), want);
+  EXPECT_EQ(*sched.result(again), want);
   EXPECT_FALSE(std::filesystem::exists(s.checkpoint_path));
   sched.shutdown();
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -201,12 +202,16 @@ TEST(Envelope, RetiredFastRatesParsesOnlyAsFalse) {
 
 // ---- result cache ---------------------------------------------------------
 
+SharedDocument doc(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 TEST(ResultCacheTest, CountsHitsAndMissesAndServesBytes) {
   ResultCache cache(1024);
-  EXPECT_FALSE(cache.lookup(1).has_value());
-  cache.insert(1, "document-one");
-  const auto hit = cache.lookup(1);
-  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(cache.lookup(1), nullptr);
+  cache.insert(1, doc("document-one"));
+  const SharedDocument hit = cache.lookup(1);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "document-one");
   const ResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -218,25 +223,52 @@ TEST(ResultCacheTest, CountsHitsAndMissesAndServesBytes) {
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   ResultCache cache(20);
-  cache.insert(1, std::string(8, 'a'));
-  cache.insert(2, std::string(8, 'b'));
+  cache.insert(1, doc(std::string(8, 'a')));
+  cache.insert(2, doc(std::string(8, 'b')));
   // Touch 1 so 2 is the LRU victim.
-  EXPECT_TRUE(cache.lookup(1).has_value());
-  cache.insert(3, std::string(8, 'c'));  // 24 bytes > 20: evict 2
-  EXPECT_TRUE(cache.lookup(1).has_value());
-  EXPECT_FALSE(cache.lookup(2).has_value());
-  EXPECT_TRUE(cache.lookup(3).has_value());
+  EXPECT_NE(cache.lookup(1), nullptr);
+  cache.insert(3, doc(std::string(8, 'c')));  // 24 bytes > 20: evict 2
+  EXPECT_NE(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.lookup(2), nullptr);
+  EXPECT_NE(cache.lookup(3), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stats().bytes, 20u);
 }
 
 TEST(ResultCacheTest, OversizedAndDisabledInsertsAreDropped) {
   ResultCache off(0);
-  off.insert(1, "x");
-  EXPECT_FALSE(off.lookup(1).has_value());
+  const SharedDocument x = doc("x");
+  EXPECT_EQ(off.insert(1, x), x);  // the caller keeps its own object
+  EXPECT_EQ(off.lookup(1), nullptr);
   ResultCache tiny(4);
-  tiny.insert(2, "longer-than-budget");
-  EXPECT_FALSE(tiny.lookup(2).has_value());
+  tiny.insert(2, doc("longer-than-budget"));
+  EXPECT_EQ(tiny.lookup(2), nullptr);
+}
+
+TEST(ResultCacheTest, LookupSharesTheStoredBytes) {
+  ResultCache cache(16);
+  const SharedDocument stored = doc(std::string(10, 'a'));
+  EXPECT_EQ(cache.insert(1, stored), stored);
+  const SharedDocument first = cache.lookup(1);
+  const SharedDocument second = cache.lookup(1);
+  EXPECT_EQ(first, stored);  // the stored object itself, not a copy
+  EXPECT_EQ(second, first);
+  // The same bytes inserted again (a replayed or recomputed document) give
+  // way to the stored object; different bytes replace it.
+  EXPECT_EQ(cache.insert(1, doc(std::string(10, 'a'))), stored);
+  EXPECT_EQ(cache.lookup(1), stored);
+  EXPECT_EQ(cache.stats().insertions, 2u);
+  EXPECT_EQ(cache.stats().bytes, 10u);
+  const SharedDocument other = doc(std::string(10, 'c'));
+  EXPECT_EQ(cache.insert(1, other), other);
+  EXPECT_EQ(cache.lookup(1), other);
+  // Held pointers survive eviction; the cache only drops its reference.
+  cache.insert(2, doc(std::string(10, 'b')));  // 20 bytes > 16: evict 1
+  EXPECT_EQ(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(other.use_count(), 1);
+  EXPECT_EQ(*first, std::string(10, 'a'));
+  EXPECT_EQ(stored.use_count(), 3);  // stored, first, second
 }
 
 // ---- run fingerprint ------------------------------------------------------
@@ -382,7 +414,7 @@ TEST(Scheduler, ServedResultBitwiseIdenticalToDirectRunAt1And8Threads) {
     const JobStatus s = wait_terminal(sched, id);
     ASSERT_EQ(s.state, JobState::kDone) << s.error;
     EXPECT_FALSE(s.cached);
-    EXPECT_EQ(sched.result(id), want) << "threads=" << threads;
+    EXPECT_EQ(*sched.result(id), want) << "threads=" << threads;
     // Streaming progress observed the whole sweep.
     EXPECT_GT(s.units_total, 0u);
     EXPECT_EQ(s.units_done, s.units_total);
@@ -418,7 +450,7 @@ TEST(Scheduler, DegradedFaultInjectedRunServedBitwiseIdentical) {
   const JobStatus s = wait_terminal(sched, id);
   ASSERT_EQ(s.state, JobState::kDone) << s.error;
   EXPECT_GE(s.degraded_points, 1u);
-  EXPECT_EQ(sched.result(id), want);
+  EXPECT_EQ(*sched.result(id), want);
   sched.shutdown();
 }
 
@@ -440,7 +472,7 @@ TEST(Scheduler, ResubmitHitsCacheWithoutRunning) {
   EXPECT_EQ(s2->state, JobState::kDone);
   EXPECT_TRUE(s2->cached);
   EXPECT_EQ(s2->units_total, 0u);
-  EXPECT_EQ(sched.result(second), sched.result(first));
+  EXPECT_EQ(*sched.result(second), *sched.result(first));
 
   const ResultCache::Stats after = sched.cache_stats();
   EXPECT_EQ(after.hits, 1u);
@@ -451,7 +483,7 @@ TEST(Scheduler, ResubmitHitsCacheWithoutRunning) {
   const JobStatus s3 = wait_terminal(sched, third);
   EXPECT_EQ(s3.state, JobState::kDone);
   EXPECT_FALSE(s3.cached);
-  EXPECT_NE(sched.result(third), sched.result(first));
+  EXPECT_NE(*sched.result(third), *sched.result(first));
   sched.shutdown();
 }
 
@@ -481,8 +513,47 @@ TEST(Scheduler, JobsDifferingOnlyInASourceLevelBothRun) {
   ASSERT_EQ(s2.state, JobState::kDone) << s2.error;
   EXPECT_FALSE(s2.cached);
   EXPECT_EQ(sched.cache_stats().hits, 0u);
-  EXPECT_EQ(sched.result(first), want_plain);
-  EXPECT_EQ(sched.result(second), want_gated);
+  EXPECT_EQ(*sched.result(first), want_plain);
+  EXPECT_EQ(*sched.result(second), want_gated);
+  sched.shutdown();
+}
+
+TEST(Scheduler, CacheHitSharesTheComputedDocument) {
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  JobScheduler sched(cfg);
+  const std::uint64_t first = sched.submit(sweep_envelope());
+  ASSERT_EQ(wait_terminal(sched, first).state, JobState::kDone);
+  const std::uint64_t second = sched.submit(sweep_envelope());
+  ASSERT_TRUE(sched.status(second)->cached);
+  const SharedDocument computed = sched.result(first);
+  EXPECT_EQ(sched.result(second), computed);
+  EXPECT_EQ(sched.cache_stats().bytes, computed->size());
+  // One object: this pointer, both jobs and the cache entry.
+  EXPECT_EQ(computed.use_count(), 4);
+  sched.shutdown();
+}
+
+TEST(Scheduler, DoneJobOutlivesItsCacheEntry) {
+  const std::string want = run(sweep_request()).to_json(/*canonical=*/true);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.cache_bytes = want.size() * 3 / 2;  // room for one document, not two
+  JobScheduler sched(cfg);
+  const std::uint64_t first = sched.submit(sweep_envelope());
+  ASSERT_EQ(wait_terminal(sched, first).state, JobState::kDone);
+  const std::uint64_t second = sched.submit(sweep_envelope(/*seed=*/8));
+  ASSERT_EQ(wait_terminal(sched, second).state, JobState::kDone);
+  EXPECT_EQ(sched.cache_stats().evictions, 1u);
+  EXPECT_EQ(sched.cache_stats().entries, 1u);
+  EXPECT_EQ(*sched.result(first), want);
+  // The evicted fingerprint misses: a resubmit runs again, to the same
+  // bytes.
+  const std::uint64_t third = sched.submit(sweep_envelope());
+  const JobStatus s3 = wait_terminal(sched, third);
+  ASSERT_EQ(s3.state, JobState::kDone) << s3.error;
+  EXPECT_FALSE(s3.cached);
+  EXPECT_EQ(*sched.result(third), want);
   sched.shutdown();
 }
 
@@ -581,7 +652,7 @@ TEST(Scheduler, CancelLeavesResumableCheckpointAndResubmitResumes) {
   ASSERT_EQ(s2.state, JobState::kDone) << s2.error;
   EXPECT_FALSE(s2.cached);
   // Fewer fresh units than the whole sweep: some were restored.
-  expect_same_sweep(sched.result(again), want);
+  expect_same_sweep(*sched.result(again), want);
   // Success clears the spool file.
   EXPECT_FALSE(std::filesystem::exists(s.checkpoint_path));
   sched.shutdown();
@@ -620,7 +691,7 @@ time 2e-7
   const std::uint64_t id = sched.submit(env);
   const JobStatus s = wait_terminal(sched, id);
   ASSERT_EQ(s.state, JobState::kDone) << s.error;
-  EXPECT_EQ(sched.result(id), want);
+  EXPECT_EQ(*sched.result(id), want);
   sched.shutdown();
 }
 
@@ -654,7 +725,7 @@ TEST(Scheduler, ShutdownCancelsAndCheckpointsTheRunningJob) {
   const std::uint64_t id = sched2.submit(sweep_envelope());
   const JobStatus s = wait_terminal(sched2, id);
   ASSERT_EQ(s.state, JobState::kDone) << s.error;
-  expect_same_sweep(sched2.result(id), want);
+  expect_same_sweep(*sched2.result(id), want);
   EXPECT_FALSE(std::filesystem::exists(ckpt));
   sched2.shutdown();
 }
@@ -1116,7 +1187,7 @@ TEST(Journal, HandBuiltFileInTheDocumentedLayoutReplays) {
   SchedulerConfig cfg;
   cfg.journal_path = read_path;
   JobScheduler sched(cfg);
-  EXPECT_EQ(sched.result(1), "HANDDOC");
+  EXPECT_EQ(*sched.result(1), "HANDDOC");
   EXPECT_EQ(sched.status(1)->client, "c1");
   EXPECT_EQ(sched.status(2)->state, JobState::kCancelled);
   EXPECT_EQ(sched.stats().replayed, 2u);
@@ -1230,7 +1301,8 @@ TEST(Replay, InterruptedJobReenqueuesAndConvergesToDirectBytes) {
   EXPECT_EQ(sched.stats().submitted, 1u);
   const JobStatus s = wait_terminal(sched, 1);
   ASSERT_EQ(s.state, JobState::kDone) << s.error;
-  EXPECT_EQ(sched.result(1), run(sweep_request()).to_json(/*canonical=*/true));
+  EXPECT_EQ(*sched.result(1),
+            run(sweep_request()).to_json(/*canonical=*/true));
   // Ids are never reused: the next submit lands past every replayed id.
   EXPECT_EQ(sched.submit(sweep_envelope(/*seed=*/8)), 2u);
   sched.shutdown();
@@ -1261,7 +1333,7 @@ TEST(Replay, RetiredFastRatesRecordReplaysOnlyAsFalse) {
     EXPECT_EQ(sched.stats().replayed, 1u);
     const JobStatus s = wait_terminal(sched, 1);
     ASSERT_EQ(s.state, JobState::kDone) << s.error;
-    EXPECT_EQ(sched.result(1),
+    EXPECT_EQ(*sched.result(1),
               run(sweep_request()).to_json(/*canonical=*/true));
     sched.shutdown();
   }
@@ -1285,7 +1357,7 @@ TEST(Replay, DoneDocumentComesBackVerbatimAndReseedsTheCache) {
 
   JobScheduler sched(cfg);
   // The terminal job is back verbatim, engine untouched.
-  EXPECT_EQ(sched.result(1), "FAKEDOC");
+  EXPECT_EQ(*sched.result(1), "FAKEDOC");
   EXPECT_EQ(sched.stats().completed, 1u);
   // And its document re-seeded the fingerprint cache: an identical submit
   // is born done.
@@ -1293,7 +1365,60 @@ TEST(Replay, DoneDocumentComesBackVerbatimAndReseedsTheCache) {
   const JobStatus s2 = *sched.status(id2);
   EXPECT_EQ(s2.state, JobState::kDone);
   EXPECT_TRUE(s2.cached);
-  EXPECT_EQ(sched.result(id2), "FAKEDOC");
+  EXPECT_EQ(*sched.result(id2), "FAKEDOC");
+  sched.shutdown();
+}
+
+TEST(Replay, CacheHitJobReplaysAsCached) {
+  // The journal has no cached flag: the dispatcher journals a start before
+  // every run, so a done record with no start before it was a cache hit.
+  TempDir dir("semsim_replay_cached");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.journal_path = dir.path + "/j.wal";
+  {
+    JobScheduler sched(cfg);
+    const std::uint64_t computed = sched.submit(sweep_envelope());
+    ASSERT_EQ(wait_terminal(sched, computed).state, JobState::kDone);
+    const std::uint64_t hit = sched.submit(sweep_envelope());
+    ASSERT_TRUE(sched.status(hit)->cached);
+    sched.shutdown();
+  }
+  JobScheduler sched(cfg);
+  EXPECT_FALSE(sched.status(1)->cached);
+  EXPECT_TRUE(sched.status(2)->cached);
+  EXPECT_EQ(sched.stats().completed, 2u);
+  EXPECT_EQ(sched.stats().cache_hits, 1u);
+  sched.shutdown();
+}
+
+TEST(Replay, ReplayedDocumentIsSharedWithTheCache) {
+  // Job 1 ran and job 2 was answered from the cache: the journal holds the
+  // document twice, the replayed daemon once.
+  TempDir dir("semsim_replay_shared_doc");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.journal_path = dir.path + "/j.wal";
+  craft_journal(cfg.journal_path,
+                {submit_record(1, sweep_envelope()),
+                 bare_record(JournalRecord::Type::kStart, 1),
+                 done_record(1, JobState::kDone, ErrorCode::kNone, "", "DOC"),
+                 submit_record(2, sweep_envelope()),
+                 done_record(2, JobState::kDone, ErrorCode::kNone, "", "DOC")});
+
+  JobScheduler sched(cfg);
+  const SharedDocument document = sched.result(1);
+  EXPECT_EQ(*document, "DOC");
+  EXPECT_EQ(sched.result(2), document);
+  const ResultCache::Stats cs = sched.cache_stats();
+  EXPECT_EQ(cs.insertions, 2u);
+  EXPECT_EQ(cs.entries, 1u);
+  EXPECT_EQ(cs.bytes, 3u);
+  // A new submit is answered with the same object.
+  const std::uint64_t id = sched.submit(sweep_envelope());
+  EXPECT_TRUE(sched.status(id)->cached);
+  EXPECT_EQ(sched.result(id), document);
   sched.shutdown();
 }
 
@@ -1335,7 +1460,7 @@ TEST(Replay, DuplicateDoneRecordsCountOnce) {
   JobScheduler sched(cfg);
   EXPECT_EQ(sched.stats().completed, 1u);
   EXPECT_EQ(sched.stats().submitted, 1u);
-  EXPECT_EQ(sched.result(1), "D");
+  EXPECT_EQ(*sched.result(1), "D");
   sched.shutdown();
 }
 
@@ -1393,7 +1518,7 @@ TEST(Replay, SameNetlistTextReplaysAsSeparateJobs) {
     const JobStatus s = wait_terminal(sched, id);
     ASSERT_EQ(s.state, JobState::kDone) << s.error;
     EXPECT_EQ(s.fingerprint, sweep_request(1, seed).fingerprint());
-    EXPECT_EQ(sched.result(id),
+    EXPECT_EQ(*sched.result(id),
               run(sweep_request(1, seed)).to_json(/*canonical=*/true));
   }
   EXPECT_NE(sched.status(1)->fingerprint, sched.status(2)->fingerprint);
@@ -1502,6 +1627,44 @@ TEST(Overload, PerClientInflightCapIsPerClient) {
   EXPECT_NO_THROW(sched.submit(bob));
   sched.cancel(first);
   wait_terminal(sched, first);
+  sched.shutdown();
+}
+
+TEST(Overload, InflightCapFreesAtTerminalAndCountsReplayedJobs) {
+  TempDir dir("semsim_overload_replay");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.max_inflight_per_client = 1;
+  cfg.journal_path = dir.path + "/j.wal";
+  // A job the last daemon never finished: replay re-enqueues it, and it
+  // holds its client's one slot.
+  JournalRecord pending = submit_record(1, slow_sweep_envelope());
+  pending.client = "alice";
+  craft_journal(cfg.journal_path, {pending});
+  // Slowed, so each admitted job holds the slot while the next submit
+  // probes it.
+  const auto alice = [](std::uint64_t seed) {
+    RequestEnvelope env = slow_sweep_envelope(/*millis=*/100);
+    env.seed = seed;
+    env.client = "alice";
+    return env;
+  };
+
+  JobScheduler sched(cfg);
+  EXPECT_EQ(code_of([&] { sched.submit(alice(8)); }),
+            ErrorCode::kServerOverloaded);
+  // Cancelling it frees the slot ...
+  EXPECT_TRUE(sched.cancel(1));
+  EXPECT_EQ(wait_terminal(sched, 1).state, JobState::kCancelled);
+  const std::uint64_t second = sched.submit(alice(8));
+  EXPECT_EQ(code_of([&] { sched.submit(alice(9)); }),
+            ErrorCode::kServerOverloaded);
+  // ... and so does finishing.
+  ASSERT_EQ(wait_terminal(sched, second).state, JobState::kDone);
+  const std::uint64_t third = sched.submit(alice(9));
+  EXPECT_EQ(wait_terminal(sched, third).state, JobState::kDone);
+  EXPECT_EQ(sched.stats().overload_rejected, 2u);
   sched.shutdown();
 }
 
