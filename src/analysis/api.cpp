@@ -1,10 +1,10 @@
 #include "analysis/api.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "base/random.h"
 #include "guard/retry.h"
+#include "io/envelope.h"
 #include "io/json.h"
 
 namespace semsim {
@@ -71,30 +71,14 @@ void write_iv_point(JsonWriter& w, const IvPoint& p) {
   w.end_object();
 }
 
-/// v3 "ensemble" object: the spec echo (table-driven from
-/// analysis/run_fields.inc — the same table the codec and fingerprint
-/// expand), per-replica rows, and cross-replica bands.
+/// v3 "ensemble" object: the spec echo (io/envelope.h, the writer the
+/// submit envelope uses), per-replica rows, and cross-replica bands.
 void write_ensemble(JsonWriter& w, const EnsembleSpec& spec,
                     const EnsembleResult& e) {
   w.key("ensemble").begin_object();
   w.field("replicas", unsigned{e.replicas});
   w.field("seed", e.seed);  // effective (spec.seed or the run seed)
-
-  w.key("spec").begin_object();
-#define SEMSIM_FIELD_JSON_U64(name, v) w.field(name, std::uint64_t{v});
-#define SEMSIM_FIELD_JSON_U32(name, v) w.field(name, unsigned{v});
-#define SEMSIM_FIELD_JSON_F64(name, v) \
-  if (std::isfinite(v)) w.field(name, double{v});
-#define SEMSIM_FIELD_JSON_DIST(name, v) \
-  w.field(name, perturbation_dist_name(v));
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_JSON_##KIND(json_name, spec.member)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_JSON_U64
-#undef SEMSIM_FIELD_JSON_U32
-#undef SEMSIM_FIELD_JSON_F64
-#undef SEMSIM_FIELD_JSON_DIST
-  w.end_object();
+  write_ensemble_object(w, "spec", spec);
 
   w.key("replica_rows").begin_array();
   for (const ReplicaRow& r : e.rows) {
@@ -134,29 +118,20 @@ void write_ensemble(JsonWriter& w, const EnsembleSpec& spec,
 
 }  // namespace
 
-DriverOptions RunRequest::driver_options() const {
-  DriverOptions o;
-  static_cast<RunOptionsCore&>(o) = static_cast<const RunOptionsCore&>(*this);
-  return o;
-}
-
 EngineOptions RunRequest::engine_options() const {
-  return engine_options_for(input, driver_options());
+  return engine_options_for(input, *this);
 }
 
 std::uint64_t RunRequest::fingerprint() const {
-  return run_fingerprint(input, driver_options());
+  return run_fingerprint(input, *this);
 }
 
 RunResult run(const RunRequest& request) {
   RunResult r;
-  r.driver = run_simulation(request.input, request.driver_options());
+  r.driver = run_simulation(request.input, request);
   r.fingerprint = request.fingerprint();
-  r.seed = request.seed;
-  r.adaptive = request.adaptive;
+  r.spec = request;
   r.threads = request.threads;
-  r.ensemble = request.ensemble;
-  r.partition = request.partition;
   return r;
 }
 
@@ -165,8 +140,8 @@ std::string RunResult::to_json(bool canonical) const {
   w.begin_object();
   w.field("schema", kJsonSchema);
   w.field("fingerprint", fingerprint_hex(fingerprint));
-  w.field("seed", seed);
-  w.field("adaptive", adaptive);
+  w.field("seed", spec.seed);
+  w.field("adaptive", spec.adaptive);
   w.field("fast_rates", false);  // retired flag, constant (kJsonSchema)
   if (!canonical) w.field("threads", threads);
   w.field("events", driver.events);
@@ -222,23 +197,11 @@ std::string RunResult::to_json(bool canonical) const {
   w.field("degraded", driver.degraded());
 
   // v3: present only on ensemble runs; absent == exactly the v2 shape.
-  if (driver.ensemble) write_ensemble(w, ensemble, *driver.ensemble);
+  if (driver.ensemble) write_ensemble(w, spec.ensemble, *driver.ensemble);
 
-  // Partition spec echo, table-driven like the ensemble one; present only
-  // when the run was partitioned. The effective cluster count of the run
-  // is counters.units.
-  if (partition.enabled) {
-    w.key("partition").begin_object();
-#define SEMSIM_FIELD_JSON_U32(name, v) w.field(name, unsigned{v});
-#define SEMSIM_FIELD_JSON_F64(name, v) \
-  if (std::isfinite(v)) w.field(name, double{v});
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_JSON_##KIND(json_name, partition.member)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_JSON_U32
-#undef SEMSIM_FIELD_JSON_F64
-    w.end_object();
-  }
+  // Partition spec echo; present only when the run was partitioned. The
+  // effective cluster count of the run is counters.units.
+  if (spec.partition.enabled) write_partition_object(w, spec.partition);
 
   w.key("stats");
   write_solver_stats(w, driver.counters.stats);

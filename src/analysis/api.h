@@ -24,20 +24,17 @@
 namespace semsim {
 
 /// Everything that defines a run: the parsed input (circuit + directives)
-/// plus every run option. The options are RunOptionsCore (driver.h) by
-/// inheritance — RunRequest and DriverOptions are the SAME option surface
-/// by construction, so a field added to the core exists on both with no
-/// mirroring code (the old drift hazard across api.h/driver.h/semsim_cli).
-struct RunRequest : RunOptionsCore {
+/// plus every run option. A RunRequest IS the DriverOptions of its run
+/// (analysis/driver.h: the RunSpec of analysis/run_spec.h plus how the run
+/// executes); the request adds only the input.
+struct RunRequest : DriverOptions {
   SimulationInput input;
 
-  /// The equivalent DriverOptions (the shared RunOptionsCore slice).
-  DriverOptions driver_options() const;
+  /// The request's options, for callers that spell the conversion.
+  const DriverOptions& driver_options() const { return *this; }
   /// The EngineOptions every engine of this run starts from.
   EngineOptions engine_options() const;
-  /// Run identity hash (same value as run_fingerprint on the equivalent
-  /// DriverOptions): covers circuit, directives, seed, solver and stop
-  /// criterion, but never the thread count.
+  /// Run identity hash: run_fingerprint(input, *this).
   std::uint64_t fingerprint() const;
 };
 
@@ -60,15 +57,12 @@ struct RunResult {
 
   DriverResult driver;
   std::uint64_t fingerprint = 0;  ///< RunRequest::fingerprint() of the run
-  std::uint64_t seed = 0;
-  bool adaptive = true;
+  /// The request's spec, echoed by the document: "seed", "adaptive", the
+  /// v3 "ensemble" object's "spec" (ensemble runs only) and the optional
+  /// "partition" object (absent when disabled; absent == exactly the
+  /// pre-partition shape, same compatibility rule as "ensemble").
+  RunSpec spec;
   unsigned threads = 1;
-  /// Spec echo for the v3 "ensemble" object (disabled on non-ensemble runs).
-  EnsembleSpec ensemble;
-  /// Spec echo for the optional "partition" object (absent when disabled;
-  /// absent == exactly the pre-partition shape, same compatibility rule as
-  /// "ensemble").
-  PartitionSpec partition;
 
   /// Versioned machine-readable document: schema tag, run identity
   /// (fingerprint as a hex string — JSON numbers cannot carry 64 bits),

@@ -202,7 +202,7 @@ DriverResult run_partitioned(const SimulationInput& input,
 }  // namespace
 
 std::uint64_t run_fingerprint(const SimulationInput& input,
-                              const DriverOptions& options) {
+                              const RunSpec& spec) {
   BinaryWriter w;
   w.u64(input.circuit.node_count());
   w.u64(input.circuit.junction_count());
@@ -255,37 +255,37 @@ std::uint64_t run_fingerprint(const SimulationInput& input,
   // retired fast_rates flag (an approximate thermal kernel): always 0, so
   // every run keeps the fingerprint, checkpoints and cached results it had
   // when the flag existed.
-  w.u64(options.seed);
-  w.u8(options.adaptive ? 1 : 0);
+  w.u64(spec.seed);
+  w.u8(spec.adaptive ? 1 : 0);
   w.u8(0);
-  w.u64(options.stop.max_events);
-  w.f64(options.stop.target_rel_error);
-  w.u64(options.stop.check_interval);
+  w.u64(spec.stop.max_events);
+  w.f64(spec.stop.target_rel_error);
+  w.u64(spec.stop.check_interval);
   // Convergence appendix: a convergence-stopped current is total charge
   // over total time, and no longer the mean of the per-chunk currents
   // (16/15 high). The tag keeps a checkpoint or cached result of that
   // estimator from resuming into or answering for this one; runs without
   // convergence stopping keep their fingerprint.
-  if (options.stop.convergence_enabled()) w.str("current: charge over time");
+  if (spec.stop.convergence_enabled()) w.str("current: charge over time");
 #define SEMSIM_FIELD_FP_U64(v) w.u64(v);
 #define SEMSIM_FIELD_FP_U32(v) w.u32(v);
 #define SEMSIM_FIELD_FP_F64(v) w.f64(v);
 #define SEMSIM_FIELD_FP_DIST(v) w.u8(static_cast<std::uint8_t>(v));
   // Ensemble appendix: ONLY when enabled, so every pre-ensemble fingerprint
   // (and with it every existing checkpoint and cached result) is unchanged.
-  if (options.ensemble.enabled) {
+  if (spec.ensemble.enabled) {
     w.u8(1);
 #define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.ensemble.member)
+  SEMSIM_FIELD_FP_##KIND(spec.ensemble.member)
 #include "analysis/run_fields.inc"
   }
   // Partition appendix, gated exactly like the ensemble one: a disabled
   // spec contributes zero bytes, so pre-partition fingerprints (and every
   // cached result/checkpoint keyed by them) stay byte-identical.
-  if (options.partition.enabled) {
+  if (spec.partition.enabled) {
     w.u8(1);
 #define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_FP_##KIND(options.partition.member)
+  SEMSIM_FIELD_FP_##KIND(spec.partition.member)
 #include "analysis/run_fields.inc"
   }
 #undef SEMSIM_FIELD_FP_U64

@@ -12,35 +12,22 @@
 
 #include "analysis/current.h"
 #include "analysis/ensemble.h"
+#include "analysis/run_spec.h"
 #include "analysis/sweep.h"
 #include "base/cancel.h"
-#include "core/partition_spec.h"
 #include "netlist/parser.h"
 #include "obs/checkpoint.h"
 
 namespace semsim {
 
-/// The ONE declaration of every run option. DriverOptions and RunRequest
-/// (analysis/api.h) used to carry hand-mirrored copies of these fields —
-/// every addition risked drifting across api.h/driver.h/semsim_cli — so
-/// both are now this struct (RunRequest adds the parsed input on top). The
-/// scalars of the ensemble and partition specs are tabulated in
-/// analysis/run_fields.inc, which the fingerprint writer, the envelope
-/// codec and the CLI parsers expand mechanically.
-struct RunOptionsCore {
-  std::uint64_t seed = 1;
-  bool adaptive = true;   ///< false = conventional non-adaptive solver
+/// Options for run_simulation: the run spec (analysis/run_spec.h) plus how
+/// this process executes it. run_fingerprint() reads none of the fields
+/// added here.
+struct DriverOptions : RunSpec {
   /// Worker threads for sweeps and multi-seed (`jumps <n> <repeats>`) runs;
   /// 0 = all hardware threads. Results are bitwise identical for every
-  /// value: work units are seeded from (seed, unit_index), never from the
-  /// executing thread (see base/thread_pool.h).
+  /// value.
   unsigned threads = 1;
-
-  /// Convergence-based stopping (obs subsystem): when
-  /// stop.convergence_enabled(), measurements run until the binned relative
-  /// error of the current meets stop.target_rel_error instead of a fixed
-  /// `jumps` budget (which then only serves as stop.max_events fallback).
-  StopCriterion stop;
 
   /// Non-empty enables crash-safe checkpointing to this file: completed
   /// work units (sweep chunks, repeats, replicas) or a sequential run's
@@ -59,30 +46,12 @@ struct RunOptionsCore {
   /// Invariant-audit cadence/tolerances for every engine of the run
   /// (guard/integrity.h). On by default at the auto cadence.
   AuditOptions audit;
-  /// Fault isolation for sweep points and repeat units (guard/retry.h):
-  /// recoverable errors are retried on a re-seeded stream, then degraded to
-  /// a recorded failure; retry.strict restores fail-fast (CLI --strict).
-  RetryPolicy retry;
   /// Optional deterministic fault schedule (tests/benches); the caller owns
   /// the plan, which must outlive the run. nullptr = no injection.
   const FaultPlan* fault_plan = nullptr;
 
-  /// Statistical device-variability ensemble (analysis/ensemble.h): when
-  /// enabled, the run simulates ensemble.replicas perturbed copies of the
-  /// input device and reports per-replica rows plus cross-replica bands.
-  /// Fingerprinted (appended fields) only when enabled, so non-ensemble
-  /// fingerprints are byte-identical to pre-ensemble builds.
-  EnsembleSpec ensemble;
-
-  /// Domain-decomposed single-run execution (core/partition.h): split the
-  /// junction graph into weakly-coupled clusters and advance them in
-  /// conservative time windows. Fingerprinted (appended fields) only when
-  /// enabled, like the ensemble spec.
-  PartitionSpec partition;
-
-  // ---- service hooks (analysis/api.h RunRequest mirrors these) --------
-  // None of the three participates in run_fingerprint(): they observe or
-  // interrupt a run but never change what it computes.
+  // ---- service hooks: they observe or interrupt a run but never change
+  // what it computes.
 
   /// External worker pool to shard work units on. The service daemon passes
   /// its long-lived pool so every job shares one set of threads; nullptr =
@@ -96,11 +65,6 @@ struct RunOptionsCore {
   /// Streaming partial-result consumer; must be thread-safe. nullptr = off.
   ProgressSink* progress = nullptr;
 };
-
-/// Options for run_simulation. Exactly RunOptionsCore — the name survives
-/// for the call sites; C++17 aggregate rules keep `DriverOptions{}` and
-/// member-by-member initialization working unchanged.
-struct DriverOptions : RunOptionsCore {};
 
 /// One work unit (sweep point index, repeat index) that exhausted its
 /// attempts and was excluded from the results.
@@ -144,12 +108,14 @@ struct DriverResult {
   bool degraded() const noexcept { return !failures.empty(); }
 };
 
-/// Run identity hash for checkpoint files: everything that determines the
-/// sampled streams and results — circuit topology and element values,
-/// simulation directives, seed, solver choice, stop criterion — but NOT the
-/// thread count, which never affects results.
+/// Run identity hash for checkpoint files and the result cache: everything
+/// that determines the sampled streams and results — circuit topology and
+/// element values, simulation directives, seed, solver choice, stop
+/// criterion, ensemble and partition specs — but NOT the spec's retry
+/// policy, nor anything DriverOptions adds (threads, checkpoint files,
+/// hooks).
 std::uint64_t run_fingerprint(const SimulationInput& input,
-                              const DriverOptions& options);
+                              const RunSpec& spec);
 
 /// Runs the simulation an input file describes. Throws on structurally
 /// invalid inputs (e.g. `record` missing when a current is requested).

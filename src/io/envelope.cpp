@@ -101,29 +101,6 @@ FaultKind fault_kind_from(const std::string& name) {
   bad("unknown fault kind '" + name + "'");
 }
 
-// ---- ensemble section (field set generated from analysis/run_fields.inc) --
-
-void write_ensemble_object(JsonWriter& w, const EnsembleSpec& s) {
-  w.key("ensemble").begin_object();
-#define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_U32(member, json_name) \
-  w.field(json_name, unsigned{s.member});
-// Non-finite doubles have no JSON spelling; the parser's fallback restores
-// the default (yield_max -> +inf).
-#define SEMSIM_FIELD_WRITE_F64(member, json_name) \
-  if (std::isfinite(s.member)) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_DIST(member, json_name) \
-  w.field(json_name, perturbation_dist_name(s.member));
-#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_WRITE_U64
-#undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_F64
-#undef SEMSIM_FIELD_WRITE_DIST
-  w.end_object();
-}
-
 EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
   EnsembleSpec s;
   s.enabled = true;  // presence on the wire == enabled
@@ -164,23 +141,6 @@ EnsembleSpec parse_ensemble_object(const JsonValue& obj) {
     bad(e.message());
   }
   return s;
-}
-
-// ---- partition section (field set from analysis/run_fields.inc) -----------
-
-void write_partition_object(JsonWriter& w, const PartitionSpec& s) {
-  w.key("partition").begin_object();
-#define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_FIELD_WRITE_U32(member, json_name) \
-  w.field(json_name, unsigned{s.member});
-#define SEMSIM_FIELD_WRITE_F64(member, json_name) w.field(json_name, s.member);
-#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
-  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
-#include "analysis/run_fields.inc"
-#undef SEMSIM_FIELD_WRITE_U64
-#undef SEMSIM_FIELD_WRITE_U32
-#undef SEMSIM_FIELD_WRITE_F64
-  w.end_object();
 }
 
 /// STRICT parse: unlike the ensemble object (whose unknown keys are
@@ -228,6 +188,40 @@ PartitionSpec parse_partition_object(const JsonValue& obj) {
 
 }  // namespace
 
+// ---- spec objects (field sets generated from analysis/run_fields.inc) -----
+
+#define SEMSIM_FIELD_WRITE_U64(member, json_name) w.field(json_name, s.member);
+#define SEMSIM_FIELD_WRITE_U32(member, json_name) \
+  w.field(json_name, unsigned{s.member});
+#define SEMSIM_FIELD_WRITE_DIST(member, json_name) \
+  w.field(json_name, perturbation_dist_name(s.member));
+
+void write_ensemble_object(JsonWriter& w, std::string_view key,
+                           const EnsembleSpec& s) {
+  w.key(key).begin_object();
+#define SEMSIM_FIELD_WRITE_F64(member, json_name) \
+  if (std::isfinite(s.member)) w.field(json_name, s.member);
+#define SEMSIM_ENSEMBLE_FIELD(ident, member, KIND, json_name, cli_flag) \
+  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
+#include "analysis/run_fields.inc"
+#undef SEMSIM_FIELD_WRITE_F64
+  w.end_object();
+}
+
+void write_partition_object(JsonWriter& w, const PartitionSpec& s) {
+  w.key("partition").begin_object();
+#define SEMSIM_FIELD_WRITE_F64(member, json_name) w.field(json_name, s.member);
+#define SEMSIM_PARTITION_FIELD(ident, member, KIND, json_name, cli_flag) \
+  SEMSIM_FIELD_WRITE_##KIND(member, json_name)
+#include "analysis/run_fields.inc"
+#undef SEMSIM_FIELD_WRITE_F64
+  w.end_object();
+}
+
+#undef SEMSIM_FIELD_WRITE_U64
+#undef SEMSIM_FIELD_WRITE_U32
+#undef SEMSIM_FIELD_WRITE_DIST
+
 const char* verb_name(RequestEnvelope::Verb verb) noexcept {
   for (const VerbSpelling& s : kVerbs) {
     if (s.verb == verb) return s.name;
@@ -263,7 +257,9 @@ std::string encode_request_envelope(const RequestEnvelope& env) {
       w.field("strict", env.retry.strict);
       w.field("max_attempts", unsigned{env.retry.max_attempts});
       w.end_object();
-      if (env.ensemble.enabled) write_ensemble_object(w, env.ensemble);
+      if (env.ensemble.enabled) {
+        write_ensemble_object(w, "ensemble", env.ensemble);
+      }
       if (env.partition.enabled) write_partition_object(w, env.partition);
       if (!env.fault.empty()) {
         w.key("fault").begin_array();
@@ -360,8 +356,8 @@ RequestEnvelope parse_request_envelope(std::string_view line,
         }
         if (env.client.size() > 256) bad("client id longer than 256 bytes");
       }
-      env.seed = u64_field(doc, "seed", 1);
-      env.adaptive = bool_field(doc, "adaptive", true);
+      env.seed = u64_field(doc, "seed", env.seed);
+      env.adaptive = bool_field(doc, "adaptive", env.adaptive);
       if (bool_field(doc, "fast_rates", false)) {
         bad("fast_rates: the approximate thermal kernel is retired; only "
             "false is accepted");
@@ -372,9 +368,12 @@ RequestEnvelope parse_request_envelope(std::string_view line,
 
       if (const JsonValue* stop = doc.find("stop")) {
         if (!stop->is_object()) bad("'stop' must be an object");
-        env.stop.max_events = u64_field(*stop, "max_events", 0);
-        env.stop.target_rel_error = f64_field(*stop, "target_rel_error", 0.0);
-        env.stop.check_interval = u64_field(*stop, "check_interval", 0);
+        env.stop.max_events =
+            u64_field(*stop, "max_events", env.stop.max_events);
+        env.stop.target_rel_error = f64_field(*stop, "target_rel_error",
+                                              env.stop.target_rel_error);
+        env.stop.check_interval =
+            u64_field(*stop, "check_interval", env.stop.check_interval);
         if (env.stop.target_rel_error < 0.0 ||
             !std::isfinite(env.stop.target_rel_error)) {
           bad("stop.target_rel_error must be finite and >= 0");
@@ -382,8 +381,9 @@ RequestEnvelope parse_request_envelope(std::string_view line,
       }
       if (const JsonValue* retry = doc.find("retry")) {
         if (!retry->is_object()) bad("'retry' must be an object");
-        env.retry.strict = bool_field(*retry, "strict", false);
-        const std::uint64_t attempts = u64_field(*retry, "max_attempts", 3);
+        env.retry.strict = bool_field(*retry, "strict", env.retry.strict);
+        const std::uint64_t attempts =
+            u64_field(*retry, "max_attempts", env.retry.max_attempts);
         if (attempts == 0 || attempts > 0xFFFFFFFFULL) {
           bad("retry.max_attempts must be in [1, 2^32)");
         }

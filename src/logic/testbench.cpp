@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "analysis/delay.h"
+#include "analysis/units.h"
 #include "base/error.h"
-#include "base/random.h"
 
 namespace semsim {
 namespace {
@@ -143,33 +143,27 @@ MultiSeedDelayResult run_delay_experiment_seeds(
   EngineOptions opt = base_cfg.engine;
   opt.temperature = p.temperature;
 
-  struct SeedOut {
+  // One unit per seed; unit s's engine runs on derive_stream_seed(base_seed,
+  // s) (UnitAttempt::engine).
+  struct Seed : UnitWork {
     double delay = 0.0;
-    SolverStats stats;
   };
-  const auto t0 = Clock::now();
-  const std::vector<SeedOut> outs =
-      exec.map<SeedOut>(n_seeds, [&](std::size_t s) {
-        EngineOptions seed_opt = opt;
-        seed_opt.seed = derive_stream_seed(base_seed, s);
-        Engine engine(elab.circuit(), seed_opt, model);
-        engine.set_electron_counts(preseed);
-        SeedOut o;
-        o.delay = measure_propagation_delay(engine, dc);
-        o.stats = engine.stats();
-        return o;
-      });
+  Units<Seed> units;
+  units.count = n_seeds;
+  units.name = "delay seed";
+  units.body = [&](const UnitAttempt& a, Seed& s) {
+    Engine& engine = a.engine(elab.circuit(), opt, model, nullptr);
+    engine.set_electron_counts(preseed);
+    s.delay = measure_propagation_delay(engine, dc);
+  };
 
   MultiSeedDelayResult res;
-  res.counters.threads = exec.threads();
-  res.counters.wall_seconds = seconds_since(t0);
+  const UnitContext ctx{exec, {}, nullptr, nullptr, {}, base_seed};
   double acc = 0.0;
-  for (const SeedOut& o : outs) {
-    res.delays.push_back(o.delay);
-    res.counters.stats += o.stats;
-    ++res.counters.units;
-    if (std::isfinite(o.delay)) {
-      acc += o.delay;
+  for (const Seed& s : run_units(units, ctx, &res.counters)) {
+    res.delays.push_back(s.delay);
+    if (std::isfinite(s.delay)) {
+      acc += s.delay;
       ++res.valid;
     }
   }

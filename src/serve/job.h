@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/sweep.h"
 #include "base/error.h"
 
 namespace semsim {
@@ -39,20 +41,6 @@ inline bool job_state_terminal(JobState state) noexcept {
   return state == JobState::kDone || state == JobState::kFailed ||
          state == JobState::kCancelled;
 }
-
-/// One completed sweep point, streamed while the job is still running.
-/// Mirrors the final document's sweep rows (analysis/api.cpp) so a client
-/// can render the table incrementally.
-struct PartialPoint {
-  std::uint64_t index = 0;
-  double bias = 0.0;
-  double current = 0.0;
-  double stderr_mean = 0.0;
-  double rel_error = 0.0;
-  std::uint64_t events = 0;
-  std::string status;  ///< "ok" / "retried" / "failed:<code>"
-  std::uint32_t attempts = 1;
-};
 
 /// Point-in-time snapshot of one job (the status verb's payload).
 struct JobStatus {
@@ -78,8 +66,10 @@ struct JobStatus {
   // Ensemble jobs only (both 0 otherwise): replica population progress.
   std::uint64_t replicas_total = 0;
   std::uint64_t replicas_done = 0;
-  /// Completed sweep rows in bias order (may be sparse while running).
-  std::vector<PartialPoint> partial;
+  /// Completed sweep rows with their table index, in index order (may be
+  /// sparse while running); the final document's sweep rows, streamed so
+  /// a client can render the table incrementally.
+  std::vector<std::pair<std::uint64_t, IvPoint>> partial;
 
   // ---- terminal detail ------------------------------------------------
   /// failed: the driver error. cancelled: the cancellation message.

@@ -60,10 +60,11 @@ struct JobScheduler::Job {
   mutable std::mutex progress_mu;
   std::uint64_t units_total = 0;
   std::uint64_t units_done = 0;
-  std::uint64_t points_total = 0;
   std::uint64_t points_done = 0;
   std::uint64_t degraded_points = 0;
-  std::vector<PartialPoint> partial;
+  /// The sweep table (on_run_started's points_total rows), each row set
+  /// once its point is final.
+  std::vector<std::optional<IvPoint>> sweep;
 };
 
 namespace {
@@ -78,7 +79,7 @@ class JobProgressSink final : public ProgressSink {
                       std::uint64_t points_total) override {
     const std::lock_guard<std::mutex> lock(job_.progress_mu);
     job_.units_total = units_total;
-    job_.points_total = points_total;
+    job_.sweep.resize(points_total);
   }
 
   void on_sweep_points(std::size_t first, const IvPoint* points,
@@ -86,18 +87,8 @@ class JobProgressSink final : public ProgressSink {
     const std::lock_guard<std::mutex> lock(job_.progress_mu);
     job_.points_done += count;
     for (std::size_t i = 0; i < count; ++i) {
-      const IvPoint& p = points[i];
-      PartialPoint row;
-      row.index = first + i;
-      row.bias = p.bias;
-      row.current = p.current;
-      row.stderr_mean = p.stderr_mean;
-      row.rel_error = p.rel_error;
-      row.events = p.events;
-      row.status = point_status_label(p);
-      row.attempts = p.attempts;
-      if (p.status == PointStatus::kFailed) job_.degraded_points += 1;
-      job_.partial.push_back(std::move(row));
+      if (points[i].status == PointStatus::kFailed) job_.degraded_points += 1;
+      job_.sweep[first + i] = points[i];
     }
   }
 
@@ -150,14 +141,9 @@ std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
   auto job = std::make_unique<Job>();
   job->inputs = std::make_unique<Job::Inputs>();
   RunRequest& req = job->inputs->request;
+  static_cast<RunSpec&>(req) = env;
   req.input = std::move(input);
   if (env.repeats > 0) req.input.repeats = env.repeats;
-  req.seed = env.seed;
-  req.adaptive = env.adaptive;
-  req.stop = env.stop;
-  req.retry = env.retry;
-  req.ensemble = env.ensemble;
-  req.partition = env.partition;
   job->inputs->fault = env.fault;
   job->priority = env.priority;
   job->ensemble = env.ensemble.enabled;
@@ -443,7 +429,7 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
     const std::lock_guard<std::mutex> plock(job->progress_mu);
     s.units_total = job->units_total;
     s.units_done = job->units_done;
-    s.points_total = job->points_total;
+    s.points_total = job->sweep.size();
     s.points_done = job->points_done;
     s.degraded_points = job->degraded_points;
     if (job->ensemble) {
@@ -451,12 +437,10 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
       s.replicas_total = job->units_total;
       s.replicas_done = job->units_done;
     }
-    s.partial = job->partial;
+    for (std::size_t i = 0; i < job->sweep.size(); ++i) {
+      if (job->sweep[i]) s.partial.emplace_back(i, *job->sweep[i]);
+    }
   }
-  std::sort(s.partial.begin(), s.partial.end(),
-            [](const PartialPoint& a, const PartialPoint& b) {
-              return a.index < b.index;
-            });
   return s;
 }
 

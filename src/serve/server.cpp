@@ -75,15 +75,15 @@ void write_status(JsonWriter& w, const JobStatus& s) {
   }
   if (!s.partial.empty()) {
     w.key("partial").begin_array();
-    for (const PartialPoint& p : s.partial) {
+    for (const auto& [index, p] : s.partial) {
       w.begin_object();
-      w.field("index", p.index);
+      w.field("index", index);
       w.field("bias_V", p.bias);
       w.field("current_A", p.current);
       w.field("stderr_A", p.stderr_mean);
       w.field("rel_error", p.rel_error);
       w.field("events", p.events);
-      w.field("status", p.status);
+      w.field("status", point_status_label(p));
       w.field("attempts", p.attempts);
       w.end_object();
     }
@@ -144,12 +144,16 @@ int make_listener_tcp(std::uint16_t port, std::uint16_t* bound) {
   return fd;
 }
 
+/// Budget for draining one response to a slow-reading client: a
+/// connection that cannot take more bytes for this long is closed.
+constexpr int kWriteTimeoutMs = 10'000;
+
 /// Full write to a non-blocking fd with a wall budget: each time the
-/// socket buffer fills, wait up to `timeout_ms` (0 = forever) for POLLOUT,
-/// also waking on `wake_fd` (the stop self-pipe). Returns false — and the
+/// socket buffer fills, wait up to kWriteTimeoutMs for POLLOUT, also
+/// waking on `wake_fd` (the stop self-pipe). Returns false — and the
 /// caller hangs up — when the budget is spent on a slow-reading client,
 /// the server is stopping, or the peer errors out.
-bool write_all(int fd, const std::string& data, int timeout_ms, int wake_fd) {
+bool write_all(int fd, const std::string& data, int wake_fd) {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
@@ -164,7 +168,7 @@ bool write_all(int fd, const std::string& data, int timeout_ms, int wake_fd) {
     p[0].events = POLLOUT;
     p[1].fd = wake_fd;
     p[1].events = POLLIN;
-    const int rc = ::poll(p, 2, timeout_ms <= 0 ? -1 : timeout_ms);
+    const int rc = ::poll(p, 2, kWriteTimeoutMs);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -286,7 +290,7 @@ void Server::handle_connection(int fd) {
   std::string buffer;
   char chunk[4096];
   const auto send = [&](const std::string& line) {
-    return write_all(fd, line + "\n", config_.write_timeout_ms, pipe_rd_);
+    return write_all(fd, line + "\n", pipe_rd_);
   };
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) break;

@@ -52,9 +52,6 @@ struct ServerConfig {
   /// Hang up on a connection that sends nothing for this long (ms); a
   /// wedged client must not pin a worker thread forever. 0 = never.
   int idle_timeout_ms = 60'000;
-  /// Budget for draining one response to a slow-reading client (ms);
-  /// exceeding it closes the connection. 0 = unbounded.
-  int write_timeout_ms = 10'000;
 };
 
 class Server {

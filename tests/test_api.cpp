@@ -127,7 +127,7 @@ TEST(RunFacade, MatchesDriverBitwise) {
   EXPECT_EQ(res.driver.events, ref.events);
   EXPECT_EQ(res.fingerprint, run_fingerprint(req.input, req.driver_options()));
   EXPECT_EQ(res.fingerprint, req.fingerprint());
-  EXPECT_EQ(res.seed, 11u);
+  EXPECT_EQ(res.spec.seed, 11u);
 }
 
 TEST(RunFacade, ToJsonRoundTripsThroughParser) {

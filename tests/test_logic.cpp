@@ -381,6 +381,40 @@ TEST(Testbench, AdaptiveAndNonAdaptiveDelaysAgree) {
   EXPECT_NEAR(d_adaptive / d_reference, 1.0, 0.25);
 }
 
+TEST(Testbench, MultiSeedDelaysArePinnedAtAnyThreadCount) {
+  // The Fig. 7 seed loop: seed s runs on derive_stream_seed(7, s), and the
+  // four workers share one elaborated circuit and one model. The delays
+  // and the solver work are pinned bit for bit at both thread counts.
+  const LogicBenchmark b = make_benchmark("full-adder");
+  ElaboratedCircuit elab = elaborate(b.netlist, SetLogicParams{});
+  auto model = std::make_shared<const ElectrostaticModel>(elab.circuit());
+  DelayRunConfig cfg;
+  cfg.engine.adaptive.enabled = true;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const MultiSeedDelayResult r = run_delay_experiment_seeds(
+        b, elab, model, cfg, /*base_seed=*/7, /*n_seeds=*/3,
+        ParallelExecutor(threads));
+    EXPECT_EQ(r.delays, (std::vector<double>{0x1.7b3b14b838cdbp-23,
+                                             0x1.7deeb9207a181p-23,
+                                             0x1.d8a6a59762421p-23}));
+    EXPECT_EQ(r.valid, 3u);
+    EXPECT_EQ(r.mean_delay, 0x1.9b457bd0070d4p-23);
+    EXPECT_EQ(r.counters.units, 3u);
+    EXPECT_EQ(r.counters.threads, threads);
+    const SolverStats& s = r.counters.stats;
+    EXPECT_EQ(s.events, 21694u);
+    EXPECT_EQ(s.rate_evaluations, 270246u);
+    EXPECT_EQ(s.cp_rate_evaluations, 0u);
+    EXPECT_EQ(s.cot_rate_evaluations, 0u);
+    EXPECT_EQ(s.potential_node_updates, 372725u);
+    EXPECT_EQ(s.junctions_tested, 424292u);
+    EXPECT_EQ(s.junctions_flagged, 132523u);
+    EXPECT_EQ(s.full_refreshes, 26u);
+    EXPECT_EQ(s.source_updates, 3u);
+  }
+}
+
 TEST(Testbench, PerformanceWindowRuns) {
   const LogicBenchmark b = make_benchmark("full-adder");
   ElaboratedCircuit elab = elaborate(b.netlist, SetLogicParams{});

@@ -137,6 +137,68 @@ TEST(Envelope, SubmitRoundTripsEveryField) {
   EXPECT_TRUE(back.fault.faults[0].sticky);
 }
 
+TEST(Envelope, SubmitEncodingIsByteStable) {
+  // Journals and result caches outlive builds: a submit with every run-spec
+  // field, an ensemble, a partition and a fault away from their defaults
+  // must keep encoding to these bytes.
+  RequestEnvelope env;
+  env.verb = RequestEnvelope::Verb::kSubmit;
+  env.priority = -3;
+  env.deadline_ms = 60000;
+  env.client = "farm-3";
+  env.netlist = "jumps 10\n";
+  env.seed = 42;
+  env.adaptive = false;
+  env.repeats = 5;
+  env.stop.max_events = 9999;
+  env.stop.target_rel_error = 0.125;
+  env.stop.check_interval = 64;
+  env.retry.strict = true;
+  env.retry.max_attempts = 7;
+  env.ensemble.enabled = true;
+  env.ensemble.replicas = 24;
+  env.ensemble.seed = 99;
+  env.ensemble.bg_charge = {0.04, PerturbationSpec::Dist::kUniform};
+  env.ensemble.resistance.spread = 0.03;
+  env.ensemble.capacitance = {0.02, PerturbationSpec::Dist::kUniform};
+  env.ensemble.temperature.spread = 0.01;
+  env.ensemble.yield_min = 1e-22;
+  env.ensemble.yield_max = 1e-18;
+  env.partition.enabled = true;
+  env.partition.clusters = 3;
+  env.partition.window = 2.5e-9;
+  env.partition.coupling_threshold = 0.05;
+  FaultSpec f;
+  f.kind = FaultKind::kNanRate;
+  f.unit = 2;
+  f.attempt = 1;
+  f.at_event = 100;
+  f.index = 4;
+  f.value = -1.5;
+  f.millis = 3;
+  f.sticky = true;
+  env.fault.faults.push_back(f);
+
+  EXPECT_EQ(
+      encode_request_envelope(env),
+      R"({"schema":"semsim.request/v1","verb":"submit","priority":-3,)"
+      R"("deadline_ms":60000,"client":"farm-3","netlist":"jumps 10\n",)"
+      R"("seed":42,"adaptive":false,"repeats":5,"stop":{"max_events":9999,)"
+      R"("target_rel_error":0.125,"check_interval":64},)"
+      R"("retry":{"strict":true,"max_attempts":7},)"
+      R"("ensemble":{"replicas":24,"seed":99,)"
+      R"("bg_spread":0.040000000000000001,"bg_dist":"uniform",)"
+      R"("resistance_spread":0.029999999999999999,)"
+      R"("resistance_dist":"gaussian","capacitance_spread":0.02,)"
+      R"("capacitance_dist":"uniform","temperature_spread":0.01,)"
+      R"("temperature_dist":"gaussian","yield_min":1e-22,)"
+      R"("yield_max":1.0000000000000001e-18},)"
+      R"("partition":{"clusters":3,"window":2.5000000000000001e-09,)"
+      R"("coupling_threshold":0.050000000000000003},)"
+      R"("fault":[{"kind":"nan_rate","unit":2,"attempt":1,"at_event":100,)"
+      R"("index":4,"value":-1.5,"millis":3,"sticky":true}]})");
+}
+
 TEST(Envelope, JobVerbsRoundTrip) {
   for (const auto verb :
        {RequestEnvelope::Verb::kStatus, RequestEnvelope::Verb::kResult,

@@ -2,10 +2,8 @@
 // "Circuit information is passed to SEMSIM via an input file containing all
 // the necessary information ... the results are stored in a file."
 //
-//   semsim <input-file> [--seed N] [--threads N] [--repeats N]
-//          [--non-adaptive] [--out FILE.tsv] [--json FILE.json]
-//          [--master-check] [--target-rel-error X] [--max-events N]
-//          [--checkpoint FILE] [--resume FILE]
+//   semsim <input-file> [run flags] [--threads N] [--out FILE.tsv]
+//          [--json FILE.json] [--master-check] [--checkpoint FILE] ...
 //
 // Runs the Monte-Carlo simulation an input file requests (see
 // src/netlist/parser.h for the grammar) and prints/writes the results. The
@@ -18,7 +16,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "analysis/api.h"
@@ -33,20 +30,10 @@ namespace {
 
 void usage(const char* argv0) {
   std::printf(
-      "usage: %s <input-file> [--seed N] [--threads N] [--repeats N]\n"
-      "          [--non-adaptive] [--out FILE.tsv] [--json FILE.json]\n"
-      "          [--master-check] [--target-rel-error X] [--max-events N]\n"
+      "usage: %s <input-file> [run flags] [--threads N] [--out FILE.tsv]\n"
+      "          [--json FILE.json] [--canonical-json FILE] [--master-check]\n"
       "          [--checkpoint FILE] [--resume FILE] [--salvage-checkpoint]\n"
-      "          [--strict] [--retries N] [--audit-interval N] [--no-audit]\n"
-      "          [--watchdog-seconds X]\n"
-      "          [--ensemble N] [--ensemble-seed N]\n"
-      "          [--ensemble-bg-spread X] [--ensemble-bg-dist D]\n"
-      "          [--ensemble-r-spread X] [--ensemble-r-dist D]\n"
-      "          [--ensemble-c-spread X] [--ensemble-c-dist D]\n"
-      "          [--ensemble-t-spread X] [--ensemble-t-dist D]\n"
-      "          [--ensemble-yield-min X] [--ensemble-yield-max X]\n"
-      "          [--partitions N] [--partition-window X]\n"
-      "          [--partition-threshold X]\n"
+      "          [--audit-interval N] [--no-audit] [--watchdog-seconds X]\n"
       "  --json FILE.json     write the versioned machine-readable result\n"
       "                       document (schema %s)\n"
       "  --canonical-json FILE  like --json, but omit the execution-\n"
@@ -58,50 +45,20 @@ void usage(const char* argv0) {
       "  --threads N          worker threads for sweeps / repeated runs\n"
       "                       (0 = all cores); results are identical for\n"
       "                       every N\n"
-      "  --repeats N          override the input file's `jumps` repeat count\n"
-      "  --target-rel-error X run each measurement until its binned relative\n"
-      "                       error (autocorrelation-aware) drops below X\n"
-      "  --max-events N       hard per-measurement event cap for\n"
-      "                       --target-rel-error\n"
       "  --checkpoint FILE    record completed work units to FILE (crash\n"
       "                       safe; an existing matching file is resumed)\n"
       "  --resume FILE        like --checkpoint, but FILE must exist\n"
       "  --salvage-checkpoint keep the valid record prefix of a damaged\n"
       "                       checkpoint file instead of rejecting it\n"
-      "  --strict             fail fast: the first work-unit error aborts\n"
-      "                       the run (default: retry recoverable errors,\n"
-      "                       then degrade the unit and continue)\n"
-      "  --retries N          attempts per work unit incl. the first\n"
-      "                       (default 3; 1 disables retry)\n"
       "  --audit-interval N   events between runtime invariant audits\n"
       "                       (default auto; see --no-audit)\n"
       "  --no-audit           disable the runtime invariant auditor\n"
       "  --watchdog-seconds X abort a work unit after X wall-clock seconds\n"
-      "  --ensemble N         run N device replicas with perturbed parameters\n"
-      "                       (statistical variability study); any --ensemble-*\n"
-      "                       flag also enables the ensemble\n"
-      "  --ensemble-seed N    dedicated ensemble seed (0 = derive from --seed)\n"
-      "  --ensemble-bg-spread X   background-charge offset spread [e]\n"
-      "  --ensemble-r-spread  X   relative junction-R spread\n"
-      "  --ensemble-c-spread  X   relative junction/capacitor-C spread\n"
-      "  --ensemble-t-spread  X   relative temperature spread\n"
-      "  --ensemble-*-dist D  draw distribution: gaussian (default) | uniform\n"
-      "  --ensemble-yield-min/max X   |I| window a replica must land in to\n"
-      "                       count toward the yield fraction\n"
-      "  --partitions N       domain-decompose the single-run measurement\n"
-      "                       into up to N weakly-coupled clusters advanced\n"
-      "                       under conservative time windows; any\n"
-      "                       --partition-* flag also enables this. The\n"
-      "                       planner never cuts a strongly-coupled\n"
-      "                       component, so the effective count may be lower\n"
-      "  --partition-window X synchronization window [s] (0 = auto from the\n"
-      "                       initial total rate)\n"
-      "  --partition-threshold X  normalized kappa coupling above which two\n"
-      "                       islands must share a cluster (default 0.025)\n"
+      "%s"
       "exit codes: 0 ok, 1 error, 2 usage, 3 parse/circuit, 4 numeric or\n"
       "invariant violation, 5 I/O or checkpoint mismatch, 6 watchdog\n"
       "timeout, 8 completed degraded (some work units failed)\n",
-      argv0, RunResult::kJsonSchema);
+      argv0, RunResult::kJsonSchema, kRunFlagsUsage);
 }
 
 }  // namespace
@@ -112,40 +69,28 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string canonical_json_path;
   RunRequest req;
-  std::optional<std::uint32_t> repeats_override;
+  std::uint32_t repeats = 0;  // 0 = the input file's count
   bool master_check = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     std::string v;
-    if (flag_value(a, "--seed", argc, argv, i, &v)) {
-      req.seed = parse_u64("--seed", v);
+    if (parse_run_flag(a, argc, argv, i, &req, &repeats)) {
+      // handled
     } else if (flag_value(a, "--threads", argc, argv, i, &v)) {
       req.threads = static_cast<unsigned>(parse_u64("--threads", v));
-    } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      repeats_override = parse_count("--repeats", v);
-    } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      req.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
-    } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
-      req.stop.max_events = parse_u64("--max-events", v);
     } else if (flag_value(a, "--checkpoint", argc, argv, i, &v)) {
       req.checkpoint_path = v;
     } else if (flag_value(a, "--resume", argc, argv, i, &v)) {
       req.resume_path = v;
     } else if (a == "--salvage-checkpoint") {
       req.salvage_checkpoint = true;
-    } else if (a == "--strict") {
-      req.retry.strict = true;
-    } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      req.retry.max_attempts = parse_count("--retries", v);
     } else if (flag_value(a, "--audit-interval", argc, argv, i, &v)) {
       req.audit.interval = parse_u64("--audit-interval", v);
     } else if (a == "--no-audit") {
       req.audit.enabled = false;
     } else if (flag_value(a, "--watchdog-seconds", argc, argv, i, &v)) {
       req.audit.watchdog_seconds = parse_positive_f64("--watchdog-seconds", v);
-    } else if (a == "--non-adaptive") {
-      req.adaptive = false;
     } else if (flag_value(a, "--out", argc, argv, i, &v)) {
       out_path = v;
     } else if (flag_value(a, "--canonical-json", argc, argv, i, &v)) {
@@ -154,10 +99,6 @@ int main(int argc, char** argv) {
       json_path = v;
     } else if (a == "--master-check") {
       master_check = true;
-    } else if (parse_ensemble_flag(a, argc, argv, i, &req.ensemble)) {
-      // handled (any ensemble flag enables the ensemble)
-    } else if (parse_partition_flag(a, argc, argv, i, &req.partition)) {
-      // handled (any partition flag enables partitioned execution)
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
       return 0;
@@ -176,7 +117,7 @@ int main(int argc, char** argv) {
 
   try {
     req.input = parse_simulation_file(input_path);
-    if (repeats_override) req.input.repeats = *repeats_override;
+    if (repeats > 0) req.input.repeats = repeats;
     const SimulationInput& input = req.input;
     std::printf("# %s: %zu nodes, %zu junctions, T = %g K, %s solver%s\n",
                 input_path.c_str(), input.circuit.node_count(),

@@ -1,9 +1,7 @@
 // semsim_submit — client for the semsim_serve daemon.
 //
-//   semsim_submit --socket /tmp/semsim.sock submit input.sem [--seed N]
-//                 [--priority N] [--non-adaptive]
-//                 [--repeats N] [--target-rel-error X] [--max-events N]
-//                 [--wait] [--json FILE]
+//   semsim_submit --socket /tmp/semsim.sock submit input.sem [run flags]
+//                 [--priority N] [--wait] [--json FILE]
 //   semsim_submit --socket PATH status JOB
 //   semsim_submit --socket PATH result JOB [--json FILE]
 //   semsim_submit --socket PATH cancel JOB
@@ -11,9 +9,10 @@
 //   semsim_submit --tcp PORT ...
 //
 // submit reads the input FILE and ships its TEXT to the daemon (the daemon
-// parses it with the same strict parser the CLI uses). With --wait, polls
-// status until the job is terminal and then fetches the result; the fetched
-// document is the daemon's stored canonical RunResult, byte-identical to
+// parses it with the same strict parser the CLI uses); it takes the same
+// run flags as semsim (tools/flags.h). With --wait, polls status until the
+// job is terminal and then fetches the result; the fetched document is the
+// daemon's stored canonical RunResult, byte-identical to
 // `semsim input.sem --canonical-json`. Responses print to stdout verbatim
 // (one JSON line); --json additionally writes the result document to FILE.
 //
@@ -42,29 +41,23 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s (--socket PATH | --tcp PORT) VERB [ARGS] [FLAGS]\n"
       "verbs:\n"
-      "  submit FILE [--seed N] [--priority N] [--repeats N] [--non-adaptive]\n"
-      "              [--target-rel-error X] [--max-events N]\n"
-      "              [--strict] [--retries N] [--wait] [--json FILE]\n"
+      "  submit FILE [run flags] [--priority N] [--wait] [--json FILE]\n"
       "              [--deadline-ms N] [--client NAME]\n"
-      "              [--ensemble N] [--ensemble-seed N]\n"
-      "              [--ensemble-{bg,r,c,t}-spread X]\n"
-      "              [--ensemble-{bg,r,c,t}-dist gaussian|uniform]\n"
-      "              [--ensemble-yield-min X] [--ensemble-yield-max X]\n"
-      "              [--partitions N] [--partition-window X]\n"
-      "              [--partition-threshold X]\n"
       "  status JOB     job state + streamed partial results\n"
       "  result JOB     completed job's canonical result document [--json F]\n"
       "  cancel JOB     stop a queued/running job (checkpointed if spooled)\n"
       "  ping | stats | shutdown\n"
       "flags:\n"
+      "  --priority N     higher runs first, in [-1000000, 1000000]\n"
       "  --deadline-ms N  wall budget from submit (queue wait included); an\n"
       "                   expired job fails with serve.deadline_exceeded\n"
       "  --client NAME    client identity for per-client in-flight caps\n"
       "  --wait           poll until terminal, then fetch the result; polls\n"
       "                   back off exponentially with seeded jitter, and an\n"
       "                   overloaded submit is retried after the daemon's\n"
-      "                   retry_after_ms hint\n",
-      argv0);
+      "                   retry_after_ms hint\n"
+      "%s",
+      argv0, kRunFlagsUsage);
 }
 
 /// True when the response line is an ok "semsim.response/v1" object (the
@@ -150,34 +143,18 @@ int main(int argc, char** argv) {
       }
       tcp_port = static_cast<std::uint16_t>(port);
       have_endpoint = true;
-    } else if (flag_value(a, "--seed", argc, argv, i, &v)) {
-      env.seed = parse_u64("--seed", v);
+    } else if (parse_run_flag(a, argc, argv, i, &env, &env.repeats)) {
+      // handled
     } else if (flag_value(a, "--priority", argc, argv, i, &v)) {
       // The envelope's priority range (io/envelope.cpp).
       env.priority = static_cast<int>(
           parse_int("--priority", v, -1000000, 1000000));
-    } else if (flag_value(a, "--repeats", argc, argv, i, &v)) {
-      env.repeats = parse_count("--repeats", v);
-    } else if (flag_value(a, "--target-rel-error", argc, argv, i, &v)) {
-      env.stop.target_rel_error = parse_positive_f64("--target-rel-error", v);
-    } else if (flag_value(a, "--max-events", argc, argv, i, &v)) {
-      env.stop.max_events = parse_u64("--max-events", v);
-    } else if (flag_value(a, "--retries", argc, argv, i, &v)) {
-      env.retry.max_attempts = parse_count("--retries", v);
-    } else if (a == "--strict") {
-      env.retry.strict = true;
-    } else if (a == "--non-adaptive") {
-      env.adaptive = false;
     } else if (a == "--wait") {
       wait = true;
     } else if (flag_value(a, "--deadline-ms", argc, argv, i, &v)) {
       env.deadline_ms = parse_u64("--deadline-ms", v);
     } else if (flag_value(a, "--client", argc, argv, i, &v)) {
       env.client = v;
-    } else if (parse_ensemble_flag(a, argc, argv, i, &env.ensemble)) {
-      // handled (any ensemble flag enables the envelope's ensemble section)
-    } else if (parse_partition_flag(a, argc, argv, i, &env.partition)) {
-      // handled (any partition flag enables the envelope's partition section)
     } else if (flag_value(a, "--json", argc, argv, i, &v)) {
       json_path = v;
     } else if (a == "--help" || a == "-h") {
