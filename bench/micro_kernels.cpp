@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "base/constants.h"
 #include "base/fenwick.h"
@@ -18,6 +19,7 @@
 #include "logic/devices.h"
 #include "netlist/circuit.h"
 #include "netlist/electrostatics.h"
+#include "obs/checkpoint.h"
 #include "physics/bcs.h"
 #include "physics/cooper_pair.h"
 #include "physics/cotunneling.h"
@@ -383,6 +385,33 @@ void BM_JournalReplay(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_JournalReplay)->Unit(benchmark::kMillisecond);
+
+// A run's checkpoint writes: open a fresh file, then record every unit as
+// it finishes. One iteration is device_iv's cot_sweep shape, 25 sweep
+// units of 170 B (one bias point each), then a set_transient shape, 33
+// milestones of 259 B recorded as a sequence does; both payload sizes are
+// those of the SET inputs in examples/service.
+void BM_CheckpointRecord(benchmark::State& state) {
+  const std::string path =
+      "/tmp/semsim_bm_checkpoint." + std::to_string(::getpid()) + ".ckpt";
+  const std::vector<std::uint8_t> unit(170, 0x5A);
+  const std::vector<std::uint8_t> milestone(259, 0xA5);
+  for (auto _ : state) {
+    std::remove(path.c_str());
+    {
+      RunCheckpoint sweep(path, /*fingerprint=*/1, /*unit_count=*/25);
+      for (std::size_t u = 0; u < 25; ++u) sweep.record(u, unit);
+    }
+    std::remove(path.c_str());
+    RunCheckpoint sequence(path, /*fingerprint=*/2, /*unit_count=*/33);
+    for (std::size_t k = 0; k < 33; ++k) {
+      sequence.record(k, milestone, /*only=*/true);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 58));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_CheckpointRecord)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace semsim

@@ -31,8 +31,8 @@ struct DriverOptions : RunSpec {
 
   /// Non-empty enables crash-safe checkpointing to this file: completed
   /// work units (sweep chunks, repeats, replicas) or a sequential run's
-  /// newest milestone (transient, partitioned) are recorded via an atomic
-  /// rewrite, and a matching existing file is resumed from. It never
+  /// milestones (transient, partitioned) are appended one frame each, and
+  /// a matching existing file is resumed from. It never
   /// changes a result. The run identity (circuit, directives, seed, solver,
   /// stop criterion) is fingerprinted into the file; a mismatched file is
   /// rejected with Error.

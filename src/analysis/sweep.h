@@ -126,7 +126,7 @@ struct ParallelSweepConfig {
 /// <= to (+eps). `counters`, when non-null, gets the solver work of all
 /// units (merged in index order) and the wall time of the parallel region.
 /// When `ckpt` is enabled, every finished chunk is recorded in a
-/// RunCheckpoint at ckpt.path (atomic rewrite per unit) and chunks already
+/// RunCheckpoint at ckpt.path (one appended frame per unit) and chunks already
 /// present in the file are restored instead of recomputed —
 /// because chunks are pure functions of (config, chunk_index), the resumed
 /// table is bitwise identical to the uninterrupted one at any thread count.

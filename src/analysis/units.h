@@ -156,8 +156,8 @@ struct Sequence {
 
 /// Restores the newest milestone on file, firing one on_unit_done per
 /// restored milestone; then per further milestone checks cancellation,
-/// advances, encodes, records the payload as the file's only record when
-/// checkpointing, and fires on_unit_done.
+/// advances, encodes, appends the payload when checkpointing (it replaces
+/// every earlier milestone held in memory), and fires on_unit_done.
 void run_sequence(const Sequence& seq, const UnitContext& ctx);
 
 /// A path's work units.

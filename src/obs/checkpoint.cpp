@@ -1,5 +1,9 @@
 #include "obs/checkpoint.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,10 +15,19 @@ namespace semsim {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x5345'4D53'494D'4350ULL;  // "SEMSIMCP"
-/// Cap on a single record payload; a corrupt length field must not drive a
-/// multi-gigabyte allocation before the checksum check can reject it.
+/// magic | version | reserved | fingerprint | unit count
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;
+/// Cap on a single record payload; a longer claim in a frame's length
+/// field reads as a torn append and allocates nothing.
 constexpr std::uint64_t kMaxPayload = 1ULL << 30;
+/// A frame body is the unit index, then the payload.
+constexpr std::uint64_t kMaxBody = 8 + kMaxPayload;
 constexpr std::uint64_t kMaxVector = 1ULL << 28;
+
+[[noreturn]] void io_fail(const std::string& what) {
+  throw IoError(ErrorCode::kIoFailure,
+                "checkpoint: " + what + ": " + std::strerror(errno));
+}
 
 }  // namespace
 
@@ -32,6 +45,19 @@ std::uint64_t fnv1a64(const std::string& s) noexcept {
   return fnv1a64(s.data(), s.size());
 }
 
+bool write_all(int fd, const std::uint8_t* data, std::size_t n) noexcept {
+  while (n > 0) {
+    const ssize_t done = ::write(fd, data, n);
+    if (done < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += done;
+    n -= static_cast<std::size_t>(done);
+  }
+  return true;
+}
+
 std::optional<std::vector<std::uint8_t>> read_file_bytes(
     const std::string& path) {
   std::ifstream f(path, std::ios::binary | std::ios::ate);
@@ -47,15 +73,20 @@ std::optional<std::vector<std::uint8_t>> read_file_bytes(
 
 // ---- BinaryWriter ----------------------------------------------------------
 
+template <typename T>
+void BinaryWriter::word(T v) {
+  std::uint8_t le[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf_.insert(buf_.end(), le, le + sizeof(T));
+}
+
 void BinaryWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
-void BinaryWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void BinaryWriter::u32(std::uint32_t v) { word(v); }
 
-void BinaryWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void BinaryWriter::u64(std::uint64_t v) { word(v); }
 
 void BinaryWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -63,7 +94,7 @@ void BinaryWriter::f64(double v) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
+  word(bits);
 }
 
 void BinaryWriter::str(const std::string& s) {
@@ -89,6 +120,23 @@ void BinaryWriter::vec_f64(const std::vector<double>& v) {
 void BinaryWriter::vec_u8(const std::vector<std::uint8_t>& v) {
   u64(v.size());
   buf_.insert(buf_.end(), v.begin(), v.end());
+}
+
+void BinaryWriter::raw(const std::uint8_t* data, std::size_t n) {
+  buf_.insert(buf_.end(), data, data + n);
+}
+
+std::size_t BinaryWriter::begin_frame() {
+  word(std::uint64_t{0});
+  return buf_.size();
+}
+
+void BinaryWriter::end_frame(std::size_t start) {
+  const std::uint64_t len = buf_.size() - start;
+  for (std::size_t i = 0; i < 8; ++i) {
+    buf_[start - 8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  word(fnv1a64(buf_.data() + start, static_cast<std::size_t>(len)));
 }
 
 // ---- BinaryReader ----------------------------------------------------------
@@ -172,6 +220,24 @@ void BinaryReader::require_done() const {
     throw Error("checkpoint: " + std::to_string(size_ - pos_) +
                 " trailing bytes after payload");
   }
+}
+
+// ---- FrameScanner ----------------------------------------------------------
+
+FrameScanner::Frame FrameScanner::next() {
+  const std::size_t left = size_ - end_;
+  if (left == 0) return Frame::kEnd;
+  if (left < 8) return Frame::kTorn;
+  BinaryReader r(data_ + end_, left);
+  const std::uint64_t len = r.u64();
+  // Both tests run before the length is used, so a wild claim allocates
+  // and reads nothing.
+  if (len > max_body_ || len + 8 > r.remaining()) return Frame::kTorn;
+  body_size_ = static_cast<std::size_t>(len);
+  body_ = r.need(body_size_);
+  const bool sound = r.u64() == fnv1a64(body_, body_size_);
+  end_ += 8 + body_size_ + 8;
+  return sound ? Frame::kWhole : Frame::kBadChecksum;
 }
 
 // ---- engine state ----------------------------------------------------------
@@ -280,6 +346,10 @@ RunCheckpoint::RunCheckpoint(std::string path, std::uint64_t fingerprint,
   load_file(*bytes);
 }
 
+RunCheckpoint::~RunCheckpoint() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
 void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
   // Header damage is always fatal: without a trusted magic/version/identity
   // there is nothing safe to salvage.
@@ -287,6 +357,12 @@ void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
   if (r.remaining() < 8 || r.u64() != kMagic) {
     throw IoError(ErrorCode::kCheckpointCorrupt,
                   "checkpoint: " + path_ + " is not a SEMSIM checkpoint file");
+  }
+  // Every format wrote its header whole, so a short one is damage.
+  if (bytes.size() < kHeaderBytes) {
+    throw IoError(ErrorCode::kCheckpointCorrupt,
+                  "checkpoint: " + path_ + " has a short header (" +
+                      std::to_string(bytes.size()) + " bytes)");
   }
   const std::uint32_t version = r.u32();
   if (version != kFormatVersion) {
@@ -310,49 +386,43 @@ void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
                       std::to_string(units) + " work units, this run has " +
                       std::to_string(unit_count_));
   }
-  const std::uint64_t records = r.u64();
-  std::uint64_t kept = 0;
-  try {
-    for (std::uint64_t i = 0; i < records; ++i) {
-      const std::uint64_t unit = r.u64();
-      if (unit >= unit_count_) {
-        throw IoError(ErrorCode::kCheckpointCorrupt,
-                      "checkpoint: " + path_ + " has out-of-range unit index " +
-                          std::to_string(unit));
-      }
-      const std::uint64_t len = r.u64();
-      if (len > kMaxPayload) {
-        throw IoError(ErrorCode::kCheckpointCorrupt,
-                      "checkpoint: " + path_ + " has corrupt payload length");
-      }
-      // need() checks the file holds the payload before anything is copied.
-      const std::uint8_t* payload = r.need(static_cast<std::size_t>(len));
-      const std::uint64_t checksum = r.u64();
-      if (checksum != fnv1a64(payload, static_cast<std::size_t>(len))) {
-        throw IoError(ErrorCode::kCheckpointCorrupt,
-                      "checkpoint: " + path_ +
-                          " payload checksum mismatch for unit " +
-                          std::to_string(unit) + " (corrupt file)");
-      }
-      units_[unit].assign(payload, payload + len);
-      ++kept;
+
+  end_ = kHeaderBytes;
+  FrameScanner frames(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes,
+                      kMaxBody);
+  const auto whole = [](FrameScanner::Frame f) {
+    return f == FrameScanner::Frame::kWhole ||
+           f == FrameScanner::Frame::kBadChecksum;
+  };
+  // A torn append ends the loop like the end of the file: it is dropped
+  // here and cut off by the first record().
+  for (FrameScanner::Frame f; whole(f = frames.next());) {
+    std::uint64_t unit = 0;
+    std::string damage;
+    if (f == FrameScanner::Frame::kBadChecksum) {
+      damage = "frame checksum mismatch";
+    } else if (frames.body_size() < 8) {
+      damage = "frame too short for a unit index";
+    } else if ((unit = BinaryReader(frames.body(), 8).u64()) >= unit_count_) {
+      damage = "out-of-range unit index " + std::to_string(unit);
     }
-    r.require_done();
-  } catch (const Error& e) {
-    if (!salvage_) {
-      // The reader throws uncoded Errors on truncation; surface every
-      // record-level failure as the coded corruption error so the CLI maps
-      // it to the I/O exit code.
-      if (e.category() == ErrorCategory::kIo) throw;
-      throw IoError(ErrorCode::kCheckpointCorrupt,
-                    "checkpoint: " + path_ + " is damaged: " + e.what());
+    if (!damage.empty()) {
+      if (!salvage_) {
+        throw IoError(ErrorCode::kCheckpointCorrupt,
+                      "checkpoint: " + path_ + " is damaged at byte " +
+                          std::to_string(end_) + ": " + damage);
+      }
+      // Salvage: every frame before this one passed its own checks — keep
+      // them, drop this one and every whole frame after it, and recompute
+      // their units.
+      for (salvaged_dropped_ = 1; whole(frames.next());) ++salvaged_dropped_;
+      break;
     }
-    // Salvage: the records stored before the damage all passed their own
-    // checksums — keep them and recompute the rest. (A record only enters
-    // units_ after its checksum verifies, so the map holds the valid
-    // prefix when the throw interrupted the loop.)
-    salvaged_dropped_ = records > kept ? records - kept : 1;
+    units_[unit].assign(frames.body() + 8,
+                        frames.body() + frames.body_size());
+    end_ = kHeaderBytes + frames.end();
   }
+  cut_ = end_ < bytes.size();
 }
 
 bool RunCheckpoint::has(std::size_t unit) const {
@@ -378,43 +448,62 @@ void RunCheckpoint::record(std::size_t unit, std::vector<std::uint8_t> payload,
                            bool only) {
   require(unit < unit_count_, "RunCheckpoint: unit index out of range");
   require(payload.size() <= kMaxPayload, "RunCheckpoint: payload too large");
+  BinaryWriter frame;
+  const std::size_t body = frame.begin_frame();
+  frame.u64(unit);
+  frame.raw(payload.data(), payload.size());
+  frame.end_frame(body);
+  const std::vector<std::uint8_t>& bytes = frame.bytes();
+
   std::lock_guard<std::mutex> lock(mu_);
+  if (fd_ < 0) open_for_append_locked();
+  if (!write_all(fd_, bytes.data(), bytes.size())) {
+    // Part of the frame may have landed: the next record() reopens the
+    // file and cuts it off first, so no frame ever follows a torn one.
+    const int err = errno;
+    ::close(fd_);
+    fd_ = -1;
+    cut_ = true;
+    errno = err;
+    io_fail("append to " + path_);
+  }
+  end_ += bytes.size();
   if (only) units_.clear();
   units_[unit] = std::move(payload);
-  save_locked();
 }
 
-void RunCheckpoint::save_locked() const {
-  BinaryWriter w;
-  w.u64(kMagic);
-  w.u32(kFormatVersion);
-  w.u32(0);
-  w.u64(fingerprint_);
-  w.u64(unit_count_);
-  w.u64(units_.size());
-  for (const auto& [unit, payload] : units_) {
-    w.u64(unit);
-    w.vec_u8(payload);  // u64 length, then the bytes
-    w.u64(fnv1a64(payload.data(), payload.size()));
-  }
-
-  // Atomic publish: a crash mid-write leaves the previous snapshot intact.
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) throw Error("checkpoint: cannot open " + tmp);
-    f.write(reinterpret_cast<const char*>(w.bytes().data()),
-            static_cast<std::streamsize>(w.bytes().size()));
-    f.flush();
-    if (!f) {
+void RunCheckpoint::open_for_append_locked() {
+  if (end_ == 0) {
+    // No file on open: write the header once, under a temp name renamed
+    // into place, so the file never exists without a whole header.
+    const std::string tmp = path_ + ".tmp";
+    fd_ = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC,
+                 0644);
+    if (fd_ < 0) io_fail("cannot create " + tmp);
+    BinaryWriter w;
+    w.u64(kMagic);
+    w.u32(kFormatVersion);
+    w.u32(0);
+    w.u64(fingerprint_);
+    w.u64(unit_count_);
+    if (!write_all(fd_, w.bytes().data(), w.bytes().size()) ||
+        std::rename(tmp.c_str(), path_.c_str()) != 0) {
+      const int err = errno;
+      ::close(fd_);
+      fd_ = -1;
       std::remove(tmp.c_str());
-      throw Error("checkpoint: write failed for " + tmp);
+      errno = err;
+      io_fail("cannot create " + path_);
     }
+    end_ = kHeaderBytes;
+    return;
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("checkpoint: cannot rename " + tmp + " to " + path_);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd_ < 0) io_fail("cannot open " + path_);
+  if (cut_ && ::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+    io_fail("cannot truncate " + path_);
   }
+  cut_ = false;
 }
 
 }  // namespace semsim

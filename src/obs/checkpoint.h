@@ -1,40 +1,56 @@
 // Crash-safe checkpoint/resume for long Monte-Carlo runs (semsim_obs).
 //
-// Two layers:
+// Three layers:
 //
 //   * BinaryWriter / BinaryReader — a tiny length-prefixed little-endian
 //     binary codec. Every variable-length field carries its own length, so
 //     a truncated or bit-flipped file fails loudly (Error) instead of
 //     decoding garbage.
 //
-//   * RunCheckpoint — a versioned snapshot file holding one opaque payload
-//     per completed WORK UNIT of a run (sweep chunks, repeat seeds,
-//     ensemble replicas), or for a sequence (transient slices, partition
-//     milestones) ONE record, its newest milestone. Payloads typically
-//     contain serialized engine state (RNG words, island occupations,
-//     transported charge), accumulator contents, per-unit results and
-//     audit trails. The file is rewritten atomically
-//     (temp file + rename) after every record, so a SIGKILL at any instant
-//     leaves either the previous or the new consistent snapshot — never a
-//     torn one. On open, an existing file is validated against the format
-//     version and the caller's run fingerprint and rejected with a clear
-//     Error on any mismatch, truncation, or checksum failure.
+//   * Frames — the record shape of both append-only files, this
+//     checkpoint and the daemon's job journal (serve/journal.h):
 //
-// File format (all integers little-endian):
+//       u64 body_len | body | u64 fnv1a64(body)
+//
+//     BinaryWriter::begin_frame/end_frame write one; FrameScanner walks
+//     them where they lie in a file buffer and tells a whole frame, a
+//     whole frame whose checksum fails and a torn append apart. What each
+//     means is the file's own policy.
+//
+//   * RunCheckpoint — a versioned file holding one opaque payload per
+//     completed WORK UNIT of a run (sweep chunks, repeat seeds, ensemble
+//     replicas), or per milestone of a sequence (transient slices,
+//     partition milestones). Payloads typically contain serialized engine
+//     state (RNG words, island occupations, transported charge),
+//     accumulator contents, per-unit results and audit trails.
+//
+// File format v4 (all integers little-endian):
 //
 //   u64  magic       "SEMSIMCP"
 //   u32  format version (kFormatVersion)
 //   u32  reserved (0)
 //   u64  run fingerprint (hash of everything that defines the run identity)
 //   u64  unit_count of the run
-//   u64  record_count
-//   record_count x [ u64 unit_index | u64 payload_len | payload bytes
-//                    | u64 fnv1a64(payload) ]
+//   frames, each: u64 body_len | body = u64 unit_index ‖ payload
+//                 | u64 fnv1a64(body)
+//
+// The 32-byte header is written once per run, to a temp file renamed into
+// place, so the file never exists without a whole header. Each record()
+// then appends one frame with one write() on a descriptor held for the
+// run (no fsync). A crash mid-append leaves a TORN APPEND: a last frame
+// that runs past the end of the file or claims more than the payload cap.
+// On open it is dropped (allocating nothing) and cut off the file just
+// before the first new append, so a read-only open never changes the
+// file. A whole frame with a bad checksum or an out-of-range unit is
+// damage no crash explains: kCheckpointCorrupt, unless salvage keeps the
+// frames before it. Header damage is always an error. A later frame for a
+// unit replaces an earlier one on load.
 //
 // Because work units are pure functions of (configuration, unit_index) —
 // the determinism contract of base/thread_pool.h — resuming from any subset
 // of completed units and recomputing the rest reproduces the uninterrupted
-// run bit for bit, at any thread count; so does resuming a sequence.
+// run bit for bit, at any thread count; so does resuming a sequence from
+// its newest milestone.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +74,10 @@ std::uint64_t fnv1a64(const std::string& s) noexcept;
 std::optional<std::vector<std::uint8_t>> read_file_bytes(
     const std::string& path);
 
+/// Writes all `n` bytes to `fd`: one write() unless the kernel writes
+/// short, retried on EINTR. False, with errno set, on failure.
+bool write_all(int fd, const std::uint8_t* data, std::size_t n) noexcept;
+
 /// Little-endian append-only byte buffer.
 class BinaryWriter {
  public:
@@ -71,11 +91,22 @@ class BinaryWriter {
   void vec_i64(const std::vector<long>& v);
   void vec_f64(const std::vector<double>& v);
   void vec_u8(const std::vector<std::uint8_t>& v);
+  void raw(const std::uint8_t* data, std::size_t n);
+
+  /// Opens a frame: writes a placeholder length and returns where the body
+  /// starts. Write the body, then close it with end_frame(start).
+  std::size_t begin_frame();
+  /// Closes the frame whose body starts at `start`: fills in the body
+  /// length and appends fnv1a64 of the body.
+  void end_frame(std::size_t start);
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void word(T v);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -112,6 +143,44 @@ class BinaryReader {
   std::size_t pos_ = 0;
 };
 
+/// Walks the frames of a buffer in place (see the format comment above).
+/// Nothing is copied, and a length field is never trusted before the
+/// buffer is known to hold that many bytes.
+class FrameScanner {
+ public:
+  enum class Frame {
+    kWhole,        ///< a whole frame whose checksum verifies
+    kBadChecksum,  ///< a whole frame whose checksum fails
+    kTorn,         ///< the rest is an unfinished append (see next())
+    kEnd,          ///< no bytes left
+  };
+
+  /// `max_body` caps a body length: a longer claim reads as torn.
+  FrameScanner(const std::uint8_t* data, std::size_t size,
+               std::uint64_t max_body)
+      : data_(data), size_(size), max_body_(max_body) {}
+
+  /// The next frame. After kWhole or kBadChecksum, body() and body_size()
+  /// locate its body and end() is the offset just past it. kTorn: fewer
+  /// than 8 bytes are left, or the length exceeds the cap, or the body or
+  /// checksum runs past the end; end() stays put, and so does every later
+  /// call.
+  Frame next();
+
+  const std::uint8_t* body() const noexcept { return body_; }
+  std::size_t body_size() const noexcept { return body_size_; }
+  /// Offset just past the last whole frame next() returned (0 before any).
+  std::size_t end() const noexcept { return end_; }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::uint64_t max_body_;
+  std::size_t end_ = 0;
+  const std::uint8_t* body_ = nullptr;
+  std::size_t body_size_ = 0;
+};
+
 /// Engine state serialization (RNG words, clock, island occupations,
 /// transported charge, source overrides, work counters, audit trail).
 void encode_engine_snapshot(BinaryWriter& w, const EngineSnapshot& s);
@@ -128,45 +197,56 @@ IntegrityReport decode_integrity_report(BinaryReader& r);
 /// Thread-safe: record() may be called concurrently from worker threads.
 class RunCheckpoint {
  public:
-  /// v3: every payload carries its audit trail, and a sequence keeps one
-  /// record, so v2 files are rejected with kCheckpointMismatch.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  /// v4: append-only frames after a header without a record count, so v3
+  /// (rewritten whole on every record) and v2 files are rejected with
+  /// kCheckpointMismatch.
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   /// Binds to `path`. If the file exists it is loaded and validated
-  /// (throws a coded IoError on any mismatch or corruption); otherwise an
-  /// empty checkpoint starts. `require_existing` (--resume semantics) makes
-  /// a missing file an Error instead.
+  /// (throws a coded IoError on any mismatch or corruption; a torn append
+  /// is dropped, not an error); otherwise an empty checkpoint starts and
+  /// the file is created on the first record(). Opening never writes.
+  /// `require_existing` (--resume semantics) makes a missing file an Error.
   ///
   /// `salvage` enables the degraded-recovery path for damaged files: when
   /// the HEADER is intact (magic, version, fingerprint, unit count all
-  /// match) but a record is truncated or fails its checksum, the valid
-  /// record prefix is kept and the rest dropped (salvaged_dropped() reports
-  /// how many), instead of rejecting the whole file — the dropped units are
-  /// simply recomputed. Header-level damage is still an error: salvage
-  /// never guesses at the run identity. Off by default so tests and
-  /// pipelines that depend on corruption being loud keep their guarantees.
+  /// match) but a whole frame fails its checksum or names an out-of-range
+  /// unit, the frames before it are kept and it and every frame after it
+  /// dropped (salvaged_dropped() reports how many), instead of rejecting
+  /// the whole file — the dropped units are simply recomputed, and the
+  /// first record() appends after the kept prefix. Header-level damage is
+  /// still an error: salvage never guesses at the run identity. Off by
+  /// default so tests and pipelines that depend on corruption being loud
+  /// keep their guarantees.
   RunCheckpoint(std::string path, std::uint64_t fingerprint,
                 std::uint64_t unit_count, bool require_existing = false,
                 bool salvage = false);
+  ~RunCheckpoint();
+
+  RunCheckpoint(const RunCheckpoint&) = delete;
+  RunCheckpoint& operator=(const RunCheckpoint&) = delete;
 
   bool has(std::size_t unit) const;
   /// Payload of a completed unit (copy; throws if absent).
   std::vector<std::uint8_t> payload(std::size_t unit) const;
-  /// Stores (or overwrites) a unit's payload and atomically rewrites the
-  /// file; with `only`, the payload replaces every other record (a
-  /// sequence's newest milestone subsumes the earlier ones). Throws Error
-  /// on I/O failure or an out-of-range unit index.
+  /// Stores (or overwrites) a unit's payload and appends its frame to the
+  /// file; with `only`, the payload also replaces every other record held
+  /// in memory (a sequence's newest milestone subsumes the earlier ones),
+  /// while the file keeps every frame. Throws Error on I/O failure or an
+  /// out-of-range unit index.
   void record(std::size_t unit, std::vector<std::uint8_t> payload,
               bool only = false);
 
   std::size_t completed() const;
-  /// Records dropped by salvage mode on load (0 when the file was intact
-  /// or salvage was off).
+  /// Frames dropped by salvage mode on load (0 when the file was intact
+  /// or salvage was off). A torn append is not counted.
   std::uint64_t salvaged_dropped() const noexcept { return salvaged_dropped_; }
 
  private:
   void load_file(const std::vector<std::uint8_t>& bytes);
-  void save_locked() const;
+  /// Opens the descriptor of the first append: creates the file with its
+  /// header, or cuts an existing one back to its kept frames.
+  void open_for_append_locked();
 
   mutable std::mutex mu_;
   std::string path_;
@@ -174,6 +254,13 @@ class RunCheckpoint {
   std::uint64_t unit_count_ = 0;
   bool salvage_ = false;
   std::uint64_t salvaged_dropped_ = 0;
+  /// Where the next frame goes: the end of the header or of the last
+  /// frame kept or appended (0 while there is no file).
+  std::size_t end_ = 0;
+  /// The file may hold bytes past end_ (a torn append, frames salvage
+  /// dropped, a failed append): the next open for append cuts them off.
+  bool cut_ = false;
+  int fd_ = -1;  ///< append descriptor, opened by the first record()
   std::map<std::uint64_t, std::vector<std::uint8_t>> units_;
 };
 

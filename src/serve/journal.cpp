@@ -24,30 +24,30 @@ constexpr std::uint64_t kMaxBody = 1ULL << 30;
                 "journal: " + what + ": " + std::strerror(errno));
 }
 
-/// One framed record: u64 body length, the body, u64 FNV-1a of the body.
+/// One framed record (obs/checkpoint.h): u64 body length, the body, u64
+/// FNV-1a of the body.
 std::vector<std::uint8_t> encode_frame(const JournalRecord& rec) {
-  BinaryWriter body;
-  body.u8(static_cast<std::uint8_t>(rec.type));
-  body.u64(rec.job_id);
+  BinaryWriter frame;
+  const std::size_t body = frame.begin_frame();
+  frame.u8(static_cast<std::uint8_t>(rec.type));
+  frame.u64(rec.job_id);
   switch (rec.type) {
     case JournalRecord::Type::kSubmit:
-      body.str(rec.envelope_json);
-      body.u64(rec.deadline_unix_ms);
-      body.str(rec.client);
+      frame.str(rec.envelope_json);
+      frame.u64(rec.deadline_unix_ms);
+      frame.str(rec.client);
       break;
     case JournalRecord::Type::kStart:
     case JournalRecord::Type::kCancel:
       break;
     case JournalRecord::Type::kDone:
-      body.u8(static_cast<std::uint8_t>(rec.final_state));
-      body.u32(static_cast<std::uint16_t>(rec.error_code));
-      body.str(rec.error);
-      body.str(rec.document);
+      frame.u8(static_cast<std::uint8_t>(rec.final_state));
+      frame.u32(static_cast<std::uint16_t>(rec.error_code));
+      frame.str(rec.error);
+      frame.str(rec.document);
       break;
   }
-  BinaryWriter frame;
-  frame.vec_u8(body.bytes());  // u64 length, then the body
-  frame.u64(fnv1a64(body.bytes().data(), body.bytes().size()));
+  frame.end_frame(body);
   return frame.take();
 }
 
@@ -126,20 +126,15 @@ void JobJournal::open_and_replay() {
     }
     valid_end = kHeaderBytes;
 
-    // Each frame is checked where it lies. Every test below runs before a
-    // byte of the frame is copied, so a wild length allocates nothing.
-    BinaryReader frames(bytes.data() + kHeaderBytes,
-                        bytes.size() - kHeaderBytes);
-    while (frames.remaining() >= 8) {
-      const std::uint64_t body_len = frames.u64();
-      // A length above the cap, or a body or checksum past the end of the
-      // file, is a torn append that never finished: drop the tail.
-      if (body_len > kMaxBody || body_len + 8 > frames.remaining()) break;
-      const std::size_t size = static_cast<std::size_t>(body_len);
-      const std::uint8_t* body = frames.need(size);
-      if (frames.u64() != fnv1a64(body, size)) break;
+    // Each frame is checked where it lies, and a wild length allocates
+    // nothing. A torn frame (a length above the cap, a body or checksum
+    // past the end of the file) or a failed checksum is an append that
+    // never finished: the loop stops and the tail is dropped.
+    FrameScanner frames(bytes.data() + kHeaderBytes,
+                        bytes.size() - kHeaderBytes, kMaxBody);
+    while (frames.next() == FrameScanner::Frame::kWhole) {
       try {
-        records_.push_back(decode_body(body, size));
+        records_.push_back(decode_body(frames.body(), frames.body_size()));
       } catch (const Error& e) {
         // The checksum verified, so this cannot be a torn append: damage
         // inside a written record is unrecoverable and propagates.
@@ -147,7 +142,7 @@ void JobJournal::open_and_replay() {
                     "journal: " + path_ + ": damaged record at byte " +
                         std::to_string(valid_end) + ": " + e.what());
       }
-      valid_end = bytes.size() - frames.remaining();
+      valid_end = kHeaderBytes + frames.end();
     }
   }
 
@@ -170,9 +165,7 @@ void JobJournal::open_and_replay() {
     w.u64(kMagic);
     w.u32(kFormatVersion);
     w.u32(0);
-    const auto& buf = w.bytes();
-    if (::write(fd_, buf.data(), buf.size()) !=
-        static_cast<ssize_t>(buf.size())) {
+    if (!write_all(fd_, w.bytes().data(), w.bytes().size())) {
       io_fail("write header(" + path_ + ")");
     }
     if (::fsync(fd_) != 0) io_fail("fsync(" + path_ + ")");
@@ -183,15 +176,7 @@ void JobJournal::append(const JournalRecord& record) {
   require(fd_ >= 0, ErrorCode::kIoFailure, "journal: not open");
   const std::vector<std::uint8_t> buf = encode_frame(record);
   // One write() so a crash tears at most this record, never an earlier one.
-  std::size_t off = 0;
-  while (off < buf.size()) {
-    const ssize_t n = ::write(fd_, buf.data() + off, buf.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      io_fail("append(" + path_ + ")");
-    }
-    off += static_cast<std::size_t>(n);
-  }
+  if (!write_all(fd_, buf.data(), buf.size())) io_fail("append(" + path_ + ")");
   if (::fsync(fd_) != 0) io_fail("fsync(" + path_ + ")");
 }
 

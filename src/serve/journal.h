@@ -27,7 +27,8 @@
 //   u64  magic       "SEMSIMJL"
 //   u32  format version (kFormatVersion)
 //   u32  reserved (0)
-//   repeated records, each:
+//   repeated records, each one frame (the frame writer and FrameScanner
+//   of obs/checkpoint.h, shared with the run checkpoint):
 //     u64  body_len
 //     body_len bytes of body:  u8 type | u64 job_id | type payload
 //     u64  fnv1a64(body)

@@ -7,6 +7,7 @@
 
 #include "analysis/api.h"
 #include "analysis/sweep.h"
+#include "obs/checkpoint.h"
 
 namespace semsim {
 
@@ -40,6 +41,10 @@ struct JobScheduler::Job {
   /// every other way to a terminal state drops it.
   std::unique_ptr<Inputs> inputs;
   std::uint64_t fingerprint = 0;
+  /// The job's result-cache and spool key (result_key); none when its
+  /// fault plan can change the result, so it neither reads nor writes the
+  /// cache and runs without a spool checkpoint.
+  std::optional<std::uint64_t> key;
   /// Absolute wall deadline (Unix epoch ms, 0 = none). Absolute so the
   /// budget keeps counting across a crash + journal replay.
   std::uint64_t deadline_unix_ms = 0;
@@ -67,7 +72,31 @@ struct JobScheduler::Job {
   std::vector<std::optional<IvPoint>> sweep;
 };
 
+std::uint64_t result_key(std::uint64_t fingerprint,
+                         const RetryPolicy& retry) {
+  const RetryPolicy standard;
+  if (retry.strict == standard.strict &&
+      retry.max_attempts == standard.max_attempts) {
+    return fingerprint;
+  }
+  BinaryWriter w;
+  w.u64(fingerprint);
+  w.u8(retry.strict ? 1 : 0);
+  w.u32(retry.max_attempts);
+  return fnv1a64(w.bytes().data(), w.bytes().size());
+}
+
 namespace {
+
+/// True when `plan` holds a fault that can change a result: any kind but
+/// a sleep (and the inert `none`).
+bool changes_results(const FaultPlan& plan) {
+  return std::any_of(plan.faults.begin(), plan.faults.end(),
+                     [](const FaultSpec& f) {
+                       return f.kind != FaultKind::kSleep &&
+                              f.kind != FaultKind::kNone;
+                     });
+}
 
 /// ProgressSink writing into a Job's progress block. Thread-safe, as the
 /// sweep contract requires (callbacks fire from pool workers).
@@ -149,12 +178,15 @@ std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
   job->ensemble = env.ensemble.enabled;
   job->client = env.client;
   job->fingerprint = req.fingerprint();
+  if (!changes_results(env.fault)) {
+    job->key = result_key(job->fingerprint, env.retry);
+  }
   return job;
 }
 
-std::string JobScheduler::checkpoint_path(std::uint64_t fingerprint) const {
-  if (config_.spool_dir.empty()) return {};
-  return config_.spool_dir + "/job-" + fingerprint_hex(fingerprint) + ".ckpt";
+std::string JobScheduler::spool_path(const Job& job) const {
+  if (config_.spool_dir.empty() || !job.key) return {};
+  return config_.spool_dir + "/job-" + fingerprint_hex(*job.key) + ".ckpt";
 }
 
 std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
@@ -167,7 +199,7 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
 
   // One cache probe per submit: a hit makes the job terminal immediately —
   // no queue, no engine, the cache's own document.
-  SharedDocument hit = cache_.lookup(job->fingerprint);
+  SharedDocument hit = job->key ? cache_.lookup(*job->key) : nullptr;
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
@@ -376,10 +408,9 @@ void JobScheduler::replay_journal() {
           if (job->cached) totals_.cache_hits += 1;
           auto document =
               std::make_shared<const std::string>(std::move(rec.document));
-          job->document = document->empty()
+          job->document = document->empty() || !job->key
                               ? std::move(document)
-                              : cache_.insert(job->fingerprint,
-                                              std::move(document));
+                              : cache_.insert(*job->key, std::move(document));
         }
         break;
       }
@@ -420,7 +451,7 @@ std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
   s.error = job->error;
   s.error_code = job->error_code;
   if (job->state == JobState::kCancelled || job->state == JobState::kFailed) {
-    std::string path = checkpoint_path(job->fingerprint);
+    std::string path = spool_path(*job);
     if (!path.empty() && std::filesystem::exists(path)) {
       s.checkpoint_path = std::move(path);
     }
@@ -607,7 +638,7 @@ void JobScheduler::execute(Job& job) {
   JobProgressSink sink(job);
   RunRequest& req = inputs->request;
   req.threads = executor_.threads();
-  req.checkpoint_path = checkpoint_path(job.fingerprint);
+  req.checkpoint_path = spool_path(job);
   if (!inputs->fault.empty()) req.fault_plan = &inputs->fault;
   req.executor = &executor_;
   req.cancel = &job.cancel;
@@ -629,7 +660,7 @@ void JobScheduler::execute(Job& job) {
   }
 
   if (code == ErrorCode::kNone) {
-    document = cache_.insert(job.fingerprint, std::move(document));
+    if (job.key) document = cache_.insert(*job.key, std::move(document));
     if (!req.checkpoint_path.empty()) {
       // The run is reproducible from the cache (and from scratch); the
       // spool file has served its purpose.

@@ -40,15 +40,19 @@
 // `failed` with the coded serve.deadline_exceeded — never misfiled as a
 // cancel or a crash.
 //
-// Completed documents go into a fingerprint-keyed ResultCache; a submit
-// whose fingerprint hits the cache is born `done` with cached=true and
+// Completed documents go into a ResultCache keyed by result_key (the run
+// fingerprint, mixed with the retry policy when that is not the default);
+// a submit whose key hits the cache is born `done` with cached=true and
 // never touches the engine. A document is held once: the job that computed
 // it, every job the cache answered with it and the cache entry share the
 // same immutable bytes, and a terminal job keeps only what status() and
 // result() read (its run inputs are dropped). When a spool directory is
-// configured, every job checkpoints to spool/job-<fingerprint>.ckpt; the
-// file is deleted on success and KEPT on cancellation or failure, so
-// resubmitting the identical request resumes from the finished prefix.
+// configured, every job checkpoints to spool/job-<key>.ckpt; the file is
+// deleted on success and KEPT on cancellation or failure, so resubmitting
+// the identical request resumes from the finished prefix. A submit whose
+// fault plan can change its result (any fault but a sleep) has no key: it
+// neither reads nor writes the cache and runs without a spool checkpoint,
+// so it never answers, or resumes into, a clean submit.
 #pragma once
 
 #include <condition_variable>
@@ -179,8 +183,9 @@ class JobScheduler {
   /// A job for `env`, whose netlist the caller has parsed into `input`.
   std::unique_ptr<Job> make_job(const RequestEnvelope& env,
                                 SimulationInput input) const;
-  /// The job's spool checkpoint file ("" when checkpointing is off).
-  std::string checkpoint_path(std::uint64_t fingerprint) const;
+  /// The job's spool checkpoint file ("" when checkpointing is off or
+  /// the job has no key).
+  std::string spool_path(const Job& job) const;
   void replay_journal();
   /// Counts a new non-terminal job against its client's in-flight cap and
   /// indexes its deadline.
@@ -218,6 +223,14 @@ class JobScheduler {
   std::thread dispatcher_;
   std::thread deadline_monitor_;
 };
+
+/// The key of a submit's result-cache entry and spool checkpoint: its run
+/// fingerprint under the default retry policy, else fnv1a64 of (u64
+/// fingerprint, u8 strict, u32 max_attempts). The fingerprint leaves the
+/// policy out, but a strict or differently retried run can end otherwise
+/// (a failure instead of a degraded row), so it must not share an entry.
+std::uint64_t result_key(std::uint64_t fingerprint,
+                         const RetryPolicy& retry);
 
 /// Wall clock as Unix epoch milliseconds (journal deadlines are absolute
 /// so budgets keep counting across restarts).

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -183,25 +184,86 @@ void put_u64(std::vector<std::uint8_t>& b, std::size_t off, std::uint64_t v) {
 }
 
 // Header layout (checkpoint.h): magic@0, version@8, reserved@12,
-// fingerprint@16, unit_count@24, record_count@32, records from byte 40 as
-// [u64 unit | u64 len | payload | u64 checksum].
-constexpr std::size_t kRecordCountOffset = 32;
-constexpr std::size_t kFirstRecordOffset = 40;
+// fingerprint@16, unit_count@24, frames from byte 32 as
+// [u64 body_len | body = u64 unit ‖ payload | u64 fnv1a64(body)].
+constexpr std::size_t kHeaderBytes = 32;
 
-/// Simulates a crash after `keep` completed units: truncates the file to
-/// its first `keep` records (valid, since the file is rewritten atomically
-/// after every unit — any prefix state is a state a real abort can leave).
-void keep_first_records(const std::string& path, std::uint64_t keep) {
-  std::vector<std::uint8_t> b = read_bytes(path);
-  ASSERT_LE(keep, u64_at(b, kRecordCountOffset));
-  std::size_t off = kFirstRecordOffset;
-  for (std::uint64_t k = 0; k < keep; ++k) {
-    const std::uint64_t len = u64_at(b, off + 8);
-    off += 8 + 8 + static_cast<std::size_t>(len) + 8;
+/// Offsets just past each whole frame of a checkpoint file, in order.
+std::vector<std::size_t> frame_ends(const std::vector<std::uint8_t>& b) {
+  std::vector<std::size_t> ends;
+  std::size_t off = kHeaderBytes;
+  while (off + 8 <= b.size()) {
+    off += 8 + static_cast<std::size_t>(u64_at(b, off)) + 8;
+    if (off > b.size()) break;
+    ends.push_back(off);
   }
-  b.resize(off);
-  put_u64(b, kRecordCountOffset, keep);
+  return ends;
+}
+
+/// Simulates a crash after `keep` appended frames: cuts the file after
+/// them (any prefix of whole frames is a state a real abort can leave).
+void keep_first_records(const std::string& path, std::size_t keep) {
+  std::vector<std::uint8_t> b = read_bytes(path);
+  const std::vector<std::size_t> ends = frame_ends(b);
+  ASSERT_LE(keep, ends.size());
+  b.resize(keep == 0 ? kHeaderBytes : ends[keep - 1]);
   write_bytes(path, b);
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// FNV-1a 64, written out here so the tests pin the checksum itself.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& b) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t c : b) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct HandFrame {
+  std::uint64_t unit;
+  std::vector<std::uint8_t> payload;
+};
+
+/// A whole v4 checkpoint in the documented layout, built by hand: the
+/// header, then one frame per record.
+std::vector<std::uint8_t> checkpoint_bytes(std::uint64_t fingerprint,
+                                           std::uint64_t units,
+                                           const std::vector<HandFrame>& frames,
+                                           std::uint32_t version = 4) {
+  std::vector<std::uint8_t> out;
+  put_le(out, 0x5345'4D53'494D'4350ULL, 8);  // "SEMSIMCP"
+  put_le(out, version, 4);
+  put_le(out, 0, 4);  // reserved
+  put_le(out, fingerprint, 8);
+  put_le(out, units, 8);
+  for (const HandFrame& f : frames) {
+    std::vector<std::uint8_t> body;
+    put_le(body, f.unit, 8);
+    body.insert(body.end(), f.payload.begin(), f.payload.end());
+    put_le(out, body.size(), 8);
+    out.insert(out.end(), body.begin(), body.end());
+    put_le(out, fnv1a(body), 8);
+  }
+  return out;
+}
+
+/// The error code the constructor throws on `path`, kNone when it opens.
+ErrorCode open_code(const std::string& path, std::uint64_t fingerprint,
+                    std::uint64_t units, bool salvage = false) {
+  try {
+    RunCheckpoint cp(path, fingerprint, units, /*require_existing=*/false,
+                     salvage);
+  } catch (const IoError& e) {
+    return e.code();
+  }
+  return ErrorCode::kNone;
 }
 
 struct TempFile {
@@ -237,6 +299,58 @@ TEST(RunCheckpoint, MissingResumeFileIsAnError) {
       Error);
 }
 
+TEST(RunCheckpoint, HandBuiltFileInTheDocumentedLayoutLoads) {
+  // Pins the v4 format independently of the writer: bytes built here from
+  // the layout in obs/checkpoint.h load, and equal what the writer appends
+  // for the same records. A later frame for a unit replaces an earlier one.
+  TempFile hand_file("/tmp/semsim_ckpt_hand.bin");
+  TempFile written_file("/tmp/semsim_ckpt_written.bin");
+  const std::vector<HandFrame> frames = {
+      {2, {1, 2, 3}}, {0, {}}, {2, {9}}, {1, {4, 5}}};
+  const std::vector<std::uint8_t> hand = checkpoint_bytes(42, 3, frames);
+  write_bytes(hand_file.path, hand);
+  {
+    RunCheckpoint cp(hand_file.path, 42, 3);
+    EXPECT_EQ(cp.completed(), 3u);
+    EXPECT_EQ(cp.payload(2), (std::vector<std::uint8_t>{9}));
+    EXPECT_TRUE(cp.payload(0).empty());
+    EXPECT_EQ(cp.payload(1), (std::vector<std::uint8_t>{4, 5}));
+    EXPECT_EQ(cp.salvaged_dropped(), 0u);
+  }
+  EXPECT_EQ(read_bytes(hand_file.path), hand);  // opening changed nothing
+
+  {
+    RunCheckpoint cp(written_file.path, 42, 3);
+    for (const HandFrame& f : frames) cp.record(f.unit, f.payload);
+  }
+  EXPECT_EQ(read_bytes(written_file.path), hand);
+  EXPECT_FALSE(std::ifstream(written_file.path + ".tmp").good());
+}
+
+TEST(RunCheckpoint, VersionThreeFileIsRefused) {
+  // A v3 file in its own layout (40-byte header with a record count, then
+  // [u64 unit | u64 len | payload | u64 fnv1a64(payload)]): refused as
+  // mismatched, with or without salvage, and never changed.
+  TempFile tmp("/tmp/semsim_ckpt_v3.bin");
+  std::vector<std::uint8_t> v3;
+  put_le(v3, 0x5345'4D53'494D'4350ULL, 8);
+  put_le(v3, 3, 4);
+  put_le(v3, 0, 4);
+  put_le(v3, 42, 8);  // fingerprint
+  put_le(v3, 3, 8);   // unit count
+  put_le(v3, 1, 8);   // record count
+  put_le(v3, 0, 8);   // unit
+  put_le(v3, 2, 8);   // payload length
+  v3.push_back(7);
+  v3.push_back(8);
+  put_le(v3, fnv1a({7, 8}), 8);
+  write_bytes(tmp.path, v3);
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointMismatch);
+  EXPECT_EQ(open_code(tmp.path, 42, 3, /*salvage=*/true),
+            ErrorCode::kCheckpointMismatch);
+  EXPECT_EQ(read_bytes(tmp.path), v3);
+}
+
 TEST(RunCheckpoint, RejectsCorruptAndMismatchedFiles) {
   TempFile tmp("/tmp/semsim_ckpt_corrupt.bin");
   {
@@ -245,47 +359,71 @@ TEST(RunCheckpoint, RejectsCorruptAndMismatchedFiles) {
     cp.record(1, {50});
   }
   const std::vector<std::uint8_t> good = read_bytes(tmp.path);
+  const std::vector<std::size_t> ends = frame_ends(good);
+  ASSERT_EQ(ends.size(), 2u);
+  ASSERT_EQ(ends.back(), good.size());
 
   // Pristine file reopens fine.
-  EXPECT_NO_THROW(RunCheckpoint(tmp.path, 42, 3));
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kNone);
 
   // Wrong magic: not a checkpoint file at all.
   std::vector<std::uint8_t> bad = good;
   bad[0] ^= 0xFF;
   write_bytes(tmp.path, bad);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
 
   // Unsupported format version.
   bad = good;
   bad[8] += 1;
   write_bytes(tmp.path, bad);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointMismatch);
 
   // Fingerprint mismatch: a different run's file must be refused.
   write_bytes(tmp.path, good);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 43, 3), Error);
+  EXPECT_EQ(open_code(tmp.path, 43, 3), ErrorCode::kCheckpointMismatch);
 
   // Unit-count mismatch: same run identity but different decomposition.
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 5), Error);
+  EXPECT_EQ(open_code(tmp.path, 42, 5), ErrorCode::kCheckpointMismatch);
 
-  // Truncated mid-header and mid-record.
-  bad = good;
-  bad.resize(6);
-  write_bytes(tmp.path, bad);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
-  bad = good;
-  bad.resize(kFirstRecordOffset + 11);
-  write_bytes(tmp.path, bad);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
+  // Short header: the header is created whole, so a short one is damage.
+  for (const std::size_t size : {std::size_t{6}, std::size_t{20}}) {
+    SCOPED_TRACE(size);
+    bad = good;
+    bad.resize(size);
+    write_bytes(tmp.path, bad);
+    EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
+  }
 
-  // A flipped payload byte fails the record checksum.
+  // A cut inside the last frame is a torn append: the frame before it
+  // loads, and the open leaves the file as it found it.
   bad = good;
-  bad[kFirstRecordOffset + 16] ^= 0x01;  // first payload byte of record 0
+  bad.resize(ends[0] + 11);
   write_bytes(tmp.path, bad);
-  EXPECT_THROW(RunCheckpoint(tmp.path, 42, 3), Error);
+  {
+    RunCheckpoint cp(tmp.path, 42, 3);
+    EXPECT_EQ(cp.completed(), 1u);
+    EXPECT_TRUE(cp.has(0));
+  }
+  EXPECT_EQ(read_bytes(tmp.path).size(), bad.size());
+
+  // A flipped payload byte fails the frame checksum.
+  bad = good;
+  bad[kHeaderBytes + 8 + 8] ^= 0x01;  // first payload byte of frame 0
+  write_bytes(tmp.path, bad);
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
+
+  // A whole frame naming a unit past the run, or too short to name one.
+  write_bytes(tmp.path, checkpoint_bytes(42, 3, {{0, {1}}, {3, {2}}}));
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
+  bad = checkpoint_bytes(42, 3, {});
+  put_le(bad, 4, 8);
+  bad.insert(bad.end(), {1, 2, 3, 4});
+  put_le(bad, fnv1a({1, 2, 3, 4}), 8);
+  write_bytes(tmp.path, bad);
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
 }
 
-TEST(RunCheckpoint, PayloadLengthPastTheEndIsCorruptAndAllocatesNothing) {
+TEST(RunCheckpoint, PayloadLengthPastTheEndIsTornAndAllocatesNothing) {
   TempFile tmp("/tmp/semsim_ckpt_past_end.bin");
   {
     RunCheckpoint cp(tmp.path, 42, 3);
@@ -293,10 +431,10 @@ TEST(RunCheckpoint, PayloadLengthPastTheEndIsCorruptAndAllocatesNothing) {
     cp.record(1, {50});
   }
   const std::vector<std::uint8_t> good = read_bytes(tmp.path);
-  // Record 1 follows record 0's unit, length, 4 payload bytes and checksum.
-  const std::size_t second = kFirstRecordOffset + 8 + 8 + 4 + 8;
-  ASSERT_EQ(u64_at(good, second), 1u);
-  ASSERT_EQ(u64_at(good, second + 8), 1u);
+  // Frame 1 follows frame 0's length, unit, 4 payload bytes and checksum.
+  const std::size_t second = kHeaderBytes + 8 + 8 + 4 + 8;
+  ASSERT_EQ(u64_at(good, second), 9u);       // body: unit + 1 payload byte
+  ASSERT_EQ(u64_at(good, second + 8), 1u);   // unit 1
   rusage ru{};
   ::getrusage(RUSAGE_SELF, &ru);
   const long before_kib = ru.ru_maxrss;
@@ -304,22 +442,22 @@ TEST(RunCheckpoint, PayloadLengthPastTheEndIsCorruptAndAllocatesNothing) {
   // see that the file is short before it allocates or copies anything.
   const std::uint64_t claims[] = {10, std::uint64_t{512} << 20};
   for (const std::uint64_t len : claims) {
-    SCOPED_TRACE("payload length " + std::to_string(len));
+    SCOPED_TRACE("body length " + std::to_string(len));
     std::vector<std::uint8_t> bad = good;
-    put_u64(bad, second + 8, len);
+    put_u64(bad, second, len);
     write_bytes(tmp.path, bad);
-    try {
-      RunCheckpoint cp(tmp.path, 42, 3);
-      ADD_FAILURE() << "a payload past the end of the file was accepted";
-    } catch (const IoError& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCheckpointCorrupt);
+    for (const bool salvage : {false, true}) {
+      SCOPED_TRACE(salvage ? "salvage" : "default");
+      RunCheckpoint cp(tmp.path, 42, 3, /*require_existing=*/false, salvage);
+      EXPECT_EQ(cp.completed(), 1u);
+      EXPECT_EQ(cp.payload(0), (std::vector<std::uint8_t>{10, 20, 30, 40}));
+      EXPECT_FALSE(cp.has(1));
+      EXPECT_EQ(cp.salvaged_dropped(), 0u);
     }
-    RunCheckpoint salvaged(tmp.path, 42, 3, /*require_existing=*/false,
-                           /*salvage=*/true);
-    EXPECT_EQ(salvaged.completed(), 1u);
-    EXPECT_EQ(salvaged.payload(0), (std::vector<std::uint8_t>{10, 20, 30, 40}));
-    EXPECT_FALSE(salvaged.has(1));
-    EXPECT_EQ(salvaged.salvaged_dropped(), 1u);
+    EXPECT_EQ(read_bytes(tmp.path), bad);  // a read-only open cuts nothing
+    // The first append cuts the torn frame off, then lands where it was.
+    RunCheckpoint(tmp.path, 42, 3).record(1, {50});
+    EXPECT_EQ(read_bytes(tmp.path), good);
   }
   ::getrusage(RUSAGE_SELF, &ru);
   EXPECT_LT(ru.ru_maxrss - before_kib, 64L * 1024);
@@ -535,6 +673,47 @@ TEST(DriverResume, ResumedSweepKeepsTheAuditTrail) {
   audited_document(kSweepInput, tmp.path, "");
   keep_first_records(tmp.path, 2);  // crash after 2 of the 6 chunks
   EXPECT_EQ(audited_document(kSweepInput, "", tmp.path), ref);
+}
+
+TEST(DriverResume, EveryCutInsideTheLastFrameResumesToTheSameDocument) {
+  // A crash mid-append leaves a torn last frame. For every cut inside the
+  // last frame of a sweep checkpoint and of a transient one, the open
+  // keeps exactly the whole frames before the cut and leaves the file as
+  // it found it, the resumed document is the uninterrupted one, and so is
+  // the file: the resume cut the torn frame off before appending its own.
+  for (const char* text : {kSweepInput, kTransientInput}) {
+    TempFile tmp("/tmp/semsim_ckpt_torn_tail.bin");
+    const std::string plain = audited_document(text, "", "");
+    ASSERT_EQ(audited_document(text, tmp.path, ""), plain);
+    const std::vector<std::uint8_t> full = read_bytes(tmp.path);
+    const std::vector<std::size_t> ends = frame_ends(full);
+    ASSERT_GE(ends.size(), 2u);
+    ASSERT_EQ(ends.back(), full.size());
+    const std::uint64_t fingerprint = u64_at(full, 16);
+    const std::uint64_t units = u64_at(full, 24);
+    std::set<std::uint64_t> kept;  // the units of the whole frames left
+    for (std::size_t k = 0; k + 1 < ends.size(); ++k) {
+      kept.insert(u64_at(full, (k == 0 ? kHeaderBytes : ends[k - 1]) + 8));
+    }
+    const std::size_t last = ends[ends.size() - 2];
+    const std::uint64_t last_unit = u64_at(full, last + 8);
+    ASSERT_EQ(kept.count(last_unit), 0u);
+    for (std::size_t cut = last + 1; cut < full.size(); ++cut) {
+      SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of " +
+                   std::to_string(full.size()));
+      write_bytes(tmp.path, std::vector<std::uint8_t>(full.begin(),
+                                                      full.begin() + cut));
+      {
+        const RunCheckpoint cp(tmp.path, fingerprint, units);
+        ASSERT_EQ(cp.completed(), kept.size());
+        for (const std::uint64_t unit : kept) ASSERT_TRUE(cp.has(unit));
+        ASSERT_FALSE(cp.has(last_unit));
+      }
+      ASSERT_EQ(read_bytes(tmp.path).size(), cut);
+      ASSERT_EQ(audited_document(text, "", tmp.path), plain);
+      ASSERT_EQ(read_bytes(tmp.path), full);
+    }
+  }
 }
 
 TEST(DriverResume, VersionTwoCheckpointIsRefused) {

@@ -579,30 +579,25 @@ TEST(CheckpointSalvage, TruncatedMidWriteKeepsTheValidPrefix) {
     cp.record(1, {4, 5});
     cp.record(2, {6, 7, 8, 9});
   }
-  // Chop into the middle of the last record, as a crash mid-write would.
+  // Chop into the middle of the last frame, as a crash mid-append would.
   std::vector<std::uint8_t> b = read_bytes(tmp.path);
   b.resize(b.size() - 5);
   write_bytes(tmp.path, b);
 
-  // Default: corruption is loud (pipelines depend on this), with the coded
-  // IoError the CLI maps to its distinct exit code.
-  try {
-    RunCheckpoint cp(tmp.path, 9, 4);
-    FAIL() << "truncated checkpoint was accepted without salvage";
-  } catch (const IoError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCheckpointCorrupt);
+  // A torn append is the one damage a crash leaves, so it is no error in
+  // either mode: the whole frames before it load, the tail is dropped and
+  // its unit recomputed. Salvage counts only frames dropped for damage.
+  for (const bool salvage : {false, true}) {
+    SCOPED_TRACE(salvage ? "salvage" : "default");
+    RunCheckpoint cp(tmp.path, 9, 4, /*require_existing=*/false, salvage);
+    EXPECT_TRUE(cp.has(0));
+    EXPECT_TRUE(cp.has(1));
+    EXPECT_FALSE(cp.has(2));
+    EXPECT_EQ(cp.completed(), 2u);
+    EXPECT_EQ(cp.salvaged_dropped(), 0u);
+    EXPECT_EQ(cp.payload(0), (std::vector<std::uint8_t>{1, 2, 3}));
   }
-
-  // Salvage: the intact record prefix survives, the torn tail is dropped
-  // and will simply be recomputed.
-  RunCheckpoint cp(tmp.path, 9, 4, /*require_existing=*/false,
-                   /*salvage=*/true);
-  EXPECT_TRUE(cp.has(0));
-  EXPECT_TRUE(cp.has(1));
-  EXPECT_FALSE(cp.has(2));
-  EXPECT_EQ(cp.completed(), 2u);
-  EXPECT_GE(cp.salvaged_dropped(), 1u);
-  EXPECT_EQ(cp.payload(0), (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(read_bytes(tmp.path), b);  // opening cut nothing
 }
 
 TEST(CheckpointSalvage, HeaderDamageIsFatalEvenWithSalvage) {
@@ -619,20 +614,62 @@ TEST(CheckpointSalvage, HeaderDamageIsFatalEvenWithSalvage) {
   EXPECT_THROW(RunCheckpoint(tmp.path, 9, 2, false, /*salvage=*/true), IoError);
 }
 
-TEST(CheckpointSalvage, ChecksumFailureDropsFromTheBadRecordOn) {
-  TempFile tmp("/tmp/semsim_guard_salvage_sum.bin");
+/// A file holding the three frames (0: {10, 20, 30}), (1: {40}), (2: {50})
+/// for fingerprint 9 and three units. Frames start after the 32-byte
+/// header, each as [u64 body_len | u64 unit | payload | u64 checksum].
+std::vector<std::uint8_t> three_frames(const std::string& path) {
   {
-    RunCheckpoint cp(tmp.path, 9, 3);
+    RunCheckpoint cp(path, 9, 3);
     cp.record(0, {10, 20, 30});
     cp.record(1, {40});
     cp.record(2, {50});
   }
-  std::vector<std::uint8_t> b = read_bytes(tmp.path);
-  b[40 + 16] ^= 0x01;  // first payload byte of record 0 (header is 40 bytes)
+  return read_bytes(path);
+}
+
+TEST(CheckpointSalvage, ChecksumFailureDropsFromTheBadRecordOn) {
+  TempFile tmp("/tmp/semsim_guard_salvage_sum.bin");
+  std::vector<std::uint8_t> b = three_frames(tmp.path);
+  b[32 + 16] ^= 0x01;  // first payload byte of frame 0
   write_bytes(tmp.path, b);
+  try {
+    RunCheckpoint cp(tmp.path, 9, 3);
+    FAIL() << "a frame with a bad checksum was accepted without salvage";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCheckpointCorrupt);
+  }
   RunCheckpoint cp(tmp.path, 9, 3, false, /*salvage=*/true);
   EXPECT_EQ(cp.completed(), 0u);
   EXPECT_EQ(cp.salvaged_dropped(), 3u);
+}
+
+TEST(CheckpointSalvage, SalvageAppendsAfterTheKeptPrefix) {
+  // A checksum failure in the middle frame: salvage keeps frame 0, drops
+  // frames 1 and 2, changes nothing on open, and its first record() cuts
+  // the dropped frames off and appends where they began.
+  TempFile tmp("/tmp/semsim_guard_salvage_mid.bin");
+  const std::vector<std::uint8_t> clean = three_frames(tmp.path);
+  const std::size_t frame1 = 32 + 8 + 8 + 3 + 8;
+  std::vector<std::uint8_t> b = clean;
+  b[frame1 + 16] ^= 0x01;  // frame 1's payload byte
+  write_bytes(tmp.path, b);
+  {
+    RunCheckpoint cp(tmp.path, 9, 3, false, /*salvage=*/true);
+    EXPECT_EQ(cp.completed(), 1u);
+    EXPECT_TRUE(cp.has(0));
+    EXPECT_EQ(cp.salvaged_dropped(), 2u);
+    EXPECT_EQ(read_bytes(tmp.path), b);
+    cp.record(2, {50});
+    cp.record(1, {40});
+  }
+  std::vector<std::uint8_t> want(clean.begin(), clean.begin() + frame1);
+  const std::size_t frame2 = frame1 + 8 + 8 + 1 + 8;
+  want.insert(want.end(), clean.begin() + frame2, clean.end());  // unit 2
+  want.insert(want.end(), clean.begin() + frame1, clean.begin() + frame2);
+  EXPECT_EQ(read_bytes(tmp.path), want);
+  RunCheckpoint back(tmp.path, 9, 3);
+  EXPECT_EQ(back.completed(), 3u);
+  EXPECT_EQ(back.payload(1), (std::vector<std::uint8_t>{40}));
 }
 
 // ---- fault-isolated sweeps ------------------------------------------------

@@ -809,6 +809,124 @@ TEST(Scheduler, QueuedJobCancelIsImmediate) {
   sched.shutdown();
 }
 
+// ---- cache and spool keys --------------------------------------------------
+
+/// The sweep with a sticky NaN rate on unit 2 from event 100 on: every
+/// attempt fails, so the unit degrades to a failed row.
+RequestEnvelope faulty_sweep_envelope(std::uint64_t seed) {
+  RequestEnvelope env = sweep_envelope(seed);
+  FaultSpec f;
+  f.kind = FaultKind::kNanRate;
+  f.unit = 2;
+  f.at_event = 100;
+  f.sticky = true;
+  env.fault.faults.push_back(f);
+  return env;
+}
+
+TEST(Scheduler, FaultInjectedDocumentNeverAnswersACleanSubmit) {
+  const std::string clean = run(sweep_request(1, 11)).to_json(true);
+  ASSERT_EQ(clean.find("\"degraded\":true"), std::string::npos);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  JobScheduler sched(cfg);
+  const std::uint64_t faulty = sched.submit(faulty_sweep_envelope(11));
+  ASSERT_EQ(wait_terminal(sched, faulty).state, JobState::kDone);
+  ASSERT_NE(sched.result(faulty)->find("\"degraded\":true"),
+            std::string::npos);
+  // Neither read nor written: the same faulty submit runs again.
+  const std::uint64_t again = sched.submit(faulty_sweep_envelope(11));
+  const JobStatus s_again = wait_terminal(sched, again);
+  EXPECT_FALSE(s_again.cached);
+  EXPECT_EQ(*sched.result(again), *sched.result(faulty));
+  EXPECT_EQ(sched.cache_stats().insertions, 0u);
+
+  const std::uint64_t plain = sched.submit(sweep_envelope(11));
+  const JobStatus s = wait_terminal(sched, plain);
+  ASSERT_EQ(s.state, JobState::kDone) << s.error;
+  EXPECT_FALSE(s.cached);
+  EXPECT_EQ(*sched.result(plain), clean);
+  EXPECT_EQ(sched.cache_stats().hits, 0u);
+  sched.shutdown();
+}
+
+TEST(Scheduler, CancelledFaultyRunLeavesNoSpoolForACleanSubmit) {
+  const std::string clean = run(sweep_request()).to_json(true);
+  TempDir spool("semsim_serve_faulty_spool");
+  SchedulerConfig cfg;
+  cfg.threads = 1;
+  cfg.spool_dir = spool.path;
+  JobScheduler sched(cfg);
+  RequestEnvelope env = faulty_sweep_envelope(7);
+  env.fault.faults.push_back(slow_sweep_envelope(100).fault.faults[0]);
+  const std::uint64_t id = sched.submit(env);
+  for (;;) {  // until the poisoned unit has degraded
+    const JobStatus st = *sched.status(id);
+    if (st.degraded_points >= 1 || job_state_terminal(st.state)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(sched.cancel(id))
+      << "job finished before cancel could land; raise the sleep fault";
+  const JobStatus s = wait_terminal(sched, id);
+  ASSERT_EQ(s.state, JobState::kCancelled);
+  EXPECT_TRUE(s.checkpoint_path.empty());
+  for (const auto& entry : std::filesystem::directory_iterator(spool.path)) {
+    ADD_FAILURE() << "spool holds " << entry.path();
+  }
+
+  const std::uint64_t plain = sched.submit(sweep_envelope());
+  const JobStatus s2 = wait_terminal(sched, plain);
+  ASSERT_EQ(s2.state, JobState::kDone) << s2.error;
+  EXPECT_EQ(*sched.result(plain), clean);
+  sched.shutdown();
+}
+
+TEST(Scheduler, RetryPolicyKeysItsOwnCacheEntryAndSpoolFile) {
+  const std::uint64_t fp = sweep_request().fingerprint();
+  RetryPolicy strict;
+  strict.strict = true;
+  RetryPolicy once;
+  once.max_attempts = 1;
+  EXPECT_EQ(result_key(fp, RetryPolicy{}), fp);
+  EXPECT_NE(result_key(fp, strict), fp);
+  EXPECT_NE(result_key(fp, once), fp);
+  EXPECT_NE(result_key(fp, strict), result_key(fp, once));
+
+  TempDir spool("semsim_serve_retry_keys");
+  SchedulerConfig cfg;
+  cfg.threads = 1;
+  cfg.spool_dir = spool.path;
+  JobScheduler sched(cfg);
+  const std::uint64_t plain = sched.submit(sweep_envelope());
+  ASSERT_EQ(wait_terminal(sched, plain).state, JobState::kDone);
+  for (const RetryPolicy& policy : {strict, once}) {
+    RequestEnvelope env = sweep_envelope();
+    env.retry = policy;
+    const std::uint64_t id = sched.submit(env);
+    const JobStatus s = wait_terminal(sched, id);
+    ASSERT_EQ(s.state, JobState::kDone) << s.error;
+    EXPECT_FALSE(s.cached) << "answered from the default policy's entry";
+    EXPECT_EQ(s.fingerprint, fp);
+    EXPECT_TRUE(sched.status(sched.submit(env))->cached);
+  }
+
+  // A cancelled strict run's spool file carries its own key.
+  RequestEnvelope env = slow_sweep_envelope();
+  env.seed = 8;
+  env.retry = strict;
+  const std::uint64_t id = sched.submit(env);
+  ASSERT_FALSE(job_state_terminal(wait_running_unit(sched, id).state));
+  sched.cancel(id);
+  const JobStatus s = wait_terminal(sched, id);
+  ASSERT_EQ(s.state, JobState::kCancelled);
+  const std::uint64_t fp8 = sweep_request(1, 8).fingerprint();
+  EXPECT_EQ(s.checkpoint_path, spool.path + "/job-" +
+                                   fingerprint_hex(result_key(fp8, strict)) +
+                                   ".ckpt");
+  EXPECT_TRUE(std::filesystem::exists(s.checkpoint_path));
+  sched.shutdown();
+}
+
 // ---- socket server --------------------------------------------------------
 
 struct ServerFixture {
@@ -1452,6 +1570,38 @@ TEST(Replay, CacheHitJobReplaysAsCached) {
   EXPECT_TRUE(sched.status(2)->cached);
   EXPECT_EQ(sched.stats().completed, 2u);
   EXPECT_EQ(sched.stats().cache_hits, 1u);
+  sched.shutdown();
+}
+
+TEST(Replay, DoneRecordsReseedTheCacheUnderTheirKeys) {
+  // A faulty run's done record re-seeds nothing; a strict run's re-seeds
+  // the strict key only.
+  TempDir dir("semsim_replay_keys");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.journal_path = dir.path + "/j.wal";
+  RequestEnvelope strict = sweep_envelope();
+  strict.retry.strict = true;
+  craft_journal(
+      cfg.journal_path,
+      {submit_record(1, faulty_sweep_envelope(7)),
+       bare_record(JournalRecord::Type::kStart, 1),
+       done_record(1, JobState::kDone, ErrorCode::kNone, "", "FAULTYDOC"),
+       submit_record(2, strict),
+       bare_record(JournalRecord::Type::kStart, 2),
+       done_record(2, JobState::kDone, ErrorCode::kNone, "", "STRICTDOC")});
+
+  JobScheduler sched(cfg);
+  EXPECT_EQ(*sched.result(1), "FAULTYDOC");
+  EXPECT_EQ(sched.cache_stats().entries, 1u);
+  const std::uint64_t again = sched.submit(strict);
+  EXPECT_TRUE(sched.status(again)->cached);
+  EXPECT_EQ(*sched.result(again), "STRICTDOC");
+  const std::uint64_t plain = sched.submit(sweep_envelope());
+  const JobStatus s = wait_terminal(sched, plain);
+  ASSERT_EQ(s.state, JobState::kDone) << s.error;
+  EXPECT_FALSE(s.cached);
+  EXPECT_EQ(*sched.result(plain), run(sweep_request()).to_json(true));
   sched.shutdown();
 }
 

@@ -3,8 +3,9 @@
 // derived retry streams, strict mode names the unit while non-strict mode
 // degrades it, every unit is reported exactly once, and a cancellation
 // raised inside a unit is never retried or recorded. The sequence runner
-// keeps one record, the newest milestone, reports each milestone once,
-// restored ones included, and ends when an advance finds the run exhausted. Unit engines handed
+// appends every milestone, resumes from the newest, reports each milestone
+// once, restored ones included, and ends when an advance finds the run
+// exhausted. Unit engines handed
 // the run's quasi-particle table share that one object, step bitwise like
 // engines that built their own or were handed a pre-filled one, and refuse
 // a table of another temperature or range; threads that fill one table's
@@ -327,7 +328,7 @@ struct Counter {
 };
 
 /// Records every on_unit_done, and after each one what the checkpoint file
-/// holds: its record count and whether that milestone is on file.
+/// holds: how many milestones and whether that milestone is on file.
 struct MilestoneSink : ProgressSink {
   std::string path;
   CancelToken* cancel = nullptr;
@@ -353,7 +354,7 @@ std::vector<std::size_t> iota_to(std::size_t n) {
   return v;
 }
 
-TEST(RunSequence, KeepsOneRecordAndReportsEachMilestoneOnce) {
+TEST(RunSequence, AppendsEveryMilestoneAndReportsEachOnce) {
   TempFile file("semsim_sequence");
   CancelToken cancel;
   MilestoneSink first;
@@ -371,8 +372,10 @@ TEST(RunSequence, KeepsOneRecordAndReportsEachMilestoneOnce) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCancelled);
   }
+  // Each milestone is appended before it is reported: the file holds
+  // milestones 0..k when milestone k is reported.
   EXPECT_EQ(first.done, iota_to(4));
-  EXPECT_EQ(first.records, std::vector<std::size_t>(4, 1));
+  EXPECT_EQ(first.records, (std::vector<std::size_t>{1, 2, 3, 4}));
   EXPECT_EQ(first.on_file, std::vector<bool>(4, true));
 
   // Resume: milestones 0..3 are restored and reported once each, and only
@@ -385,7 +388,8 @@ TEST(RunSequence, KeepsOneRecordAndReportsEachMilestoneOnce) {
   run_sequence(resumed.sequence(), ctx);
   EXPECT_EQ(second.done, iota_to(kMilestones));
   EXPECT_EQ(resumed.advanced, (std::vector<std::size_t>{4, 5, 6, 7}));
-  EXPECT_EQ(second.records, std::vector<std::size_t>(kMilestones, 1));
+  EXPECT_EQ(second.records,
+            (std::vector<std::size_t>{4, 4, 4, 4, 5, 6, 7, 8}));
   EXPECT_EQ(resumed.value, 36u);
 }
 

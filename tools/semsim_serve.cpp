@@ -9,7 +9,8 @@
 // RunRequest -> run() path as the semsim CLI, sharded across one shared
 // thread pool — served results are bitwise identical to local runs
 // (tests/test_serve.cpp). Completed canonical documents are cached by run
-// fingerprint; identical resubmits are answered instantly. With --spool,
+// fingerprint (plus a non-default retry policy); identical resubmits are
+// answered instantly. With --spool,
 // jobs checkpoint per work unit: cancellation and daemon shutdown leave
 // resumable spool files behind.
 //
@@ -54,7 +55,8 @@ void usage(const char* argv0) {
       "  --threads N        worker threads shared by all jobs (default 1,\n"
       "                     0 = all cores); never affects results\n"
       "  --cache-mb N       result-cache budget in MiB (default 64, 0 off)\n"
-      "  --spool DIR        checkpoint jobs to DIR/job-<fingerprint>.ckpt;\n"
+      "  --spool DIR        checkpoint jobs to DIR/job-<key>.ckpt (key: the\n"
+      "                     fingerprint, plus a non-default retry policy);\n"
       "                     cancelled/interrupted jobs resume on resubmit\n"
       "  --journal PATH     write-ahead job journal; a restarted daemon\n"
       "                     replays it and no acknowledged job is lost\n"
