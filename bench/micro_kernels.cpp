@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "physics/qp_rate.h"
 #include "physics/rates.h"
 #include "serve/journal.h"
+#include "serve/scheduler.h"
 #include "spice/set_model.h"
 
 namespace semsim {
@@ -346,10 +348,17 @@ void BM_CholeskyFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskyFactor)->Unit(benchmark::kMillisecond);
 
-// Opening the daemon's job journal on a restart: one sized read, then every
-// frame checked (FNV-1a over the body) and decoded where it lies. 1,000
-// submit + done pairs carrying 4 KB documents (4.54 MB), written once; the
-// file is whole, so no open truncates anything.
+/// The SET sweep every journal benchmark submits.
+constexpr char kJournalNetlist[] =
+    "num ext 3\nnum nodes 4\njunc 1 1 4 1meg 1a\njunc 2 4 2 1meg 1a\n"
+    "cap 3 4 3a\nvdc 3 0.0\nsymm 2\ntemp 5\nrecord 1 2\n"
+    "jumps 2000\nsweep 1 0.01 0.002\n";
+
+// Opening the daemon's job journal on a restart: the file mapped, every
+// body checksummed (FNV-1a, four frames at a time), then each frame
+// decoded where it lies. 1,000 submit + done pairs carrying 4 KB documents
+// (4.54 MB), written once; the file is whole, so no open truncates
+// anything.
 void BM_JournalReplay(benchmark::State& state) {
   const std::string path =
       "/tmp/semsim_bm_journal." + std::to_string(::getpid()) + ".wal";
@@ -357,10 +366,7 @@ void BM_JournalReplay(benchmark::State& state) {
   {
     RequestEnvelope env;
     env.verb = RequestEnvelope::Verb::kSubmit;
-    env.netlist =
-        "num ext 3\nnum nodes 4\njunc 1 1 4 1meg 1a\njunc 2 4 2 1meg 1a\n"
-        "cap 3 4 3a\nvdc 3 0.0\nsymm 2\ntemp 5\nrecord 1 2\n"
-        "jumps 2000\nsweep 1 0.01 0.002\n";
+    env.netlist = kJournalNetlist;
     JobJournal journal(path);
     JournalRecord submit;
     submit.type = JournalRecord::Type::kSubmit;
@@ -385,6 +391,61 @@ void BM_JournalReplay(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_JournalReplay)->Unit(benchmark::kMillisecond);
+
+// A daemon restart: JobScheduler construction, journal replay included,
+// on a served-like journal of 1,200 finished jobs, one netlist submitted
+// with fresh seeds. Three in four ran (submit, start, done); every fourth
+// is a cache hit on the seed before it (submit, done, no start). Each
+// done carries a 3.7 KB document. No job is left to run or cancel, so the
+// replay appends nothing and every iteration replays the same bytes. The
+// scheduler's shutdown (thread joins) is not timed.
+void BM_ServeRestart(benchmark::State& state) {
+  const std::string path =
+      "/tmp/semsim_bm_restart." + std::to_string(::getpid()) + ".wal";
+  std::remove(path.c_str());
+  {
+    RequestEnvelope env;
+    env.verb = RequestEnvelope::Verb::kSubmit;
+    env.netlist = kJournalNetlist;
+    JobJournal journal(path);
+    JournalRecord submit;
+    submit.type = JournalRecord::Type::kSubmit;
+    JournalRecord start;
+    start.type = JournalRecord::Type::kStart;
+    JournalRecord done;
+    done.type = JournalRecord::Type::kDone;
+    for (std::uint64_t id = 1; id <= 1200; ++id) {
+      const bool hit = id % 4 == 0;
+      if (!hit) env.seed += 1;
+      submit.job_id = id;
+      submit.envelope_json = encode_request_envelope(env);
+      journal.append(submit);
+      if (!hit) {
+        start.job_id = id;
+        journal.append(start);
+      }
+      done.job_id = id;
+      done.document = std::to_string(env.seed) + std::string(3700, 'd');
+      journal.append(done);
+    }
+  }
+  SchedulerConfig config;
+  config.journal_path = path;
+  const std::uintmax_t bytes = std::filesystem::file_size(path);
+  for (auto _ : state) {
+    auto scheduler = std::make_unique<JobScheduler>(config);
+    benchmark::DoNotOptimize(scheduler.get());
+    state.PauseTiming();
+    scheduler.reset();
+    state.ResumeTiming();
+  }
+  if (std::filesystem::file_size(path) != bytes) {
+    state.SkipWithError("the replay appended to the journal");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 1200));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_ServeRestart)->Unit(benchmark::kMillisecond);
 
 // A run's checkpoint writes: open a fresh file, then record every unit as
 // it finishes. One iteration is device_iv's cot_sweep shape, 25 sweep

@@ -1,12 +1,15 @@
 #include "obs/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <utility>
 
 #include "base/error.h"
 
@@ -23,6 +26,8 @@ constexpr std::uint64_t kMaxPayload = 1ULL << 30;
 /// A frame body is the unit index, then the payload.
 constexpr std::uint64_t kMaxBody = 8 + kMaxPayload;
 constexpr std::uint64_t kMaxVector = 1ULL << 28;
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 [[noreturn]] void io_fail(const std::string& what) {
   throw IoError(ErrorCode::kIoFailure,
@@ -33,10 +38,10 @@ constexpr std::uint64_t kMaxVector = 1ULL << 28;
 
 std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -58,17 +63,37 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) noexcept {
   return true;
 }
 
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) return std::nullopt;
-  const std::streamoff size = f.tellg();
-  if (size < 0) throw IoError(ErrorCode::kIoFailure, "cannot size " + path);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (!f.seekg(0) || !f.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw IoError(ErrorCode::kIoFailure, "cannot read " + path);
+// ---- MappedFile ------------------------------------------------------------
+
+std::optional<MappedFile> MappedFile::open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  void* data = nullptr;
+  const char* failed = nullptr;
+  if (::fstat(fd, &st) != 0) {
+    failed = "cannot size ";
+  } else if (st.st_size > 0) {
+    data = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
+                  MAP_PRIVATE | MAP_POPULATE, fd, 0);
+    if (data == MAP_FAILED) failed = "cannot map ";
   }
-  return bytes;
+  const int err = errno;
+  ::close(fd);  // a mapping outlives its descriptor
+  if (failed != nullptr) {
+    throw IoError(ErrorCode::kIoFailure,
+                  failed + path + ": " + std::strerror(err));
+  }
+  return MappedFile(static_cast<const std::uint8_t*>(data),
+                    static_cast<std::size_t>(st.st_size));
+}
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<std::uint8_t*>(data_), size_);
 }
 
 // ---- BinaryWriter ----------------------------------------------------------
@@ -224,18 +249,95 @@ void BinaryReader::require_done() const {
 
 // ---- FrameScanner ----------------------------------------------------------
 
+FrameScanner::FrameScanner(const std::uint8_t* data, std::size_t size,
+                           std::uint64_t max_body)
+    : data_(data), size_(size) {
+  // The length chain first, hashing nothing: count the whole frames up to
+  // the first torn one. Both tests run before a length is used, so a wild
+  // claim allocates and reads nothing.
+  std::size_t frames = 0;
+  for (std::size_t at = 0; size_ - at >= 8;) {
+    const std::uint64_t len = BinaryReader(data_ + at, 8).u64();
+    if (len > max_body || len + 8 > size_ - at - 8) break;
+    at += 8 + static_cast<std::size_t>(len) + 8;
+    ++frames;
+  }
+  sums_.resize(frames);
+  checksum_bodies();
+}
+
+void FrameScanner::checksum_bodies() noexcept {
+  // FNV-1a is one serial multiply per byte, but frames are independent:
+  // four lanes each hash one body, interleaved, so four multiply chains
+  // overlap. A lane takes the next unhashed frame as soon as its own ends
+  // (fixed groups of four would each wait for their longest member, and a
+  // journal mixes 9-byte starts with kilobyte documents).
+  struct Lane {
+    const std::uint8_t* p = nullptr;
+    std::size_t left = 0;
+    std::uint64_t h = kFnvBasis;
+    std::size_t frame = 0;
+  };
+  std::size_t taken = 0;  // frames handed to a lane
+  std::size_t at = 0;     // offset of the next frame to hand out
+  const auto take = [&](Lane& lane) {
+    if (taken == sums_.size()) return false;
+    const std::size_t len =
+        static_cast<std::size_t>(BinaryReader(data_ + at, 8).u64());
+    lane = Lane{data_ + at + 8, len, kFnvBasis, taken++};
+    at += 8 + len + 8;
+    return true;
+  };
+  Lane lane[4];
+  std::size_t busy = 0;
+  while (busy < 4 && take(lane[busy])) ++busy;
+  while (busy == 4) {
+    const std::size_t n = std::min({lane[0].left, lane[1].left,
+                                    lane[2].left, lane[3].left});
+    std::uint64_t h0 = lane[0].h, h1 = lane[1].h, h2 = lane[2].h,
+                  h3 = lane[3].h;
+    const std::uint8_t *p0 = lane[0].p, *p1 = lane[1].p, *p2 = lane[2].p,
+                       *p3 = lane[3].p;
+    for (std::size_t i = 0; i < n; ++i) {
+      h0 = (h0 ^ p0[i]) * kFnvPrime;
+      h1 = (h1 ^ p1[i]) * kFnvPrime;
+      h2 = (h2 ^ p2[i]) * kFnvPrime;
+      h3 = (h3 ^ p3[i]) * kFnvPrime;
+    }
+    lane[0].h = h0, lane[1].h = h1, lane[2].h = h2, lane[3].h = h3;
+    // Refill every lane whose body is done; one that finds no frame left
+    // moves behind the busy ones.
+    for (std::size_t k = 0; k < busy;) {
+      lane[k].p += n;
+      lane[k].left -= n;
+      if (lane[k].left == 0) {
+        sums_[lane[k].frame] = lane[k].h;
+        if (!take(lane[k])) {
+          std::swap(lane[k], lane[--busy]);
+          continue;
+        }
+      }
+      ++k;
+    }
+  }
+  // Fewer than four frames left in flight: finish each one alone.
+  for (std::size_t k = 0; k < busy; ++k) {
+    std::uint64_t h = lane[k].h;
+    for (std::size_t i = 0; i < lane[k].left; ++i) {
+      h = (h ^ lane[k].p[i]) * kFnvPrime;
+    }
+    sums_[lane[k].frame] = h;
+  }
+}
+
 FrameScanner::Frame FrameScanner::next() {
-  const std::size_t left = size_ - end_;
-  if (left == 0) return Frame::kEnd;
-  if (left < 8) return Frame::kTorn;
-  BinaryReader r(data_ + end_, left);
-  const std::uint64_t len = r.u64();
-  // Both tests run before the length is used, so a wild claim allocates
-  // and reads nothing.
-  if (len > max_body_ || len + 8 > r.remaining()) return Frame::kTorn;
-  body_size_ = static_cast<std::size_t>(len);
+  if (next_ == sums_.size()) {
+    return end_ == size_ ? Frame::kEnd : Frame::kTorn;
+  }
+  BinaryReader r(data_ + end_, size_ - end_);
+  body_size_ = static_cast<std::size_t>(r.u64());
   body_ = r.need(body_size_);
-  const bool sound = r.u64() == fnv1a64(body_, body_size_);
+  const bool sound = r.u64() == sums_[next_++];
   end_ += 8 + body_size_ + 8;
   return sound ? Frame::kWhole : Frame::kBadChecksum;
 }
@@ -334,35 +436,36 @@ RunCheckpoint::RunCheckpoint(std::string path, std::uint64_t fingerprint,
       salvage_(salvage) {
   require(!path_.empty(), "RunCheckpoint: empty path");
   require(unit_count_ >= 1, "RunCheckpoint: need at least one unit");
-  const std::optional<std::vector<std::uint8_t>> bytes =
-      read_file_bytes(path_);
-  if (!bytes) {
+  // The payloads are copied out of the mapping, which is released before
+  // any record() can cut the file.
+  const std::optional<MappedFile> file = MappedFile::open(path_);
+  if (!file) {
     if (require_existing) {
       throw IoError(ErrorCode::kIoFailure,
                     "checkpoint: --resume file does not exist: " + path_);
     }
     return;  // fresh run: file is created on the first record()
   }
-  load_file(*bytes);
+  load_file(file->data(), file->size());
 }
 
 RunCheckpoint::~RunCheckpoint() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
+void RunCheckpoint::load_file(const std::uint8_t* bytes, std::size_t size) {
   // Header damage is always fatal: without a trusted magic/version/identity
   // there is nothing safe to salvage.
-  BinaryReader r(bytes);
+  BinaryReader r(bytes, size);
   if (r.remaining() < 8 || r.u64() != kMagic) {
     throw IoError(ErrorCode::kCheckpointCorrupt,
                   "checkpoint: " + path_ + " is not a SEMSIM checkpoint file");
   }
   // Every format wrote its header whole, so a short one is damage.
-  if (bytes.size() < kHeaderBytes) {
+  if (size < kHeaderBytes) {
     throw IoError(ErrorCode::kCheckpointCorrupt,
                   "checkpoint: " + path_ + " has a short header (" +
-                      std::to_string(bytes.size()) + " bytes)");
+                      std::to_string(size) + " bytes)");
   }
   const std::uint32_t version = r.u32();
   if (version != kFormatVersion) {
@@ -388,8 +491,7 @@ void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
   }
 
   end_ = kHeaderBytes;
-  FrameScanner frames(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes,
-                      kMaxBody);
+  FrameScanner frames(bytes + kHeaderBytes, size - kHeaderBytes, kMaxBody);
   const auto whole = [](FrameScanner::Frame f) {
     return f == FrameScanner::Frame::kWhole ||
            f == FrameScanner::Frame::kBadChecksum;
@@ -422,7 +524,7 @@ void RunCheckpoint::load_file(const std::vector<std::uint8_t>& bytes) {
                         frames.body() + frames.body_size());
     end_ = kHeaderBytes + frames.end();
   }
-  cut_ = end_ < bytes.size();
+  cut_ = end_ < size;
 }
 
 bool RunCheckpoint::has(std::size_t unit) const {

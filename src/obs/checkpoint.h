@@ -13,9 +13,12 @@
 //       u64 body_len | body | u64 fnv1a64(body)
 //
 //     BinaryWriter::begin_frame/end_frame write one; FrameScanner walks
-//     them where they lie in a file buffer and tells a whole frame, a
-//     whole frame whose checksum fails and a torn append apart. What each
-//     means is the file's own policy.
+//     them where they lie in a file mapping (MappedFile) and tells a
+//     whole frame, a whole frame whose checksum fails and a torn append
+//     apart. What each means is the file's own policy. The scanner walks
+//     the length chain first and then checksums the bodies it located
+//     four at a time (FNV-1a is one serial multiply per byte; frames are
+//     independent), with sums equal to fnv1a64's bit for bit.
 //
 //   * RunCheckpoint — a versioned file holding one opaque payload per
 //     completed WORK UNIT of a run (sweep chunks, repeat seeds, ensemble
@@ -39,9 +42,10 @@
 // then appends one frame with one write() on a descriptor held for the
 // run (no fsync). A crash mid-append leaves a TORN APPEND: a last frame
 // that runs past the end of the file or claims more than the payload cap.
-// On open it is dropped (allocating nothing) and cut off the file just
-// before the first new append, so a read-only open never changes the
-// file. A whole frame with a bad checksum or an out-of-range unit is
+// The open maps the file, copies the payloads out and releases the
+// mapping. A torn append is dropped there (allocating nothing) and cut off
+// the file just before the first new append, so a read-only open never
+// changes the file. A whole frame with a bad checksum or an out-of-range unit is
 // damage no crash explains: kCheckpointCorrupt, unless salvage keeps the
 // frames before it. Header damage is always an error. A later frame for a
 // unit replaces an earlier one on load.
@@ -69,10 +73,34 @@ namespace semsim {
 std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept;
 std::uint64_t fnv1a64(const std::string& s) noexcept;
 
-/// The whole file at `path`, read with one sized read; nullopt when the file
-/// cannot be opened (absent). Throws IoError(kIoFailure) if the read fails.
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::string& path);
+/// A whole file mapped read-only and private (MAP_POPULATE): its bytes
+/// where the page cache holds them, read in one go and never copied.
+/// Move-only; unmapped when it goes out of scope. Nothing may shorten the
+/// file while it is mapped (a page past the new end would fault), so a
+/// reader that cuts its file releases the mapping first.
+class MappedFile {
+ public:
+  /// The file at `path`: nullopt when it cannot be opened (absent), an
+  /// empty view when it is empty. Throws IoError(kIoFailure) when it
+  /// opens but cannot be sized or mapped.
+  static std::optional<MappedFile> open(const std::string& path);
+
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&&) = delete;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  ~MappedFile();
+
+  const std::uint8_t* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  MappedFile(const std::uint8_t* data, std::size_t size) noexcept
+      : data_(data), size_(size) {}
+
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// Writes all `n` bytes to `fd`: one write() unless the kernel writes
 /// short, retried on EINTR. False, with errno set, on failure.
@@ -155,10 +183,12 @@ class FrameScanner {
     kEnd,          ///< no bytes left
   };
 
-  /// `max_body` caps a body length: a longer claim reads as torn.
+  /// `max_body` caps a body length: a longer claim reads as torn. Locates
+  /// every whole frame up to the first torn one and checksums their
+  /// bodies; it keeps one sum per located frame, so a wild length
+  /// allocates nothing.
   FrameScanner(const std::uint8_t* data, std::size_t size,
-               std::uint64_t max_body)
-      : data_(data), size_(size), max_body_(max_body) {}
+               std::uint64_t max_body);
 
   /// The next frame. After kWhole or kBadChecksum, body() and body_size()
   /// locate its body and end() is the offset just past it. kTorn: fewer
@@ -173,12 +203,17 @@ class FrameScanner {
   std::size_t end() const noexcept { return end_; }
 
  private:
+  /// Computes sums_ over the located bodies, in four lanes.
+  void checksum_bodies() noexcept;
+
   const std::uint8_t* data_;
   std::size_t size_;
-  std::uint64_t max_body_;
   std::size_t end_ = 0;
   const std::uint8_t* body_ = nullptr;
   std::size_t body_size_ = 0;
+  /// fnv1a64 of each located body, in file order; next() returns them.
+  std::vector<std::uint64_t> sums_;
+  std::size_t next_ = 0;  ///< index of the frame next() reads
 };
 
 /// Engine state serialization (RNG words, clock, island occupations,
@@ -243,7 +278,7 @@ class RunCheckpoint {
   std::uint64_t salvaged_dropped() const noexcept { return salvaged_dropped_; }
 
  private:
-  void load_file(const std::vector<std::uint8_t>& bytes);
+  void load_file(const std::uint8_t* bytes, std::size_t size);
   /// Opens the descriptor of the first append: creates the file with its
   /// header, or cuts an existing one back to its kept frames.
   void open_for_append_locked();

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "base/error.h"
 #include "obs/checkpoint.h"
@@ -99,9 +100,12 @@ JobJournal::~JobJournal() {
 }
 
 void JobJournal::open_and_replay() {
-  // Whatever is on disk, in one sized read (there may be nothing).
-  const std::vector<std::uint8_t> bytes =
-      read_file_bytes(path_).value_or(std::vector<std::uint8_t>{});
+  // Whatever is on disk, mapped (there may be nothing). The records copy
+  // what they keep out of the mapping, which is released before the file
+  // is cut.
+  std::optional<MappedFile> file = MappedFile::open(path_);
+  const std::uint8_t* bytes = file ? file->data() : nullptr;
+  const std::size_t size = file ? file->size() : 0;
 
   // valid_end tracks the longest prefix that parses cleanly; everything
   // after it is a torn append and is truncated off below.
@@ -109,9 +113,9 @@ void JobJournal::open_and_replay() {
   // A file shorter than a header is empty, or a crash landed inside the
   // very first header write: either way there is no record to lose, so
   // start fresh.
-  const bool write_header = bytes.size() < kHeaderBytes;
+  const bool write_header = size < kHeaderBytes;
   if (!write_header) {
-    BinaryReader header(bytes.data(), kHeaderBytes);
+    BinaryReader header(bytes, kHeaderBytes);
     if (header.u64() != kMagic) {
       throw Error(ErrorCode::kServeJournalCorrupt,
                   "journal: " + path_ + " is not a SEMSIM job journal");
@@ -130,8 +134,7 @@ void JobJournal::open_and_replay() {
     // nothing. A torn frame (a length above the cap, a body or checksum
     // past the end of the file) or a failed checksum is an append that
     // never finished: the loop stops and the tail is dropped.
-    FrameScanner frames(bytes.data() + kHeaderBytes,
-                        bytes.size() - kHeaderBytes, kMaxBody);
+    FrameScanner frames(bytes + kHeaderBytes, size - kHeaderBytes, kMaxBody);
     while (frames.next() == FrameScanner::Frame::kWhole) {
       try {
         records_.push_back(decode_body(frames.body(), frames.body_size()));
@@ -146,8 +149,9 @@ void JobJournal::open_and_replay() {
     }
   }
 
-  if (!write_header && valid_end < bytes.size()) {
-    truncated_bytes_ = bytes.size() - valid_end;
+  file.reset();
+  if (!write_header && valid_end < size) {
+    truncated_bytes_ = size - valid_end;
     if (::truncate(path_.c_str(), static_cast<off_t>(valid_end)) != 0) {
       io_fail("truncate(" + path_ + ")");
     }
@@ -156,9 +160,9 @@ void JobJournal::open_and_replay() {
   fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) io_fail("open(" + path_ + ")");
   if (write_header) {
-    if (bytes.size() > 0) {
+    if (size > 0) {
       // Partial header from a crash during creation; rewrite from scratch.
-      truncated_bytes_ = bytes.size();
+      truncated_bytes_ = size;
       if (::ftruncate(fd_, 0) != 0) io_fail("ftruncate(" + path_ + ")");
     }
     BinaryWriter w;

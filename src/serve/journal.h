@@ -44,9 +44,12 @@
 // checksum verified) is an unrecoverable coded Error(kServeJournalCorrupt):
 // the journal never guesses at job identity.
 //
-// The file is read with one sized read, and each frame is checked and
-// decoded where it lies in that buffer: nothing is allocated from a length
-// field before the file is known to hold those bytes.
+// The file is mapped read-only (obs/checkpoint.h MappedFile), and each
+// frame is checked and decoded where it lies in the mapping: nothing is
+// allocated from a length field before the file is known to hold those
+// bytes. The frame reader checksums the bodies four at a time; the records
+// copy what they keep, and the mapping is released before a torn tail is
+// truncated.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
 #include "analysis/api.h"
@@ -37,8 +40,9 @@ struct JobScheduler::Job {
     RunRequest request;
     FaultPlan fault;
   };
-  /// Held only while the job may still run: execute() takes it over, and
-  /// every other way to a terminal state drops it.
+  /// Held only while the job may still run: a job born terminal (a cache
+  /// hit, a replayed finished job) never gets it, execute() takes it over,
+  /// and every other way to a terminal state drops it.
   std::unique_ptr<Inputs> inputs;
   std::uint64_t fingerprint = 0;
   /// The job's result-cache and spool key (result_key); none when its
@@ -96,6 +100,17 @@ bool changes_results(const FaultPlan& plan) {
                        return f.kind != FaultKind::kSleep &&
                               f.kind != FaultKind::kNone;
                      });
+}
+
+/// Gives a job that may still run its run inputs: env's spec and fault
+/// plan, and `input` (env's netlist, parsed, with env's repeats override).
+void give_inputs(JobScheduler::Job& job, const RequestEnvelope& env,
+                 SimulationInput input) {
+  job.inputs = std::make_unique<JobScheduler::Job::Inputs>();
+  RunRequest& req = job.inputs->request;
+  static_cast<RunSpec&>(req) = env;
+  req.input = std::move(input);
+  job.inputs->fault = env.fault;
 }
 
 /// ProgressSink writing into a Job's progress block. Thread-safe, as the
@@ -166,18 +181,12 @@ JobScheduler::JobScheduler(const SchedulerConfig& config)
 JobScheduler::~JobScheduler() { shutdown(); }
 
 std::unique_ptr<JobScheduler::Job> JobScheduler::make_job(
-    const RequestEnvelope& env, SimulationInput input) const {
+    const RequestEnvelope& env, const SimulationInput& input) const {
   auto job = std::make_unique<Job>();
-  job->inputs = std::make_unique<Job::Inputs>();
-  RunRequest& req = job->inputs->request;
-  static_cast<RunSpec&>(req) = env;
-  req.input = std::move(input);
-  if (env.repeats > 0) req.input.repeats = env.repeats;
-  job->inputs->fault = env.fault;
   job->priority = env.priority;
   job->ensemble = env.ensemble.enabled;
   job->client = env.client;
-  job->fingerprint = req.fingerprint();
+  job->fingerprint = run_fingerprint(input, env);
   if (!changes_results(env.fault)) {
     job->key = result_key(job->fingerprint, env.retry);
   }
@@ -195,11 +204,15 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
 
   // Validate at the door, before a job exists: a malformed netlist throws
   // the parser's own coded error back to the client.
-  auto job = make_job(env, parse_simulation_input(env.netlist));
+  SimulationInput input = parse_simulation_input(env.netlist);
+  if (env.repeats > 0) input.repeats = env.repeats;
+  auto job = make_job(env, input);
 
   // One cache probe per submit: a hit makes the job terminal immediately —
-  // no queue, no engine, the cache's own document.
+  // no queue, no engine, the cache's own document. Only a job that may
+  // run gets run inputs.
   SharedDocument hit = job->key ? cache_.lookup(*job->key) : nullptr;
+  if (hit == nullptr) give_inputs(*job, env, std::move(input));
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
@@ -256,7 +269,6 @@ std::uint64_t JobScheduler::submit(const RequestEnvelope& env) {
     job->state = JobState::kDone;
     job->cached = true;
     job->document = std::move(hit);
-    job->inputs.reset();
     totals_.completed += 1;
     totals_.cache_hits += 1;
     journal_done_locked(*job);
@@ -326,16 +338,27 @@ void JobScheduler::replay_journal() {
   journal_ = std::make_unique<JobJournal>(config_.journal_path);
   totals_.journal_truncated_bytes = journal_->truncated_bytes();
 
-  // First pass, append order: rebuild the job table. The records are taken
-  // over, so the journal keeps no history and each document moves into its
-  // job, or is dropped for the cache's equal copy. A journal repeats few
-  // netlist texts many times: each distinct text is parsed once, and every
-  // job gets its own copy of the parsed input.
+  // The records are taken over, so the journal keeps no history and each
+  // document moves into its job, or is dropped for the cache's equal copy.
+  // A pre-pass finds the jobs that finished: they never run again, so
+  // they get no run inputs.
+  std::vector<JournalRecord> records = journal_->take_records();
+  std::unordered_set<std::uint64_t> finished;
+  for (const JournalRecord& rec : records) {
+    if (rec.type == JournalRecord::Type::kDone) finished.insert(rec.job_id);
+  }
+
+  // First pass, append order: rebuild the job table. A journal repeats few
+  // netlist texts many times: each distinct (text, repeats override) is
+  // parsed once, every job's fingerprint and key come from that shared
+  // input, and only a job left to run gets its own copy.
   std::vector<std::uint64_t> order;  // submit order
   std::unordered_set<std::uint64_t> cancel_seen;
   std::unordered_set<std::uint64_t> started;
-  std::unordered_map<std::string, SimulationInput> parsed;
-  for (JournalRecord& rec : journal_->take_records()) {
+  std::map<std::tuple<std::string, std::uint32_t>, SimulationInput,
+           std::less<>>
+      parsed;
+  for (JournalRecord& rec : records) {
     switch (rec.type) {
       case JournalRecord::Type::kSubmit: {
         if (jobs_.count(rec.job_id) != 0) {
@@ -346,13 +369,21 @@ void JobScheduler::replay_journal() {
         std::unique_ptr<Job> job;
         try {
           const RequestEnvelope env = parse_request_envelope(rec.envelope_json);
-          auto it = parsed.find(env.netlist);
+          // The fingerprint covers repeats, so the override is part of
+          // the key (the lookup compares without copying the text).
+          auto it = parsed.find(std::tie(env.netlist, env.repeats));
           if (it == parsed.end()) {
+            SimulationInput input = parse_simulation_input(env.netlist);
+            if (env.repeats > 0) input.repeats = env.repeats;
             it = parsed
-                     .emplace(env.netlist, parse_simulation_input(env.netlist))
+                     .emplace(std::tuple(env.netlist, env.repeats),
+                              std::move(input))
                      .first;
           }
           job = make_job(env, it->second);
+          if (finished.count(rec.job_id) == 0) {
+            give_inputs(*job, env, it->second);
+          }
         } catch (const Error& e) {
           // The envelope parsed when it was logged; if it no longer does,
           // the journal was edited or belongs to an incompatible build —

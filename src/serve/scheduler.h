@@ -180,9 +180,10 @@ class JobScheduler {
   void deadline_loop();
   void execute(Job& job);
   Job* find_locked(std::uint64_t id) const;
-  /// A job for `env`, whose netlist the caller has parsed into `input`.
+  /// A job for `env` without run inputs: its identity, fingerprint and
+  /// key. `input` is env's netlist, parsed, with env's repeats override.
   std::unique_ptr<Job> make_job(const RequestEnvelope& env,
-                                SimulationInput input) const;
+                                const SimulationInput& input) const;
   /// The job's spool checkpoint file ("" when checkpointing is off or
   /// the job has no key).
   std::string spool_path(const Job& job) const;

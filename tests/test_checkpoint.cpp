@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -461,6 +464,208 @@ TEST(RunCheckpoint, PayloadLengthPastTheEndIsTornAndAllocatesNothing) {
   }
   ::getrusage(RUSAGE_SELF, &ru);
   EXPECT_LT(ru.ru_maxrss - before_kib, 64L * 1024);
+}
+
+// ---- the frame reader and the mapped file ---------------------------------
+
+/// One next() of the frame reader: its verdict, where the body lies and
+/// end() after the call.
+struct FrameStep {
+  FrameScanner::Frame verdict;
+  std::size_t body_offset = 0;
+  std::size_t body_size = 0;
+  std::size_t end = 0;
+};
+
+/// The frame reader one frame at a time, each body hashed by fnv1a64 as it
+/// is found: the reference the scanner must match. Ends with the kEnd or
+/// kTorn step.
+std::vector<FrameStep> reference_frames(const std::vector<std::uint8_t>& b,
+                                        std::uint64_t max_body) {
+  std::vector<FrameStep> steps;
+  std::size_t end = 0;
+  for (;;) {
+    const std::size_t left = b.size() - end;
+    if (left == 0) {
+      steps.push_back({FrameScanner::Frame::kEnd, 0, 0, end});
+      return steps;
+    }
+    const std::uint64_t len = left < 8 ? 0 : u64_at(b, end);
+    if (left < 8 || len > max_body || len + 16 > left) {
+      steps.push_back({FrameScanner::Frame::kTorn, 0, 0, end});
+      return steps;
+    }
+    const std::size_t body = end + 8;
+    const bool sound =
+        u64_at(b, body + len) == fnv1a64(b.data() + body, len);
+    end = body + len + 8;
+    steps.push_back({sound ? FrameScanner::Frame::kWhole
+                           : FrameScanner::Frame::kBadChecksum,
+                     body, static_cast<std::size_t>(len), end});
+  }
+}
+
+TEST(FrameScanner, MatchesAOneFrameAtATimeReaderOnRandomFrameSets) {
+  // Sets of 0-9 frames with bodies of 0-5,000 bytes in mixed sizes (the
+  // journal's 9-byte starts, ~400-byte submits and ~3.7 KB documents), a
+  // bad checksum at every position (so in every lane), and each kind of
+  // torn tail. The four-lane scanner must return the same verdicts, the
+  // same bodies and the same end() as the reference, and keep returning
+  // its last verdict.
+  constexpr std::uint64_t kCap = 6000;
+  enum class Tail { kNone, kShortLength, kBodyPastEnd, kSumPastEnd, kOverCap };
+  const Tail tails[] = {Tail::kNone, Tail::kShortLength, Tail::kBodyPastEnd,
+                        Tail::kSumPastEnd, Tail::kOverCap};
+  Xoshiro256 rng(20261020);
+  const auto body_size = [&rng]() -> std::size_t {
+    switch (rng.uniform_below(4)) {
+      case 0: return rng.uniform_below(17);          // starts, cancels
+      case 1: return 300 + rng.uniform_below(200);   // submits
+      case 2: return 3500 + rng.uniform_below(400);  // done records
+      default: return rng.uniform_below(5001);
+    }
+  };
+  std::size_t sets = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    for (std::size_t frames = 0; frames <= 9; ++frames) {
+      for (std::size_t bad = 0; bad <= frames; ++bad) {  // == frames: none
+        for (const Tail tail : tails) {
+          std::vector<std::uint8_t> b;
+          for (std::size_t f = 0; f < frames; ++f) {
+            std::vector<std::uint8_t> body(body_size());
+            for (std::uint8_t& x : body) {
+              x = static_cast<std::uint8_t>(rng.uniform_below(256));
+            }
+            put_le(b, body.size(), 8);
+            b.insert(b.end(), body.begin(), body.end());
+            put_le(b, fnv1a(body) ^ (f == bad ? 1u : 0u), 8);
+          }
+          const std::size_t whole = b.size();
+          switch (tail) {
+            case Tail::kNone:
+              break;
+            case Tail::kShortLength:  // fewer than 8 bytes left
+              b.resize(whole + 1 + rng.uniform_below(7), 0x11);
+              break;
+            case Tail::kBodyPastEnd:
+              put_le(b, 100 + rng.uniform_below(4000), 8);
+              b.resize(b.size() + rng.uniform_below(100), 0x22);
+              break;
+            case Tail::kSumPastEnd: {
+              const std::size_t len = body_size();
+              put_le(b, len, 8);
+              b.resize(b.size() + len + rng.uniform_below(8), 0x33);
+              break;
+            }
+            case Tail::kOverCap:
+              put_le(b, kCap + 1 + rng.uniform_below(1000), 8);
+              b.resize(b.size() + 9000, 0x44);
+              break;
+          }
+          SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                       std::to_string(frames) + " frames, bad " +
+                       std::to_string(bad) + ", tail " +
+                       std::to_string(static_cast<int>(tail)));
+          const std::vector<FrameStep> want = reference_frames(b, kCap);
+          ASSERT_EQ(want.size(), frames + 1);
+          FrameScanner scanner(b.data(), b.size(), kCap);
+          for (const FrameStep& step : want) {
+            ASSERT_EQ(scanner.next(), step.verdict);
+            EXPECT_EQ(scanner.end(), step.end);
+            if (step.verdict == FrameScanner::Frame::kWhole ||
+                step.verdict == FrameScanner::Frame::kBadChecksum) {
+              EXPECT_EQ(scanner.body(), b.data() + step.body_offset);
+              EXPECT_EQ(scanner.body_size(), step.body_size);
+            }
+          }
+          EXPECT_EQ(scanner.next(), want.back().verdict);
+          EXPECT_EQ(scanner.end(), want.back().end);
+          ++sets;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sets, 12u * 55u * 5u);
+}
+
+/// True when this process maps `path` (a line of /proc/self/maps names it).
+bool mapped_here(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(path) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(MappedFile, AbsentEmptyAndWholeFiles) {
+  TempFile tmp("/tmp/semsim_mapped_file.bin");
+  EXPECT_FALSE(MappedFile::open(tmp.path).has_value());
+
+  write_bytes(tmp.path, {});
+  {
+    const std::optional<MappedFile> empty = MappedFile::open(tmp.path);
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_EQ(empty->size(), 0u);
+  }
+
+  std::vector<std::uint8_t> bytes(10000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 % 251);
+  }
+  write_bytes(tmp.path, bytes);
+  {
+    std::optional<MappedFile> file = MappedFile::open(tmp.path);
+    ASSERT_TRUE(file.has_value());
+    EXPECT_TRUE(mapped_here(tmp.path));
+    const MappedFile moved = std::move(*file);
+    EXPECT_EQ(file->data(), nullptr);
+    EXPECT_EQ(file->size(), 0u);
+    ASSERT_EQ(moved.size(), bytes.size());
+    EXPECT_EQ(std::vector<std::uint8_t>(moved.data(),
+                                        moved.data() + moved.size()),
+              bytes);
+  }
+  EXPECT_FALSE(mapped_here(tmp.path));  // unmapped with its last owner
+}
+
+TEST(MappedFile, ADirectoryOpensButIsACodedIoFailure) {
+  const std::string dir = "/tmp/semsim_mapped_dir." + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  write_bytes(dir + "/entry", {1});
+  ErrorCode code = ErrorCode::kNone;
+  try {
+    MappedFile::open(dir);
+  } catch (const IoError& e) {
+    code = e.code();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(code, ErrorCode::kIoFailure);
+}
+
+TEST(RunCheckpoint, OpenCopiesThePayloadsAndReleasesTheMapping) {
+  // The open maps the file, copies each payload out and unmaps it before
+  // any record() can cut the file; an empty file is no checkpoint.
+  TempFile tmp("/tmp/semsim_ckpt_mapping.bin");
+  write_bytes(tmp.path, {});
+  EXPECT_EQ(open_code(tmp.path, 42, 3), ErrorCode::kCheckpointCorrupt);
+  EXPECT_TRUE(read_bytes(tmp.path).empty());
+
+  const std::vector<std::uint8_t> good =
+      checkpoint_bytes(42, 3, {{0, {10, 20}}, {2, {30}}});
+  std::vector<std::uint8_t> torn = good;
+  put_le(torn, 100, 8);  // a frame whose body runs past the end
+  torn.insert(torn.end(), {1, 2, 3});
+  write_bytes(tmp.path, torn);
+  {
+    RunCheckpoint cp(tmp.path, 42, 3);
+    EXPECT_FALSE(mapped_here(tmp.path));
+    EXPECT_EQ(cp.payload(0), (std::vector<std::uint8_t>{10, 20}));
+    EXPECT_EQ(cp.payload(2), (std::vector<std::uint8_t>{30}));
+    cp.record(1, {40});  // cuts the torn frame off, then appends
+    EXPECT_EQ(cp.payload(0), (std::vector<std::uint8_t>{10, 20}));
+  }
+  EXPECT_EQ(read_bytes(tmp.path),
+            checkpoint_bytes(42, 3, {{0, {10, 20}}, {2, {30}}, {1, {40}}}));
 }
 
 // ---- driver-level resume: simulated mid-run abort -------------------------

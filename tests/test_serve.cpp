@@ -1464,6 +1464,57 @@ TEST(Journal, DamageInsideAVerifiedBodyIsCorruptNotTorn) {
   }
 }
 
+TEST(Journal, ZeroLengthAndShortFilesStartFresh) {
+  // An empty file, or a crash inside the very first header write: there
+  // is no record to lose, so the open writes a whole header.
+  TempDir dir("semsim_journal_short");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  const std::string header = journal_bytes({});
+  ASSERT_EQ(header.size(), 16u);
+  for (const std::size_t size : {0u, 1u, 8u, 15u}) {
+    SCOPED_TRACE(size);
+    write_file(path, header.substr(0, size));
+    JobJournal j(path);
+    EXPECT_TRUE(j.take_records().empty());
+    EXPECT_EQ(j.truncated_bytes(), size);
+    EXPECT_EQ(read_bytes(path), header);
+  }
+}
+
+/// True when this process maps `path` (a line of /proc/self/maps names it).
+bool mapped_here(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(path) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(Journal, TornTailIsCutAfterTheMappingIsReleased) {
+  // The open reads the file through a mapping, which it releases before
+  // it truncates a torn tail: nothing of the file stays mapped, the tail
+  // is gone, and the next append lands right after the kept prefix.
+  TempDir dir("semsim_journal_unmapped");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/j.wal";
+  craft_journal(path, {submit_record(1, sweep_envelope()),
+                       bare_record(JournalRecord::Type::kStart, 1)});
+  const std::string clean = read_bytes(path);
+  const std::string next =
+      frame_of(body_head(JournalRecord::Type::kCancel, 1));
+  write_file(path, clean + next.substr(0, 11));
+  {
+    JobJournal j(path);
+    EXPECT_FALSE(mapped_here(path));
+    EXPECT_EQ(j.take_records().size(), 2u);
+    EXPECT_EQ(j.truncated_bytes(), 11u);
+    EXPECT_EQ(read_bytes(path), clean);
+    j.append(bare_record(JournalRecord::Type::kCancel, 1));
+  }
+  EXPECT_EQ(read_bytes(path), clean + next);
+}
+
 TEST(Replay, InterruptedJobReenqueuesAndConvergesToDirectBytes) {
   TempDir dir("semsim_replay_pending");
   std::filesystem::create_directories(dir.path);
@@ -1749,6 +1800,166 @@ TEST(Replay, SubmitWhoseNetlistNoLongerParsesIsCorrupt) {
                                    submit_record(3, broken)});
   EXPECT_EQ(code_of([&] { JobScheduler sched(cfg); }),
             ErrorCode::kServeJournalCorrupt);
+}
+
+TEST(Replay, FinishedSweepKeepsItsIdentityAndReadsZeroProgress) {
+  // Replay restores what the journal holds: state, cached, fingerprint,
+  // priority, client, deadline and error. The journal holds no progress,
+  // so a replayed job's progress block reads zero.
+  TempDir dir("semsim_replay_progress");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.threads = 1;
+  cfg.journal_path = dir.path + "/j.wal";
+  RequestEnvelope env = sweep_envelope(/*seed=*/11);
+  env.priority = 3;
+  env.client = "farm-2";
+  env.deadline_ms = 3600 * 1000;
+  JobStatus before;
+  {
+    JobScheduler sched(cfg);
+    before = wait_terminal(sched, sched.submit(env));
+    sched.shutdown();
+  }
+  ASSERT_EQ(before.state, JobState::kDone) << before.error;
+  ASSERT_GT(before.units_total, 0u);
+  EXPECT_EQ(before.units_done, before.units_total);
+  ASSERT_GT(before.points_total, 0u);
+  EXPECT_EQ(before.points_done, before.points_total);
+  EXPECT_EQ(before.partial.size(), before.points_total);
+
+  JobScheduler sched(cfg);
+  const JobStatus after = *sched.status(before.id);
+  EXPECT_EQ(after.id, before.id);
+  EXPECT_EQ(after.state, before.state);
+  EXPECT_EQ(after.priority, before.priority);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+  EXPECT_EQ(after.cached, before.cached);
+  EXPECT_EQ(after.deadline_unix_ms, before.deadline_unix_ms);
+  EXPECT_EQ(after.client, before.client);
+  EXPECT_EQ(after.error, before.error);
+  EXPECT_EQ(after.error_code, before.error_code);
+  EXPECT_EQ(after.checkpoint_path, before.checkpoint_path);
+  EXPECT_EQ(after.units_total, 0u);
+  EXPECT_EQ(after.units_done, 0u);
+  EXPECT_EQ(after.points_total, 0u);
+  EXPECT_EQ(after.points_done, 0u);
+  EXPECT_EQ(after.degraded_points, 0u);
+  EXPECT_EQ(after.replicas_total, 0u);
+  EXPECT_EQ(after.replicas_done, 0u);
+  EXPECT_TRUE(after.partial.empty());
+  sched.shutdown();
+}
+
+TEST(Replay, EveryKindOfJobComesBackAsItWasLeft) {
+  // Finished jobs replay without run inputs, from the input their
+  // (netlist, repeats) shares; jobs left to run get their own. Each kind
+  // must come back with the status, counts, result and queue place a
+  // daemon that never stopped would show.
+  TempDir dir("semsim_replay_kinds");
+  std::filesystem::create_directories(dir.path);
+  SchedulerConfig cfg;
+  cfg.threads = 2;
+  cfg.journal_path = dir.path + "/j.wal";
+  RequestEnvelope repeated = sweep_envelope(/*seed=*/7);
+  repeated.repeats = 2;
+  RequestEnvelope urgent = sweep_envelope(/*seed=*/13);
+  urgent.priority = 5;
+  using Type = JournalRecord::Type;
+  const std::vector<JournalRecord> journaled = {
+      submit_record(1, repeated),
+      bare_record(Type::kStart, 1),
+      done_record(1, JobState::kDone, ErrorCode::kNone, "", "REPEATED"),
+      submit_record(2, repeated),  // a cache hit: done without a start
+      done_record(2, JobState::kDone, ErrorCode::kNone, "", "REPEATED"),
+      submit_record(3, sweep_envelope(8)),
+      bare_record(Type::kStart, 3),
+      done_record(3, JobState::kFailed, ErrorCode::kNonFiniteRate,
+                  "unit 2: non-finite rate", ""),
+      submit_record(4, sweep_envelope(9)),
+      bare_record(Type::kCancel, 4),
+      done_record(4, JobState::kCancelled, ErrorCode::kCancelled,
+                  "cancelled while queued", ""),
+      submit_record(5, sweep_envelope(10)),
+      bare_record(Type::kCancel, 5),  // never processed
+      submit_record(6, sweep_envelope(11)),
+      bare_record(Type::kStart, 6),  // left running
+      submit_record(7, sweep_envelope(12)),
+      submit_record(8, urgent),
+  };
+  craft_journal(cfg.journal_path, journaled);
+
+  RunRequest with_repeats = sweep_request(1, 7);
+  with_repeats.input.repeats = 2;
+  const std::uint64_t repeated_fp = with_repeats.fingerprint();
+  ASSERT_NE(repeated_fp, sweep_request(1, 7).fingerprint());
+
+  JobScheduler sched(cfg);
+  const JobScheduler::Stats st = sched.stats();
+  EXPECT_EQ(st.submitted, 8u);
+  EXPECT_EQ(st.replayed, 8u);
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.cancelled, 2u);
+  EXPECT_EQ(st.cache_hits, 1u);
+  EXPECT_GE(st.completed, 2u);
+  EXPECT_EQ(st.journal_truncated_bytes, 0u);
+
+  const JobStatus ran = *sched.status(1);
+  EXPECT_EQ(ran.state, JobState::kDone);
+  EXPECT_FALSE(ran.cached);
+  EXPECT_EQ(ran.fingerprint, repeated_fp);
+  const JobStatus hit = *sched.status(2);
+  EXPECT_EQ(hit.state, JobState::kDone);
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.fingerprint, repeated_fp);
+  EXPECT_EQ(*sched.result(1), "REPEATED");
+  EXPECT_EQ(sched.result(2), sched.result(1));
+  const JobStatus failed = *sched.status(3);
+  EXPECT_EQ(failed.state, JobState::kFailed);
+  EXPECT_EQ(failed.error_code, ErrorCode::kNonFiniteRate);
+  EXPECT_EQ(failed.error, "unit 2: non-finite rate");
+  EXPECT_EQ(failed.fingerprint, sweep_request(1, 8).fingerprint());
+  EXPECT_EQ(code_of([&] { sched.result(3); }), ErrorCode::kServeJobNotReady);
+  const JobStatus cancelled = *sched.status(4);
+  EXPECT_EQ(cancelled.state, JobState::kCancelled);
+  EXPECT_EQ(cancelled.error, "cancelled while queued");
+  const JobStatus late_cancel = *sched.status(5);
+  EXPECT_EQ(late_cancel.state, JobState::kCancelled);
+  EXPECT_EQ(late_cancel.error_code, ErrorCode::kCancelled);
+  EXPECT_EQ(late_cancel.error, "cancelled (cancel replayed from journal)");
+
+  // The repeats job kept its fingerprint: resubmitting it is a cache hit.
+  const std::uint64_t again = sched.submit(repeated);
+  EXPECT_EQ(again, 9u);
+  EXPECT_TRUE(sched.status(again)->cached);
+  EXPECT_EQ(sched.status(again)->fingerprint, repeated_fp);
+  EXPECT_EQ(sched.result(again), sched.result(1));
+
+  // The jobs left to run produce a fresh run's bytes.
+  for (const auto& [id, seed] : std::vector<std::pair<std::uint64_t,
+                                                      std::uint64_t>>{
+           {6, 11}, {7, 12}, {8, 13}}) {
+    SCOPED_TRACE("job " + std::to_string(id));
+    const JobStatus s = wait_terminal(sched, id);
+    ASSERT_EQ(s.state, JobState::kDone) << s.error;
+    EXPECT_FALSE(s.cached);
+    EXPECT_EQ(s.fingerprint, sweep_request(1, seed).fingerprint());
+    EXPECT_EQ(*sched.result(id),
+              run(sweep_request(1, seed)).to_json(/*canonical=*/true));
+  }
+  EXPECT_EQ(sched.stats().completed, 6u);
+  sched.shutdown();
+
+  // Queue order: the higher priority first, then submission order. The
+  // dispatcher journals a start before each run.
+  std::vector<std::uint64_t> starts;
+  const std::vector<JournalRecord> records =
+      JobJournal(cfg.journal_path).take_records();
+  ASSERT_GT(records.size(), journaled.size());
+  for (std::size_t i = journaled.size(); i < records.size(); ++i) {
+    if (records[i].type == Type::kStart) starts.push_back(records[i].job_id);
+  }
+  EXPECT_EQ(starts, (std::vector<std::uint64_t>{8, 6, 7}));
 }
 
 TEST(Deadline, ExpiredJobFailsCodedNeverMisfiled) {
